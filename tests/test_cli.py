@@ -1,5 +1,6 @@
 """CLI contract tests: dispatch, config handling, emission, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,3 +206,111 @@ def test_dispatch_help_exits_0(capsys):
     code, out, _ = _run(capsys, "--help")
     assert code == 0
     assert "selftest" in out
+
+
+# ------------------------------------------------------------------
+# golden report bytes
+# ------------------------------------------------------------------
+
+_H74 = '{"kind":"hamming74","params":[]}'
+_MOE_KINDS = ("bob_all", "charlie_all", "mix", "measure_computational",
+              "measure_wiesner", "keep_and_substitute", "leak_smuggle")
+
+# One small argv per subcommand, experiment kind and output format.
+GOLDEN_ARGVS = {
+    "bounds": ("bounds", "--n", "10"),
+    "bounds-full": ("bounds", "--n", "64", "--d", "8", "--eta", "0.25", "--gamma", "0.02",
+                    "--delta", "0.005", "--kappa", "5", "--ell", "2", "--s", "16"),
+    "sweep-urbc": ("sweep", "--experiment", "urbc", "--param", "eta", "--from", str(1 / 7),
+                   "--to", str(5 / 7), "--steps", "3", "--set", "kind=binding",
+                   "--trials", "100", "--seed", "6"),
+    "sweep-moe": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "12",
+                  "--steps", "3", "--trials", "3000", "--seed", "2"),
+    "selftest": ("selftest", "--seed", "3"),
+    "qkd-csv": ("qkd", "--format", "csv", "--trials", "50", "--seed", "1"),
+    **{f"moe-{k}": ("moe", "--set", f"kind={k}", "--set", "n=8", "--trials", "3000",
+                    "--seed", "5") for k in _MOE_KINDS},
+    **{f"moe-all-{k}": ("moe", "--set", f"kind={k}", "--set", "n=4", "--set", "family=all",
+                        "--trials", "100", "--seed", "5") for k in _MOE_KINDS},
+    "qecm-correctness": ("qecm", "--trials", "100", "--seed", "7"),
+    "qecm-correctness-all": ("qecm", "--set", "family=all", "--set", "n=4", "--set", "ell=1",
+                             "--trials", "30", "--seed", "7"),
+    "qecm-indistinguishable": ("qecm", "--set", "kind=indistinguishable", "--set", "n=4",
+                               "--set", "ell=1"),
+    "qecm-uncloneable": ("qecm", "--set", "kind=uncloneable", "--trials", "200", "--seed", "7"),
+    "qecm-uncloneable-mc": ("qecm", "--set", "kind=uncloneable",
+                            "--set", "adversary=measure_computational",
+                            "--set", "message_probs=[0.4,0.3,0.2,0.1]",
+                            "--trials", "200", "--seed", "7"),
+    "qecm-uncloneable-ind": ("qecm", "--set", "kind=uncloneable_indistinguishable",
+                             "--trials", "200", "--seed", "7"),
+    "urbc-correctness": ("urbc", "--trials", "100", "--seed", "8"),
+    "urbc-binding": ("urbc", "--set", "kind=binding", "--trials", "300", "--seed", "8"),
+    "urbc-hiding": ("urbc", "--set", "kind=hiding", "--set", "n=6", "--set", "ell=1",
+                    "--set", "eta=0.3333333333333333",
+                    "--set", 'code={"kind":"repetition","params":[3]}'),
+    "qkd-correctness": ("qkd", "--trials", "100", "--seed", "9"),
+    "qkd-completeness": ("qkd", "--set", "kind=completeness", "--set", "dx=0.01",
+                         "--set", "dz=0.01", "--set", "gamma=0.125", "--trials", "100",
+                         "--seed", "9"),
+    "qkd-device-fault": ("qkd", "--set", "kind=device_fault", "--set", "n=14",
+                         "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
+                         "--trials", "300", "--seed", "9"),
+    "qkd-secrecy": ("qkd", "--set", "kind=secrecy", "--trials", "100", "--seed", "9"),
+    "qkd-secrecy-keep": ("qkd", "--set", "kind=secrecy", "--set", "eve=keep_substitute",
+                         "--trials", "100", "--seed", "9"),
+    "qkd-secrecy-ir": ("qkd", "--set", "kind=secrecy", "--set", "eve=intercept_resend",
+                       "--trials", "100", "--seed", "9"),
+    "tfkw-honest": ("tfkw", "--trials", "50", "--seed", "4"),
+    "tfkw-attack": ("tfkw", "--set", "eve=substitute_zero", "--trials", "50", "--seed", "4"),
+    "tfkw-noise-fail": ("tfkw", "--set", "dx=1.0", "--set", "dz=1.0", "--trials", "10",
+                        "--seed", "5"),
+}
+
+# (exit code, sha256 of stdout) for each argv above.
+GOLDEN_DIGESTS = {
+    "bounds": (0, "1464a4a35dcec6d793117a2e6c93f536bd9ee6d487dd8aea5daf4ae48c23be91"),
+    "bounds-full": (0, "db053a0b359efb32eaeb355a55f0ad5f3727f23269388db1c7a8ca125f569580"),
+    "sweep-urbc": (0, "ecf6ec44d1097cadf9c1993bccb9303782d8f4313f442e67c167fd761a351f17"),
+    "sweep-moe": (0, "a4560f2e3e26b50223e0b5429ef106b643bab309fc0dc782abd35fcd1aa9da25"),
+    "selftest": (0, "2c8e594e6fd4db560451e5e08459657e06a4a2edebc2b7814749aeb5d96e896d"),
+    "qkd-csv": (0, "4818d74a79f3b344592e0abedca9e9c9f31cfc867d612dc8e550a8a61ad0dea1"),
+    "moe-bob_all": (0, "8d13c617e330f5c4ef1fc7173cdc99f9d7dd1a89adf6b04ec8239bc39c17dba0"),
+    "moe-charlie_all": (0, "013c1d8f45198decfa483a9576d6b3776aae19898a661736312bb8755e7043cc"),
+    "moe-mix": (0, "a81555d177b9c6e31b00f178cc20aad05ab3239ca24045ba9257b6dde7a7a34e"),
+    "moe-measure_computational": (0, "fb754e0e7138c237b614de0e8988895c908b996907b6353f26b5436ef9b7526e"),
+    "moe-measure_wiesner": (0, "851cc76048ed878aa71a06055021ec41e21a7782714998b4cba3f1dfd50da465"),
+    "moe-keep_and_substitute": (0, "37e5fca97e52fd3ff9a282cb237bf4dd344c25c0684b0470dbe1d566a5dbbfe8"),
+    "moe-leak_smuggle": (0, "0274df32c739cebd00b7bd6b1e69cbd8e3b21822372200eca445613a5b283cac"),
+    "moe-all-bob_all": (0, "5a0477ca0bf4693f5840d5ba85eb0f8e2c16975b0e555af5243b9f83cbfc764c"),
+    "moe-all-charlie_all": (0, "57249062ae1258fb42dad01a3c7efd097de8bb777e65b53c5cd9ac05cef9bcda"),
+    "moe-all-mix": (0, "8b1a8eb297cf57b3e1d85f58617569a854146a7d83fe08c3d053c7fb967b2f3b"),
+    "moe-all-measure_computational": (0, "9ce6f657dae1a5ba54c01ba0598122d601b747e79179fc54850047b21842165a"),
+    "moe-all-measure_wiesner": (0, "8e58cda113648034af1608bd70668b3f96454c6e3ab1229c17617c99babf3ea3"),
+    "moe-all-keep_and_substitute": (0, "5bc65524220c323d07ab76119f90d98f54c76eae757f25459be7699af6161272"),
+    "moe-all-leak_smuggle": (0, "7d475fe98ea0071e0010b06f49f33330a4c9b7c220c857699e4785d492b77b0d"),
+    "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
+    "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
+    "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),
+    "qecm-uncloneable": (0, "3358d71ffc934abe6a3d143d52205c526d800e9c69bc4bc975b7c233ea178fdd"),
+    "qecm-uncloneable-mc": (0, "545d6be8da344efc4abb101d947318be7ab465a3ec06cae49e7d0adfa1f346ad"),
+    "qecm-uncloneable-ind": (0, "753f75ac0caa78819923936f0bf179a24a57421fa7a7e809f0da721af4165c90"),
+    "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
+    "urbc-binding": (0, "07c4e389b6261d1fe888fdfad3bb2f1bbfd8e5fac8a6f61c847caddad026a64e"),
+    "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),
+    "qkd-correctness": (0, "01fd3500080a95e93bc6e8b6e6f93cb59a1c70b556c9461112df94bca8d82a43"),
+    "qkd-completeness": (0, "8f1cdaa54b2907c96166ad4e4ea8bcfb4e9af17c341b7a83cf024b55f4f05f5a"),
+    "qkd-device-fault": (0, "66cd61b7e13bf02e4927abba38727d6777da2ccb81fabaaf1229817e155a5f8a"),
+    "qkd-secrecy": (0, "d334b8fa9f3f243a5d72df0d870cb90b020a930643daa081efece023e4d329a0"),
+    "qkd-secrecy-keep": (0, "959ebc42071a6ce80429d41f869d578ed6764c0a2a78d4ca1d516d139f245caa"),
+    "qkd-secrecy-ir": (0, "ee024c561aac1b9bad8f7f00cdc852b63545406df03e32f66df45b93b7c1ad3d"),
+    "tfkw-honest": (0, "6d80a0c71f8869168a85aed651bb3bcd8d88aaae858914dc3f7c386a18d144e2"),
+    "tfkw-attack": (0, "d3a84a7e136e75bc89f195f8a959d97983651acef1aa8f97c63a8b05d49eef2d"),
+    "tfkw-noise-fail": (1, "5ae3a47c6f1f959b5f9804341880edfae19403a9a602ad4c9b8483b55ae99ccc"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ARGVS))
+def test_report_bytes_are_pinned(capsys, name):
+    code, out, _ = _run(capsys, *GOLDEN_ARGVS[name])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_DIGESTS[name]
