@@ -317,7 +317,7 @@ def bounds_cmd(n, m, m_prime, d, s, eta, gamma, delta, kappa, ell, epsilon, out,
 _MOE_DEFAULTS = {
     "n": 8, "family": "register", "m": 0, "m_prime": 0, "kind": "bob_all",
     "q": 0.5, "theta_hat": None, "substitute_x": None, "substitute_theta": None,
-    "leak": True, "backend": "auto", "trials": 10_000, "seed": 0, "threads": 1,
+    "leak": True, "backend": "auto", "trials": 10_000, "seed": 0,
 }
 
 
@@ -329,7 +329,7 @@ def _bits_arg(text: Optional[str], n: int, what: str) -> Optional[Gf2Vec]:
     return Gf2Vec([int(c) for c in text])
 
 
-def _run_moe(config: dict) -> dict:
+def _run_moe(config: dict, threads: int) -> dict:
     params = MoeParams(
         n=config["n"], family=config["family"], m=config["m"],
         m_prime=config["m_prime"], trials=config["trials"], seed=config["seed"],
@@ -349,7 +349,7 @@ def _run_moe(config: dict) -> dict:
     strategy = builtin_strategy(kind, q=config["q"], theta_hat=theta_hat,
                                 substitute=substitute)
     result = play_leaky(params, strategy, leak=config["leak"],
-                        threads=config["threads"], backend=config["backend"])
+                        threads=threads, backend=config["backend"])
     bound = moe_bound(params.n, params.m, params.m_prime)
     analytic = analytic_win(kind, params, q=config["q"], theta_hat=theta_hat,
                             substitute=substitute, leak=config["leak"])
@@ -376,7 +376,7 @@ _QECM_DEFAULTS = {
 }
 
 
-def _run_qecm(config: dict) -> dict:
+def _run_qecm(config: dict, threads: int) -> dict:
     params = QecmParams(config["n"], config["ell"], family=config["family"])
     return qecm_experiment(
         config["kind"], params, adversary=config["adversary"],
@@ -392,7 +392,7 @@ _URBC_DEFAULTS = {
 }
 
 
-def _run_urbc(config: dict) -> dict:
+def _run_urbc(config: dict, threads: int) -> dict:
     params = UrbcParams(
         config["n"], config["ell"], config["eta"],
         make_code_from_config(config["code"]), scheme=config["scheme"],
@@ -418,7 +418,7 @@ def _eve_from_name(name) -> object:
     raise ValueError(f"unknown eavesdropper {name!r}")
 
 
-def _run_qkd(config: dict) -> dict:
+def _run_qkd(config: dict, threads: int) -> dict:
     params = QkdParams(config["n"], config["ell"], config["gamma"], config["eta"],
                        make_code_from_config(config["code"]))
     noise = None
@@ -443,7 +443,7 @@ _TFKW_DEFAULTS = {
 }
 
 
-def _run_tfkw(config: dict) -> dict:
+def _run_tfkw(config: dict, threads: int) -> dict:
     params = TfkwParams(config["n"], config["gamma"],
                         make_code_from_config(config["code"]),
                         check_size=config["check_size"])
@@ -459,6 +459,8 @@ def _run_tfkw(config: dict) -> dict:
     return rep
 
 
+# Each runner takes (config, threads).  The thread count is not part of the
+# config, so it never reaches a report; only moe's kernels use it.
 _EXPERIMENTS = {
     "moe": (_MOE_DEFAULTS, _run_moe),
     "qecm": (_QECM_DEFAULTS, _run_qecm),
@@ -474,12 +476,9 @@ def _experiment_command(name: str, help_text: str):
     def _cmd(config_path, overrides, seed, trials, threads, out, fmt):
         defaults, runner = _EXPERIMENTS[name]
         spec = _spec(name, config_path, overrides, out, seed)
-        flag_values = {"trials": trials}
-        if "threads" in defaults:
-            flag_values["threads"] = threads
-        config = _resolve_config(spec, defaults, **flag_values)
+        config = _resolve_config(spec, defaults, trials=trials)
         try:
-            result = runner(config)
+            result = runner(config, threads or 1)
         except ValueError as exc:
             raise _run_config_error(exc)
         report = _envelope(name, config)
@@ -542,10 +541,7 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
     if param not in defaults:
         raise click.UsageError(f"unknown sweep parameter {param!r}")
     spec = _spec("sweep", config_path, overrides, out, seed)
-    flag_values = {"trials": trials}
-    if "threads" in defaults:
-        flag_values["threads"] = threads
-    config = _resolve_config(spec, defaults, **flag_values)
+    config = _resolve_config(spec, defaults, trials=trials)
     grid = np.linspace(start, stop, steps) if steps else np.array([])
     integral = isinstance(defaults[param], int) and not isinstance(defaults[param], bool)
     rows = []
@@ -556,7 +552,7 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
         run_config = dict(config)
         run_config[param] = point
         try:
-            report = runner(run_config)
+            report = runner(run_config, threads or 1)
         except ValueError as exc:
             raise _run_config_error(exc)
         rows.append(_sweep_row(param, point, report))

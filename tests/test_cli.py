@@ -275,20 +275,20 @@ GOLDEN_DIGESTS = {
     "sweep-moe": (0, "a4560f2e3e26b50223e0b5429ef106b643bab309fc0dc782abd35fcd1aa9da25"),
     "selftest": (0, "2c8e594e6fd4db560451e5e08459657e06a4a2edebc2b7814749aeb5d96e896d"),
     "qkd-csv": (0, "4818d74a79f3b344592e0abedca9e9c9f31cfc867d612dc8e550a8a61ad0dea1"),
-    "moe-bob_all": (0, "8d13c617e330f5c4ef1fc7173cdc99f9d7dd1a89adf6b04ec8239bc39c17dba0"),
-    "moe-charlie_all": (0, "013c1d8f45198decfa483a9576d6b3776aae19898a661736312bb8755e7043cc"),
-    "moe-mix": (0, "a81555d177b9c6e31b00f178cc20aad05ab3239ca24045ba9257b6dde7a7a34e"),
-    "moe-measure_computational": (0, "fb754e0e7138c237b614de0e8988895c908b996907b6353f26b5436ef9b7526e"),
-    "moe-measure_wiesner": (0, "851cc76048ed878aa71a06055021ec41e21a7782714998b4cba3f1dfd50da465"),
-    "moe-keep_and_substitute": (0, "37e5fca97e52fd3ff9a282cb237bf4dd344c25c0684b0470dbe1d566a5dbbfe8"),
-    "moe-leak_smuggle": (0, "0274df32c739cebd00b7bd6b1e69cbd8e3b21822372200eca445613a5b283cac"),
-    "moe-all-bob_all": (0, "5a0477ca0bf4693f5840d5ba85eb0f8e2c16975b0e555af5243b9f83cbfc764c"),
-    "moe-all-charlie_all": (0, "57249062ae1258fb42dad01a3c7efd097de8bb777e65b53c5cd9ac05cef9bcda"),
-    "moe-all-mix": (0, "8b1a8eb297cf57b3e1d85f58617569a854146a7d83fe08c3d053c7fb967b2f3b"),
-    "moe-all-measure_computational": (0, "9ce6f657dae1a5ba54c01ba0598122d601b747e79179fc54850047b21842165a"),
-    "moe-all-measure_wiesner": (0, "8e58cda113648034af1608bd70668b3f96454c6e3ab1229c17617c99babf3ea3"),
-    "moe-all-keep_and_substitute": (0, "5bc65524220c323d07ab76119f90d98f54c76eae757f25459be7699af6161272"),
-    "moe-all-leak_smuggle": (0, "7d475fe98ea0071e0010b06f49f33330a4c9b7c220c857699e4785d492b77b0d"),
+    "moe-bob_all": (0, "a1a69b62879dc7e9a980b03817809ca9fecf1db61b68e59d8ba1a48d524a09d7"),
+    "moe-charlie_all": (0, "f47e5d684564c8d5d5e78627d7a75478d2a923356f5422b31d52e527e45aeb6a"),
+    "moe-mix": (0, "444bf20d16a24e8899135d9586fe07f49da49db940f35a24f6557711c5b27bca"),
+    "moe-measure_computational": (0, "d31341a24ff8fda51ae0027ccbc378006ef2c20e3c4c0c6eda102d0664a9a600"),
+    "moe-measure_wiesner": (0, "1a0bbfe2d9d296e82a0bb21fa3f394fae63aa8d61929935dc46eefba289c60f0"),
+    "moe-keep_and_substitute": (0, "ec7e74ee5d0fb793bbad0d2b7a00c18956b47d53a0a70c2cac8df94ebf61ebeb"),
+    "moe-leak_smuggle": (0, "a5ecfbb0dce606c207e66e917660ef25bd0888b353aff865484e4d6b4b753924"),
+    "moe-all-bob_all": (0, "100c45b7b78b2a1d457bafd6af3719d1ccb8a55d717aafdb672f3627282aadc9"),
+    "moe-all-charlie_all": (0, "871e176cadeb0c0c2ce174a5bfa9266bd1cbe3f949b0b2b08b9a555d1db437e0"),
+    "moe-all-mix": (0, "0fbe3f560db88ea95595bbe75bddea5203df9f5fb3ebf26ee5d60e0780fa7aa6"),
+    "moe-all-measure_computational": (0, "72313239e7d69acaf530edb70ada3012155fe263ef228b2c359b81712496beba"),
+    "moe-all-measure_wiesner": (0, "79669ae17a1ecab17446143551e3874ea38f9629154b3c4d4997c224a2228822"),
+    "moe-all-keep_and_substitute": (0, "ac045f500b0f4909f9eb5c5baaa42b9b58c7c9251964b856ba139ebf69a6d3a7"),
+    "moe-all-leak_smuggle": (0, "443bc22aa94eb964b66d6623acfabd3f31fbe1ed813562ca3436d4a3301d4b00"),
     "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
     "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
     "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),
@@ -314,3 +314,23 @@ GOLDEN_DIGESTS = {
 def test_report_bytes_are_pinned(capsys, name):
     code, out, _ = _run(capsys, *GOLDEN_ARGVS[name])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_DIGESTS[name]
+
+
+# Every subcommand that takes --threads, with enough moe trials for two
+# kernel blocks.  selftest is checked by test_selftest_passes_and_is_thread_invariant.
+THREAD_ARGVS = {
+    "moe": ("moe", "--set", "kind=measure_wiesner", "--trials", "40000", "--seed", "3"),
+    "qecm": GOLDEN_ARGVS["qecm-uncloneable"],
+    "urbc": GOLDEN_ARGVS["urbc-binding"],
+    "qkd": GOLDEN_ARGVS["qkd-device-fault"],
+    "tfkw": GOLDEN_ARGVS["tfkw-attack"],
+    "sweep": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "8",
+              "--steps", "2", "--trials", "40000", "--seed", "2", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("name", list(THREAD_ARGVS))
+def test_report_bytes_do_not_depend_on_threads(capsys, name):
+    one = _run(capsys, *THREAD_ARGVS[name], "--threads", "1")
+    two = _run(capsys, *THREAD_ARGVS[name], "--threads", "2")
+    assert one == two
