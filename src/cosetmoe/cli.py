@@ -8,7 +8,9 @@ Conventions shared by every subcommand:
 
 * config comes from defaults, then an optional ``--config`` JSON file, then
   repeated ``--set key=value`` overrides, then the dedicated flags
-  (``--seed``/``--trials``/``--threads``); unknown keys are rejected;
+  (``--seed``/``--trials``); unknown keys are rejected;
+* ``--threads`` is not config: it only sets how many threads moe's kernels
+  use;
 * every report embeds {version, config, config_sha256, seed} so a run can be
   replayed byte-for-byte;
 * floats are printed with 12 significant digits and reports contain no
@@ -42,6 +44,7 @@ from .info import (
     protocol_bounds,
     verify_combinatorial_bound,
 )
+from .mc import binomial_sigma
 from .moe import MoeParams, analytic_win, builtin_strategy, play_leaky
 from .proto import (
     InterceptResend,
@@ -49,18 +52,12 @@ from .proto import (
     PauliNoise,
     QecmParams,
     QkdParams,
-    SyndromeFault,
     TfkwParams,
     UrbcParams,
     qecm_experiment,
     riqkd_experiment,
-    run_qecm_id,
-    run_riqkd,
-    run_tfkw,
-    run_urbc,
     secrecy_probe,
     tfkw_experiment,
-    trial_rng,
     urbc_experiment,
 )
 from .qsim import CosetDescriptor, WiesnerRecord, prepare_coset_state
@@ -95,8 +92,8 @@ def _parse_override(item: str) -> tuple[str, object]:
     return key, value
 
 
-def _resolve_config(spec: RunSpec, defaults: dict, **flag_values) -> dict:
-    """defaults <- config file <- --set overrides <- dedicated flags."""
+def _resolve_config(spec: RunSpec, defaults: dict, trials: Optional[int]) -> dict:
+    """defaults <- config file <- --set overrides <- --trials and --seed."""
     config = dict(defaults)
     if spec.config_path is not None:
         try:
@@ -112,9 +109,8 @@ def _resolve_config(spec: RunSpec, defaults: dict, **flag_values) -> dict:
         key, value = _parse_override(item)
         _reject_unknown({key: value}, defaults, "--set")
         config[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            config[key] = value
+    if trials is not None:
+        config["trials"] = trials
     if spec.seed is not None:
         config["seed"] = spec.seed
     return config
@@ -353,7 +349,7 @@ def _run_moe(config: dict, threads: int) -> dict:
     bound = moe_bound(params.n, params.m, params.m_prime)
     analytic = analytic_win(kind, params, q=config["q"], theta_hat=theta_hat,
                             substitute=substitute, leak=config["leak"])
-    sigma = math.sqrt(max(bound * (1 - min(bound, 1.0)), 1e-12) / params.trials)
+    sigma = binomial_sigma(bound, params.trials)
     report = {
         "experiment": "moe", "kind": kind, "n": params.n, "family": params.family,
         "m": params.m, "m_prime": params.m_prime, "leak": config["leak"],
@@ -429,9 +425,6 @@ def _run_qkd(config: dict, threads: int) -> dict:
         return secrecy_probe(params, eve=_eve_from_name(config["eve"]),
                              trials=config["trials"], seed=config["seed"],
                              noise=noise, kappa=config["kappa"])
-    if kind == "device_fault":
-        return riqkd_experiment(kind, params, trials=config["trials"],
-                                seed=config["seed"], noise=noise)
     return riqkd_experiment(kind, params, trials=config["trials"],
                             seed=config["seed"], noise=noise)
 
@@ -476,7 +469,7 @@ def _experiment_command(name: str, help_text: str):
     def _cmd(config_path, overrides, seed, trials, threads, out, fmt):
         defaults, runner = _EXPERIMENTS[name]
         spec = _spec(name, config_path, overrides, out, seed)
-        config = _resolve_config(spec, defaults, trials=trials)
+        config = _resolve_config(spec, defaults, trials)
         try:
             result = runner(config, threads or 1)
         except ValueError as exc:
@@ -541,7 +534,7 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
     if param not in defaults:
         raise click.UsageError(f"unknown sweep parameter {param!r}")
     spec = _spec("sweep", config_path, overrides, out, seed)
-    config = _resolve_config(spec, defaults, trials=trials)
+    config = _resolve_config(spec, defaults, trials)
     grid = np.linspace(start, stop, steps) if steps else np.array([])
     integral = isinstance(defaults[param], int) and not isinstance(defaults[param], bool)
     rows = []
@@ -627,51 +620,34 @@ def _check_moe_kernel(kind: str, seed: int, threads: int) -> tuple[bool, float]:
     strategy = builtin_strategy(kind, **kwargs)
     result = play_leaky(params, strategy, threads=threads)
     target = analytic_win(kind, params, **kwargs)
-    sigma = math.sqrt(max(target * (1 - target), 1e-12) / params.trials)
+    sigma = binomial_sigma(target, params.trials)
     return abs(result.estimate - target) <= 4 * sigma, result.estimate
 
 
 def _check_qecm_honest(seed: int) -> tuple[bool, float]:
-    params = QecmParams(8, 2)
-    bad = 0
-    for i in range(300):
-        outcome = run_qecm_id(params, trial_rng(seed, i))
-        bad += int(not (outcome.f == 1 and outcome.m_hat == outcome.m))
-    return bad == 0, float(bad)
+    rep = qecm_experiment("correctness", QecmParams(8, 2), trials=300, seed=seed)
+    return rep["pass"], float(rep["disagreements"])
 
 
 def _check_urbc_binding(seed: int) -> tuple[bool, float]:
     params = UrbcParams(14, 2, 2.0 / 7.0, make_code("hamming74"))
-    trials = 3000
-    accepts = sum(
-        run_urbc(params, trial_rng(seed, i), alice="binding_attack").f
-        for i in range(trials)
-    )
-    rate = accepts / trials
-    target = 6.0 / 21.0
-    sigma = math.sqrt(target * (1 - target) / trials)
+    rep = urbc_experiment("binding", params, trials=3000, seed=seed)
+    rate, target = rep["estimate"], rep["analytic_rate"]  # target = 6/21
+    sigma = binomial_sigma(target, rep["trials"])
     return abs(rate - target) <= 4 * sigma and rate <= 16.0 / 49.0, rate
 
 
 def _check_riqkd_honest(seed: int) -> tuple[bool, float]:
     params = QkdParams(16, 2, 0.0, 0.25, make_code("repetition", 8))
-    bad = 0
-    for i in range(200):
-        outcome = run_riqkd(params, trial_rng(seed, i))
-        bad += int(not (outcome.f == 1 and outcome.k == outcome.k_hat))
-    return bad == 0, float(bad)
+    rep = riqkd_experiment("correctness", params, trials=200, seed=seed)
+    return rep["pass"], float(rep["aborts"] + rep["key_mismatches_accepted"])
 
 
 def _check_riqkd_device_fault(seed: int) -> tuple[bool, float]:
+    # passes when the wrong-key rate is at most (1 - 2*3/14)^2 + 3 sigma
     params = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
-    trials = 3000
-    wrong = 0
-    for i in range(trials):
-        outcome = run_riqkd(params, trial_rng(seed, i), device=SyndromeFault())
-        wrong += int(outcome.f == 1 and outcome.k != outcome.k_hat)
-    bound = (1.0 - 2.0 * 3.0 / 14.0) ** 2
-    sigma = math.sqrt(bound * (1 - bound) / trials)
-    return wrong / trials <= bound + 3 * sigma, wrong / trials
+    rep = riqkd_experiment("device_fault", params, trials=3000, seed=seed)
+    return rep["pass"], rep["estimate"]
 
 
 def _check_tfkw_attack(seed: int) -> tuple[bool, float]:

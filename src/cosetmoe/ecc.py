@@ -11,7 +11,7 @@ Four code families cover everything the protocol stack needs:
 
 Coset-leader decoding uses the minimum-weight representative of each syndrome's
 coset, ties broken toward the lexicographically smallest vector.  The explicit
-leader table is only materialised for syndrome lengths <= 24 bits; repetition
+leader table is only materialised for syndrome lengths <= 20 bits; repetition
 and block-repeat codes decode through a closed form instead, so they work at
 any size.
 """
@@ -41,11 +41,9 @@ __all__ = [
     "align_batch",
 ]
 
-#: Largest syndrome length for which an explicit leader table is built.
-LEADER_TABLE_MAX_SYNDROME_BITS = 24
-
-# Dense (2^s, N) lookup arrays for vectorised decoding stay below this.
-_DENSE_TABLE_MAX_SYNDROME_BITS = 20
+# Largest syndrome length a code without block structure can be decoded at:
+# its dense (2^s, N) leader lookup has at most 2^20 rows.
+_DECODER_MAX_SYNDROME_BITS = 20
 
 # Codeword enumeration guard: dimension cap and total-byte cap.
 _ENUM_MAX_DIMENSION = 20
@@ -85,7 +83,7 @@ class LinearCode:
         """Whether coset-leader decoding is available for this code."""
         return (
             self.block_params is not None
-            or self.syndrome_length <= LEADER_TABLE_MAX_SYNDROME_BITS
+            or self.syndrome_length <= _DECODER_MAX_SYNDROME_BITS
         )
 
     @cached_property
@@ -93,12 +91,12 @@ class LinearCode:
         """Map syndrome -> minimum-weight coset leader (lexicographic tie-break).
 
         Built lazily by scanning words in order of increasing weight; available
-        only when the syndrome length is at most 24 bits.
+        only when the syndrome length is at most 20 bits.
         """
         s = self.syndrome_length
-        if s > LEADER_TABLE_MAX_SYNDROME_BITS:
+        if s > _DECODER_MAX_SYNDROME_BITS:
             raise ValueError(
-                f"leader table needs syndrome length <= {LEADER_TABLE_MAX_SYNDROME_BITS}, got {s}"
+                f"leader table needs syndrome length <= {_DECODER_MAX_SYNDROME_BITS}, got {s}"
             )
         h = self.parity_check.rows
         total = 1 << s
@@ -126,13 +124,29 @@ class LinearCode:
     @cached_property
     def _dense_leaders(self) -> np.ndarray:
         """(2^s, N) uint8 leader lookup for vectorised decoding of table codes."""
-        s = self.syndrome_length
-        if s > _DENSE_TABLE_MAX_SYNDROME_BITS:
-            raise ValueError("dense leader lookup too large")
-        arr = np.zeros((1 << s, self.length), dtype=np.uint8)
+        arr = np.zeros((1 << self.syndrome_length, self.length), dtype=np.uint8)
         for syn, leader in self.leader_table.items():
             arr[syn.to_int()] = leader.bits
         return arr
+
+    @cached_property
+    def min_weight_codeword(self) -> Gf2Vec:
+        """A nonzero codeword of minimum weight (deterministic choice).
+
+        Block-structured codes return the last block set to ones (the
+        lexicographically smallest minimum-weight codeword); other codes
+        enumerate and return the lexicographically smallest one.
+        """
+        bp = self.block_params
+        if bp is not None:
+            b, _ = bp
+            bits = np.zeros(self.length, dtype=np.uint8)
+            bits[self.length - b :] = 1
+            return Gf2Vec(bits)
+        words = _codewords(self.generator.rows)
+        candidates = words[words.sum(axis=1) == self.distance]
+        order = np.lexsort(candidates.T[::-1])
+        return Gf2Vec(candidates[order[0]])
 
     def to_json(self) -> dict:
         return code_to_json(self)
@@ -145,15 +159,20 @@ class LinearCode:
         )
 
 
-def _min_nonzero_weight(gen: np.ndarray) -> int:
-    """Minimum weight over all nonzero codewords, by full enumeration."""
+def _codewords(gen: np.ndarray) -> np.ndarray:
+    """All 2^k codewords spanned by the k rows of ``gen``, one per row."""
     k, n = gen.shape
     if k > _ENUM_MAX_DIMENSION or (1 << k) * n > _ENUM_MAX_BYTES:
         raise ValueError("codeword enumeration too large (dimension must be <= 20)")
     words = np.zeros((1, n), dtype=np.uint8)
     for row in gen:
         words = np.concatenate([words, words ^ row], axis=0)
-    weights = words.sum(axis=1)
+    return words
+
+
+def _min_nonzero_weight(gen: np.ndarray) -> int:
+    """Minimum weight over all nonzero codewords, by full enumeration."""
+    weights = _codewords(gen).sum(axis=1)
     return int(weights[weights > 0].min())
 
 
@@ -283,7 +302,7 @@ def coset_leader(code: LinearCode, syn: Gf2Vec) -> Gf2Vec:
     bp = code.block_params
     if bp is not None:
         return Gf2Vec(_block_leader(bp, syn.bits))
-    if code.syndrome_length > LEADER_TABLE_MAX_SYNDROME_BITS:
+    if not code.has_decoder():
         raise ValueError("no coset-leader decoder for this code")
     return code.leader_table[syn]
 
@@ -309,26 +328,9 @@ def align_correction(code: LinearCode, t_prime: Gf2Vec, target_syndrome: Gf2Vec)
 
 
 def min_weight_codeword(code: LinearCode) -> Gf2Vec:
-    """A nonzero codeword of minimum weight (deterministic choice).
-
-    Block-structured codes return the last block set to ones (the
-    lexicographically smallest minimum-weight codeword); other codes
-    enumerate.
-    """
-    bp = code.block_params
-    if bp is not None:
-        b, _ = bp
-        bits = np.zeros(code.length, dtype=np.uint8)
-        bits[code.length - b :] = 1
-        return Gf2Vec(bits)
-    g = code.generator.rows
-    words = np.zeros((1, code.length), dtype=np.uint8)
-    for row in g:
-        words = np.concatenate([words, words ^ row], axis=0)
-    weights = words.sum(axis=1)
-    candidates = words[weights == code.distance]
-    order = np.lexsort(candidates.T[::-1])
-    return Gf2Vec(candidates[order[0]])
+    """A nonzero codeword of minimum weight, built once per code; see
+    ``LinearCode.min_weight_codeword``."""
+    return code.min_weight_codeword
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +360,7 @@ def leader_batch(code: LinearCode, syns: np.ndarray) -> np.ndarray:
     bp = code.block_params
     if bp is not None:
         return _block_leader(bp, syns)
-    if code.syndrome_length > _DENSE_TABLE_MAX_SYNDROME_BITS:
+    if not code.has_decoder():
         raise ValueError("no vectorised decoder for this code")
     place = 1 << np.arange(code.syndrome_length - 1, -1, -1, dtype=np.int64)
     return code._dense_leaders[syns @ place]

@@ -24,16 +24,15 @@ class ToeplitzExtractor:
         self.n_in = n_in
         self.ell = ell
         self.seed_len = n_in + ell - 1
+        # entry (i, j) of T(seed) is seed bit _index[i, j]
+        rows = np.arange(ell)[:, None]
+        cols = np.arange(n_in)[None, :]
+        self._index = np.where(cols >= rows, cols - rows, n_in + (rows - cols) - 1)
 
     def matrix_from_seed(self, seed: Gf2Vec) -> Gf2Matrix:
         if seed.n != self.seed_len:
             raise ValueError(f"seed must have {self.seed_len} bits")
-        bits = seed.bits
-        rows = np.empty((self.ell, self.n_in), dtype=np.uint8)
-        for i in range(self.ell):
-            for j in range(self.n_in):
-                rows[i, j] = bits[j - i] if j >= i else bits[self.n_in + (i - j) - 1]
-        return Gf2Matrix(rows)
+        return Gf2Matrix(seed.bits[self._index])
 
     def extract(self, x: Gf2Vec, seed: Gf2Vec) -> Gf2Vec:
         if x.n != self.n_in:
@@ -42,11 +41,7 @@ class ToeplitzExtractor:
 
     def extract_batch(self, xs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Vectorized extract: xs (trials × n_in), seeds (trials × seed_len)."""
-        trials = xs.shape[0]
-        cols = np.arange(self.n_in)[None, :]
-        rows = np.arange(self.ell)[:, None]
-        idx = np.where(cols >= rows, cols - rows, self.n_in + (rows - cols) - 1)
-        mats = seeds[:, idx.reshape(-1)].reshape(trials, self.ell, self.n_in)
+        mats = seeds[:, self._index]
         return np.einsum("tij,tj->ti", mats.astype(np.uint32), xs.astype(np.uint32)) & 1
 
 

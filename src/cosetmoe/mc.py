@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "words_for",
     "run_blocks",
     "wilson_interval",
+    "binomial_sigma",
 ]
 
 PHILOX_BLOCK_WORDS = 4
@@ -152,3 +154,13 @@ def wilson_interval(wins: int, trials: int, z: float = _Z_95) -> tuple[float, fl
     low = 0.0 if wins == 0 else max(0.0, float(center - half))
     high = 1.0 if wins == trials else min(1.0, float(center + half))
     return low, high
+
+
+def binomial_sigma(p: float, trials: int) -> float:
+    """Standard deviation of a rate over ``trials`` Bernoulli(p) trials.
+
+    The factor 1 - p uses min(p, 1) and the variance is floored at 1e-12, so
+    a band of a few sigma around p in {0, 1}, or around a bound above 1, is
+    never empty.
+    """
+    return math.sqrt(max(p * (1 - min(p, 1.0)), 1e-12) / trials)

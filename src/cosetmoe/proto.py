@@ -48,7 +48,7 @@ from .gf2 import (
     solve_coset_membership,
 )
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
-from .mc import wilson_interval
+from .mc import binomial_sigma, wilson_interval
 from .qsim import (
     CosetDescriptor,
     measure_computational,
@@ -467,13 +467,12 @@ def _register_subspaces(n: int):
         yield Gf2Subspace(n, gens)
 
 
-def _qecm_cipher_operator(params: QecmParams, m: Gf2Vec) -> np.ndarray:
-    """Exact averaged ciphertext operator on the pad ⊗ state space."""
+def _pad_blocks(params: Union[QecmParams, "UrbcParams"]):
+    """Yield (Ext(t', r) + h, |a_{t,t'}><a_{t,t'}|) for every register
+    subspace a, labels t and t', extractor seed r and mask h, in that nesting
+    order; each averaged operator below accumulates in this order."""
     ext = params.extractor
     n, ell, half = params.n, params.ell, params.half
-    dim = 1 << (ell + n)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    count = 0
     for a in _register_subspaces(n):
         for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
             t = Gf2Vec.from_int(t_int, half)
@@ -483,14 +482,21 @@ def _qecm_cipher_operator(params: QecmParams, m: Gf2Vec) -> np.ndarray:
             ).payload.amps
             block = np.outer(psi, psi.conj())
             for r_int in range(1 << ext.seed_len):
-                r = Gf2Vec.from_int(r_int, ext.seed_len)
-                pad = ext.extract(tp, r)
+                pad = ext.extract(tp, Gf2Vec.from_int(r_int, ext.seed_len))
                 for h_int in range(1 << ell):
-                    h = Gf2Vec.from_int(h_int, ell)
-                    m_bar = (m + pad + h).to_int()
-                    off = m_bar << n
-                    rho[off : off + (1 << n), off : off + (1 << n)] += block
-                    count += 1
+                    yield pad + Gf2Vec.from_int(h_int, ell), block
+
+
+def _qecm_cipher_operator(params: QecmParams, m: Gf2Vec) -> np.ndarray:
+    """Exact averaged ciphertext operator on the pad ⊗ state space."""
+    n = params.n
+    dim = 1 << (params.ell + n)
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    count = 0
+    for pad, block in _pad_blocks(params):
+        off = (m + pad).to_int() << n
+        rho[off : off + (1 << n), off : off + (1 << n)] += block
+        count += 1
     return rho / count
 
 
@@ -573,7 +579,7 @@ def qecm_experiment(
         report["min_entropy"] = h_min
         report["epsilon_slack"] = eps2
         report["bound"] = guess_scale * (accepts / trials) + n_messages * guess_scale * eps2
-        sigma = math.sqrt(max(report["bound"] * (1 - min(report["bound"], 1.0)), 1e-12) / trials)
+        sigma = binomial_sigma(report["bound"], trials)
         report["pass"] = wins / trials <= report["bound"] + 3 * sigma
         return report
 
@@ -603,7 +609,7 @@ def qecm_experiment(
         _report_interval(report, wins, trials)
         report["advantage"] = wins / trials - accepts / (2.0 * trials)
         report["epsilon_bound"] = eps3
-        sigma = math.sqrt(0.25 / trials)
+        sigma = binomial_sigma(0.5, trials)
         report["pass"] = report["advantage"] <= eps3 + 3 * sigma
         return report
 
@@ -738,30 +744,17 @@ def urbc_hiding_exact(params: UrbcParams) -> float:
         raise ValueError("the exact probe models the ideal base commitment")
     if params.n > 6 or params.ell > 2:
         raise ValueError("enumeration too large")
-    ext = params.extractor
-    n, ell, half = params.n, params.ell, params.half
+    n = params.n
     dim_state = 1 << n
-    n_y = 1 << ell
+    n_y = 1 << params.ell
     joint = np.zeros((n_y * dim_state, n_y * dim_state), dtype=np.complex128)
     view = np.zeros((dim_state, dim_state), dtype=np.complex128)
     count = 0
-    for a in _register_subspaces(n):
-        for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
-            t = Gf2Vec.from_int(t_int, half)
-            tp = Gf2Vec.from_int(tp_int, half)
-            psi = prepare_coset_state(
-                CosetDescriptor(a, t, tp), backend="statevector"
-            ).payload.amps
-            block = np.outer(psi, psi.conj())
-            for r_int in range(1 << ext.seed_len):
-                r = Gf2Vec.from_int(r_int, ext.seed_len)
-                base = ext.extract(tp, r)
-                for h_int in range(1 << ell):
-                    y = (base + Gf2Vec.from_int(h_int, ell)).to_int()
-                    off = y << n
-                    joint[off : off + dim_state, off : off + dim_state] += block
-                    view += block
-                    count += 1
+    for y, block in _pad_blocks(params):
+        off = y.to_int() << n
+        joint[off : off + dim_state, off : off + dim_state] += block
+        view += block
+        count += 1
     joint /= count
     view /= count
     product = np.zeros_like(joint)
@@ -812,7 +805,7 @@ def urbc_experiment(
         _report_interval(report, accepts, trials)
         report["analytic_rate"] = math.comb(half - w, js) / math.comb(half, js)
         report["binding_bound"] = (1.0 - 2.0 * params.code.distance / params.n) ** js
-        sigma = math.sqrt(report["analytic_rate"] * (1 - report["analytic_rate"]) / trials)
+        sigma = binomial_sigma(report["analytic_rate"], trials)
         report["pass"] = (
             abs(accepts / trials - report["analytic_rate"]) <= 3 * sigma
             and accepts / trials <= report["binding_bound"] + 3 * sigma
@@ -1089,7 +1082,7 @@ def riqkd_experiment(
         _report_interval(report, wrong_key, trials)
         bound = (1.0 - 2.0 * params.code.distance / params.n) ** params.spot_size
         report["correctness_bound"] = bound
-        sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
+        sigma = binomial_sigma(bound, trials)
         report["pass"] = wrong_key / trials <= bound + 3 * sigma
         return report
 
@@ -1165,12 +1158,10 @@ def run_tfkw(
     # commits to holding the state before it learns how to read it
     tr.send("bob", "alice", "receipt", 1)
     tr.send("alice", "bob", "basis_string", Gf2Vec(theta))
-    if eve == "substitute_zero":
-        # Eve kept the real state; with the bases public her read is exact,
-        # and the device (hers) repeats it
-        y = rec_x.copy()
-    else:
-        y = rec_x.copy()  # honest device measures in the announced bases
+    # an honest device measures in the announced bases; under substitute_zero
+    # Eve kept the real state, her read is exact once the bases are public,
+    # and the device (hers) repeats it.  Either way the device reads rec_x.
+    y = rec_x.copy()
 
     check = np.sort(rng.permutation(params.n)[: params.check_size])
     keep = np.setdiff1d(np.arange(params.n), check)
@@ -1305,7 +1296,7 @@ def secrecy_probe(
     report["secrecy_bound"] = eps
     trivial = 2.0 ** (-params.ell) * (accepts / trials)
     report["trivial_term"] = trivial
-    sigma = math.sqrt(max((trivial + eps) * (1 - min(trivial + eps, 1.0)), 1e-12) / trials)
+    sigma = binomial_sigma(trivial + eps, trials)
     report["pass"] = hits / trials <= trivial + eps + 3 * sigma
     return report
 

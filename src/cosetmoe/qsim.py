@@ -197,19 +197,8 @@ class AdversaryChannel:
 
 
 # ------------------------------------------------------------------
-# bit/index helpers
+# basis-change helpers
 # ------------------------------------------------------------------
-
-
-def _bits_to_index(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-def _index_to_bits(idx: int, n: int) -> np.ndarray:
-    return np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
 
 
 def _xor_dp(generators_low_to_high: list[int], nbits: int) -> np.ndarray:
@@ -264,7 +253,7 @@ def _coset_change_of_basis(a: Gf2Subspace):
     gens = []
     for p in range(n):
         col = m_inv.rows[:, n - 1 - p]
-        gens.append(_bits_to_index(col))
+        gens.append(Gf2Vec(col).to_int())
     perm = _xor_dp(gens, n)
     s_mat = a.basis.mulmat(_phase_inject(a))
     return perm, s_mat.inverse()
@@ -364,8 +353,8 @@ def measure_coset_basis(
     flat = np.clip(flat, 0.0, None)
     flat = flat / flat.sum()
     pick = int(rng.choice(flat.size, p=flat))
-    t_hat = Gf2Vec(_index_to_bits(pick >> k, n - k))
-    s_hat = Gf2Vec(_index_to_bits(pick & ((1 << k) - 1), k))
+    t_hat = Gf2Vec.from_int(pick >> k, n - k)
+    s_hat = Gf2Vec.from_int(pick & ((1 << k) - 1), k)
     t_prime_hat = s_inv.mulvec(s_hat)
     return t_hat, t_prime_hat
 
@@ -401,17 +390,17 @@ def measure_computational(
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     pick = int(rng.choice(probs.size, p=probs))
-    out = _index_to_bits(pick, len(targets))
+    out = Gf2Vec.from_int(pick, len(targets))
     # collapse: zero all other outcome slices, renormalize
     tensor = sv.amps.reshape((2,) * n_total).copy()
     idx = [slice(None)] * n_total
-    for q, b in zip(targets, out):
+    for q, b in zip(targets, out.bits):
         idx[q] = 1 - int(b)
         tensor[tuple(idx)] = 0.0
         idx[q] = slice(None)
     flat = tensor.reshape(-1)
     flat = flat / np.sqrt(float(np.vdot(flat, flat).real))
-    return Gf2Vec(out), QuantumReg("statevector", StateVec(n_total, flat), reg.owner)
+    return out, QuantumReg("statevector", StateVec(n_total, flat), reg.owner)
 
 
 # ------------------------------------------------------------------

@@ -195,6 +195,23 @@ def test_correct_needs_a_decoder():
         c.leader_table
 
 
+def test_one_decoder_limit_at_twenty_syndrome_bits():
+    over = make_code("random_linear", 23, 2, 0)
+    assert over.syndrome_length == 21 and not over.has_decoder()
+    with pytest.raises(ValueError):
+        leader_batch(over, np.zeros((1, 21), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        coset_leader(over, Gf2Vec.zeros(21))
+    with pytest.raises(ValueError):
+        over.leader_table
+    at = make_code("random_linear", 22, 2, 0)
+    assert at.syndrome_length == 20 and at.has_decoder()
+    # a one-row stand-in for the 2^20-row lookup, which is slow to build:
+    # leader_batch must get past its limit check and read the lookup
+    at.__dict__["_dense_leaders"] = np.ones((1, 22), dtype=np.uint8)
+    assert leader_batch(at, np.zeros((3, 20), dtype=np.uint8)).tolist() == [[1] * 22] * 3
+
+
 # ---------------------------------------------------------------------------
 # align_correction
 
@@ -276,6 +293,12 @@ def test_min_weight_codeword():
     assert w.weight() == 3 and syndrome(c, w) == Gf2Vec.zeros(3)
     assert min_weight_codeword(make_code("repetition", 4)) == Gf2Vec((1, 1, 1, 1))
     assert min_weight_codeword(make_code("block_repeat", 3, 2)) == Gf2Vec((0, 0, 0, 1, 1, 1))
+    c = make_code("random_linear", 10, 4, 7)
+    w = min_weight_codeword(c)
+    assert w.weight() == c.distance and syndrome(c, w) == Gf2Vec.zeros(6)
+    smallest = min(tuple(v.bits) for v in codewords(c) if v.weight() == c.distance)
+    assert tuple(w.bits) == smallest
+    assert min_weight_codeword(c) is w  # built once per code
 
 
 def test_batch_operations_match_scalar():

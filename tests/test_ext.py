@@ -35,6 +35,17 @@ def test_seed_layout_first_row_then_first_column():
     assert t2.rows.tolist() == [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 
 
+@pytest.mark.parametrize("n_in,ell", [(1, 1), (3, 2), (4, 4), (9, 3), (40, 7)])
+def test_matrix_from_seed_matches_the_defining_formula(n_in, ell):
+    ext = ToeplitzExtractor(n_in, ell)
+    seed = np.random.default_rng(n_in * 100 + ell).integers(0, 2, ext.seed_len, dtype=np.uint8)
+    t = ext.matrix_from_seed(Gf2Vec(seed)).rows
+    assert t.shape == (ell, n_in)
+    for i in range(ell):
+        for j in range(n_in):
+            assert t[i, j] == (seed[j - i] if j >= i else seed[n_in + i - j - 1]), (i, j)
+
+
 def test_zero_input_extracts_to_zero_for_every_seed():
     ext = ToeplitzExtractor(4, 2)
     zero = Gf2Vec.zeros(4)

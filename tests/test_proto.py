@@ -404,6 +404,9 @@ def test_qkd_params_validation():
         QkdParams(16, 2, 0.7, 0.25, make_code("repetition", 8))
     with pytest.raises(ValueError):
         QkdParams(16, 2, 0.0, 0.25, make_code("repetition", 4))
+    # 22 syndrome bits is past the decoder limit: refused here, not at run time
+    with pytest.raises(ValueError, match="decoding"):
+        QkdParams(60, 2, 0.0, 0.5, make_code("random_linear", 30, 8, 0))
 
 
 def test_riqkd_honest_noiseless():
@@ -568,6 +571,8 @@ def test_tfkw_params_validation():
         TfkwParams(16, 1.5, make_code("repetition", 8))
     with pytest.raises(ValueError):
         TfkwParams(16, 0.0, make_code("repetition", 8), check_size=16)
+    with pytest.raises(ValueError, match="decoding"):
+        TfkwParams(60, 0.0, make_code("random_linear", 30, 8, 0))  # 22 syndrome bits
 
 
 def test_tfkw_honest_noiseless():
