@@ -9,8 +9,9 @@ Conventions shared by every subcommand:
 * config comes from defaults, then an optional ``--config`` JSON file, then
   repeated ``--set key=value`` overrides, then the dedicated flags
   (``--seed``/``--trials``); unknown keys are rejected;
-* ``--threads`` is not config: it only sets how many threads moe's kernels
-  use;
+* ``--threads`` is not config: it only sets how many threads the batch
+  kernels of ``moe``, ``qecm``, ``urbc`` and ``qkd`` use (``tfkw`` runs on
+  one thread);
 * every report embeds {version, config, config_sha256, seed} so a run can be
   replayed byte-for-byte;
 * floats are printed with 12 significant digits and reports contain no
@@ -219,7 +220,10 @@ def emit_report(report: dict, fmt: str = "json", out: Optional[str] = None) -> s
     else:
         raise click.UsageError(f"unknown format {fmt!r}")
     if out is None:
-        click.echo(text, nl=False)
+        # an explicit file: click's default-stream lookup caches a wrapper
+        # per stream object that keeps the stream alive, so every in-process
+        # call with redirected stdout would leak its buffer
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         try:
             with open(out, "w") as fh:
@@ -377,7 +381,7 @@ def _run_qecm(config: dict, threads: int) -> dict:
     return qecm_experiment(
         config["kind"], params, adversary=config["adversary"],
         trials=config["trials"], seed=config["seed"],
-        message_probs=config["message_probs"],
+        message_probs=config["message_probs"], threads=threads,
     )
 
 
@@ -394,7 +398,7 @@ def _run_urbc(config: dict, threads: int) -> dict:
         make_code_from_config(config["code"]), scheme=config["scheme"],
     )
     return urbc_experiment(config["kind"], params, trials=config["trials"],
-                           seed=config["seed"])
+                           seed=config["seed"], threads=threads)
 
 
 _QKD_DEFAULTS = {
@@ -424,9 +428,9 @@ def _run_qkd(config: dict, threads: int) -> dict:
     if kind == "secrecy":
         return secrecy_probe(params, eve=_eve_from_name(config["eve"]),
                              trials=config["trials"], seed=config["seed"],
-                             noise=noise, kappa=config["kappa"])
+                             noise=noise, kappa=config["kappa"], threads=threads)
     return riqkd_experiment(kind, params, trials=config["trials"],
-                            seed=config["seed"], noise=noise)
+                            seed=config["seed"], noise=noise, threads=threads)
 
 
 _TFKW_DEFAULTS = {
@@ -453,7 +457,8 @@ def _run_tfkw(config: dict, threads: int) -> dict:
 
 
 # Each runner takes (config, threads).  The thread count is not part of the
-# config, so it never reaches a report; only moe's kernels use it.
+# config, so it never reaches a report; the batch kernels of moe, qecm, urbc
+# and qkd use it, tfkw runs on one thread.
 _EXPERIMENTS = {
     "moe": (_MOE_DEFAULTS, _run_moe),
     "qecm": (_QECM_DEFAULTS, _run_qecm),
@@ -624,29 +629,31 @@ def _check_moe_kernel(kind: str, seed: int, threads: int) -> tuple[bool, float]:
     return abs(result.estimate - target) <= 4 * sigma, result.estimate
 
 
-def _check_qecm_honest(seed: int) -> tuple[bool, float]:
-    rep = qecm_experiment("correctness", QecmParams(8, 2), trials=300, seed=seed)
+def _check_qecm_honest(seed: int, threads: int) -> tuple[bool, float]:
+    rep = qecm_experiment("correctness", QecmParams(8, 2), trials=300, seed=seed,
+                          threads=threads)
     return rep["pass"], float(rep["disagreements"])
 
 
-def _check_urbc_binding(seed: int) -> tuple[bool, float]:
+def _check_urbc_binding(seed: int, threads: int) -> tuple[bool, float]:
     params = UrbcParams(14, 2, 2.0 / 7.0, make_code("hamming74"))
-    rep = urbc_experiment("binding", params, trials=3000, seed=seed)
+    rep = urbc_experiment("binding", params, trials=3000, seed=seed, threads=threads)
     rate, target = rep["estimate"], rep["analytic_rate"]  # target = 6/21
     sigma = binomial_sigma(target, rep["trials"])
     return abs(rate - target) <= 4 * sigma and rate <= 16.0 / 49.0, rate
 
 
-def _check_riqkd_honest(seed: int) -> tuple[bool, float]:
+def _check_riqkd_honest(seed: int, threads: int) -> tuple[bool, float]:
     params = QkdParams(16, 2, 0.0, 0.25, make_code("repetition", 8))
-    rep = riqkd_experiment("correctness", params, trials=200, seed=seed)
+    rep = riqkd_experiment("correctness", params, trials=200, seed=seed, threads=threads)
     return rep["pass"], float(rep["aborts"] + rep["key_mismatches_accepted"])
 
 
-def _check_riqkd_device_fault(seed: int) -> tuple[bool, float]:
+def _check_riqkd_device_fault(seed: int, threads: int) -> tuple[bool, float]:
     # passes when the wrong-key rate is at most (1 - 2*3/14)^2 + 3 sigma
     params = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
-    rep = riqkd_experiment("device_fault", params, trials=3000, seed=seed)
+    rep = riqkd_experiment("device_fault", params, trials=3000, seed=seed,
+                           threads=threads)
     return rep["pass"], rep["estimate"]
 
 
@@ -675,10 +682,10 @@ def selftest_checks(seed: int, threads: int) -> list[dict]:
          lambda: _check_moe_kernel("measure_computational", seed, threads)),
         ("moe_measure_wiesner_n8",
          lambda: _check_moe_kernel("measure_wiesner", seed, threads)),
-        ("qecm_honest_n8", lambda: _check_qecm_honest(seed)),
-        ("urbc_binding_n14", lambda: _check_urbc_binding(seed)),
-        ("riqkd_honest_n16", lambda: _check_riqkd_honest(seed)),
-        ("riqkd_device_fault_n14", lambda: _check_riqkd_device_fault(seed)),
+        ("qecm_honest_n8", lambda: _check_qecm_honest(seed, threads)),
+        ("urbc_binding_n14", lambda: _check_urbc_binding(seed, threads)),
+        ("riqkd_honest_n16", lambda: _check_riqkd_honest(seed, threads)),
+        ("riqkd_device_fault_n14", lambda: _check_riqkd_device_fault(seed, threads)),
         ("tfkw_substitution_attack", lambda: _check_tfkw_attack(seed)),
         ("secrecy_exact_toy", lambda: _check_secrecy_exact()),
     ]

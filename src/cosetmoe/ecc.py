@@ -45,6 +45,9 @@ __all__ = [
 # its dense (2^s, N) leader lookup has at most 2^20 rows.
 _DECODER_MAX_SYNDROME_BITS = 20
 
+# Words per chunk of the leader scan: bounds its memory at any weight.
+_SCAN_CHUNK = 1 << 16
+
 # Codeword enumeration guard: dimension cap and total-byte cap.
 _ENUM_MAX_DIMENSION = 20
 _ENUM_MAX_BYTES = 1 << 27
@@ -90,44 +93,58 @@ class LinearCode:
     def leader_table(self) -> dict[Gf2Vec, Gf2Vec]:
         """Map syndrome -> minimum-weight coset leader (lexicographic tie-break).
 
-        Built lazily by scanning words in order of increasing weight; available
-        only when the syndrome length is at most 20 bits.
+        Built lazily from the dense lookup; available only when the syndrome
+        length is at most 20 bits.
+        """
+        s = self.syndrome_length
+        return {
+            Gf2Vec.from_int(key, s): Gf2Vec(row)
+            for key, row in enumerate(self._dense_leaders)
+        }
+
+    @cached_property
+    def _dense_leaders(self) -> np.ndarray:
+        """(2^s, N) uint8 leader lookup; row σ is the leader of syndrome σ.
+
+        Scans words in order of increasing weight, every word of one weight
+        at once (in chunks).  Within one weight, ``itertools.combinations``
+        yields the 0/1 words in decreasing lexicographic order, so the last
+        word met with a syndrome is the smallest: it wins the tie.
         """
         s = self.syndrome_length
         if s > _DECODER_MAX_SYNDROME_BITS:
             raise ValueError(
                 f"leader table needs syndrome length <= {_DECODER_MAX_SYNDROME_BITS}, got {s}"
             )
-        h = self.parity_check.rows
-        total = 1 << s
+        n = self.length
         place = 1 << np.arange(s - 1, -1, -1, dtype=np.int64)
-        best: dict[int, np.ndarray] = {}
-        found_weight: dict[int, int] = {}
-        for w in range(self.length + 1):
-            if len(best) == total:
+        column_keys = self.parity_check.rows.T.astype(np.int64) @ place
+        leaders = np.zeros((1 << s, n), dtype=np.uint8)
+        found_weight = np.full(1 << s, -1, dtype=np.int64)
+        found_weight[0] = 0  # the zero word
+        for w in range(1, n + 1):
+            if (found_weight >= 0).all():
                 break
-            for pos in itertools.combinations(range(self.length), w):
-                v = np.zeros(self.length, dtype=np.uint8)
-                v[list(pos)] = 1
-                key = int(((h @ v) & 1) @ place) if s else 0
-                if key not in best:
-                    best[key] = v
-                    found_weight[key] = w
-                elif found_weight[key] == w and tuple(v) < tuple(best[key]):
-                    best[key] = v
-        if len(best) != total:
+            words = itertools.combinations(range(n), w)
+            while True:
+                flat = np.fromiter(
+                    itertools.chain.from_iterable(itertools.islice(words, _SCAN_CHUNK)),
+                    dtype=np.intp,
+                )
+                if not flat.size:
+                    break
+                support = flat.reshape(-1, w)
+                keys = np.bitwise_xor.reduce(column_keys[support], axis=1)
+                uniq, first_from_end = np.unique(keys[::-1], return_index=True)
+                last = keys.shape[0] - 1 - first_from_end
+                open_ = (found_weight[uniq] < 0) | (found_weight[uniq] == w)
+                uniq, last = uniq[open_], last[open_]
+                found_weight[uniq] = w
+                leaders[uniq] = 0
+                leaders[uniq[:, None], support[last]] = 1
+        if (found_weight < 0).any():
             raise AssertionError("parity-check matrix is not full row rank")
-        return {
-            Gf2Vec.from_int(key, s): Gf2Vec(v) for key, v in sorted(best.items())
-        }
-
-    @cached_property
-    def _dense_leaders(self) -> np.ndarray:
-        """(2^s, N) uint8 leader lookup for vectorised decoding of table codes."""
-        arr = np.zeros((1 << self.syndrome_length, self.length), dtype=np.uint8)
-        for syn, leader in self.leader_table.items():
-            arr[syn.to_int()] = leader.bits
-        return arr
+        return leaders
 
     @cached_property
     def min_weight_codeword(self) -> Gf2Vec:
@@ -304,7 +321,7 @@ def coset_leader(code: LinearCode, syn: Gf2Vec) -> Gf2Vec:
         return Gf2Vec(_block_leader(bp, syn.bits))
     if not code.has_decoder():
         raise ValueError("no coset-leader decoder for this code")
-    return code.leader_table[syn]
+    return Gf2Vec(code._dense_leaders[syn.to_int()])
 
 
 def correct(code: LinearCode, x: Gf2Vec) -> Gf2Vec:

@@ -1,11 +1,12 @@
 """Counter-based Monte Carlo plumbing shared by the game and protocol harnesses.
 
 Every batch experiment draws its randomness from a Philox counter stream keyed
-by the run seed.  Trial i owns the fixed word window [i*W, (i+1)*W), where W,
-the per-trial word budget, is a whole number of Philox blocks (4 x 64-bit
-words).  Because the window depends only on (seed, trial index), results are
-bit-identical no matter how trials are grouped into blocks or spread over
-threads.
+by the run seed (the games) or by ``stream_key(seed, id)`` (each protocol
+experiment, so no two experiments share words).  Trial i owns the fixed word
+window [i*W, (i+1)*W), where W, the per-trial word budget, is a whole number
+of Philox blocks (4 x 64-bit words).  Because the window depends only on
+(seed, trial index), results are bit-identical no matter how trials are
+grouped into blocks or spread over threads.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ import numpy as np
 
 __all__ = [
     "PHILOX_BLOCK_WORDS",
+    "round_up_words",
+    "stream_key",
     "trial_words",
     "bits_from_words",
     "floats_from_words",
     "TrialReader",
+    "top_k_mask",
     "words_for",
     "run_blocks",
     "wilson_interval",
@@ -36,6 +40,20 @@ _Z_95 = 1.959963984540054
 def round_up_words(words: int) -> int:
     """Smallest multiple of the Philox block size that is >= words."""
     return -(-words // PHILOX_BLOCK_WORDS) * PHILOX_BLOCK_WORDS
+
+
+def stream_key(seed: int, stream: int) -> int:
+    """The 128-bit Philox key of a numbered stream of a run seed.
+
+    The key words are [seed, 2^63 | stream].  A plain ``seed`` key is
+    [seed, 0] and a (seed, trial) key is [seed, trial], so for any trial
+    below 2^63 a numbered stream shares no words with either.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+    if not 0 <= stream < 1 << 63:
+        raise ValueError("stream id must fit in 63 bits")
+    return seed | ((1 << 63 | stream) << 64)
 
 
 def trial_words(seed: int, words_per_trial: int, start: int, count: int) -> np.ndarray:
@@ -97,6 +115,18 @@ class TrialReader:
 
     def floats(self, count: int) -> np.ndarray:
         return floats_from_words(self._take(count))
+
+
+def top_k_mask(floats: np.ndarray, k: int) -> np.ndarray:
+    """Uniform k-subsets from iid uniforms: row-wise uint8 indicators of the k
+    largest draws.  A partition, not a sort, finds them; a tie at the k-th
+    value, which 53-bit uniforms almost never produce, is broken by a rule
+    that depends on the row alone."""
+    t, n = floats.shape
+    top = np.argpartition(floats, n - k, axis=1)[:, n - k :]
+    mask = np.zeros(floats.shape, dtype=np.uint8)
+    mask[np.arange(t)[:, None], top] = 1
+    return mask
 
 
 def words_for(bit_fields: Sequence[int] = (), float_fields: Sequence[int] = ()) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vec, hamming, sample_subspace, solve_coset_membership
 from .info import ball_volume
-from .mc import TrialReader, run_blocks, wilson_interval, words_for
+from .mc import TrialReader, run_blocks, top_k_mask, wilson_interval, words_for
 from .qsim import (
     AdversaryChannel,
     CosetDescriptor,
@@ -200,11 +200,7 @@ def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
 def _sample_theta(floats: np.ndarray) -> np.ndarray:
     """Exact-half-weight basis rows from iid uniforms: the n/2 largest draws
     of each row mark the Hadamard (pivot) positions."""
-    n = floats.shape[1]
-    order = np.argsort(floats, axis=1, kind="stable")
-    theta = np.zeros(floats.shape, dtype=np.uint8)
-    np.put_along_axis(theta, order[:, n // 2 :], np.uint8(1), axis=1)
-    return theta
+    return top_k_mask(floats, floats.shape[1] // 2)
 
 
 def _coord_order(theta: np.ndarray) -> np.ndarray:

@@ -22,9 +22,14 @@ Classical messages are always eavesdropper-visible; an eavesdropper's quantum
 side information comes only from how she split the state in transit.
 
 The register (conjugate-coding) family runs on classical Wiesner records and
-scales to thousands of qubits; the general subspace family uses the
-statevector backend and is limited to small n.  Abort semantics: downstream
-fields of an aborted run are ``None``, never zero-filled.
+scales to thousands of qubits.  Each of its protocols is one batch function
+(``_qecm_batch``, ``_urbc_batch``, ``_riqkd_batch``) from a block of trial
+windows to per-trial arrays: the experiments reduce them to counters through
+``mc.run_blocks``, and a single run calls the same function on one window
+and builds its transcript from row 0.  The general subspace family uses the
+statevector backend, one trial at a time, and is limited to small n.  Abort
+semantics: downstream fields of an aborted run are ``None``, never
+zero-filled.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +47,7 @@ import numpy as np
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
 from .gf2 import (
+    Gf2Matrix,
     Gf2Subspace,
     Gf2Vec,
     IndexSubset,
@@ -48,7 +55,16 @@ from .gf2 import (
     solve_coset_membership,
 )
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
-from .mc import binomial_sigma, wilson_interval
+from .mc import (
+    TrialReader,
+    binomial_sigma,
+    round_up_words,
+    run_blocks,
+    stream_key,
+    top_k_mask,
+    wilson_interval,
+    words_for,
+)
 from .qsim import (
     CosetDescriptor,
     measure_computational,
@@ -63,6 +79,7 @@ __all__ = [
     "base_commit",
     "base_verify",
     "PauliNoise",
+    "MessageSource",
     "QecmParams",
     "QecmOutcome",
     "run_qecm_id",
@@ -95,6 +112,39 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         raise ValueError("seed must fit in 64 bits")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Register-family runs draw every trial's randomness from one fixed window of
+# raw Philox words, read field by field through a TrialReader.  An experiment
+# reads trial i's window from its own stream, ``stream_key(seed, id)``, at
+# words [i*W, (i+1)*W); a single run reads the next W words of the generator
+# it is given.  Both feed the same batch function, so a run given a generator
+# positioned at trial i's window reproduces trial i of the experiment.
+_QECM_STREAM, _URBC_STREAM, _QKD_STREAM = 1, 2, 3
+# Words per run_blocks block: bounds a block's memory at any n.
+_BLOCK_WORDS = 1 << 17
+
+
+def _window(rng: np.random.Generator, words: int) -> TrialReader:
+    """A one-trial block: the next ``words`` raw words of ``rng``."""
+    return TrialReader(rng.bit_generator.random_raw(words)[None, :])
+
+
+def _run_trials(
+    trials: int,
+    words: int,
+    seed: int,
+    stream: int,
+    kernel: Callable[[np.ndarray], np.ndarray],
+    threads: int,
+) -> np.ndarray:
+    """Sum ``kernel``'s int64 counters over the windows of trials [0, trials)."""
+    block = max(1, _BLOCK_WORDS // words)
+    return run_blocks(trials, words, stream_key(seed, stream), kernel, threads, block)
+
+
+def _counters(*flags: np.ndarray) -> np.ndarray:
+    return np.array([np.count_nonzero(f) for f in flags], dtype=np.int64)
 
 
 # ------------------------------------------------------------------
@@ -223,8 +273,7 @@ def base_commit(
         scheme._vault[token] = value
         return token, b""
     nonce = rng.bytes(32)
-    token = hashlib.sha256(value + nonce).hexdigest()
-    return token, nonce
+    return _hash_token(value, nonce), nonce
 
 
 def base_verify(scheme: CommitmentScheme, token: str, value: bytes, opening: bytes) -> bool:
@@ -236,7 +285,11 @@ def base_verify(scheme: CommitmentScheme, token: str, value: bytes, opening: byt
         return scheme._vault[token] == value
     if len(opening) != 32:
         raise ValueError("malformed opening")
-    return hashlib.sha256(value + opening).hexdigest() == token
+    return _hash_token(value, opening) == token
+
+
+def _hash_token(value: bytes, nonce: bytes) -> str:
+    return hashlib.sha256(value + nonce).hexdigest()
 
 
 def _pack_pair(r: Gf2Vec, h: Gf2Vec) -> bytes:
@@ -265,19 +318,33 @@ class PauliNoise:
 
     def apply_bits(self, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = x.shape[0]
-        xflip = (rng.random(n) < self.dx) & (theta == 0)
-        zflip = (rng.random(n) < self.dz) & (theta == 1)
-        return x ^ xflip.astype(np.uint8) ^ zflip.astype(np.uint8)
+        return x ^ self.flips(theta, rng.random(n), rng.random(n))
+
+    def flips(self, theta: np.ndarray, ux: np.ndarray, uz: np.ndarray) -> np.ndarray:
+        """Flip indicator from one uniform per qubit for each Pauli: uniforms
+        ``ux`` drive the X flips, ``uz`` the Z flips."""
+        xflip = (ux < self.dx) & (theta == 0)
+        zflip = (uz < self.dz) & (theta == 1)
+        return (xflip | zflip).astype(np.uint8)
 
 
 def _uniform_bits(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.integers(0, 2, size=k, dtype=np.uint8)
 
 
-def _half_weight_indicator(rng: np.random.Generator, n: int) -> np.ndarray:
-    theta = np.zeros(n, dtype=np.uint8)
-    theta[rng.permutation(n)[: n // 2]] = 1
-    return theta
+def _register_subspace(theta: np.ndarray) -> Gf2Subspace:
+    """The register subspace spanned by e_i at the Hadamard positions θ_i = 1."""
+    unit = np.eye(theta.shape[0], dtype=np.uint8)
+    return Gf2Subspace(theta.shape[0], Gf2Matrix(unit[theta == 1]))
+
+
+def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
+    """A fixed bit string as a one-row block (zeros when ``vec`` is None)."""
+    if vec is None:
+        return np.zeros((1, n), dtype=np.uint8)
+    if vec.n != n:
+        raise ValueError(f"{what} length must match the run")
+    return vec.bits[None, :]
 
 
 def _syn(code: LinearCode, bits: np.ndarray) -> np.ndarray:
@@ -366,6 +433,102 @@ class QecmOutcome:
 _QECM_EVE_KINDS = (None, "keep_all", "measure_computational")
 
 
+@dataclass(frozen=True)
+class MessageSource:
+    """A biased message source: the message with integer value j (as an
+    ell-bit word, most significant bit first) has probability probs[j].
+
+    A draw inverts the CDF at one uniform, exactly as
+    ``Generator.choice(len(probs), p=probs)`` does.
+    """
+
+    probs: tuple[float, ...]
+
+    def __post_init__(self):
+        probs = tuple(float(p) for p in self.probs)
+        count = len(probs)
+        if count < 2 or count & (count - 1):
+            raise ValueError("message distribution must cover all messages")
+        if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
+            raise ValueError("message probabilities must be a distribution")
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def ell(self) -> int:
+        return len(self.probs).bit_length() - 1
+
+    def bits(self, u: np.ndarray) -> np.ndarray:
+        """(T, ell) message bits for T uniforms in [0, 1)."""
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        picks = np.searchsorted(cdf, u, side="right")
+        shifts = np.arange(self.ell - 1, -1, -1)
+        return ((picks[:, None] >> shifts) & 1).astype(np.uint8)
+
+    def __call__(self, rng: np.random.Generator) -> Gf2Vec:
+        return Gf2Vec(self.bits(np.array([rng.random()]))[0])
+
+
+def _qecm_words(params: QecmParams, eve: Optional[str], message) -> int:
+    """Window size of one register-family run (see ``_qecm_batch``)."""
+    half, ell = params.half, params.ell
+    eve_bits = {None: (), "keep_all": (half, half, ell), "measure_computational": (half, ell)}
+    return words_for(
+        bit_fields=(half, half, params.extractor.seed_len, ell,
+                    *((ell,) if message is None else ()), *eve_bits[eve]),
+        float_fields=(params.n, *((1,) if isinstance(message, MessageSource) else ())),
+    )
+
+
+def _qecm_batch(
+    params: QecmParams, r: TrialReader, eve: Optional[str], message
+) -> SimpleNamespace:
+    """Interactive encryption on the register family, one trial per row.
+
+    ``message`` is None (uniform, drawn from the window), a MessageSource
+    (one uniform from the window), or fixed bits of shape (ell,) or (T, ell).
+    """
+    n, half, ell, ext = params.n, params.half, params.ell, params.extractor
+
+    # key generation: a's Hadamard positions, labels, extractor seed and mask
+    theta = top_k_mask(r.floats(n), half)
+    t, tp = r.bits(half), r.bits(half)
+    seed, h = r.bits(ext.seed_len), r.bits(ell)
+    if message is None:
+        m = r.bits(ell)
+    elif isinstance(message, MessageSource):
+        m = message.bits(r.floats(1)[:, 0])
+    else:
+        m = np.broadcast_to(np.asarray(message, dtype=np.uint8), (r.count, ell))
+    m_bar = m ^ ext.extract_batch(tp, seed) ^ h
+
+    # the channel and Bob's coset measurement (in the bases of a: exact on
+    # an intact state); tp_eve is Eve's phase read
+    tp_eve = None
+    if eve == "keep_all":
+        # Bob holds no qubits and answers blind; Eve kept the intact state
+        t_hat, tp_hat, tp_eve = r.bits(half), r.bits(half), tp
+    elif eve == "measure_computational":
+        # her string carries t on the free coordinates and coins on the
+        # Hadamard ones, and Bob and Eve both decode it: t exactly, coins as t'
+        coins = r.bits(half)
+        t_hat, tp_hat, tp_eve = t, coins, coins
+    else:
+        t_hat, tp_hat = t, tp
+
+    # interactive decryption
+    f = (t_hat == t).all(axis=1)
+    m_hat = m_bar ^ ext.extract_batch(tp_hat, seed) ^ h
+
+    # Eve's guess from her side information plus the classical transcript
+    m_check = None
+    if eve is not None:
+        blind = r.bits(ell)
+        m_check = np.where(f[:, None], m_bar ^ ext.extract_batch(tp_eve, seed) ^ h, blind)
+    return SimpleNamespace(theta=theta, t=t, seed=seed, h=h, m=m, m_bar=m_bar,
+                           t_hat=t_hat, tp_hat=tp_hat, f=f, m_hat=m_hat, m_check=m_check)
+
+
 def run_qecm_id(
     params: QecmParams,
     rng: np.random.Generator,
@@ -381,14 +544,59 @@ def run_qecm_id(
     computational basis and forwards the classical string, which Bob uses to
     answer.  Eve guesses the message from her stash plus the classical
     transcript once the run ends.
+
+    The register family reads one window of raw words from ``rng`` (see
+    ``_qecm_batch``); a MessageSource draws from that window, any other
+    callable ``message(rng)`` after it.  The general family runs on the
+    statevector backend and draws through ``rng``'s methods.
     """
     if eve not in _QECM_EVE_KINDS:
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
+    if params.family != "register":
+        return _run_qecm_statevector(params, rng, eve, message)
+    reader = _window(rng, _qecm_words(params, eve, message))
+    if callable(message) and not isinstance(message, MessageSource):
+        message = message(rng)
+    if isinstance(message, Gf2Vec):
+        if message.n != params.ell:
+            raise ValueError("message length mismatch")
+        message = message.bits
+    elif isinstance(message, MessageSource) and message.ell != params.ell:
+        raise ValueError("message length mismatch")
+    b = _qecm_batch(params, reader, eve, message)
+
+    tr = Transcript()
+    tr.send("alice", "bob", "ciphertext_pad", Gf2Vec(b.m_bar[0]))
+    tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
+    theta = b.theta[0]
+    if eve == "measure_computational":
+        forwarded = np.empty(params.n, dtype=np.uint8)
+        forwarded[theta == 0] = b.t[0]
+        forwarded[theta == 1] = b.tp_hat[0]
+        tr.send("eve", "bob", "forwarded_string", Gf2Vec(forwarded))
+    tr.send("alice", "bob", "subspace", _register_subspace(theta).to_json())
+    tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
+    f = int(b.f[0])
+    tr.send("alice", "bob", "accept_flag", f)
+    m_hat = None
+    if f:
+        tr.send("alice", "bob", "key_release", (Gf2Vec(b.seed[0]), Gf2Vec(b.h[0])))
+        m_hat = Gf2Vec(b.m_hat[0])
+    m_check = None if b.m_check is None else Gf2Vec(b.m_check[0])
+    return QecmOutcome(Gf2Vec(b.m[0]), m_hat, m_check, f, tr)
+
+
+def _run_qecm_statevector(
+    params: QecmParams,
+    rng: np.random.Generator,
+    eve: Optional[str],
+    message: Union[None, Gf2Vec, Callable],
+) -> QecmOutcome:
+    """``run_qecm_id`` on the general family, one Born-rule sample at a time."""
     ext = params.extractor
     tr = Transcript()
 
     # key generation
-    backend = "wiesner" if params.family == "register" else "statevector"
     a = sample_subspace(params.n, params.family, rng)
     t = Gf2Vec(_uniform_bits(rng, params.half))
     tp = Gf2Vec(_uniform_bits(rng, params.half))
@@ -407,9 +615,8 @@ def run_qecm_id(
     # encryption: pad + state
     m_bar = m + ext.extract(tp, r) + h
     tr.send("alice", "bob", "ciphertext_pad", m_bar)
-    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend=backend)
+    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend="statevector")
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
-
     # the channel: Eve may intercept the state here
     eve_classical: Optional[Gf2Vec] = None
     if eve == "measure_computational":
@@ -508,6 +715,7 @@ def qecm_experiment(
     trials: int = 1000,
     seed: int = 0,
     message_probs: Optional[Sequence[float]] = None,
+    threads: int = 1,
 ) -> dict:
     """Security-game experiments for the interactive encryption scheme.
 
@@ -520,6 +728,9 @@ def qecm_experiment(
     kind="uncloneable_indistinguishable": Monte Carlo distinguishing game on
     accepted runs.  ``message_probs`` optionally biases the message source
     (uncloneable kind only); the bound then uses the source's min-entropy.
+
+    The register family runs as batch kernels over ``threads`` threads; the
+    counts do not depend on the thread count.
     """
     report: dict = {"experiment": f"qecm_{kind}", "n": params.n, "ell": params.ell}
     n_messages = 1 << params.ell
@@ -538,82 +749,137 @@ def qecm_experiment(
         report["pass"] = worst <= 1e-9
         return report
 
+    if kind not in ("correctness", "uncloneable", "uncloneable_indistinguishable"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
     report["trials"] = trials
     report["seed"] = seed
+    eve = None if kind == "correctness" else adversary
+    if eve not in _QECM_EVE_KINDS:
+        raise ValueError(f"unknown eavesdropper kind {eve!r}")
+    source = None
+    h_min = float(params.ell)
+    if kind == "uncloneable" and message_probs is not None:
+        if len(message_probs) != n_messages:
+            raise ValueError("message distribution must cover all messages")
+        source = MessageSource(tuple(message_probs))
+        h_min = -math.log2(max(source.probs))
+    accepts, hits = (
+        _qecm_counts(kind, params, eve, source, trials, seed, threads)
+        if params.family == "register"
+        else _qecm_statevector_counts(kind, params, eve, source, trials, seed)
+    )
 
     if kind == "correctness":
-        disagreements = 0
-        for i in range(trials):
-            out = run_qecm_id(params, trial_rng(seed, i))
-            if not (out.f == 1 and out.m_hat == out.m):
-                disagreements += 1
-        report["disagreements"] = disagreements
-        report["disagreement_rate"] = disagreements / trials
-        report["pass"] = disagreements == 0
+        report["disagreements"] = hits
+        report["disagreement_rate"] = hits / trials
+        report["pass"] = hits == 0
         return report
 
+    report["adversary"] = adversary
+    report["accepts"] = accepts
     if kind == "uncloneable":
-        if message_probs is not None:
-            probs = np.asarray(message_probs, dtype=np.float64)
-            if probs.shape != (n_messages,) or abs(probs.sum() - 1.0) > 1e-9:
-                raise ValueError("message distribution must cover all messages")
-            source = lambda rng: Gf2Vec.from_int(
-                int(rng.choice(n_messages, p=probs)), params.ell
-            )
-            h_min = -math.log2(float(probs.max()))
-        else:
-            source = None
-            h_min = float(params.ell)
-        accepts = wins = 0
-        for i in range(trials):
-            out = run_qecm_id(params, trial_rng(seed, i), eve=adversary, message=source)
-            accepts += out.f
-            wins += int(out.f == 1 and out.m_check == out.m)
         eps2 = _uncloneable_eps(params.n, params.ell)
-        report["adversary"] = adversary
-        report["accepts"] = accepts
         report["accept_rate"] = accepts / trials
-        report["wins"] = wins
-        _report_interval(report, wins, trials)
+        report["wins"] = hits
+        _report_interval(report, hits, trials)
         guess_scale = 2.0 ** (-h_min)
         report["min_entropy"] = h_min
         report["epsilon_slack"] = eps2
         report["bound"] = guess_scale * (accepts / trials) + n_messages * guess_scale * eps2
         sigma = binomial_sigma(report["bound"], trials)
-        report["pass"] = wins / trials <= report["bound"] + 3 * sigma
+        report["pass"] = hits / trials <= report["bound"] + 3 * sigma
         return report
 
-    if kind == "uncloneable_indistinguishable":
-        m0 = Gf2Vec.zeros(params.ell)
-        accepts = wins = 0
-        for i in range(trials):
-            rng = trial_rng(seed, i)
-            y = int(rng.integers(0, 2))
-            m1 = Gf2Vec(_uniform_bits(rng, params.ell))
-            sent = m0 if y == 0 else m1
-            out = run_qecm_id(params, rng, eve=adversary, message=sent)
+    eps3 = n_messages * _uncloneable_eps(params.n, params.ell)
+    report["wins"] = hits
+    _report_interval(report, hits, trials)
+    report["advantage"] = hits / trials - accepts / (2.0 * trials)
+    report["epsilon_bound"] = eps3
+    sigma = binomial_sigma(0.5, trials)
+    report["pass"] = report["advantage"] <= eps3 + 3 * sigma
+    return report
+
+
+def _qecm_counts(
+    kind: str,
+    params: QecmParams,
+    eve: Optional[str],
+    source: Optional[MessageSource],
+    trials: int,
+    seed: int,
+    threads: int,
+) -> tuple[int, int]:
+    """(accepts, hits) of a register-family experiment: hits are the
+    disagreements (correctness) or Eve's wins (the two games).
+
+    In the distinguishing game a trial's window starts with the referee's
+    bit y, the alternative message m1 and Eve's fallback coin, one field
+    each, and the run's own window follows: so a run reading its window
+    right after those fields replays the trial.
+    """
+    ell = params.ell
+    game = kind == "uncloneable_indistinguishable"
+    words = _qecm_words(params, eve, source if not game else np.zeros(ell))
+    if game:
+        words = round_up_words(2 + -(-ell // 64) + words)
+
+    def kernel(block: np.ndarray) -> np.ndarray:
+        r = TrialReader(block)
+        if not game:
+            b = _qecm_batch(params, r, eve, source)
+            if kind == "correctness":
+                return _counters(b.f, ~(b.f & (b.m_hat == b.m).all(axis=1)))
+            if b.m_check is None:  # no eavesdropper: nobody guesses
+                return _counters(b.f, np.zeros_like(b.f))
+            return _counters(b.f, b.f & (b.m_check == b.m).all(axis=1))
+        y = r.bits(1)[:, 0]
+        m1 = r.bits(ell)
+        coin = r.bits(1)[:, 0]
+        b = _qecm_batch(params, r, eve, np.where(y[:, None] == 1, m1, 0))
+        # Eve names the message her guess matches, else guesses blind
+        guess = coin
+        if b.m_check is not None:
+            said_m1 = (b.m_check == m1).all(axis=1)
+            said_m0 = ~b.m_check.any(axis=1)
+            named = ~(m1 == 0).all(axis=1) & (said_m1 | said_m0)
+            guess = np.where(named, said_m1, coin)
+        return _counters(b.f, b.f & (guess == y))
+
+    accepts, hits = _run_trials(trials, words, seed, _QECM_STREAM, kernel, threads)
+    return int(accepts), int(hits)
+
+
+def _qecm_statevector_counts(
+    kind: str,
+    params: QecmParams,
+    eve: Optional[str],
+    source: Optional[MessageSource],
+    trials: int,
+    seed: int,
+) -> tuple[int, int]:
+    """``_qecm_counts`` on the general family: one run per ``trial_rng``."""
+    m0 = Gf2Vec.zeros(params.ell)
+    accepts = hits = 0
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        if kind != "uncloneable_indistinguishable":
+            out = run_qecm_id(params, rng, eve=eve, message=source)
             accepts += out.f
-            if out.m_check is None or m1 == m0:
-                y_guess = int(rng.integers(0, 2))
-            elif out.m_check == m1:
-                y_guess = 1
-            elif out.m_check == m0:
-                y_guess = 0
+            if kind == "correctness":
+                hits += int(not (out.f == 1 and out.m_hat == out.m))
             else:
-                y_guess = int(rng.integers(0, 2))
-            wins += int(out.f == 1 and y_guess == y)
-        eps3 = n_messages * _uncloneable_eps(params.n, params.ell)
-        report["adversary"] = adversary
-        report["accepts"] = accepts
-        report["wins"] = wins
-        _report_interval(report, wins, trials)
-        report["advantage"] = wins / trials - accepts / (2.0 * trials)
-        report["epsilon_bound"] = eps3
-        sigma = binomial_sigma(0.5, trials)
-        report["pass"] = report["advantage"] <= eps3 + 3 * sigma
-        return report
-
-    raise ValueError(f"unknown experiment kind {kind!r}")
+                hits += int(out.f == 1 and out.m_check == out.m)
+            continue
+        y = int(rng.integers(0, 2))
+        m1 = Gf2Vec(_uniform_bits(rng, params.ell))
+        out = run_qecm_id(params, rng, eve=eve, message=m0 if y == 0 else m1)
+        accepts += out.f
+        if out.m_check is None or m1 == m0 or out.m_check not in (m0, m1):
+            y_guess = int(rng.integers(0, 2))
+        else:
+            y_guess = int(out.m_check == m1)
+        hits += int(out.f == 1 and y_guess == y)
+    return accepts, hits
 
 
 # ------------------------------------------------------------------
@@ -669,6 +935,60 @@ class UrbcOutcome:
     transcript: Transcript
 
 
+def _urbc_words(params: UrbcParams) -> int:
+    """Window size of one register-family run (see ``_urbc_batch``)."""
+    nonce = (256,) if params.scheme == "hash_based" else ()
+    return words_for(
+        bit_fields=(params.half, params.half, params.extractor.seed_len, params.ell, *nonce),
+        float_fields=(params.n, params.half),
+    )
+
+
+def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespace:
+    """Commit, check and reveal on the register family, one trial per row."""
+    n, half, ext, code = params.n, params.half, params.extractor, params.code
+
+    # commit: the base commitment binds Alice to the extraction inputs (r, h)
+    theta = top_k_mask(r.floats(n), half)
+    t, tp = r.bits(half), r.bits(half)
+    seed, h = r.bits(ext.seed_len), r.bits(params.ell)
+    committed = np.concatenate([seed, h], axis=1)
+    tokens = nonces = None
+    if params.scheme == "hash_based":
+        nonces = np.packbits(r.bits(256), axis=1)
+        values = [_pack_pair(Gf2Vec(rr), Gf2Vec(hh)) for rr, hh in zip(seed, h)]
+        tokens = [_hash_token(v, nonce.tobytes()) for v, nonce in zip(values, nonces)]
+
+    # check: Bob measures the intact state in the bases of a: exact
+    t_hat, tp_hat = t, tp
+    g = (t_hat == t).all(axis=1)
+
+    # reveal: Bob's spot subset, then Alice's syndrome, spot bits and opening
+    spot = top_k_mask(r.floats(half), params.spot_size)
+    reveal_tp = tp
+    if alice == "binding_attack":
+        reveal_tp = tp ^ code.min_weight_codeword.bits
+    syn_sent = syndrome_batch(code, reveal_tp)
+    syn_ok = (syndrome_batch(code, tp_hat) == syn_sent).all(axis=1)
+    spot_ok = ~((tp_hat ^ reveal_tp) & spot).any(axis=1)
+    opened = np.concatenate([seed, h], axis=1)  # Alice opens (r, h) in both roles
+    if tokens is None:  # the ideal vault compares the opened pair
+        base_ok = (opened == committed).all(axis=1)
+    else:
+        scheme = CommitmentScheme("hash_based")
+        base_ok = np.array([
+            base_verify(scheme, tok, v, nonce.tobytes())
+            for tok, v, nonce in zip(tokens, values, nonces)
+        ], dtype=bool)
+    f = syn_ok & spot_ok & base_ok
+
+    y = ext.extract_batch(reveal_tp, seed) ^ h
+    y_hat = ext.extract_batch(tp_hat, seed) ^ h
+    return SimpleNamespace(theta=theta, seed=seed, h=h, tokens=tokens, nonces=nonces,
+                           t_hat=t_hat, g=g, spot=spot, reveal_tp=reveal_tp,
+                           syn_sent=syn_sent, f=f, y=y, y_hat=y_hat)
+
+
 def run_urbc(
     params: UrbcParams,
     rng: np.random.Generator,
@@ -682,13 +1002,42 @@ def run_urbc(
     reveal substitutes t'' = t' + (minimum-weight codeword), which preserves
     the syndrome, and hopes the spot check misses the support.  Her output y
     is the string she tried to open to.
+
+    The register family reads one window of raw words from ``rng`` (see
+    ``_urbc_batch``); family="all" runs on the statevector backend.
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")
+    if family != "register":
+        return _run_urbc_statevector(params, rng, alice, family)
+    b = _urbc_batch(params, _window(rng, _urbc_words(params)), alice)
+    token = "ideal:0" if b.tokens is None else b.tokens[0]
+    opening = b"" if b.nonces is None else b.nonces[0].tobytes()
+
+    tr = Transcript()
+    tr.send("alice", "bob", "base_commitment", token)
+    tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
+    tr.send("alice", "bob", "subspace", _register_subspace(b.theta[0]).to_json())
+    tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
+    g = int(b.g[0])
+    tr.send("alice", "bob", "check_flag", g)
+    spot = np.flatnonzero(b.spot[0])
+    tr.send("bob", "alice", "spot_subset", IndexSubset(params.half, tuple(int(i) for i in spot)))
+    tr.send("alice", "bob", "syndrome", Gf2Vec(b.syn_sent[0]))
+    tr.send("alice", "bob", "spot_bits", Gf2Vec(b.reveal_tp[0][spot]))
+    tr.send("alice", "bob", "opening", (token, Gf2Vec(b.seed[0]), Gf2Vec(b.h[0]), opening))
+    f = int(b.f[0])
+    tr.send("bob", "alice", "reveal_flag", f)
+    return UrbcOutcome(Gf2Vec(b.y[0]), Gf2Vec(b.y_hat[0]) if f else None, g, f, tr)
+
+
+def _run_urbc_statevector(
+    params: UrbcParams, rng: np.random.Generator, alice: str, family: str
+) -> UrbcOutcome:
+    """``run_urbc`` on the general family, one Born-rule sample at a time."""
     ext = params.extractor
     scheme = CommitmentScheme(params.scheme)
     tr = Transcript()
-    backend = "wiesner" if family == "register" else "statevector"
 
     # commit
     a = sample_subspace(params.n, family, rng)
@@ -698,7 +1047,7 @@ def run_urbc(
     h = Gf2Vec(_uniform_bits(rng, params.ell))
     token, opening = base_commit(scheme, _pack_pair(r, h), rng)
     tr.send("alice", "bob", "base_commitment", token)
-    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend=backend)
+    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend="statevector")
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
 
     # check
@@ -770,49 +1119,51 @@ def urbc_experiment(
     *,
     trials: int = 1000,
     seed: int = 0,
+    threads: int = 1,
 ) -> dict:
     """kind="correctness": honest runs must agree everywhere.
     kind="binding": the syndrome-preserving substitution attack; reports the
     acceptance rate, its hypergeometric closed form, and the reveal bound.
-    kind="hiding": exact trace-distance probe (no trials)."""
+    kind="hiding": exact trace-distance probe (no trials).  The trials run
+    as register-family batch kernels over ``threads`` threads."""
     report: dict = {"experiment": f"urbc_{kind}", "n": params.n, "ell": params.ell}
     if kind == "hiding":
         dist = urbc_hiding_exact(params)
         report["trace_distance"] = dist
         report["pass"] = dist <= 1e-9
         return report
+    if kind not in ("correctness", "binding"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
 
     report["trials"] = trials
     report["seed"] = seed
+    alice = "binding_attack" if kind == "binding" else "honest"
+
+    def kernel(block: np.ndarray) -> np.ndarray:
+        b = _urbc_batch(params, TrialReader(block), alice)
+        agree = b.g & b.f & (b.y_hat == b.y).all(axis=1)
+        return _counters(b.f, ~agree)
+
+    accepts, bad = (int(c) for c in _run_trials(
+        trials, _urbc_words(params), seed, _URBC_STREAM, kernel, threads
+    ))
     if kind == "correctness":
-        bad = 0
-        for i in range(trials):
-            out = run_urbc(params, trial_rng(seed, i))
-            if not (out.g == 1 and out.f == 1 and out.y_hat == out.y):
-                bad += 1
         report["disagreements"] = bad
         report["pass"] = bad == 0
         return report
 
-    if kind == "binding":
-        accepts = 0
-        for i in range(trials):
-            out = run_urbc(params, trial_rng(seed, i), alice="binding_attack")
-            accepts += out.f
-        half, js = params.half, params.spot_size
-        w = int(min_weight_codeword(params.code).weight())
-        report["accepts"] = accepts
-        _report_interval(report, accepts, trials)
-        report["analytic_rate"] = math.comb(half - w, js) / math.comb(half, js)
-        report["binding_bound"] = (1.0 - 2.0 * params.code.distance / params.n) ** js
-        sigma = binomial_sigma(report["analytic_rate"], trials)
-        report["pass"] = (
-            abs(accepts / trials - report["analytic_rate"]) <= 3 * sigma
-            and accepts / trials <= report["binding_bound"] + 3 * sigma
-        )
-        return report
-
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    half, js = params.half, params.spot_size
+    w = int(min_weight_codeword(params.code).weight())
+    report["accepts"] = accepts
+    _report_interval(report, accepts, trials)
+    report["analytic_rate"] = math.comb(half - w, js) / math.comb(half, js)
+    report["binding_bound"] = (1.0 - 2.0 * params.code.distance / params.n) ** js
+    sigma = binomial_sigma(report["analytic_rate"], trials)
+    report["pass"] = (
+        abs(accepts / trials - report["analytic_rate"]) <= 3 * sigma
+        and accepts / trials <= report["binding_bound"] + 3 * sigma
+    )
+    return report
 
 
 # ------------------------------------------------------------------
@@ -900,6 +1251,109 @@ class SyndromeFault:
 EveKind = Union[None, KeepAndSubstitute, InterceptResend]
 
 
+def _riqkd_words(params: QkdParams, noise: Optional[PauliNoise], eve: EveKind) -> int:
+    """Window size of one run (see ``_riqkd_batch``)."""
+    n, half = params.n, params.half
+    eve_bits: tuple[int, ...] = ()
+    if isinstance(eve, InterceptResend):
+        # basis guesses (unless fixed), wrong-basis reads, her final coins
+        eve_bits = ((n,) if eve.theta_hat is None else ()) + (n, half)
+    return words_for(
+        bit_fields=(half, half, *eve_bits, *((n,) if eve is not None else ()),
+                    params.extractor.seed_len),
+        float_fields=(n, *((n, n) if noise is not None else ()), half),
+    )
+
+
+def _riqkd_batch(
+    params: QkdParams,
+    r: TrialReader,
+    noise: Optional[PauliNoise],
+    device: Union[str, SyndromeFault],
+    eve: EveKind,
+) -> SimpleNamespace:
+    """Receiver-independent key distribution, one trial per row.
+
+    Fields are read in protocol order: state, channel, device coins, spot
+    subset, extractor seed, Eve's coins.  Every trial reads every field; an
+    aborted trial's later values are computed and ignored.
+    """
+    n, half, ext, code = params.n, params.half, params.extractor, params.code
+    fault = isinstance(device, SyndromeFault)
+    if not fault and device != "honest":
+        raise ValueError(f"unknown device kind {device!r}")
+    if eve is not None and not isinstance(eve, (KeepAndSubstitute, InterceptResend)):
+        raise ValueError(f"unknown eavesdropper kind {eve!r}")
+    if fault:
+        c = device.codeword if device.codeword is not None else min_weight_codeword(code)
+        if c.n != half:
+            raise ValueError("fault codeword length must be n/2")
+
+    # state preparation: basis pattern + labels, as a conjugate-coding record;
+    # row by row, t fills the free (θ=0) and t' the Hadamard positions in order
+    theta = top_k_mask(r.floats(n), half)
+    free, pivots = theta == 0, theta == 1
+    t, tp = r.bits(half), r.bits(half)
+    x = np.empty_like(theta)
+    x[free], x[pivots] = t.ravel(), tp.ravel()
+
+    # the channel: Eve and/or noise act on the record in transit
+    rec_theta, rec_x = theta, x
+    if isinstance(eve, KeepAndSubstitute):
+        eve_theta, eve_x = theta, x
+        rec_theta = _bits_of(eve.theta, n, "substitute record")
+        rec_x = _bits_of(eve.x, n, "substitute record")
+    elif isinstance(eve, InterceptResend):
+        hat = r.bits(n) if eve.theta_hat is None else _bits_of(eve.theta_hat, n, "basis-guess")
+        eve_theta = np.broadcast_to(hat, theta.shape)
+        eve_x = np.where(eve_theta == theta, x, r.bits(n))
+        rec_theta, rec_x = eve_theta, eve_x
+    if noise is not None:
+        rec_x = rec_x ^ noise.flips(rec_theta, r.floats(n), r.floats(n))
+
+    # the device measures in the coset basis of a (bases = theta)
+    dev_read = rec_x
+    if eve is not None:
+        dev_read = np.where(rec_theta == theta, rec_x, r.bits(n))
+    t_hat = dev_read[free].reshape(-1, half)
+    tp_hat = dev_read[pivots].reshape(-1, half)
+    if fault:
+        tp_hat = tp_hat ^ c.bits  # same syndrome, different word
+
+    # parameter estimation
+    est_distance = (t_hat ^ t).sum(axis=1)
+    est_ok = est_distance <= params.gamma * half
+
+    # error correction: the device reports its phase-word syndrome
+    syn_hat = syndrome_batch(code, tp_hat)
+    t_bar = align_batch(code, tp, syn_hat)
+
+    # information reconciliation
+    spot = top_k_mask(r.floats(half), params.spot_size)
+    mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1)
+    f = est_ok & (mismatches == 0)
+
+    # privacy amplification
+    seed = r.bits(ext.seed_len)
+    k = ext.extract_batch(t_bar, seed)
+    k_hat = ext.extract_batch(tp_hat, seed)
+
+    # Eve's guess from her records plus the classical transcript: her phase
+    # read (exact from the genuine record she kept, or her intercepted reads
+    # with coins where she measured the wrong basis), then Alice's public
+    # correction
+    eve_guess = None
+    if eve is not None:
+        tp_eve = eve_x[pivots].reshape(-1, half)
+        if isinstance(eve, InterceptResend):
+            read_right = eve_theta[pivots].reshape(-1, half) == 1
+            tp_eve = np.where(read_right, tp_eve, r.bits(half))
+        eve_guess = ext.extract_batch(align_batch(code, tp_eve, syn_hat), seed)
+    return SimpleNamespace(theta=theta, t_hat=t_hat, tp_hat=tp_hat, est_distance=est_distance,
+                           est_ok=est_ok, syn_hat=syn_hat, spot=spot, mismatches=mismatches,
+                           f=f, seed=seed, k=k, k_hat=k_hat, eve_guess=eve_guess)
+
+
 def run_riqkd(
     params: QkdParams,
     rng: np.random.Generator,
@@ -912,111 +1366,39 @@ def run_riqkd(
 
     The conjugate-coding record is tracked classically, so runs scale to
     thousands of qubits.  Only Alice aborts; the device answers every
-    challenge.  Draw order is fixed (state, channel, device coins, spot
-    subset, seed, Eve guess), making runs replayable from the generator.
+    challenge.  The run reads one window of raw words from ``rng`` (see
+    ``_riqkd_batch``), making it replayable from the generator.
     """
-    ext = params.extractor
+    b = _riqkd_batch(params, _window(rng, _riqkd_words(params, noise, eve)), noise, device, eve)
     half = params.half
     tr = Transcript()
-
-    # state preparation: basis pattern + labels, as a conjugate-coding record
-    theta = _half_weight_indicator(rng, params.n)
-    free = np.flatnonzero(theta == 0)
-    pivots = np.flatnonzero(theta == 1)
-    t = _uniform_bits(rng, half)
-    tp = _uniform_bits(rng, half)
-    x = np.zeros(params.n, dtype=np.uint8)
-    x[free] = t
-    x[pivots] = tp
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
 
-    # the channel: Eve and/or noise act on the record in transit
-    eve_record: Optional[tuple[np.ndarray, np.ndarray]] = None
-    rec_theta, rec_x = theta, x
-    if isinstance(eve, KeepAndSubstitute):
-        eve_record = (theta.copy(), x.copy())
-        rec_theta = (
-            eve.theta.bits.copy() if eve.theta is not None else np.zeros(params.n, np.uint8)
-        )
-        rec_x = eve.x.bits.copy() if eve.x is not None else np.zeros(params.n, np.uint8)
-        if rec_theta.shape != theta.shape or rec_x.shape != x.shape:
-            raise ValueError("substitute record length must match the run")
-    elif isinstance(eve, InterceptResend):
-        hat = (
-            eve.theta_hat.bits.copy()
-            if eve.theta_hat is not None
-            else _uniform_bits(rng, params.n)
-        )
-        if hat.shape != theta.shape:
-            raise ValueError("basis-guess length must match the run")
-        coins = _uniform_bits(rng, params.n)
-        y = np.where(hat == theta, x, coins)
-        eve_record = (hat, y)
-        rec_theta, rec_x = hat, y
-    elif eve is not None:
-        raise ValueError(f"unknown eavesdropper kind {eve!r}")
-    if noise is not None:
-        rec_x = noise.apply_bits(rec_x, rec_theta, rng)
-
-    # the device measures in the coset basis of a (bases = theta)
-    dev_coins = _uniform_bits(rng, params.n)
-    dev_read = np.where(rec_theta == theta, rec_x, dev_coins)
-    t_hat = dev_read[free]
-    tp_hat = dev_read[pivots]
-    fault = isinstance(device, SyndromeFault)
-    if not fault and device != "honest":
-        raise ValueError(f"unknown device kind {device!r}")
-    if fault:
-        c = device.codeword if device.codeword is not None else min_weight_codeword(params.code)
-        if c.n != half:
-            raise ValueError("fault codeword length must be n/2")
-        tp_hat = tp_hat ^ c.bits  # same syndrome, different word
-
     # parameter estimation
-    tr.send("alice", "bob", "subspace", Gf2Vec(theta))
-    tr.send("bob", "alice", "position_response", Gf2Vec(t_hat))
-    est_distance = int((t_hat ^ t).sum())
-    if est_distance > params.gamma * half:
+    tr.send("alice", "bob", "subspace", Gf2Vec(b.theta[0]))
+    tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
+    est_distance = int(b.est_distance[0])
+    if not b.est_ok[0]:
         tr.send("alice", "bob", "estimate_flag", 0)
         return QkdOutcome(None, None, 0, None, est_distance, None, tr)
     tr.send("alice", "bob", "estimate_flag", 1)
 
-    # error correction: the device reports its phase-word syndrome
-    syn_hat = _syn(params.code, tp_hat)
-    tr.send("bob", "alice", "syndrome_response", Gf2Vec(syn_hat))
-    t_bar = _align(params.code, tp, syn_hat)
-
-    # information reconciliation
-    spot = _spot_indices(rng, half, params.spot_size)
+    # error correction and information reconciliation
+    tr.send("bob", "alice", "syndrome_response", Gf2Vec(b.syn_hat[0]))
+    spot = np.flatnonzero(b.spot[0])
     tr.send("alice", "bob", "spot_subset", IndexSubset(half, tuple(int(i) for i in spot)))
-    spot_reply = tp_hat[spot]
-    tr.send("bob", "alice", "spot_response", Gf2Vec(spot_reply))
-    mismatches = int((spot_reply ^ t_bar[spot]).sum())
+    tr.send("bob", "alice", "spot_response", Gf2Vec(b.tp_hat[0][spot]))
+    mismatches = int(b.mismatches[0])
     if mismatches:
         tr.send("alice", "bob", "reconcile_flag", 0)
         return QkdOutcome(None, None, 0, None, est_distance, mismatches, tr)
     tr.send("alice", "bob", "reconcile_flag", 1)
 
     # privacy amplification
-    r = Gf2Vec(_uniform_bits(rng, ext.seed_len))
-    tr.send("alice", "bob", "extractor_seed", r)
-    k = ext.extract(Gf2Vec(t_bar), r)
-    k_hat = ext.extract(Gf2Vec(tp_hat), r)
-
-    # Eve's guess from her records plus the classical transcript
-    eve_guess = None
-    if isinstance(eve, KeepAndSubstitute):
-        # she holds the genuine record and heard the bases: her phase read is
-        # exact, and she can run Alice's own correction on it
-        _, ex = eve_record
-        tp_eve = ex[pivots]
-        eve_guess = ext.extract(Gf2Vec(_align(params.code, tp_eve, syn_hat)), r)
-    elif isinstance(eve, InterceptResend):
-        etheta, ex = eve_record
-        eve_coins = _uniform_bits(rng, half)
-        tp_eve = np.where(etheta[pivots] == 1, ex[pivots], eve_coins)
-        eve_guess = ext.extract(Gf2Vec(_align(params.code, tp_eve, syn_hat)), r)
-    return QkdOutcome(k, k_hat, 1, eve_guess, est_distance, mismatches, tr)
+    tr.send("alice", "bob", "extractor_seed", Gf2Vec(b.seed[0]))
+    eve_guess = None if b.eve_guess is None else Gf2Vec(b.eve_guess[0])
+    return QkdOutcome(Gf2Vec(b.k[0]), Gf2Vec(b.k_hat[0]), 1, eve_guess,
+                      est_distance, mismatches, tr)
 
 
 def riqkd_experiment(
@@ -1027,12 +1409,13 @@ def riqkd_experiment(
     seed: int = 0,
     noise: Optional[PauliNoise] = None,
     fault: Optional[SyndromeFault] = None,
+    threads: int = 1,
 ) -> dict:
     """kind="correctness": honest (optionally noisy) runs; counts aborts and
     accepted-key mismatches.  kind="completeness": abort rate against the
     closed-form completeness bound (requires noise).  kind="device_fault":
     Pr[K != K_hat and F = 1] under a syndrome-preserving fault, against the
-    reveal bound."""
+    reveal bound.  The trials run as batch kernels over ``threads`` threads."""
     report: dict = {
         "experiment": f"riqkd_{kind}",
         "n": params.n,
@@ -1045,21 +1428,28 @@ def riqkd_experiment(
     }
     if noise is not None:
         report["noise"] = {"dx": noise.dx, "dz": noise.dz}
+    if kind not in ("correctness", "completeness", "device_fault"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    if kind == "completeness" and noise is None:
+        raise ValueError("completeness needs a noise model")
+    device = "honest"
+    if kind == "device_fault":
+        device = fault if fault is not None else SyndromeFault()
+
+    def kernel(block: np.ndarray) -> np.ndarray:
+        b = _riqkd_batch(params, TrialReader(block), noise, device, None)
+        return _counters(b.f, b.f & (b.k != b.k_hat).any(axis=1))
+
+    accepts, wrong_key = (int(c) for c in _run_trials(
+        trials, _riqkd_words(params, noise, None), seed, _QKD_STREAM, kernel, threads
+    ))
 
     if kind in ("correctness", "completeness"):
-        aborts = mismatched = 0
-        for i in range(trials):
-            out = run_riqkd(params, trial_rng(seed, i), noise=noise)
-            if out.f == 0:
-                aborts += 1
-            elif out.k != out.k_hat:
-                mismatched += 1
+        aborts = trials - accepts
         report["aborts"] = aborts
-        report["key_mismatches_accepted"] = mismatched
+        report["key_mismatches_accepted"] = wrong_key
         _report_interval(report, aborts, trials, prefix="abort_")
         if kind == "completeness":
-            if noise is None:
-                raise ValueError("completeness needs a noise model")
             delta = max(noise.dx, noise.dz)
             bounds = protocol_bounds(
                 params.n, d=params.code.distance, gamma=params.gamma, delta=delta
@@ -1067,26 +1457,17 @@ def riqkd_experiment(
             report["completeness_bound"] = bounds.values["completeness_bound"]
             report["pass"] = aborts / trials <= report["completeness_bound"]
         else:
-            report["pass"] = aborts == 0 and mismatched == 0
+            report["pass"] = aborts == 0 and wrong_key == 0
         return report
 
-    if kind == "device_fault":
-        fault = fault if fault is not None else SyndromeFault()
-        accepts = wrong_key = 0
-        for i in range(trials):
-            out = run_riqkd(params, trial_rng(seed, i), noise=noise, device=fault)
-            accepts += out.f
-            wrong_key += int(out.f == 1 and out.k != out.k_hat)
-        report["accepts"] = accepts
-        report["wrong_key_accepts"] = wrong_key
-        _report_interval(report, wrong_key, trials)
-        bound = (1.0 - 2.0 * params.code.distance / params.n) ** params.spot_size
-        report["correctness_bound"] = bound
-        sigma = binomial_sigma(bound, trials)
-        report["pass"] = wrong_key / trials <= bound + 3 * sigma
-        return report
-
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    report["accepts"] = accepts
+    report["wrong_key_accepts"] = wrong_key
+    _report_interval(report, wrong_key, trials)
+    bound = (1.0 - 2.0 * params.code.distance / params.n) ** params.spot_size
+    report["correctness_bound"] = bound
+    sigma = binomial_sigma(bound, trials)
+    report["pass"] = wrong_key / trials <= bound + 3 * sigma
+    return report
 
 
 # ------------------------------------------------------------------
@@ -1237,6 +1618,7 @@ def secrecy_probe(
     noise: Optional[PauliNoise] = None,
     mode: str = "monte_carlo",
     kappa: Optional[float] = None,
+    threads: int = 1,
 ) -> dict:
     """Estimate how well an eavesdropper guesses the final key.
 
@@ -1244,7 +1626,9 @@ def secrecy_probe(
     against the trivial term 2^-ell * Pr[F=1] plus the closed-form secrecy
     bound (computed at min-entropy ``kappa``, defaulting to the
     half-dimension uncertainty rate).  Without an eavesdropper the guess is
-    a uniform baseline.
+    a uniform baseline.  A trial's window starts with that baseline guess
+    (ell bits) and the run's own window follows; the trials run as batch
+    kernels over ``threads`` threads.
 
     mode="exact": noiseless, eavesdropper-free enumeration of the classical
     leakage (n <= 6, ell = 1): returns the exact trace distance between
@@ -1265,17 +1649,19 @@ def secrecy_probe(
         "trials": trials,
         "seed": seed,
     }
-    accepts = hits = 0
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        out = run_riqkd(params, rng, noise=noise, eve=eve)
-        if out.f != 1:
-            continue
-        accepts += 1
-        guess = out.eve_guess
-        if guess is None:
-            guess = Gf2Vec(_uniform_bits(rng, params.ell))
-        hits += int(guess == out.k)
+    ell = params.ell
+    words = round_up_words(-(-ell // 64) + _riqkd_words(params, noise, eve))
+
+    def kernel(block: np.ndarray) -> np.ndarray:
+        r = TrialReader(block)
+        baseline = r.bits(ell)
+        b = _riqkd_batch(params, r, noise, "honest", eve)
+        guess = baseline if b.eve_guess is None else b.eve_guess
+        return _counters(b.f, b.f & (guess == b.k).all(axis=1))
+
+    accepts, hits = (int(c) for c in _run_trials(
+        trials, words, seed, _QKD_STREAM, kernel, threads
+    ))
     report["accepts"] = accepts
     report["accept_rate"] = accepts / trials
     report["guess_and_accept"] = hits

@@ -271,9 +271,9 @@ GOLDEN_ARGVS = {
 GOLDEN_DIGESTS = {
     "bounds": (0, "1464a4a35dcec6d793117a2e6c93f536bd9ee6d487dd8aea5daf4ae48c23be91"),
     "bounds-full": (0, "db053a0b359efb32eaeb355a55f0ad5f3727f23269388db1c7a8ca125f569580"),
-    "sweep-urbc": (0, "ecf6ec44d1097cadf9c1993bccb9303782d8f4313f442e67c167fd761a351f17"),
+    "sweep-urbc": (0, "5f194c6d81626719ac4faf44369a734718e322db74966f72a257ea57fa50ac67"),
     "sweep-moe": (0, "a4560f2e3e26b50223e0b5429ef106b643bab309fc0dc782abd35fcd1aa9da25"),
-    "selftest": (0, "2c8e594e6fd4db560451e5e08459657e06a4a2edebc2b7814749aeb5d96e896d"),
+    "selftest": (0, "fc25cbda18b8879d44adba3e13072fd3821431f91e218c421e06ca29af24d504"),
     "qkd-csv": (0, "4818d74a79f3b344592e0abedca9e9c9f31cfc867d612dc8e550a8a61ad0dea1"),
     "moe-bob_all": (0, "a1a69b62879dc7e9a980b03817809ca9fecf1db61b68e59d8ba1a48d524a09d7"),
     "moe-charlie_all": (0, "f47e5d684564c8d5d5e78627d7a75478d2a923356f5422b31d52e527e45aeb6a"),
@@ -292,18 +292,18 @@ GOLDEN_DIGESTS = {
     "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
     "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
     "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),
-    "qecm-uncloneable": (0, "3358d71ffc934abe6a3d143d52205c526d800e9c69bc4bc975b7c233ea178fdd"),
-    "qecm-uncloneable-mc": (0, "545d6be8da344efc4abb101d947318be7ab465a3ec06cae49e7d0adfa1f346ad"),
-    "qecm-uncloneable-ind": (0, "753f75ac0caa78819923936f0bf179a24a57421fa7a7e809f0da721af4165c90"),
+    "qecm-uncloneable": (0, "28eebf2f5c2658984a36f471d0df032aaf0538ad837a24b92073f8e467f6fb04"),
+    "qecm-uncloneable-mc": (0, "8aca692d95a54759238635d5bb0aebb237a61b5f1dacc690b99ea94b170f6d26"),
+    "qecm-uncloneable-ind": (0, "fca14c40d6955d130466da5cd012082b20539ee462a8cdfff2dc703c6a5118e7"),
     "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
-    "urbc-binding": (0, "07c4e389b6261d1fe888fdfad3bb2f1bbfd8e5fac8a6f61c847caddad026a64e"),
+    "urbc-binding": (0, "aee33fdced0dec608dc1314b92386979d665ce71d9065f5454216b868862fb24"),
     "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),
     "qkd-correctness": (0, "01fd3500080a95e93bc6e8b6e6f93cb59a1c70b556c9461112df94bca8d82a43"),
     "qkd-completeness": (0, "8f1cdaa54b2907c96166ad4e4ea8bcfb4e9af17c341b7a83cf024b55f4f05f5a"),
-    "qkd-device-fault": (0, "66cd61b7e13bf02e4927abba38727d6777da2ccb81fabaaf1229817e155a5f8a"),
-    "qkd-secrecy": (0, "d334b8fa9f3f243a5d72df0d870cb90b020a930643daa081efece023e4d329a0"),
+    "qkd-device-fault": (0, "c5f5d763614090a0e2283f3262098c669b2061c2a6980a9b825615ff94187de4"),
+    "qkd-secrecy": (0, "573a2c3820ac8b95227106254e1c9cf671d0dce06c89007ef7c98fc87c733e44"),
     "qkd-secrecy-keep": (0, "959ebc42071a6ce80429d41f869d578ed6764c0a2a78d4ca1d516d139f245caa"),
-    "qkd-secrecy-ir": (0, "ee024c561aac1b9bad8f7f00cdc852b63545406df03e32f66df45b93b7c1ad3d"),
+    "qkd-secrecy-ir": (0, "80ff5b205a4b63f0e9c429039848e1ccd19611ecfd900194529a873386407679"),
     "tfkw-honest": (0, "6d80a0c71f8869168a85aed651bb3bcd8d88aaae858914dc3f7c386a18d144e2"),
     "tfkw-attack": (0, "d3a84a7e136e75bc89f195f8a959d97983651acef1aa8f97c63a8b05d49eef2d"),
     "tfkw-noise-fail": (1, "5ae3a47c6f1f959b5f9804341880edfae19403a9a602ad4c9b8483b55ae99ccc"),
@@ -316,13 +316,21 @@ def test_report_bytes_are_pinned(capsys, name):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_DIGESTS[name]
 
 
-# Every subcommand that takes --threads, with enough moe trials for two
-# kernel blocks.  selftest is checked by test_selftest_passes_and_is_thread_invariant.
+# Every subcommand that takes --threads.  The -blocks argvs span two kernel
+# blocks and a partial one, so two threads really split the work: a block is
+# 2^17 // W trials for a W-word trial window, 8192 trials for qecm (W=16),
+# 4681 for urbc (W=28) and 5461 for qkd (W=24) at these sizes, 16384 for moe.
+# selftest is checked by test_selftest_passes_and_is_thread_invariant.
 THREAD_ARGVS = {
     "moe": ("moe", "--set", "kind=measure_wiesner", "--trials", "40000", "--seed", "3"),
     "qecm": GOLDEN_ARGVS["qecm-uncloneable"],
     "urbc": GOLDEN_ARGVS["urbc-binding"],
     "qkd": GOLDEN_ARGVS["qkd-device-fault"],
+    "qecm-blocks": ("qecm", "--set", "kind=uncloneable", "--trials", "17000", "--seed", "3"),
+    "urbc-blocks": ("urbc", "--set", "kind=binding", "--trials", "10000", "--seed", "3"),
+    "qkd-blocks": ("qkd", "--set", "kind=device_fault", "--set", "n=14",
+                   "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
+                   "--trials", "11500", "--seed", "3"),
     "tfkw": GOLDEN_ARGVS["tfkw-attack"],
     "sweep": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "8",
               "--steps", "2", "--trials", "40000", "--seed", "2", "--format", "json"),

@@ -173,6 +173,39 @@ def test_leader_tie_break_is_lexicographic():
         assert min(tuple(v.bits) for v in ties) == tuple(leader.bits)
 
 
+def _scan_leaders(code):
+    """Reference leader lookup: one word at a time, by increasing weight,
+    keeping the lexicographically smallest word of the least weight."""
+    s = code.syndrome_length
+    h = code.parity_check.rows
+    place = 1 << np.arange(s - 1, -1, -1, dtype=np.int64)
+    best, found_weight = {}, {}
+    for w in range(code.length + 1):
+        if len(best) == 1 << s:
+            break
+        for pos in itertools.combinations(range(code.length), w):
+            v = np.zeros(code.length, dtype=np.uint8)
+            v[list(pos)] = 1
+            key = int(((h @ v) & 1) @ place)
+            if key not in best:
+                best[key], found_weight[key] = v, w
+            elif found_weight[key] == w and tuple(v) < tuple(best[key]):
+                best[key] = v
+    return np.array([best[key] for key in range(1 << s)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("args", [
+    ("hamming74",), ("repetition", 5), ("repetition", 6), ("block_repeat", 3, 2),
+    ("random_linear", 10, 3, 1), ("random_linear", 12, 2, 4), ("random_linear", 15, 4, 2),
+    ("random_linear", 18, 2, 0),  # 16 syndrome bits
+])
+def test_leader_lookup_matches_the_word_by_word_scan(args):
+    code = make_code(*args)
+    assert np.array_equal(code._dense_leaders, _scan_leaders(code))
+    table = code.leader_table
+    assert list(table) == [Gf2Vec.from_int(k, code.syndrome_length) for k in range(len(table))]
+
+
 def test_correct_examples():
     c = make_code("hamming74")
     for w in codewords(c):

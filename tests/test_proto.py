@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from cosetmoe import moe, proto
 from cosetmoe.ecc import make_code, min_weight_codeword
 from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec
+from cosetmoe.mc import TrialReader, round_up_words, stream_key, trial_words
 from cosetmoe.proto import (
     CommitmentScheme,
     InterceptResend,
     KeepAndSubstitute,
+    MessageSource,
     PauliNoise,
     QecmParams,
     QkdParams,
@@ -643,3 +646,193 @@ def test_secrecy_probe_keep_and_substitute():
     # her hits are exactly the accepts, and both sit under the bound
     assert rep["guess_and_accept"] == rep["accepts"]
     assert rep["pass"], rep
+
+
+# ------------------------------------------------------------------
+# batch kernels against per-trial runs on the same windows
+# ------------------------------------------------------------------
+
+ORACLE_SEEDS = (0, 7, 2**64 - 1)
+ORACLE_TRIALS = 40  # two 16-trial blocks and a partial one (see _small_blocks)
+
+
+def _small_blocks(monkeypatch, words):
+    """Make run_blocks use 16-trial blocks for a window of ``words`` words."""
+    monkeypatch.setattr(proto, "_BLOCK_WORDS", 16 * words)
+
+
+def _window_rng(seed, stream, words, trial):
+    """A generator positioned at the start of a trial's window."""
+    bitgen = np.random.Philox(key=stream_key(seed, stream))
+    bitgen.advance(trial * words // 4)
+    return np.random.Generator(bitgen)
+
+
+def _prefix(rng, *bit_fields):
+    """Read fields of whole words off ``rng`` as a TrialReader would."""
+    words = sum(-(-b // 64) for b in bit_fields)
+    reader = TrialReader(rng.bit_generator.random_raw(words)[None, :])
+    return [reader.bits(b)[0] for b in bit_fields]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("kind,eve,probs", [
+    ("correctness", None, None),
+    ("uncloneable", "keep_all", None),
+    ("uncloneable", "measure_computational", None),
+    ("uncloneable", "keep_all", (0.4, 0.3, 0.2, 0.1)),
+    ("uncloneable", "measure_computational", (0.7, 0.1, 0.1, 0.1)),
+])
+def test_qecm_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, eve, probs):
+    params = QecmParams(8, 2)
+    source = None if probs is None else MessageSource(probs)
+    words = proto._qecm_words(params, eve, source)
+    _small_blocks(monkeypatch, words)
+    rep = qecm_experiment(kind, params, adversary=eve, trials=ORACLE_TRIALS, seed=seed,
+                          message_probs=probs)
+    accepts = wins = bad = 0
+    for i in range(ORACLE_TRIALS):
+        rng = _window_rng(seed, proto._QECM_STREAM, words, i)
+        out = run_qecm_id(params, rng, eve=eve, message=source)
+        accepts += out.f
+        wins += int(out.f == 1 and out.m_check == out.m)
+        bad += int(not (out.f == 1 and out.m_hat == out.m))
+    if kind == "correctness":
+        assert rep["disagreements"] == bad == 0
+    else:
+        assert (rep["accepts"], rep["wins"]) == (accepts, wins)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("eve", ["keep_all", "measure_computational"])
+def test_qecm_distinguishing_game_equals_per_trial_runs(monkeypatch, seed, eve):
+    params = QecmParams(8, 2)
+    # the referee's bit y, the alternative message m1 and Eve's fallback coin
+    # precede the run's own window
+    words = round_up_words(3 + proto._qecm_words(params, eve, np.zeros(2)))
+    _small_blocks(monkeypatch, words)
+    rep = qecm_experiment("uncloneable_indistinguishable", params, adversary=eve,
+                          trials=ORACLE_TRIALS, seed=seed)
+    m0 = Gf2Vec.zeros(2)
+    accepts = wins = 0
+    for i in range(ORACLE_TRIALS):
+        rng = _window_rng(seed, proto._QECM_STREAM, words, i)
+        y, m1, coin = _prefix(rng, 1, 2, 1)
+        m1 = Gf2Vec(m1)
+        out = run_qecm_id(params, rng, eve=eve, message=m1 if y[0] else m0)
+        if m1 == m0 or out.m_check not in (m0, m1):
+            guess = int(coin[0])
+        else:
+            guess = int(out.m_check == m1)
+        accepts += out.f
+        wins += int(out.f == 1 and guess == y[0])
+    assert (rep["accepts"], rep["wins"]) == (accepts, wins)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("kind,scheme", [
+    ("correctness", "ideal"), ("correctness", "hash_based"), ("binding", "ideal"),
+])
+def test_urbc_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, scheme):
+    params = _urbc_params(scheme=scheme)
+    words = proto._urbc_words(params)
+    _small_blocks(monkeypatch, words)
+    rep = urbc_experiment(kind, params, trials=ORACLE_TRIALS, seed=seed)
+    alice = "binding_attack" if kind == "binding" else "honest"
+    accepts = bad = 0
+    for i in range(ORACLE_TRIALS):
+        out = run_urbc(params, _window_rng(seed, proto._URBC_STREAM, words, i), alice=alice)
+        accepts += out.f
+        bad += int(not (out.g == 1 and out.f == 1 and out.y_hat == out.y))
+    if kind == "correctness":
+        assert rep["disagreements"] == bad == 0
+    else:
+        assert rep["accepts"] == accepts
+
+
+_QKD_H74 = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
+_QKD_NOISY = QkdParams(16, 2, 0.25, 0.25, make_code("repetition", 8))
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("params,kind,noise,fault", [
+    (_QKD_NOISY, "correctness", None, None),
+    (_QKD_NOISY, "correctness", PauliNoise(dx=0.15, dz=0.1), None),
+    (_QKD_H74, "device_fault", None, SyndromeFault()),
+    (_QKD_H74, "device_fault", PauliNoise(dx=0.05, dz=0.05),
+     SyndromeFault(Gf2Vec([1, 1, 1, 0, 0, 0, 0]))),
+])
+def test_riqkd_batch_counts_equal_per_trial_runs(monkeypatch, seed, params, kind, noise, fault):
+    words = proto._riqkd_words(params, noise, None)
+    _small_blocks(monkeypatch, words)
+    rep = riqkd_experiment(kind, params, trials=ORACLE_TRIALS, seed=seed, noise=noise,
+                           fault=fault)
+    accepts = wrong = 0
+    for i in range(ORACLE_TRIALS):
+        rng = _window_rng(seed, proto._QKD_STREAM, words, i)
+        out = run_riqkd(params, rng, noise=noise, device=fault or "honest")
+        accepts += out.f
+        wrong += int(out.f == 1 and out.k != out.k_hat)
+    if kind == "correctness":
+        assert (rep["aborts"], rep["key_mismatches_accepted"]) == (ORACLE_TRIALS - accepts, wrong)
+    else:
+        assert (rep["accepts"], rep["wrong_key_accepts"]) == (accepts, wrong)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("params,eve,noise", [
+    (_QKD_NOISY, None, PauliNoise(dx=0.05, dz=0.05)),
+    (QkdParams(8, 2, 0.0, 0.25, make_code("repetition", 4)), KeepAndSubstitute(), None),
+    (QkdParams(8, 2, 0.5, 0.25, make_code("repetition", 4)), InterceptResend(), None),
+    (QkdParams(8, 2, 0.5, 0.25, make_code("repetition", 4)),
+     InterceptResend(Gf2Vec([0, 1] * 4)), PauliNoise(dx=0.1, dz=0.0)),
+])
+def test_secrecy_probe_counts_equal_per_trial_runs(monkeypatch, seed, params, eve, noise):
+    # the baseline guess (used without an eavesdropper) precedes the run's window
+    words = round_up_words(1 + proto._riqkd_words(params, noise, eve))
+    _small_blocks(monkeypatch, words)
+    rep = secrecy_probe(params, eve=eve, trials=ORACLE_TRIALS, seed=seed, noise=noise)
+    accepts = hits = 0
+    for i in range(ORACLE_TRIALS):
+        rng = _window_rng(seed, proto._QKD_STREAM, words, i)
+        (baseline,) = _prefix(rng, params.ell)
+        out = run_riqkd(params, rng, noise=noise, eve=eve)
+        guess = out.eve_guess if out.eve_guess is not None else Gf2Vec(baseline)
+        accepts += out.f
+        hits += int(out.f == 1 and guess == out.k)
+    assert (rep["accepts"], rep["guess_and_accept"]) == (accepts, hits)
+
+
+def test_batch_counts_do_not_depend_on_blocks_or_threads(monkeypatch):
+    params = _urbc_params()
+    one = urbc_experiment("binding", params, trials=300, seed=3)
+    _small_blocks(monkeypatch, proto._urbc_words(params))
+    assert urbc_experiment("binding", params, trials=300, seed=3, threads=2) == one
+
+
+def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
+    seed = 5
+    keys = {}
+
+    def recording(name, real):
+        def run(trials, words, key, kernel, *args, **kwargs):
+            keys[name] = key
+            return real(trials, words, key, kernel, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(proto, "run_blocks", recording("proto", proto.run_blocks))
+    for name, call in [
+        ("qecm", lambda: qecm_experiment("correctness", QecmParams(8, 2), trials=1, seed=seed)),
+        ("urbc", lambda: urbc_experiment("correctness", _urbc_params(), trials=1, seed=seed)),
+        ("qkd", lambda: riqkd_experiment("correctness", _qkd_params(), trials=1, seed=seed)),
+    ]:
+        call()
+        keys[name] = keys.pop("proto")
+    monkeypatch.setattr(moe, "run_blocks", recording("moe", moe.run_blocks))
+    moe.play_leaky(moe.MoeParams(n=4, trials=1, seed=seed), moe.builtin_strategy("bob_all"))
+    first = {name: tuple(trial_words(key, 4, 0, 1)[0]) for name, key in keys.items()}
+    assert len(set(first.values())) == 4
+    # nor do they meet the per-trial generators that tfkw and the statevector
+    # paths use (moe's own stream starts where trial_rng(seed, 0) does)
+    per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(4)}
+    assert not per_trial & {first["qecm"], first["urbc"], first["qkd"]}
