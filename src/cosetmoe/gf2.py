@@ -39,12 +39,12 @@ __all__ = [
 
 
 def _as_bits(bits, n: int | None = None) -> np.ndarray:
+    # ``& 1`` makes a fresh array: freezing it never touches the caller's
     arr = np.asarray(bits, dtype=np.uint8) & 1
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional bit sequence")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected length {n}, got {arr.shape[0]}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -149,10 +149,9 @@ class Gf2Matrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=np.uint8) & 1
+        arr = np.asarray(rows, dtype=np.uint8) & 1  # a fresh array, as in _as_bits
         if arr.ndim != 2:
             raise ValueError("expected a two-dimensional bit array")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "_rows", arr)
 

@@ -104,6 +104,17 @@ def test_config_and_json_export():
         make_code_from_config({"kind": "hamming74", "flavor": "extra"})
 
 
+def test_config_returns_the_code_already_built():
+    cfg = {"kind": "block_repeat", "params": [63, 30]}
+    code = make_code_from_config(cfg)
+    assert make_code_from_config(dict(cfg)) is code
+    assert make_code_from_config({"kind": "hamming74"}).kind == ("hamming74",)
+    assert make_code_from_config(cfg) is code  # two codes are kept
+    # only exact ints are keys: a float parameter is built, and fails, as before
+    with pytest.raises(TypeError):
+        make_code_from_config({"kind": "block_repeat", "params": [63.0, 30]})
+
+
 # ---------------------------------------------------------------------------
 # syndromes
 

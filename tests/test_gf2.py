@@ -30,6 +30,18 @@ def e(i, n):
     return Gf2Vec(v)
 
 
+def test_constructors_own_their_bits():
+    """A vector or matrix never shares or freezes the caller's array."""
+    v_src = np.array([1, 0, 3], dtype=np.uint8)
+    m_src = np.array([[1, 0], [2, 1]], dtype=np.uint8)
+    v, m = Gf2Vec(v_src), Gf2Matrix(m_src)
+    v_src[:] = 0
+    m_src[:] = 0
+    assert v.bits.tolist() == [1, 0, 1] and m.rows.tolist() == [[1, 0], [0, 1]]
+    assert v_src.flags.writeable and m_src.flags.writeable
+    assert not v.bits.flags.writeable and not m.rows.flags.writeable
+
+
 # ---------------------------------------------------------------- rref
 
 
