@@ -215,6 +215,7 @@ def test_dispatch_help_exits_0(capsys):
 _H74 = '{"kind":"hamming74","params":[]}'
 _MOE_KINDS = ("bob_all", "charlie_all", "mix", "measure_computational",
               "measure_wiesner", "keep_and_substitute", "leak_smuggle")
+_MOE_BLOCKS_TRIALS = str(2 * 2**14 + 5)
 
 # One small argv per subcommand, experiment kind and output format.
 GOLDEN_ARGVS = {
@@ -232,6 +233,18 @@ GOLDEN_ARGVS = {
                     "--seed", "5") for k in _MOE_KINDS},
     **{f"moe-all-{k}": ("moe", "--set", f"kind={k}", "--set", "n=4", "--set", "family=all",
                         "--trials", "100", "--seed", "5") for k in _MOE_KINDS},
+    # n=64, two blocks of 2^14 trials and a partial one, radii that give
+    # non-trivial counts, and a substitute record with both bases in play
+    "moe64-bob_all": ("moe", "--set", "kind=bob_all", "--set", "n=64", "--set", "m_prime=14",
+                      "--trials", _MOE_BLOCKS_TRIALS, "--seed", "5"),
+    "moe64-measure_wiesner": ("moe", "--set", "kind=measure_wiesner", "--set", "n=64",
+                              "--set", "m=8", "--set", "m_prime=8",
+                              "--trials", _MOE_BLOCKS_TRIALS, "--seed", "5"),
+    "moe64-keep_and_substitute": ("moe", "--set", "kind=keep_and_substitute", "--set", "n=64",
+                                  "--set", "m=14",
+                                  "--set", 'substitute_x="' + "0110" * 16 + '"',
+                                  "--set", 'substitute_theta="' + "0011" * 16 + '"',
+                                  "--trials", _MOE_BLOCKS_TRIALS, "--seed", "5"),
     "qecm-correctness": ("qecm", "--trials", "100", "--seed", "7"),
     "qecm-correctness-all": ("qecm", "--set", "family=all", "--set", "n=4", "--set", "ell=1",
                              "--trials", "30", "--seed", "7"),
@@ -289,6 +302,9 @@ GOLDEN_DIGESTS = {
     "moe-all-measure_wiesner": (0, "79669ae17a1ecab17446143551e3874ea38f9629154b3c4d4997c224a2228822"),
     "moe-all-keep_and_substitute": (0, "ac045f500b0f4909f9eb5c5baaa42b9b58c7c9251964b856ba139ebf69a6d3a7"),
     "moe-all-leak_smuggle": (0, "443bc22aa94eb964b66d6623acfabd3f31fbe1ed813562ca3436d4a3301d4b00"),
+    "moe64-bob_all": (0, "0bf3afdf6588633122470f635e678694f73a028ccc376a9ad0f63c3e2c9afbd6"),
+    "moe64-measure_wiesner": (0, "a279d470271917176d3adc3302264ecb85d2ab00d893d6b774fea4a5520b31be"),
+    "moe64-keep_and_substitute": (0, "065e040ca6ce48fa9322405c66ee6ca0e3c9dbe80901922c913e0bd05d57543e"),
     "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
     "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
     "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),
@@ -323,6 +339,7 @@ def test_report_bytes_are_pinned(capsys, name):
 # selftest is checked by test_selftest_passes_and_is_thread_invariant.
 THREAD_ARGVS = {
     "moe": ("moe", "--set", "kind=measure_wiesner", "--trials", "40000", "--seed", "3"),
+    "moe64": GOLDEN_ARGVS["moe64-keep_and_substitute"],
     "qecm": GOLDEN_ARGVS["qecm-uncloneable"],
     "urbc": GOLDEN_ARGVS["urbc-binding"],
     "qkd": GOLDEN_ARGVS["qkd-device-fault"],
