@@ -7,6 +7,12 @@ window [i*W, (i+1)*W), where W, the per-trial word budget, is a whole number
 of Philox blocks (4 x 64-bit words).  Because the window depends only on
 (seed, trial index), results are bit-identical no matter how trials are
 grouped into blocks or spread over threads.
+
+A bit field is read packed: whole uint64 words, bit 0 of the field in the
+most significant bit of the first word, with the bits past the field's
+length zeroed in a copy (``TrialReader.packed``).  Kernels that only XOR,
+mask and count bits work on these words directly (``np.bitwise_count``);
+``bits`` is the same field unpacked to one uint8 per bit.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "round_up_words",
     "stream_key",
     "trial_words",
+    "words_to_bytes",
     "bits_from_words",
     "floats_from_words",
     "TrialReader",
@@ -34,6 +41,7 @@ __all__ = [
 
 PHILOX_BLOCK_WORDS = 4
 _KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
 _Z_95 = 1.959963984540054
 
 
@@ -72,19 +80,22 @@ def trial_words(seed: int, words_per_trial: int, start: int, count: int) -> np.n
     return raw.reshape(count, words_per_trial)
 
 
+def words_to_bytes(words: np.ndarray) -> np.ndarray:
+    """The big-endian bytes of (T, W) uint64 rows as (T, 8W) uint8: byte 0 of
+    a row holds the most significant 8 bits of its first word."""
+    return np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
+
+
 def bits_from_words(words: np.ndarray, nbits: int) -> np.ndarray:
     """Unpack (T, W) uint64 rows into (T, nbits) uint8 bits, MSB first."""
-    t, w = words.shape
-    if nbits > 64 * w:
+    if nbits > 64 * words.shape[1]:
         raise ValueError("not enough words for requested bits")
-    shifts = np.arange(63, -1, -1, dtype=np.uint64)
-    bits = ((words[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return bits.reshape(t, w * 64)[:, :nbits]
+    return np.unpackbits(words_to_bytes(words), axis=1, count=nbits)
 
 
 def floats_from_words(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to float64 in [0, 1) using the top 53 bits."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class TrialReader:
@@ -110,7 +121,17 @@ class TrialReader:
         self._pos += nwords
         return out
 
+    def packed(self, nbits: int) -> np.ndarray:
+        """The next ``nbits`` bits as (T, ceil(nbits/64)) uint64 words, MSB
+        first, with the bits past ``nbits`` zeroed.  The words are a copy, so
+        the caller's block is never written."""
+        out = self._take(-(-nbits // 64)).copy()
+        if nbits % 64:
+            out[:, -1] &= np.uint64(_WORD_MASK ^ ((1 << (64 - nbits % 64)) - 1))
+        return out
+
     def bits(self, nbits: int) -> np.ndarray:
+        """The next ``nbits`` bits unpacked to (T, nbits) uint8, MSB first."""
         return bits_from_words(self._take(-(-nbits // 64)), nbits)
 
     def floats(self, count: int) -> np.ndarray:
@@ -119,13 +140,18 @@ class TrialReader:
 
 def top_k_mask(floats: np.ndarray, k: int) -> np.ndarray:
     """Uniform k-subsets from iid uniforms: row-wise uint8 indicators of the k
-    largest draws.  A partition, not a sort, finds them; a tie at the k-th
-    value, which 53-bit uniforms almost never produce, is broken by a rule
-    that depends on the row alone."""
+    largest draws, 1 <= k <= n.  They are the draws at or above the row's
+    k-th largest value, read off a sort.  A row where that value is tied,
+    which 53-bit uniforms almost never produce, takes its k from an
+    argpartition instead, a rule that depends on the row alone."""
     t, n = floats.shape
-    top = np.argpartition(floats, n - k, axis=1)[:, n - k :]
-    mask = np.zeros(floats.shape, dtype=np.uint8)
-    mask[np.arange(t)[:, None], top] = 1
+    ranked = np.sort(floats, axis=1)
+    mask = (floats >= ranked[:, n - k, None]).view(np.uint8)
+    if np.count_nonzero(mask) != k * t:  # some row holds more than k
+        tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
+        top = np.argpartition(floats[tied], n - k, axis=1)[:, n - k :]
+        mask[tied] = 0
+        mask[tied[:, None], top] = 1
     return mask
 
 

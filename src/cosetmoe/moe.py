@@ -11,7 +11,12 @@ Two execution paths produce the same distribution for the built-in
 strategies:
 
 * a vectorised classical path for the register family, where every built-in
-  reduces to bookkeeping over Wiesner records (basis bits, data bits, coins);
+  reduces to bookkeeping over Wiesner records (basis bits, data bits, coins).
+  Its kernels work on packed words: every bit field is read as uint64 words
+  (``TrialReader.packed``) and every Hamming distance is the popcount of an
+  XOR.  Where the labels (t, t') must be laid onto the coordinates, a
+  256 x 256 byte table deposits them onto the packed free and pivot masks
+  of the basis word, so no per-trial sort or gather over coordinates runs;
 * a statevector path that actually prepares the state, runs the channel
   dilation and Born-rule measures party registers, for any family up to the
   simulator's qubit limit.
@@ -24,6 +29,7 @@ or for rules that read the channel log).  Every built-in obeys this.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +39,7 @@ import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vec, hamming, sample_subspace, solve_coset_membership
 from .info import ball_volume
-from .mc import TrialReader, run_blocks, top_k_mask, wilson_interval, words_for
+from .mc import TrialReader, run_blocks, top_k_mask, wilson_interval, words_for, words_to_bytes
 from .qsim import (
     AdversaryChannel,
     CosetDescriptor,
@@ -197,16 +203,55 @@ def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
     return Gf2Vec(rng.integers(0, 2, size=k, dtype=np.uint8))
 
 
-def _sample_theta(floats: np.ndarray) -> np.ndarray:
-    """Exact-half-weight basis rows from iid uniforms: the n/2 largest draws
-    of each row mark the Hadamard (pivot) positions."""
-    return top_k_mask(floats, floats.shape[1] // 2)
+def _sample_pivots(floats: np.ndarray) -> np.ndarray:
+    """Exact-half-weight basis rows from iid uniforms, packed to bytes MSB
+    first: the n/2 largest draws of each row mark the Hadamard (pivot)
+    positions, where θ = 1."""
+    return np.packbits(top_k_mask(floats, floats.shape[1] // 2), axis=1)
 
 
-def _coord_order(theta: np.ndarray) -> np.ndarray:
-    """Column indices with the free (θ=0) coordinates first, each group
-    ascending — the order in which (t, t') bits populate the data word."""
-    return np.argsort(theta, axis=1, kind="stable")
+def _weight(packed: np.ndarray) -> np.ndarray:
+    """Row-wise Hamming weight of packed words or bytes."""
+    return np.bitwise_count(packed).sum(axis=1)
+
+
+@functools.cache
+def _deposit_table() -> np.ndarray:
+    """Byte-wise bit deposit, flattened: entry (mask << 8) | src holds the
+    top popcount(mask) bits of ``src``, in order, placed on the set bits of
+    ``mask`` (MSB first).  Read-only, as the cache shares it."""
+    lanes = np.arange(7, -1, -1, dtype=np.uint8)
+    bits = (np.arange(256, dtype=np.uint8)[:, None] >> lanes) & 1  # bits[b, i]: lane i of b
+    rank = np.cumsum(bits, axis=1, dtype=np.uint8) - bits  # set mask lanes before lane i
+    # entry (mask, src): over the set lanes i of mask, src bit rank[mask, i] << (7 - i)
+    placed = bits.T[rank] * (bits << lanes)[:, :, None]
+    table = placed.sum(axis=1, dtype=np.uint8).reshape(-1)
+    table.setflags(write=False)
+    return table
+
+
+def _deposit(src: np.ndarray, mask: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Spread the bits of packed (T, W) uint64 rows ``src`` over the set bits
+    of the (T, B) byte rows ``mask``, in order: byte j takes popcount(mask[:, j])
+    bits starting at bit ``offset[:, j]`` (uint64) of its source row."""
+    t, w = src.shape
+    # two zero words past each row: an offset may reach the end of the source
+    flat = np.concatenate([src, np.zeros((t, 2), dtype=np.uint64)], axis=1).reshape(-1)
+    word = (offset >> np.uint64(6)).astype(np.intp) + np.arange(0, t * (w + 2), w + 2)[:, None]
+    shift = offset & np.uint64(63)
+    # the 8 source bits from the offset on; numpy shifts by 64 give 0
+    window = ((flat[word] << shift) | (flat[word + 1] >> (np.uint64(64) - shift))) >> np.uint64(56)
+    return _deposit_table()[(mask.astype(np.intp) << 8) | window.astype(np.intp)]
+
+
+def _coset_offsets(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bit offsets of t and t' at each byte of the packed pivot rows: t fills
+    the free (θ=0) coordinates and t' the pivots, each in ascending order, so
+    the offset at byte j counts the free (resp. pivot) coordinates before it."""
+    count = np.bitwise_count(pivots)
+    pivot_off = np.cumsum(count, axis=1, dtype=np.uint64) - count
+    free_off = np.arange(0, 8 * pivots.shape[1], 8, dtype=np.uint64) - pivot_off
+    return free_off, pivot_off
 
 
 def _binom_tail_half(f: int, m: int) -> float:
@@ -255,10 +300,10 @@ def _build_bob_all(params: MoeParams, leak: bool):
 
     def kernel(words):
         r = TrialReader(words)
-        tp = r.bits(half)
-        guess = r.bits(half)
+        tp = r.packed(half)
+        guess = r.packed(half)
         bob_ok = np.ones(r.count, dtype=bool)  # Bob measures his own state exactly
-        win = (guess ^ tp).sum(axis=1) <= mp
+        win = _weight(guess ^ tp) <= mp
         return _counters(win, bob_ok)
 
     return wpt, kernel
@@ -270,9 +315,9 @@ def _build_charlie_all(params: MoeParams, leak: bool):
 
     def kernel(words):
         r = TrialReader(words)
-        t = r.bits(half)
-        guess = r.bits(half)
-        bob_ok = (guess ^ t).sum(axis=1) <= m
+        t = r.packed(half)
+        guess = r.packed(half)
+        bob_ok = _weight(guess ^ t) <= m
         return _counters(bob_ok, bob_ok)  # Charlie holds the state: exact
 
     return wpt, kernel
@@ -286,11 +331,11 @@ def _build_mix(q: float):
         def kernel(words):
             r = TrialReader(words)
             coin = r.floats(1)[:, 0] < q
-            t = r.bits(half)
-            tp = r.bits(half)
-            guess = r.bits(half)
-            bob_ok = np.where(coin, True, (guess ^ t).sum(axis=1) <= m)
-            win = np.where(coin, (guess ^ tp).sum(axis=1) <= mp, bob_ok)
+            t = r.packed(half)
+            tp = r.packed(half)
+            guess = r.packed(half)
+            bob_ok = np.where(coin, True, _weight(guess ^ t) <= m)
+            win = np.where(coin, _weight(guess ^ tp) <= mp, bob_ok)
             return _counters(win, bob_ok)
 
         return wpt, kernel
@@ -304,10 +349,10 @@ def _build_measure_computational(params: MoeParams, leak: bool):
 
     def kernel(words):
         r = TrialReader(words)
-        tp = r.bits(half)
-        pivot_bits = r.bits(half)  # Hadamard qubits read computationally: coins
+        tp = r.packed(half)
+        pivot_bits = r.packed(half)  # Hadamard qubits read computationally: coins
         bob_ok = np.ones(r.count, dtype=bool)  # free coordinates carry t exactly
-        win = (pivot_bits ^ tp).sum(axis=1) <= mp
+        win = _weight(pivot_bits ^ tp) <= mp
         return _counters(win, bob_ok)
 
     return wpt, kernel
@@ -318,23 +363,24 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
         n, half, m, mp = params.n, params.half, params.m, params.m_prime
         if theta_hat.n != n:
             raise ValueError("basis-choice length must match the game")
-        hat = theta_hat.bits[None, :]
+        hat = np.packbits(theta_hat.bits)
+        coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, half, n), float_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
-            t = r.bits(half)
-            tp = r.bits(half)
-            coins = r.bits(n)
-            theta = _sample_theta(r.floats(n))
-            order = _coord_order(theta)
-            x = np.empty_like(theta)
-            np.put_along_axis(x, order, np.concatenate([t, tp], axis=1), axis=1)
-            v = np.where(theta == hat, x, coins)  # wrong-basis reads are coins
-            t_b = np.take_along_axis(v, order[:, :half], axis=1)
-            tp_c = np.take_along_axis(v, order[:, half:], axis=1)
-            bob_ok = (t_b ^ t).sum(axis=1) <= m
-            win = bob_ok & ((tp_c ^ tp).sum(axis=1) <= mp)
+            t = r.packed(half)
+            tp = r.packed(half)
+            coins = words_to_bytes(r.packed(n))[:, : hat.size]
+            pivots = _sample_pivots(r.floats(n))
+            free = coords ^ pivots
+            free_off, pivot_off = _coset_offsets(pivots)
+            x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
+            # a wrong-basis read is a coin; Bob answers the free coordinates,
+            # Charlie the pivots, so each distance counts the wrong coins there
+            miss = (pivots ^ hat) & (coins ^ x)
+            bob_ok = _weight(miss & free) <= m
+            win = bob_ok & (_weight(miss & pivots) <= mp)
             return _counters(win, bob_ok)
 
         return wpt, kernel
@@ -348,21 +394,23 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
         rec = record if record is not None else _zero_record(n)
         if rec.n != n:
             raise ValueError("substitute record length must match the game")
-        rx = rec.x.bits[None, :]
-        rtheta = rec.theta.bits[None, :]
+        rx = np.packbits(rec.x.bits)
+        rtheta = np.packbits(rec.theta.bits)
+        coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, n), float_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
-            t = r.bits(half)
-            coins = r.bits(n)
-            theta = _sample_theta(r.floats(n))
-            order = _coord_order(theta)
+            t = r.packed(half)
+            coins = words_to_bytes(r.packed(n))[:, : rx.size]
+            pivots = _sample_pivots(r.floats(n))
+            free = coords ^ pivots
+            free_off, _ = _coset_offsets(pivots)
             # Bob coset-measures the substitute: at each free coordinate he
             # sees the record's data bit when bases agree, a coin otherwise.
-            v = np.where(rtheta == theta, np.broadcast_to(rx, theta.shape), coins)
-            t_b = np.take_along_axis(v, order[:, :half], axis=1)
-            bob_ok = (t_b ^ t).sum(axis=1) <= m
+            agree = ~(rtheta ^ pivots)
+            v = coins ^ ((coins ^ rx) & agree)
+            bob_ok = _weight((v ^ _deposit(t, free, free_off)) & free) <= m
             return _counters(bob_ok, bob_ok)  # Charlie kept the state: exact
 
         return wpt, kernel
@@ -376,14 +424,14 @@ def _build_leak_smuggle(params: MoeParams, leak: bool):
 
     def kernel(words):
         r = TrialReader(words)
-        t = r.bits(half)
-        tp = r.bits(half)
-        fallback = r.bits(half)
+        t = r.packed(half)
+        tp = r.packed(half)
+        fallback = r.packed(half)
         # Bob answers his measured phase word as the position guess; with the
         # leak on, Charlie echoes it back as the phase guess.
-        bob_ok = (tp ^ t).sum(axis=1) <= m
+        bob_ok = _weight(tp ^ t) <= m
         charlie = tp if leak else fallback
-        win = bob_ok & ((charlie ^ tp).sum(axis=1) <= mp)
+        win = bob_ok & (_weight(charlie ^ tp) <= mp)
         return _counters(win, bob_ok)
 
     return wpt, kernel

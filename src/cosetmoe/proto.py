@@ -64,6 +64,7 @@ from .mc import (
     top_k_mask,
     wilson_interval,
     words_for,
+    words_to_bytes,
 )
 from .qsim import (
     CosetDescriptor,
@@ -955,7 +956,7 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
     committed = np.concatenate([seed, h], axis=1)
     tokens = nonces = None
     if params.scheme == "hash_based":
-        nonces = np.packbits(r.bits(256), axis=1)
+        nonces = words_to_bytes(r.packed(256))
         values = [_pack_pair(Gf2Vec(rr), Gf2Vec(hh)) for rr, hh in zip(seed, h)]
         tokens = [_hash_token(v, nonce.tobytes()) for v, nonce in zip(values, nonces)]
 

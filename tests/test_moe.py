@@ -7,13 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, solve_coset_membership
 from cosetmoe.info import ball_volume, moe_bound
 from cosetmoe.mc import (
     TrialReader,
     bits_from_words,
+    floats_from_words,
     run_blocks,
+    top_k_mask,
     trial_words,
     wilson_interval,
     words_for,
@@ -58,6 +62,70 @@ def test_bits_unpack_msb_first():
     bits = bits_from_words(words, 128)
     assert bits[0, 0] == 1 and bits[0, 1:64].sum() == 0
     assert bits[0, 127] == 1 and bits[0, 64:127].sum() == 0
+
+
+def _shift_bits(words, nbits):
+    """The defining unpack: bit j of a row is bit 63 - j % 64 of word j // 64."""
+    shifts = np.arange(63, -1, -1, dtype=np.uint64)
+    bits = ((words[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return bits.reshape(words.shape[0], -1)[:, :nbits]
+
+
+def _argpartition_top_k(floats, k):
+    """Row-wise indicators of the k largest draws, picked by argpartition."""
+    t, n = floats.shape
+    top = np.argpartition(floats, n - k, axis=1)[:, n - k :]
+    mask = np.zeros(floats.shape, dtype=np.uint8)
+    mask[np.arange(t)[:, None], top] = 1
+    return mask
+
+
+@pytest.mark.parametrize("nbits", [1, 7, 63, 64, 65, 100, 3780])
+@pytest.mark.parametrize("trials", [1, 9])
+def test_bits_from_words_equals_shift_formula(nbits, trials):
+    nwords = -(-nbits // 64)
+    words = trial_words(11, 4 * -(-nwords // 4), 0, trials)[:, :nwords]
+    got = bits_from_words(words, nbits)
+    assert got.dtype == np.uint8 and got.shape == (trials, nbits)
+    assert np.array_equal(got, _shift_bits(words, nbits))
+    assert np.array_equal(TrialReader(words).bits(nbits), got)
+
+
+@pytest.mark.parametrize("nbits", [1, 7, 63, 64, 65, 100, 3780])
+def test_packed_read_zeroes_the_tail_and_copies(nbits):
+    block = trial_words(12, 128, 0, 5)
+    before = block.copy()
+    r = TrialReader(block)
+    first = r.packed(nbits)
+    second = r.packed(nbits)
+    nwords = -(-nbits // 64)
+    assert first.dtype == np.uint64 and first.shape == (5, nwords)
+    assert np.array_equal(block, before)  # the caller's window is never masked
+    for got, start in ((first, 0), (second, nwords)):
+        field = block[:, start : start + nwords]
+        assert np.array_equal(_shift_bits(got, 64 * nwords)[:, :nbits], _shift_bits(field, nbits))
+        assert not _shift_bits(got, 64 * nwords)[:, nbits:].any()
+    first[:] = 0
+    assert np.array_equal(block, before)
+
+
+def test_floats_use_the_top_53_bits():
+    words = trial_words(13, 8, 0, 50)
+    words[0, :3] = [0, (1 << 64) - 1, 1 << 11]
+    expected = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert np.array_equal(floats_from_words(words), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 14, 64, 130])
+def test_top_k_mask_equals_argpartition(n):
+    floats = floats_from_words(trial_words(n, 4 * n, 0, 300))[:, :n]
+    # rows with few distinct values tie at the k-th largest draw
+    ties = np.random.default_rng(n).integers(0, 3, size=(300, n)) / 4.0
+    for k in sorted({1, max(1, n // 2), n}):
+        for draws in (floats, ties):
+            got = top_k_mask(draws, k)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, _argpartition_top_k(draws, k))
 
 
 def test_trial_reader_budget_enforced():
@@ -426,3 +494,122 @@ def _canonical(kind, n):
     if kind == "mix":
         return builtin_strategy("mix", q=0.5)
     return builtin_strategy(kind)
+
+
+# ------------------------------------------------------------------
+# packed register kernels against the uint8 kernels they replaced
+# ------------------------------------------------------------------
+
+
+class _ReferenceReader:
+    """Fields off a word block in order, unpacked by the defining formulas."""
+
+    def __init__(self, words):
+        self.words, self.pos = words, 0
+
+    def _take(self, nwords):
+        out = self.words[:, self.pos : self.pos + nwords]
+        self.pos += nwords
+        return out
+
+    def bits(self, nbits):
+        return _shift_bits(self._take(-(-nbits // 64)), nbits)
+
+    def floats(self, count):
+        return (self._take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _reference_kernel(kind, params, leak, q=0.5, theta_hat=None, substitute=None):
+    """The uint8 register kernels: one byte per bit, distances as sums of
+    bytes, and (t, t') laid onto the coordinates by a stable sort of θ."""
+    n, half, m, mp = params.n, params.half, params.m, params.m_prime
+
+    def hamming_rows(a, b):
+        return (a ^ b).sum(axis=1)
+
+    def theta_and_order(r):
+        theta = _argpartition_top_k(r.floats(n), half)
+        return theta, np.argsort(theta, axis=1, kind="stable")
+
+    def kernel(words):
+        r = _ReferenceReader(words)
+        count = words.shape[0]
+        if kind in ("bob_all", "measure_computational"):
+            tp, guess = r.bits(half), r.bits(half)
+            bob_ok = np.ones(count, dtype=bool)
+            win = hamming_rows(guess, tp) <= mp
+        elif kind == "charlie_all":
+            t, guess = r.bits(half), r.bits(half)
+            bob_ok = win = hamming_rows(guess, t) <= m
+        elif kind == "mix":
+            coin = r.floats(1)[:, 0] < q
+            t, tp, guess = r.bits(half), r.bits(half), r.bits(half)
+            bob_ok = np.where(coin, True, hamming_rows(guess, t) <= m)
+            win = np.where(coin, hamming_rows(guess, tp) <= mp, bob_ok)
+        elif kind == "measure_wiesner":
+            t, tp, coins = r.bits(half), r.bits(half), r.bits(n)
+            theta, order = theta_and_order(r)
+            x = np.empty_like(theta)
+            np.put_along_axis(x, order, np.concatenate([t, tp], axis=1), axis=1)
+            v = np.where(theta == theta_hat.bits[None, :], x, coins)
+            t_b = np.take_along_axis(v, order[:, :half], axis=1)
+            tp_c = np.take_along_axis(v, order[:, half:], axis=1)
+            bob_ok = hamming_rows(t_b, t) <= m
+            win = bob_ok & (hamming_rows(tp_c, tp) <= mp)
+        elif kind == "keep_and_substitute":
+            rec = substitute or WiesnerRecord(x=Gf2Vec.zeros(n), theta=Gf2Vec.zeros(n))
+            t, coins = r.bits(half), r.bits(n)
+            theta, order = theta_and_order(r)
+            rx = np.broadcast_to(rec.x.bits[None, :], theta.shape)
+            v = np.where(rec.theta.bits[None, :] == theta, rx, coins)
+            t_b = np.take_along_axis(v, order[:, :half], axis=1)
+            bob_ok = win = hamming_rows(t_b, t) <= m
+        elif kind == "leak_smuggle":
+            t, tp, fallback = r.bits(half), r.bits(half), r.bits(half)
+            bob_ok = hamming_rows(tp, t) <= m
+            win = bob_ok & (hamming_rows(tp if leak else fallback, tp) <= mp)
+        else:
+            raise ValueError(kind)
+        return np.array([int(win.sum()), int(bob_ok.sum())], dtype=np.int64)
+
+    return kernel
+
+
+def _fixed_bits(fill, n, seed):
+    if fill == "zeros":
+        return Gf2Vec.zeros(n)
+    if fill == "ones":
+        return Gf2Vec(np.ones(n, dtype=np.uint8))
+    return Gf2Vec(np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("leak", [True, False])
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([2, 6, 8, 14, 64, 66, 130]),
+    m_at=st.sampled_from([0, 1, 2]),
+    mp_at=st.sampled_from([0, 1, 2]),
+    seed=st.sampled_from([0, 7, 2**64 - 1]),
+    fills=st.tuples(*[st.sampled_from(["default", "zeros", "ones", "random"])] * 2),
+    q=st.sampled_from([0.0, 0.3, 1.0]),
+    data=st.integers(0, 2**32 - 1),
+)
+def test_register_kernels_equal_uint8_reference(kind, leak, n, m_at, mp_at, seed, fills, q, data):
+    half = n // 2
+    radius = (0, half // 2, half)  # exact, mid and vacuous
+    params = MoeParams(n=n, m=radius[m_at], m_prime=radius[mp_at], trials=45, seed=seed)
+    theta_hat = substitute = None
+    if kind == "measure_wiesner":
+        theta_hat = (Gf2Vec((np.arange(n) % 2 == 0).astype(np.uint8)) if fills[0] == "default"
+                     else _fixed_bits(fills[0], n, data))
+    if kind == "keep_and_substitute" and fills != ("default", "default"):
+        substitute = WiesnerRecord(x=_fixed_bits(fills[0], n, data),
+                                   theta=_fixed_bits(fills[1], n, data + 1))
+    strategy = builtin_strategy(kind, q=q, theta_hat=theta_hat, substitute=substitute)
+    wpt, kernel = strategy.register_kernel(params, leak)
+    reference = _reference_kernel(kind, params, leak, q, theta_hat, substitute)
+    # 45 trials in blocks of 16: two whole blocks and a partial one
+    got = run_blocks(params.trials, wpt, seed, kernel, block=16)
+    expected = run_blocks(params.trials, wpt, seed, reference, block=16)
+    assert np.array_equal(got, expected)
