@@ -40,9 +40,13 @@ class ToeplitzExtractor:
         return self.matrix_from_seed(seed).mulvec(x)
 
     def extract_batch(self, xs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Vectorized extract: xs (trials × n_in), seeds (trials × seed_len)."""
-        mats = seeds[:, self._index]
-        return np.einsum("tij,tj->ti", mats.astype(np.uint32), xs.astype(np.uint32)) & 1
+        """Vectorized extract: seeds (trials × seed_len) and xs (trials × n_in),
+        or a stack (... × trials × n_in) of inputs that share the seeds, whose
+        matrices are then built once.  Returns uint8 bits shaped like xs with
+        ell columns.  The products sum uint8 bits, which wrap mod 256 and so
+        keep their parity."""
+        mats = np.asarray(seeds, dtype=np.uint8)[:, self._index]
+        return np.einsum("tij,...tj->...ti", mats, np.asarray(xs, dtype=np.uint8)) & 1
 
 
 def lhl_epsilon(kappa: float, ell: int) -> float:

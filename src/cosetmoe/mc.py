@@ -1,8 +1,11 @@
 """Counter-based Monte Carlo plumbing shared by the game and protocol harnesses.
 
 Every batch experiment draws its randomness from a Philox counter stream keyed
-by the run seed (the games) or by ``stream_key(seed, id)`` (each protocol
-experiment, so no two experiments share words).  Trial i owns the fixed word
+by the run seed (the games, key words [seed, 0]) or by ``stream_key(seed, id)``
+(each protocol experiment, key words [seed, 2^63 | id]), so no two batch
+experiments share words.  The games' key is also the key of the per-trial
+generator ``proto.trial_rng(seed, 0)``: a games stream and trial 0 of ``tfkw``
+or of a statevector path start on the same words.  Trial i owns the fixed word
 window [i*W, (i+1)*W), where W, the per-trial word budget, is a whole number
 of Philox blocks (4 x 64-bit words).  Because the window depends only on
 (seed, trial index), results are bit-identical no matter how trials are
@@ -13,6 +16,13 @@ most significant bit of the first word, with the bits past the field's
 length zeroed in a copy (``TrialReader.packed``).  Kernels that only XOR,
 mask and count bits work on these words directly (``np.bitwise_count``);
 ``bits`` is the same field unpacked to one uint8 per bit.
+
+A draw is read as a key: the top 53 bits of one word as an integer
+(``TrialReader.keys``).  ``floats`` scales the same keys by 2^-53, so keys
+rank and tie exactly as those uniforms do, and ``u < p`` holds exactly when
+the key is below ceil(p * 2^53) (``key_threshold``).  Subsets are ranked on
+keys (``top_k_mask``), and noise flips compare keys with integer thresholds
+(``proto.PauliNoise``).
 """
 
 from __future__ import annotations
@@ -30,7 +40,9 @@ __all__ = [
     "trial_words",
     "words_to_bytes",
     "bits_from_words",
+    "keys_from_words",
     "floats_from_words",
+    "key_threshold",
     "TrialReader",
     "top_k_mask",
     "words_for",
@@ -93,17 +105,28 @@ def bits_from_words(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(words_to_bytes(words), axis=1, count=nbits)
 
 
+def keys_from_words(words: np.ndarray) -> np.ndarray:
+    """The draw keys of uint64 words: their top 53 bits, as uint64."""
+    return words >> np.uint64(11)
+
+
 def floats_from_words(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to float64 in [0, 1) using the top 53 bits."""
-    return (words >> np.uint64(11)) * 2.0**-53
+    """Map uint64 words to float64 in [0, 1): their keys times 2^-53."""
+    return keys_from_words(words) * 2.0**-53
+
+
+def key_threshold(p: float) -> np.uint64:
+    """The integer ceil(p * 2^53): a key k has k * 2^-53 < p exactly when
+    k < key_threshold(p), since scaling by 2^53 is exact."""
+    return np.uint64(math.ceil(p * 2.0**53))
 
 
 class TrialReader:
     """Carves a block of trial words into named fields, in declaration order.
 
-    The same sequence of ``bits``/``floats`` calls must be made every time a
-    kernel runs, so a field's position in the stream is a function of the
-    layout alone.
+    The same sequence of ``packed``/``bits``/``keys``/``floats`` calls must
+    be made every time a kernel runs, so a field's position in the stream is
+    a function of the layout alone.
     """
 
     def __init__(self, words: np.ndarray):
@@ -134,22 +157,27 @@ class TrialReader:
         """The next ``nbits`` bits unpacked to (T, nbits) uint8, MSB first."""
         return bits_from_words(self._take(-(-nbits // 64)), nbits)
 
+    def keys(self, count: int) -> np.ndarray:
+        """The next ``count`` draws as (T, count) uint64 keys in [0, 2^53)."""
+        return keys_from_words(self._take(count))
+
     def floats(self, count: int) -> np.ndarray:
+        """The next ``count`` draws as (T, count) float64 uniforms in [0, 1)."""
         return floats_from_words(self._take(count))
 
 
-def top_k_mask(floats: np.ndarray, k: int) -> np.ndarray:
-    """Uniform k-subsets from iid uniforms: row-wise uint8 indicators of the k
-    largest draws, 1 <= k <= n.  They are the draws at or above the row's
-    k-th largest value, read off a sort.  A row where that value is tied,
-    which 53-bit uniforms almost never produce, takes its k from an
-    argpartition instead, a rule that depends on the row alone."""
-    t, n = floats.shape
-    ranked = np.sort(floats, axis=1)
-    mask = (floats >= ranked[:, n - k, None]).view(np.uint8)
+def top_k_mask(keys: np.ndarray, k: int) -> np.ndarray:
+    """Uniform k-subsets from iid draw keys: row-wise uint8 indicators of the
+    k largest keys, 1 <= k <= n.  They are the keys at or above the row's
+    k-th largest key, found by a partition.  A row where that key is tied,
+    which 53-bit keys almost never produce, takes its k from an argpartition
+    of its draws as floats instead, a rule that depends on the row alone."""
+    t, n = keys.shape
+    kth = np.partition(keys, n - k, axis=1)[:, n - k, None]
+    mask = (keys >= kth).view(np.uint8)
     if np.count_nonzero(mask) != k * t:  # some row holds more than k
         tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
-        top = np.argpartition(floats[tied], n - k, axis=1)[:, n - k :]
+        top = np.argpartition(keys[tied] * 2.0**-53, n - k, axis=1)[:, n - k :]
         mask[tied] = 0
         mask[tied[:, None], top] = 1
     return mask

@@ -203,11 +203,11 @@ def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
     return Gf2Vec(rng.integers(0, 2, size=k, dtype=np.uint8))
 
 
-def _sample_pivots(floats: np.ndarray) -> np.ndarray:
-    """Exact-half-weight basis rows from iid uniforms, packed to bytes MSB
-    first: the n/2 largest draws of each row mark the Hadamard (pivot)
+def _sample_pivots(keys: np.ndarray) -> np.ndarray:
+    """Exact-half-weight basis rows from iid draw keys, packed to bytes MSB
+    first: the n/2 largest keys of each row mark the Hadamard (pivot)
     positions, where θ = 1."""
-    return np.packbits(top_k_mask(floats, floats.shape[1] // 2), axis=1)
+    return np.packbits(top_k_mask(keys, keys.shape[1] // 2), axis=1)
 
 
 def _weight(packed: np.ndarray) -> np.ndarray:
@@ -372,7 +372,7 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
             t = r.packed(half)
             tp = r.packed(half)
             coins = words_to_bytes(r.packed(n))[:, : hat.size]
-            pivots = _sample_pivots(r.floats(n))
+            pivots = _sample_pivots(r.keys(n))
             free = coords ^ pivots
             free_off, pivot_off = _coset_offsets(pivots)
             x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
@@ -403,7 +403,7 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
             r = TrialReader(words)
             t = r.packed(half)
             coins = words_to_bytes(r.packed(n))[:, : rx.size]
-            pivots = _sample_pivots(r.floats(n))
+            pivots = _sample_pivots(r.keys(n))
             free = coords ^ pivots
             free_off, _ = _coset_offsets(pivots)
             # Bob coset-measures the substitute: at each free coordinate he

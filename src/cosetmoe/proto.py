@@ -58,6 +58,8 @@ from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
     binomial_sigma,
+    key_threshold,
+    keys_from_words,
     round_up_words,
     run_blocks,
     stream_key,
@@ -318,14 +320,20 @@ class PauliNoise:
             raise ValueError("flip probabilities must lie in [0, 1]")
 
     def apply_bits(self, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Flip x with keys from the next 2n raw words of ``rng``, X keys
+        first: the draws that two ``rng.random(n)`` calls would scale to
+        uniforms."""
         n = x.shape[0]
-        return x ^ self.flips(theta, rng.random(n), rng.random(n))
+        raw = rng.bit_generator.random_raw
+        return x ^ self.flips(theta, keys_from_words(raw(n)), keys_from_words(raw(n)))
 
-    def flips(self, theta: np.ndarray, ux: np.ndarray, uz: np.ndarray) -> np.ndarray:
-        """Flip indicator from one uniform per qubit for each Pauli: uniforms
-        ``ux`` drive the X flips, ``uz`` the Z flips."""
-        xflip = (ux < self.dx) & (theta == 0)
-        zflip = (uz < self.dz) & (theta == 1)
+    def flips(self, theta: np.ndarray, kx: np.ndarray, kz: np.ndarray) -> np.ndarray:
+        """Flip indicator from one draw key per qubit for each Pauli (see
+        ``mc.TrialReader.keys``): keys ``kx`` drive the X flips, ``kz`` the Z
+        flips, and a key flips where its uniform key * 2^-53 is below the
+        flip probability."""
+        xflip = (kx < key_threshold(self.dx)) & (theta == 0)
+        zflip = (kz < key_threshold(self.dz)) & (theta == 1)
         return (xflip | zflip).astype(np.uint8)
 
 
@@ -492,7 +500,7 @@ def _qecm_batch(
     n, half, ell, ext = params.n, params.half, params.ell, params.extractor
 
     # key generation: a's Hadamard positions, labels, extractor seed and mask
-    theta = top_k_mask(r.floats(n), half)
+    theta = top_k_mask(r.keys(n), half)
     t, tp = r.bits(half), r.bits(half)
     seed, h = r.bits(ext.seed_len), r.bits(ell)
     if message is None:
@@ -501,11 +509,9 @@ def _qecm_batch(
         m = message.bits(r.floats(1)[:, 0])
     else:
         m = np.broadcast_to(np.asarray(message, dtype=np.uint8), (r.count, ell))
-    m_bar = m ^ ext.extract_batch(tp, seed) ^ h
 
     # the channel and Bob's coset measurement (in the bases of a: exact on
     # an intact state); tp_eve is Eve's phase read
-    tp_eve = None
     if eve == "keep_all":
         # Bob holds no qubits and answers blind; Eve kept the intact state
         t_hat, tp_hat, tp_eve = r.bits(half), r.bits(half), tp
@@ -517,15 +523,20 @@ def _qecm_batch(
     else:
         t_hat, tp_hat = t, tp
 
+    # the pads T(seed)·t' ^ h of Alice, Bob and Eve, from one seed build
+    inputs = [tp, tp_hat] if eve is None else [tp, tp_hat, tp_eve]
+    pads = ext.extract_batch(np.stack(inputs), seed) ^ h
+    m_bar = m ^ pads[0]
+
     # interactive decryption
     f = (t_hat == t).all(axis=1)
-    m_hat = m_bar ^ ext.extract_batch(tp_hat, seed) ^ h
+    m_hat = m_bar ^ pads[1]
 
     # Eve's guess from her side information plus the classical transcript
     m_check = None
     if eve is not None:
         blind = r.bits(ell)
-        m_check = np.where(f[:, None], m_bar ^ ext.extract_batch(tp_eve, seed) ^ h, blind)
+        m_check = np.where(f[:, None], m_bar ^ pads[2], blind)
     return SimpleNamespace(theta=theta, t=t, seed=seed, h=h, m=m, m_bar=m_bar,
                            t_hat=t_hat, tp_hat=tp_hat, f=f, m_hat=m_hat, m_check=m_check)
 
@@ -950,7 +961,7 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
     n, half, ext, code = params.n, params.half, params.extractor, params.code
 
     # commit: the base commitment binds Alice to the extraction inputs (r, h)
-    theta = top_k_mask(r.floats(n), half)
+    theta = top_k_mask(r.keys(n), half)
     t, tp = r.bits(half), r.bits(half)
     seed, h = r.bits(ext.seed_len), r.bits(params.ell)
     committed = np.concatenate([seed, h], axis=1)
@@ -965,7 +976,7 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
     g = (t_hat == t).all(axis=1)
 
     # reveal: Bob's spot subset, then Alice's syndrome, spot bits and opening
-    spot = top_k_mask(r.floats(half), params.spot_size)
+    spot = top_k_mask(r.keys(half), params.spot_size)
     reveal_tp = tp
     if alice == "binding_attack":
         reveal_tp = tp ^ code.min_weight_codeword.bits
@@ -983,8 +994,7 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
         ], dtype=bool)
     f = syn_ok & spot_ok & base_ok
 
-    y = ext.extract_batch(reveal_tp, seed) ^ h
-    y_hat = ext.extract_batch(tp_hat, seed) ^ h
+    y, y_hat = ext.extract_batch(np.stack([reveal_tp, tp_hat]), seed) ^ h
     return SimpleNamespace(theta=theta, seed=seed, h=h, tokens=tokens, nonces=nonces,
                            t_hat=t_hat, g=g, spot=spot, reveal_tp=reveal_tp,
                            syn_sent=syn_sent, f=f, y=y, y_hat=y_hat)
@@ -1291,12 +1301,15 @@ def _riqkd_batch(
             raise ValueError("fault codeword length must be n/2")
 
     # state preparation: basis pattern + labels, as a conjugate-coding record;
-    # row by row, t fills the free (θ=0) and t' the Hadamard positions in order
-    theta = top_k_mask(r.floats(n), half)
-    free, pivots = theta == 0, theta == 1
+    # row by row, t fills the free (θ=0) and t' the Hadamard positions in
+    # order.  free and pivots are the flat position plans of the block: the
+    # row-major indices of those positions, half of them in each row.
+    theta = top_k_mask(r.keys(n), half)
+    free, pivots = np.flatnonzero(theta == 0), np.flatnonzero(theta == 1)
     t, tp = r.bits(half), r.bits(half)
-    x = np.empty_like(theta)
+    x = np.empty(theta.size, dtype=np.uint8)
     x[free], x[pivots] = t.ravel(), tp.ravel()
+    x = x.reshape(theta.shape)
 
     # the channel: Eve and/or noise act on the record in transit
     rec_theta, rec_x = theta, x
@@ -1310,14 +1323,14 @@ def _riqkd_batch(
         eve_x = np.where(eve_theta == theta, x, r.bits(n))
         rec_theta, rec_x = eve_theta, eve_x
     if noise is not None:
-        rec_x = rec_x ^ noise.flips(rec_theta, r.floats(n), r.floats(n))
+        rec_x = rec_x ^ noise.flips(rec_theta, r.keys(n), r.keys(n))
 
     # the device measures in the coset basis of a (bases = theta)
     dev_read = rec_x
     if eve is not None:
         dev_read = np.where(rec_theta == theta, rec_x, r.bits(n))
-    t_hat = dev_read[free].reshape(-1, half)
-    tp_hat = dev_read[pivots].reshape(-1, half)
+    t_hat = np.take(dev_read, free).reshape(-1, half)
+    tp_hat = np.take(dev_read, pivots).reshape(-1, half)
     if fault:
         tp_hat = tp_hat ^ c.bits  # same syndrome, different word
 
@@ -1330,26 +1343,27 @@ def _riqkd_batch(
     t_bar = align_batch(code, tp, syn_hat)
 
     # information reconciliation
-    spot = top_k_mask(r.floats(half), params.spot_size)
+    spot = top_k_mask(r.keys(half), params.spot_size)
     mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1)
     f = est_ok & (mismatches == 0)
 
     # privacy amplification
     seed = r.bits(ext.seed_len)
-    k = ext.extract_batch(t_bar, seed)
-    k_hat = ext.extract_batch(tp_hat, seed)
+    inputs = [t_bar, tp_hat]
 
     # Eve's guess from her records plus the classical transcript: her phase
     # read (exact from the genuine record she kept, or her intercepted reads
     # with coins where she measured the wrong basis), then Alice's public
     # correction
-    eve_guess = None
     if eve is not None:
-        tp_eve = eve_x[pivots].reshape(-1, half)
+        tp_eve = np.take(eve_x, pivots).reshape(-1, half)
         if isinstance(eve, InterceptResend):
-            read_right = eve_theta[pivots].reshape(-1, half) == 1
+            read_right = np.take(eve_theta, pivots).reshape(-1, half) == 1
             tp_eve = np.where(read_right, tp_eve, r.bits(half))
-        eve_guess = ext.extract_batch(align_batch(code, tp_eve, syn_hat), seed)
+        inputs.append(align_batch(code, tp_eve, syn_hat))
+    # the keys of Alice, the device and Eve, from one seed build
+    k, k_hat, *eve_keys = ext.extract_batch(np.stack(inputs), seed)
+    eve_guess = eve_keys[0] if eve_keys else None
     return SimpleNamespace(theta=theta, t_hat=t_hat, tp_hat=tp_hat, est_distance=est_distance,
                            est_ok=est_ok, syn_hat=syn_hat, spot=spot, mismatches=mismatches,
                            f=f, seed=seed, k=k, k_hat=k_hat, eve_guess=eve_guess)

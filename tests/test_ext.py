@@ -124,6 +124,24 @@ def test_extract_batch_matches_single_calls():
         assert batch[i].tolist() == single.bits.tolist()
 
 
+@pytest.mark.parametrize("n_in,ell", [(7, 3), (1890, 2)])
+def test_extract_batch_on_a_stack_matches_single_calls(n_in, ell):
+    # one seed build for three inputs; at 1890 bits the uint8 sums wrap
+    ext = ToeplitzExtractor(n_in, ell)
+    rng = np.random.default_rng(n_in)
+    xs = rng.integers(0, 2, size=(3, 5, n_in), dtype=np.uint8)
+    xs[0, 0] = 1  # an all-ones input against an all-ones seed sums to n_in
+    seeds = rng.integers(0, 2, size=(5, ext.seed_len), dtype=np.uint8)
+    seeds[0] = 1
+    stacked = ext.extract_batch(xs, seeds)
+    assert stacked.shape == (3, 5, ell) and stacked.dtype == np.uint8
+    for s in range(3):
+        assert np.array_equal(ext.extract_batch(xs[s], seeds), stacked[s])
+        for i in range(5):
+            single = ext.extract(Gf2Vec(xs[s, i]), Gf2Vec(seeds[i]))
+            assert stacked[s, i].tolist() == single.bits.tolist()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         ToeplitzExtractor(3, 4)

@@ -118,14 +118,44 @@ def test_floats_use_the_top_53_bits():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 14, 64, 130])
 def test_top_k_mask_equals_argpartition(n):
-    floats = floats_from_words(trial_words(n, 4 * n, 0, 300))[:, :n]
+    keys = TrialReader(trial_words(n, 4 * n, 0, 300)).keys(n)
     # rows with few distinct values tie at the k-th largest draw
-    ties = np.random.default_rng(n).integers(0, 3, size=(300, n)) / 4.0
+    ties = np.random.default_rng(n).integers(0, 3, size=(300, n)).astype(np.uint64)
     for k in sorted({1, max(1, n // 2), n}):
-        for draws in (floats, ties):
+        for draws in (keys, ties):
             got = top_k_mask(draws, k)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, _argpartition_top_k(draws, k))
+            assert np.array_equal(got, _argpartition_top_k(draws * 2.0**-53, k))
+
+
+def _float_sort_top_k(floats, k):
+    """The float rule keys replaced: the draws at or above each row's k-th
+    largest, read off a sort, and an argpartition for a tied row."""
+    t, n = floats.shape
+    ranked = np.sort(floats, axis=1)
+    mask = (floats >= ranked[:, n - k, None]).view(np.uint8)
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
+    top = np.argpartition(floats[tied], n - k, axis=1)[:, n - k :]
+    mask[tied] = 0
+    mask[tied[:, None], top] = 1
+    return mask, tied.size
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_top_k_mask_on_tied_keys_equals_float_sort(n):
+    words = trial_words(n + 1, 4 * n, 0, 300)[:, :n]
+    # in two rows of three the keys (top 53 bits) take four values, the
+    # lowest and the highest among them, while the dropped low 11 bits differ
+    values = np.array([0, 1, 2, 2**53 - 1], dtype=np.uint64)
+    picks = np.random.default_rng(n).integers(0, 4, size=(300, n))
+    tied = np.arange(300) % 3 != 0
+    words[tied] = (values[picks[tied]] << np.uint64(11)) | (words[tied] & np.uint64(0x7FF))
+    keys = TrialReader(words).keys(n)
+    for k in range(1, n + 1):
+        want, ties = _float_sort_top_k(floats_from_words(words), k)
+        assert ties > 0 or k == n  # some row ties at the k-th key
+        got = top_k_mask(keys, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
 
 
 def test_trial_reader_budget_enforced():

@@ -2,15 +2,16 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cosetmoe import moe, proto
-from cosetmoe.ecc import make_code, min_weight_codeword
+from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec
-from cosetmoe.mc import TrialReader, round_up_words, stream_key, trial_words
+from cosetmoe.mc import TrialReader, bits_from_words, round_up_words, stream_key, trial_words
 from cosetmoe.proto import (
     CommitmentScheme,
     InterceptResend,
@@ -96,6 +97,32 @@ def test_pauli_noise_flips_only_matching_basis():
     assert np.array_equal(flipped, theta)
     with pytest.raises(ValueError):
         PauliNoise(dx=1.5)
+
+
+@pytest.mark.parametrize("d", [0.0, 2.0**-53, 0.005, 1.0 / 3.0, 1.0])
+def test_pauli_noise_key_threshold_agrees_with_float_compare(d):
+    edge = math.ceil(Fraction(d) * 2**53)
+    keys = np.array(sorted({k for k in (0, edge - 1, edge, edge + 1, 2**53 - 1)
+                            if 0 <= k < 2**53}), dtype=np.uint64)
+    want = keys.astype(np.float64) * 2.0**-53 < d
+    for theta_bit in (0, 1):
+        theta = np.full(keys.shape, theta_bit, dtype=np.uint8)
+        got = PauliNoise(dx=d, dz=d).flips(theta, keys, keys)
+        assert np.array_equal(got, want.astype(np.uint8)), (d, theta_bit)
+
+
+def test_pauli_noise_apply_bits_is_pinned():
+    # the bits the float-uniform rule gave; the golden tfkw report uses
+    # dx = dz = 1 and so cannot see a change at fractional rates
+    rng = trial_rng(11, 3)
+    x = rng.integers(0, 2, size=96, dtype=np.uint8)
+    theta = rng.integers(0, 2, size=96, dtype=np.uint8)
+    out = PauliNoise(dx=0.3, dz=0.15).apply_bits(x, theta, rng)
+    assert Gf2Vec(x).to_hex() == "781caa0a6e008ae015efa64e"
+    assert Gf2Vec(theta).to_hex() == "1b234be5e94a96e7779cc329"
+    assert Gf2Vec(out).to_hex() == "7afe0e082f8c8af015ef161e"
+    # it reads exactly the 2n words of two rng.random(n) calls
+    assert rng.bit_generator.random_raw() == 2288331526356119338
 
 
 # ------------------------------------------------------------------
@@ -777,6 +804,133 @@ def test_riqkd_batch_counts_equal_per_trial_runs(monkeypatch, seed, params, kind
         assert (rep["aborts"], rep["key_mismatches_accepted"]) == (ORACLE_TRIALS - accepts, wrong)
     else:
         assert (rep["accepts"], rep["wrong_key_accepts"]) == (accepts, wrong)
+
+
+# ------------------------------------------------------------------
+# the riqkd kernel against the boolean-mask kernel it replaced
+# ------------------------------------------------------------------
+
+
+def _reference_riqkd_batch(params, words, noise, device, eve):
+    """The boolean-mask riqkd kernel: fields read in the same order, subsets
+    ranked by argpartition on float draws, noise from float uniforms, (t, t')
+    deposited and read back through boolean masks of θ, and one Toeplitz
+    build per extraction."""
+    n, half, ext, code = params.n, params.half, params.extractor, params.code
+    pos = 0
+
+    def take(count):
+        nonlocal pos
+        pos += count
+        return words[:, pos - count : pos]
+
+    def bits(nbits):
+        return bits_from_words(take(-(-nbits // 64)), nbits)
+
+    def floats(count):
+        return (take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def top_k(draws, k):
+        top = np.argpartition(draws, draws.shape[1] - k, axis=1)[:, draws.shape[1] - k :]
+        mask = np.zeros(draws.shape, dtype=np.uint8)
+        mask[np.arange(draws.shape[0])[:, None], top] = 1
+        return mask
+
+    def extract(xs, seeds):
+        rows, cols = np.arange(ext.ell)[:, None], np.arange(ext.n_in)[None, :]
+        mats = seeds[:, np.where(cols >= rows, cols - rows, ext.n_in + rows - cols - 1)]
+        return np.einsum("tij,tj->ti", mats.astype(np.uint32), xs.astype(np.uint32)) & 1
+
+    def record(vec):
+        return np.zeros((1, n), dtype=np.uint8) if vec is None else vec.bits[None, :]
+
+    fault = isinstance(device, SyndromeFault)
+    if fault:
+        c = device.codeword if device.codeword is not None else min_weight_codeword(code)
+    theta = top_k(floats(n), half)
+    free, pivots = theta == 0, theta == 1
+    t, tp = bits(half), bits(half)
+    x = np.empty_like(theta)
+    x[free], x[pivots] = t.ravel(), tp.ravel()
+    rec_theta, rec_x = theta, x
+    if isinstance(eve, KeepAndSubstitute):
+        eve_theta, eve_x = theta, x
+        rec_theta, rec_x = record(eve.theta), record(eve.x)
+    elif isinstance(eve, InterceptResend):
+        hat = bits(n) if eve.theta_hat is None else record(eve.theta_hat)
+        eve_theta = np.broadcast_to(hat, theta.shape)
+        eve_x = np.where(eve_theta == theta, x, bits(n))
+        rec_theta, rec_x = eve_theta, eve_x
+    if noise is not None:
+        ux, uz = floats(n), floats(n)
+        flips = ((ux < noise.dx) & (rec_theta == 0)) | ((uz < noise.dz) & (rec_theta == 1))
+        rec_x = rec_x ^ flips.astype(np.uint8)
+    dev_read = rec_x
+    if eve is not None:
+        dev_read = np.where(rec_theta == theta, rec_x, bits(n))
+    t_hat = dev_read[free].reshape(-1, half)
+    tp_hat = dev_read[pivots].reshape(-1, half)
+    if fault:
+        tp_hat = tp_hat ^ c.bits
+    est_distance = (t_hat ^ t).sum(axis=1)
+    est_ok = est_distance <= params.gamma * half
+    syn_hat = syndrome_batch(code, tp_hat)
+    t_bar = align_batch(code, tp, syn_hat)
+    spot = top_k(floats(half), params.spot_size)
+    mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1)
+    f = est_ok & (mismatches == 0)
+    seed = bits(ext.seed_len)
+    k = extract(t_bar, seed)
+    k_hat = extract(tp_hat, seed)
+    eve_guess = None
+    if eve is not None:
+        tp_eve = eve_x[pivots].reshape(-1, half)
+        if isinstance(eve, InterceptResend):
+            read_right = eve_theta[pivots].reshape(-1, half) == 1
+            tp_eve = np.where(read_right, tp_eve, bits(half))
+        eve_guess = extract(align_batch(code, tp_eve, syn_hat), seed)
+    return dict(theta=theta, t_hat=t_hat, tp_hat=tp_hat, est_distance=est_distance,
+                est_ok=est_ok, syn_hat=syn_hat, spot=spot, mismatches=mismatches,
+                f=f, seed=seed, k=k, k_hat=k_hat, eve_guess=eve_guess)
+
+
+_RIQKD_ORACLE_PARAMS = {
+    14: QkdParams(14, 2, 2.0 / 7.0, 2.0 / 7.0, make_code("hamming74")),
+    126: QkdParams(126, 2, 0.1, 1.0 / 9.0, make_code("block_repeat", 7, 9)),
+}
+
+
+def _substitute_record(n):
+    bits = np.random.default_rng(n).integers(0, 2, size=(2, n), dtype=np.uint8)
+    return KeepAndSubstitute(x=Gf2Vec(bits[0]), theta=Gf2Vec(bits[1]))
+
+
+@pytest.mark.parametrize("n", sorted(_RIQKD_ORACLE_PARAMS))
+@pytest.mark.parametrize("noise", [None, PauliNoise(0.005, 0.005), PauliNoise(1.0, 0.0)],
+                         ids=["noiseless", "noisy", "x-flips"])
+@pytest.mark.parametrize("eve", [
+    None, KeepAndSubstitute(), "substitute", InterceptResend(), "fixed-guess",
+], ids=["no-eve", "keep-default", "keep-custom", "intercept-fresh", "intercept-fixed"])
+@pytest.mark.parametrize("device", ["honest", SyndromeFault()], ids=["honest", "fault"])
+def test_riqkd_batch_equals_boolean_mask_reference(n, noise, eve, device):
+    params = _RIQKD_ORACLE_PARAMS[n]
+    if eve == "substitute":
+        eve = _substitute_record(n)
+    elif eve == "fixed-guess":
+        eve = InterceptResend(Gf2Vec([0, 1] * (n // 2)))
+    words_per_trial = proto._riqkd_words(params, noise, eve)
+    for trials in (1, 9, 17):
+        words = trial_words(n * trials, words_per_trial, 0, trials)
+        before = words.copy()
+        got = vars(proto._riqkd_batch(params, TrialReader(words), noise, device, eve))
+        want = _reference_riqkd_batch(params, words, noise, device, eve)
+        assert np.array_equal(words, before)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if value is None:
+                assert got[name] is None, name
+            else:
+                assert np.array_equal(got[name], value), (name, trials)
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
