@@ -1,15 +1,14 @@
 """Counter-based Monte Carlo plumbing shared by the game and protocol harnesses.
 
-Every batch experiment draws its randomness from a Philox counter stream keyed
-by the run seed (the games, key words [seed, 0]) or by ``stream_key(seed, id)``
-(each protocol experiment, key words [seed, 2^63 | id]), so no two batch
-experiments share words.  The games' key is also the key of the per-trial
-generator ``proto.trial_rng(seed, 0)``: a games stream and trial 0 of ``tfkw``
-or of a statevector path start on the same words.  Trial i owns the fixed word
-window [i*W, (i+1)*W), where W, the per-trial word budget, is a whole number
-of Philox blocks (4 x 64-bit words).  Because the window depends only on
-(seed, trial index), results are bit-identical no matter how trials are
-grouped into blocks or spread over threads.
+Every batch experiment draws its randomness from its own Philox counter
+stream, keyed by ``stream_key(seed, id)`` (key words [seed, 2^63 | id]): the
+games (``moe``) and each protocol experiment have their own id, so no two
+batch experiments share words, and none shares words with the per-trial
+generator ``proto.trial_rng(seed, trial)`` (key words [seed, trial]).  Trial i
+owns the fixed word window [i*W, (i+1)*W), where W, the per-trial word
+budget, is a whole number of Philox blocks (4 x 64-bit words).  Because the
+window depends only on (seed, trial index), results are bit-identical no
+matter how trials are grouped into blocks or spread over threads.
 
 A bit field is read packed: whole uint64 words, bit 0 of the field in the
 most significant bit of the first word, with the bits past the field's
@@ -17,18 +16,27 @@ length zeroed in a copy (``TrialReader.packed``).  Kernels that only XOR,
 mask and count bits work on these words directly (``np.bitwise_count``);
 ``bits`` is the same field unpacked to one uint8 per bit.
 
-A draw is read as a key: the top 53 bits of one word as an integer
-(``TrialReader.keys``).  ``floats`` scales the same keys by 2^-53, so keys
-rank and tie exactly as those uniforms do, and ``u < p`` holds exactly when
-the key is below ceil(p * 2^53) (``key_threshold``).  Subsets are ranked on
-keys (``top_k_mask``), and noise flips compare keys with integer thresholds
-(``proto.PauliNoise``).
+A draw that ranks a subset or decides a noise flip is read as a 32-bit key,
+two to a word (``TrialReader.keys``): key 2j of a field is the low 32 bits
+of its word j (word & 0xFFFFFFFF) and key 2j+1 the high 32 bits (word >> 32),
+so a field of c keys takes ceil(c/2) words and, for odd c, leaves the high
+half of its last word unread.  On a little-endian host these are the uint32
+halves of the window in memory order, and the keys are a view of it.  A key
+k stands for the uniform k * 2^-32: ``u < p`` holds exactly when k is below
+``key_threshold(p)`` = ceil(p * 2^32).  Subsets are the k largest keys of a
+row (``top_k_mask``); a tie at the k-th key, the only way the subset can
+differ from a uniform one, is broken by position, so the total-variation
+distance from uniform is at most P[another key ties the k-th key], about
+n * 2^-32 (8.8e-7 at n = 3780).  The noise model reads one key per qubit
+(``proto.PauliNoise``).  ``floats`` reads the two scalar coins (qecm's
+message source, moe's ``mix`` coin) as 53-bit uniforms, one per word.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +62,8 @@ __all__ = [
 PHILOX_BLOCK_WORDS = 4
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
+_KEY_BITS = 32
+_LITTLE_ENDIAN = sys.byteorder == "little"
 _Z_95 = 1.959963984540054
 
 
@@ -105,20 +115,31 @@ def bits_from_words(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(words_to_bytes(words), axis=1, count=nbits)
 
 
-def keys_from_words(words: np.ndarray) -> np.ndarray:
-    """The draw keys of uint64 words: their top 53 bits, as uint64."""
-    return words >> np.uint64(11)
+def keys_from_words(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` 32-bit draw keys of (..., W) uint64 words as
+    uint32: key 2j is the low half of word j, key 2j+1 its high half.  A view
+    of the words where the host's byte order lays the halves out that way."""
+    if count > 2 * words.shape[-1]:
+        raise ValueError("not enough words for requested keys")
+    if _LITTLE_ENDIAN and words.strides[-1] == words.itemsize:
+        return words.view(np.uint32)[..., :count]
+    keys = np.empty((*words.shape[:-1], 2 * words.shape[-1]), dtype=np.uint32)
+    keys[..., 0::2] = words & np.uint64(0xFFFFFFFF)
+    keys[..., 1::2] = words >> np.uint64(_KEY_BITS)
+    return keys[..., :count]
 
 
 def floats_from_words(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to float64 in [0, 1): their keys times 2^-53."""
-    return keys_from_words(words) * 2.0**-53
+    """Map uint64 words to float64 in [0, 1): their top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
-def key_threshold(p: float) -> np.uint64:
-    """The integer ceil(p * 2^53): a key k has k * 2^-53 < p exactly when
-    k < key_threshold(p), since scaling by 2^53 is exact."""
-    return np.uint64(math.ceil(p * 2.0**53))
+def key_threshold(p: float) -> int:
+    """The integer ceil(p * 2^32): a key k has k * 2^-32 < p exactly when
+    k < key_threshold(p), since scaling by 2^32 is exact.  At p = 1 it is
+    2^32, which no uint32 holds: it stays a Python int, which numpy compares
+    with uint32 keys exactly."""
+    return math.ceil(p * 2.0**_KEY_BITS)
 
 
 class TrialReader:
@@ -158,8 +179,9 @@ class TrialReader:
         return bits_from_words(self._take(-(-nbits // 64)), nbits)
 
     def keys(self, count: int) -> np.ndarray:
-        """The next ``count`` draws as (T, count) uint64 keys in [0, 2^53)."""
-        return keys_from_words(self._take(count))
+        """The next ``count`` draws as (T, count) uint32 keys, two to a word
+        (``keys_from_words``): a view of the block, never to be written."""
+        return keys_from_words(self._take(-(-count // 2)), count)
 
     def floats(self, count: int) -> np.ndarray:
         """The next ``count`` draws as (T, count) float64 uniforms in [0, 1)."""
@@ -167,25 +189,34 @@ class TrialReader:
 
 
 def top_k_mask(keys: np.ndarray, k: int) -> np.ndarray:
-    """Uniform k-subsets from iid draw keys: row-wise uint8 indicators of the
-    k largest keys, 1 <= k <= n.  They are the keys at or above the row's
-    k-th largest key, found by a partition.  A row where that key is tied,
-    which 53-bit keys almost never produce, takes its k from an argpartition
-    of its draws as floats instead, a rule that depends on the row alone."""
+    """Uniform k-subsets from iid uint32 draw keys: row-wise uint8 indicators
+    of the k largest keys, 1 <= k <= n.  They are the keys at or above the
+    row's k-th largest key, found by a partition.  In a row where that key is
+    tied, equal keys rank by position, the earlier one higher: the row is
+    ranked on the distinct values key * 2^32 + (n - 1 - position), a rule
+    that depends on the row alone."""
+    if keys.dtype != np.uint32:
+        raise ValueError("draw keys must be uint32")
     t, n = keys.shape
     kth = np.partition(keys, n - k, axis=1)[:, n - k, None]
     mask = (keys >= kth).view(np.uint8)
     if np.count_nonzero(mask) != k * t:  # some row holds more than k
         tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
-        top = np.argpartition(keys[tied] * 2.0**-53, n - k, axis=1)[:, n - k :]
-        mask[tied] = 0
-        mask[tied[:, None], top] = 1
+        order = np.arange(n - 1, -1, -1, dtype=np.uint64)
+        rank = (keys[tied].astype(np.uint64) << np.uint64(_KEY_BITS)) | order
+        mask[tied] = rank >= np.partition(rank, n - k, axis=1)[:, n - k, None]
     return mask
 
 
-def words_for(bit_fields: Sequence[int] = (), float_fields: Sequence[int] = ()) -> int:
-    """Word budget for a layout; each bit field occupies whole words."""
-    total = sum(-(-b // 64) for b in bit_fields) + sum(float_fields)
+def words_for(
+    bit_fields: Sequence[int] = (),
+    key_fields: Sequence[int] = (),
+    float_fields: Sequence[int] = (),
+) -> int:
+    """Word budget for a layout: a bit field of b bits takes ceil(b/64) words,
+    a key field of c keys ceil(c/2) words, and a float field one word a draw."""
+    total = (sum(-(-b // 64) for b in bit_fields) + sum(-(-c // 2) for c in key_fields)
+             + sum(float_fields))
     return round_up_words(max(total, 1))
 
 

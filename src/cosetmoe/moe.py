@@ -39,7 +39,15 @@ import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vec, hamming, sample_subspace, solve_coset_membership
 from .info import ball_volume
-from .mc import TrialReader, run_blocks, top_k_mask, wilson_interval, words_for, words_to_bytes
+from .mc import (
+    TrialReader,
+    run_blocks,
+    stream_key,
+    top_k_mask,
+    wilson_interval,
+    words_for,
+    words_to_bytes,
+)
 from .qsim import (
     AdversaryChannel,
     CosetDescriptor,
@@ -80,6 +88,9 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 _MAX_SEED = 1 << 64
+# The register kernels' counter stream, ``stream_key(seed, _MOE_STREAM)``;
+# the protocol experiments use ids 1-3 (``proto._QECM_STREAM`` and on).
+_MOE_STREAM = 4
 
 
 @dataclass(frozen=True)
@@ -365,7 +376,7 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
             raise ValueError("basis-choice length must match the game")
         hat = np.packbits(theta_hat.bits)
         coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
-        wpt = words_for(bit_fields=(half, half, n), float_fields=(n,))
+        wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
@@ -397,7 +408,7 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
         rx = np.packbits(rec.x.bits)
         rtheta = np.packbits(rec.theta.bits)
         coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
-        wpt = words_for(bit_fields=(half, n), float_fields=(n,))
+        wpt = words_for(bit_fields=(half, n), key_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
@@ -720,7 +731,8 @@ def play_leaky(
     """Run the game ``params.trials`` times and tally wins.
 
     backend="wiesner" uses the strategy's vectorised register kernel (register
-    family only; thread-count invariant).  backend="statevector" prepares and
+    family only; thread-count invariant) on the counter stream
+    ``mc.stream_key(seed, _MOE_STREAM)``.  backend="statevector" prepares and
     measures actual states, one trial at a time, with a per-trial Philox key
     (seed, trial); ``threads`` is ignored there.  "auto" picks the kernel
     when it exists.
@@ -738,7 +750,7 @@ def play_leaky(
             raise ValueError(f"strategy {strategy.name!r} has no register kernel")
         wpt, kernel = strategy.register_kernel(params, leak)
         wins, bob_ok = (int(c) for c in run_blocks(
-            params.trials, wpt, params.seed, kernel, threads=threads
+            params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
         ))
         return GameResult.from_counts(wins, bob_ok, params.trials)
     if backend != "statevector":

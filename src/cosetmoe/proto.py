@@ -310,7 +310,8 @@ class PauliNoise:
 
     On a conjugate-coding record an X flip changes the data bit only where
     the qubit is in the computational basis, a Z flip only where it is in the
-    Hadamard basis."""
+    Hadamard basis.  So one draw per qubit gives the joint law of the record:
+    the bit flips with probability dx where θ=0 and dz where θ=1."""
 
     dx: float = 0.0
     dz: float = 0.0
@@ -320,21 +321,19 @@ class PauliNoise:
             raise ValueError("flip probabilities must lie in [0, 1]")
 
     def apply_bits(self, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Flip x with keys from the next 2n raw words of ``rng``, X keys
-        first: the draws that two ``rng.random(n)`` calls would scale to
-        uniforms."""
+        """Flip x with the n keys of the next ceil(n/2) raw words of ``rng``,
+        read as ``mc.TrialReader.keys`` reads a window."""
         n = x.shape[0]
-        raw = rng.bit_generator.random_raw
-        return x ^ self.flips(theta, keys_from_words(raw(n)), keys_from_words(raw(n)))
+        return x ^ self.flips(theta, keys_from_words(rng.bit_generator.random_raw(-(-n // 2)), n))
 
-    def flips(self, theta: np.ndarray, kx: np.ndarray, kz: np.ndarray) -> np.ndarray:
-        """Flip indicator from one draw key per qubit for each Pauli (see
-        ``mc.TrialReader.keys``): keys ``kx`` drive the X flips, ``kz`` the Z
-        flips, and a key flips where its uniform key * 2^-53 is below the
-        flip probability."""
-        xflip = (kx < key_threshold(self.dx)) & (theta == 0)
-        zflip = (kz < key_threshold(self.dz)) & (theta == 1)
-        return (xflip | zflip).astype(np.uint8)
+    def flips(self, theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Flip indicator from one draw key per qubit (see
+        ``mc.TrialReader.keys``).  Only an X flip changes a θ=0 bit and only a
+        Z flip a θ=1 bit, so one key serves both: a qubit flips where its
+        uniform key * 2^-32 is below dx (θ=0) or dz (θ=1)."""
+        xflip = keys < key_threshold(self.dx)
+        zflip = keys < key_threshold(self.dz)
+        return (xflip ^ ((xflip ^ zflip) & (theta != 0))).view(np.uint8)
 
 
 def _uniform_bits(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -485,7 +484,8 @@ def _qecm_words(params: QecmParams, eve: Optional[str], message) -> int:
     return words_for(
         bit_fields=(half, half, params.extractor.seed_len, ell,
                     *((ell,) if message is None else ()), *eve_bits[eve]),
-        float_fields=(params.n, *((1,) if isinstance(message, MessageSource) else ())),
+        key_fields=(params.n,),
+        float_fields=(1,) if isinstance(message, MessageSource) else (),
     )
 
 
@@ -952,7 +952,7 @@ def _urbc_words(params: UrbcParams) -> int:
     nonce = (256,) if params.scheme == "hash_based" else ()
     return words_for(
         bit_fields=(params.half, params.half, params.extractor.seed_len, params.ell, *nonce),
-        float_fields=(params.n, params.half),
+        key_fields=(params.n, params.half),
     )
 
 
@@ -1272,7 +1272,7 @@ def _riqkd_words(params: QkdParams, noise: Optional[PauliNoise], eve: EveKind) -
     return words_for(
         bit_fields=(half, half, *eve_bits, *((n,) if eve is not None else ()),
                     params.extractor.seed_len),
-        float_fields=(n, *((n, n) if noise is not None else ()), half),
+        key_fields=(n, *((n,) if noise is not None else ()), half),
     )
 
 
@@ -1323,7 +1323,7 @@ def _riqkd_batch(
         eve_x = np.where(eve_theta == theta, x, r.bits(n))
         rec_theta, rec_x = eve_theta, eve_x
     if noise is not None:
-        rec_x = rec_x ^ noise.flips(rec_theta, r.keys(n), r.keys(n))
+        rec_x = rec_x ^ noise.flips(rec_theta, r.keys(n))
 
     # the device measures in the coset basis of a (bases = theta)
     dev_read = rec_x

@@ -284,17 +284,17 @@ GOLDEN_ARGVS = {
 GOLDEN_DIGESTS = {
     "bounds": (0, "1464a4a35dcec6d793117a2e6c93f536bd9ee6d487dd8aea5daf4ae48c23be91"),
     "bounds-full": (0, "db053a0b359efb32eaeb355a55f0ad5f3727f23269388db1c7a8ca125f569580"),
-    "sweep-urbc": (0, "5f194c6d81626719ac4faf44369a734718e322db74966f72a257ea57fa50ac67"),
-    "sweep-moe": (0, "a4560f2e3e26b50223e0b5429ef106b643bab309fc0dc782abd35fcd1aa9da25"),
-    "selftest": (0, "fc25cbda18b8879d44adba3e13072fd3821431f91e218c421e06ca29af24d504"),
+    "sweep-urbc": (0, "66414c4169e505aecbc33a2e933cab9cf81c2cb2d5b671231e1d5990fc845b72"),
+    "sweep-moe": (0, "fe6a98e98841480f836eedd05ecd0b871d8529bd7a5121f4dcaf91ef643e02cb"),
+    "selftest": (0, "2b249924fece392561374425472b2cf18062655b232cab40af3b402bd4d009cf"),
     "qkd-csv": (0, "4818d74a79f3b344592e0abedca9e9c9f31cfc867d612dc8e550a8a61ad0dea1"),
-    "moe-bob_all": (0, "a1a69b62879dc7e9a980b03817809ca9fecf1db61b68e59d8ba1a48d524a09d7"),
-    "moe-charlie_all": (0, "f47e5d684564c8d5d5e78627d7a75478d2a923356f5422b31d52e527e45aeb6a"),
-    "moe-mix": (0, "444bf20d16a24e8899135d9586fe07f49da49db940f35a24f6557711c5b27bca"),
-    "moe-measure_computational": (0, "d31341a24ff8fda51ae0027ccbc378006ef2c20e3c4c0c6eda102d0664a9a600"),
-    "moe-measure_wiesner": (0, "1a0bbfe2d9d296e82a0bb21fa3f394fae63aa8d61929935dc46eefba289c60f0"),
-    "moe-keep_and_substitute": (0, "ec7e74ee5d0fb793bbad0d2b7a00c18956b47d53a0a70c2cac8df94ebf61ebeb"),
-    "moe-leak_smuggle": (0, "a5ecfbb0dce606c207e66e917660ef25bd0888b353aff865484e4d6b4b753924"),
+    "moe-bob_all": (0, "5652382783d0bfff5fdf42a30a24fe4505998886de44e74f9aefbe49c5bbb5cb"),
+    "moe-charlie_all": (0, "ff6a9e27279ad4a9b5b61b32e1da06cf0832a857a3c36dfbbd89dca0256dd493"),
+    "moe-mix": (0, "bb54e1899247d36dffa8e2bcf8f6d2da4962f9f7293d2a596c712a111ab98643"),
+    "moe-measure_computational": (0, "ae2ee0cf8ffe496d9adcd6de9c19b85e57c35001cc68f41e5dd276d0b1cb9514"),
+    "moe-measure_wiesner": (0, "d983ec45dac6d56675211e0486ad3a1896dc74c290a1680b1cb1b0f4b84c2f6f"),
+    "moe-keep_and_substitute": (0, "9a58e87e23bfed662ab1654c50947cb9883dabbef263823652e72860cced894b"),
+    "moe-leak_smuggle": (0, "c84404babf31106b32ee176f0fec663db2f4aadc51d0bea36598f16faec4ecc9"),
     "moe-all-bob_all": (0, "100c45b7b78b2a1d457bafd6af3719d1ccb8a55d717aafdb672f3627282aadc9"),
     "moe-all-charlie_all": (0, "871e176cadeb0c0c2ce174a5bfa9266bd1cbe3f949b0b2b08b9a555d1db437e0"),
     "moe-all-mix": (0, "0fbe3f560db88ea95595bbe75bddea5203df9f5fb3ebf26ee5d60e0780fa7aa6"),
@@ -302,24 +302,24 @@ GOLDEN_DIGESTS = {
     "moe-all-measure_wiesner": (0, "79669ae17a1ecab17446143551e3874ea38f9629154b3c4d4997c224a2228822"),
     "moe-all-keep_and_substitute": (0, "ac045f500b0f4909f9eb5c5baaa42b9b58c7c9251964b856ba139ebf69a6d3a7"),
     "moe-all-leak_smuggle": (0, "443bc22aa94eb964b66d6623acfabd3f31fbe1ed813562ca3436d4a3301d4b00"),
-    "moe64-bob_all": (0, "0bf3afdf6588633122470f635e678694f73a028ccc376a9ad0f63c3e2c9afbd6"),
-    "moe64-measure_wiesner": (0, "a279d470271917176d3adc3302264ecb85d2ab00d893d6b774fea4a5520b31be"),
-    "moe64-keep_and_substitute": (0, "065e040ca6ce48fa9322405c66ee6ca0e3c9dbe80901922c913e0bd05d57543e"),
+    "moe64-bob_all": (0, "069c51cd69f09c6a66c33ead802e88e0f57f6d4b9576f4072ba08ee42e211805"),
+    "moe64-measure_wiesner": (0, "881a6eedef22dffc52c2effa54214803a5701474c251a68ea621df547820ee69"),
+    "moe64-keep_and_substitute": (0, "03d3e985c3fe3ed12208c78363343c59c7cfa0909041049a682699350baa1baf"),
     "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
     "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
     "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),
-    "qecm-uncloneable": (0, "28eebf2f5c2658984a36f471d0df032aaf0538ad837a24b92073f8e467f6fb04"),
-    "qecm-uncloneable-mc": (0, "8aca692d95a54759238635d5bb0aebb237a61b5f1dacc690b99ea94b170f6d26"),
-    "qecm-uncloneable-ind": (0, "fca14c40d6955d130466da5cd012082b20539ee462a8cdfff2dc703c6a5118e7"),
+    "qecm-uncloneable": (0, "3358d71ffc934abe6a3d143d52205c526d800e9c69bc4bc975b7c233ea178fdd"),
+    "qecm-uncloneable-mc": (0, "1fd7d64b799e49b87fd77db99eb101d50bc0a10f6612cd931c1de5954be0ea7e"),
+    "qecm-uncloneable-ind": (0, "2c66f4e0063b787a2947ec6adfc6eb2faaad0b9a8c42805da6216a9a0d461a17"),
     "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
-    "urbc-binding": (0, "aee33fdced0dec608dc1314b92386979d665ce71d9065f5454216b868862fb24"),
+    "urbc-binding": (0, "d2218ac29424312b0a7fa22bc581af171fde3417c5c8bce02457952ffa703013"),
     "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),
     "qkd-correctness": (0, "01fd3500080a95e93bc6e8b6e6f93cb59a1c70b556c9461112df94bca8d82a43"),
     "qkd-completeness": (0, "8f1cdaa54b2907c96166ad4e4ea8bcfb4e9af17c341b7a83cf024b55f4f05f5a"),
-    "qkd-device-fault": (0, "c5f5d763614090a0e2283f3262098c669b2061c2a6980a9b825615ff94187de4"),
-    "qkd-secrecy": (0, "573a2c3820ac8b95227106254e1c9cf671d0dce06c89007ef7c98fc87c733e44"),
+    "qkd-device-fault": (0, "93514764fac8b1a1e45ccd8636c5b93f5a3f52d0a28fc29b9dab67a23546eb09"),
+    "qkd-secrecy": (0, "e103874b1fcf0c21d98ddfd3b480d82695443f7e9dbcbd5d3317208d60098b81"),
     "qkd-secrecy-keep": (0, "959ebc42071a6ce80429d41f869d578ed6764c0a2a78d4ca1d516d139f245caa"),
-    "qkd-secrecy-ir": (0, "80ff5b205a4b63f0e9c429039848e1ccd19611ecfd900194529a873386407679"),
+    "qkd-secrecy-ir": (0, "2eae4eaaf2af6ded9fff28f3155a5e5b3142c4b6756d37bb2496f6da19a45575"),
     "tfkw-honest": (0, "6d80a0c71f8869168a85aed651bb3bcd8d88aaae858914dc3f7c386a18d144e2"),
     "tfkw-attack": (0, "d3a84a7e136e75bc89f195f8a959d97983651acef1aa8f97c63a8b05d49eef2d"),
     "tfkw-noise-fail": (1, "5ae3a47c6f1f959b5f9804341880edfae19403a9a602ad4c9b8483b55ae99ccc"),

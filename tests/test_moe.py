@@ -4,6 +4,7 @@ leak behaviour, determinism, and the counter-stream plumbing underneath."""
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cosetmoe.mc import (
     TrialReader,
     bits_from_words,
     floats_from_words,
+    keys_from_words,
     run_blocks,
     top_k_mask,
     trial_words,
@@ -71,11 +73,22 @@ def _shift_bits(words, nbits):
     return bits.reshape(words.shape[0], -1)[:, :nbits]
 
 
-def _argpartition_top_k(floats, k):
-    """Row-wise indicators of the k largest draws, picked by argpartition."""
-    t, n = floats.shape
-    top = np.argpartition(floats, n - k, axis=1)[:, n - k :]
-    mask = np.zeros(floats.shape, dtype=np.uint8)
+def _shift_keys(words, count):
+    """The defining key read: key 2j of a row is the low 32 bits of word j,
+    key 2j + 1 its high 32 bits."""
+    low = words & np.uint64(0xFFFFFFFF)
+    high = words >> np.uint64(32)
+    return np.stack([low, high], axis=-1).reshape(words.shape[0], -1)[:, :count]
+
+
+def _argpartition_top_k(keys, k):
+    """Row-wise indicators of the k largest keys, picked by argpartition on
+    the distinct values key * 2^32 + (n - 1 - position): equal keys rank
+    the earlier position higher."""
+    t, n = keys.shape
+    ranks = keys.astype(np.uint64) * 2**32 + np.arange(n - 1, -1, -1, dtype=np.uint64)
+    top = np.argpartition(ranks, n - k, axis=1)[:, n - k :]
+    mask = np.zeros(keys.shape, dtype=np.uint8)
     mask[np.arange(t)[:, None], top] = 1
     return mask
 
@@ -116,26 +129,54 @@ def test_floats_use_the_top_53_bits():
     assert np.array_equal(floats_from_words(words), expected)
 
 
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 65, 3780])
+@pytest.mark.parametrize("trials", [1, 9])
+def test_keys_equal_shift_and_mask(count, trials):
+    block = trial_words(count + trials, 4 * (-(-count // 8) + 2), 0, trials)
+    r = TrialReader(block)
+    r.bits(64)  # the key field starts at word 1, inside the first Philox block
+    got = r.keys(count)
+    nwords = -(-count // 2)
+    field = block[:, 1 : 1 + nwords]
+    assert got.dtype == np.uint32 and got.shape == (trials, count)
+    assert np.array_equal(got, _shift_keys(field, count))
+    # a view of the window where memory holds the low half of a word first
+    assert np.shares_memory(got, block) == (sys.byteorder == "little")
+    # the words that follow are the next field's: an odd count leaves the
+    # high half of its last word unread
+    assert np.array_equal(r.bits(64), bits_from_words(block[:, 1 + nwords : 2 + nwords], 64))
+    # the arithmetic read, taken for words whose halves are not laid out in
+    # memory order, gives the same keys
+    spaced = np.repeat(field, 2, axis=1)[:, ::2]
+    assert spaced.strides[-1] == 16
+    assert np.array_equal(keys_from_words(spaced, count), got)
+    with pytest.raises(ValueError):
+        keys_from_words(field, 2 * nwords + 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 14, 64, 130])
 def test_top_k_mask_equals_argpartition(n):
     keys = TrialReader(trial_words(n, 4 * n, 0, 300)).keys(n)
     # rows with few distinct values tie at the k-th largest draw
-    ties = np.random.default_rng(n).integers(0, 3, size=(300, n)).astype(np.uint64)
+    ties = np.random.default_rng(n).integers(0, 3, size=(300, n)).astype(np.uint32)
     for k in sorted({1, max(1, n // 2), n}):
         for draws in (keys, ties):
             got = top_k_mask(draws, k)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, _argpartition_top_k(draws * 2.0**-53, k))
+            assert np.array_equal(got, _argpartition_top_k(draws, k))
+    with pytest.raises(ValueError):
+        top_k_mask(keys.astype(np.uint64), 1)
 
 
 def _float_sort_top_k(floats, k):
-    """The float rule keys replaced: the draws at or above each row's k-th
-    largest, read off a sort, and an argpartition for a tied row."""
+    """The tie rule on the keys as floats: the draws at or above each row's
+    k-th largest, read off a sort, and for a tied row the first k of a
+    stable descending sort, which puts the earlier of equal draws first."""
     t, n = floats.shape
     ranked = np.sort(floats, axis=1)
     mask = (floats >= ranked[:, n - k, None]).view(np.uint8)
     tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
-    top = np.argpartition(floats[tied], n - k, axis=1)[:, n - k :]
+    top = np.argsort(-floats[tied], axis=1, kind="stable")[:, :k]
     mask[tied] = 0
     mask[tied[:, None], top] = 1
     return mask, tied.size
@@ -143,19 +184,47 @@ def _float_sort_top_k(floats, k):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_top_k_mask_on_tied_keys_equals_float_sort(n):
-    words = trial_words(n + 1, 4 * n, 0, 300)[:, :n]
-    # in two rows of three the keys (top 53 bits) take four values, the
-    # lowest and the highest among them, while the dropped low 11 bits differ
-    values = np.array([0, 1, 2, 2**53 - 1], dtype=np.uint64)
+    words = trial_words(n + 1, 4 * n, 0, 300)[:, : n // 2]
+    # in two rows of three the keys take four values, the lowest and the
+    # highest among them
+    values = np.array([0, 1, 2, 2**32 - 1], dtype=np.uint64)
     picks = np.random.default_rng(n).integers(0, 4, size=(300, n))
     tied = np.arange(300) % 3 != 0
-    words[tied] = (values[picks[tied]] << np.uint64(11)) | (words[tied] & np.uint64(0x7FF))
+    low, high = values[picks[:, 0::2]], values[picks[:, 1::2]]
+    words[tied] = (low | (high << np.uint64(32)))[tied]
     keys = TrialReader(words).keys(n)
     for k in range(1, n + 1):
-        want, ties = _float_sort_top_k(floats_from_words(words), k)
+        want, ties = _float_sort_top_k(keys.astype(np.float64), k)
         assert ties > 0 or k == n  # some row ties at the k-th key
         got = top_k_mask(keys, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 3780])
+def test_top_k_mask_keeps_k_under_ties_row_by_row(n):
+    rng = np.random.default_rng(n)
+    rows = [
+        np.full(n, 7, dtype=np.uint32),  # all equal
+        np.zeros(n, dtype=np.uint32),
+        np.full(n, 2**32 - 1, dtype=np.uint32),
+        rng.integers(0, 2, n).astype(np.uint32),
+        rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32),  # untied
+    ]
+    for k in sorted({1, max(1, n // 3), max(1, n // 2), n}):
+        # a tie straddling the k-th key: keys above it, a run of equal keys
+        # across positions k-1 and k of the ranking, keys below it
+        straddle = np.arange(n, 0, -1, dtype=np.uint32) * 4
+        straddle[max(0, k - 2) : k + 2] = straddle[k - 1]
+        block = np.stack([*rows, straddle, rng.permutation(straddle)])
+        mask = top_k_mask(block, k)
+        assert np.array_equal(np.count_nonzero(mask, axis=1), np.full(len(block), k))
+        assert np.array_equal(mask, _argpartition_top_k(block, k))
+        # a row is ranked as it is alone, wherever it sits in a block
+        for i, row in enumerate(block):
+            assert np.array_equal(top_k_mask(row[None, :], k)[0], mask[i])
+        assert np.array_equal(top_k_mask(block[::-1], k), mask[::-1])
+    # all equal: the first k positions
+    assert np.array_equal(top_k_mask(rows[0][None, :], 1)[0], np.eye(1, n, dtype=np.uint8)[0])
 
 
 def test_trial_reader_budget_enforced():
@@ -545,6 +614,9 @@ class _ReferenceReader:
     def bits(self, nbits):
         return _shift_bits(self._take(-(-nbits // 64)), nbits)
 
+    def keys(self, count):
+        return _shift_keys(self._take(-(-count // 2)), count)
+
     def floats(self, count):
         return (self._take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
@@ -558,7 +630,7 @@ def _reference_kernel(kind, params, leak, q=0.5, theta_hat=None, substitute=None
         return (a ^ b).sum(axis=1)
 
     def theta_and_order(r):
-        theta = _argpartition_top_k(r.floats(n), half)
+        theta = _argpartition_top_k(r.keys(n), half)
         return theta, np.argsort(theta, axis=1, kind="stable")
 
     def kernel(words):

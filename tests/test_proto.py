@@ -101,28 +101,45 @@ def test_pauli_noise_flips_only_matching_basis():
 
 @pytest.mark.parametrize("d", [0.0, 2.0**-53, 0.005, 1.0 / 3.0, 1.0])
 def test_pauli_noise_key_threshold_agrees_with_float_compare(d):
-    edge = math.ceil(Fraction(d) * 2**53)
-    keys = np.array(sorted({k for k in (0, edge - 1, edge, edge + 1, 2**53 - 1)
-                            if 0 <= k < 2**53}), dtype=np.uint64)
-    want = keys.astype(np.float64) * 2.0**-53 < d
+    edge = math.ceil(Fraction(d) * 2**32)  # 2^32 at d = 1: no uint32 holds it
+    keys = np.array(sorted({k for k in (0, edge - 1, edge, edge + 1, 2**32 - 1)
+                            if 0 <= k < 2**32}), dtype=np.uint32)
+    want = keys.astype(np.float64) * 2.0**-32 < d
     for theta_bit in (0, 1):
         theta = np.full(keys.shape, theta_bit, dtype=np.uint8)
-        got = PauliNoise(dx=d, dz=d).flips(theta, keys, keys)
+        got = PauliNoise(dx=d, dz=d).flips(theta, keys)
         assert np.array_equal(got, want.astype(np.uint8)), (d, theta_bit)
 
 
+@pytest.mark.parametrize("dx,dz", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                   (0.3, 0.15), (2.0**-32, 1.0 - 2.0**-32)])
+def test_pauli_noise_one_key_rule_equals_where(dx, dz):
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, 2**32, size=(7, 300), dtype=np.uint64).astype(np.uint32)
+    keys[:, :4] = [0, 1, 2**32 - 2, 2**32 - 1]
+    theta = rng.integers(0, 2, size=keys.shape, dtype=np.uint8)
+    u = keys * 2.0**-32
+    want = np.where(theta == 0, u < dx, u < dz).astype(np.uint8)
+    got = PauliNoise(dx=dx, dz=dz).flips(theta, keys)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    if (dx, dz) == (1.0, 1.0):
+        assert got.all()
+    if (dx, dz) == (0.0, 0.0):
+        assert not got.any()
+
+
 def test_pauli_noise_apply_bits_is_pinned():
-    # the bits the float-uniform rule gave; the golden tfkw report uses
-    # dx = dz = 1 and so cannot see a change at fractional rates
+    # the golden tfkw report uses dx = dz = 1 and so cannot see a change at
+    # fractional rates
     rng = trial_rng(11, 3)
     x = rng.integers(0, 2, size=96, dtype=np.uint8)
     theta = rng.integers(0, 2, size=96, dtype=np.uint8)
     out = PauliNoise(dx=0.3, dz=0.15).apply_bits(x, theta, rng)
     assert Gf2Vec(x).to_hex() == "781caa0a6e008ae015efa64e"
     assert Gf2Vec(theta).to_hex() == "1b234be5e94a96e7779cc329"
-    assert Gf2Vec(out).to_hex() == "7afe0e082f8c8af015ef161e"
-    # it reads exactly the 2n words of two rng.random(n) calls
-    assert rng.bit_generator.random_raw() == 2288331526356119338
+    assert Gf2Vec(out).to_hex() == "5934be012831aa4011efde5a"
+    # it reads exactly the n/2 words that hold one key per qubit
+    assert rng.bit_generator.random_raw() == 6384732137073782969
 
 
 # ------------------------------------------------------------------
@@ -812,8 +829,9 @@ def test_riqkd_batch_counts_equal_per_trial_runs(monkeypatch, seed, params, kind
 
 
 def _reference_riqkd_batch(params, words, noise, device, eve):
-    """The boolean-mask riqkd kernel: fields read in the same order, subsets
-    ranked by argpartition on float draws, noise from float uniforms, (t, t')
+    """The boolean-mask riqkd kernel: fields read in the same order, draw
+    keys split off their words by shift and mask, subsets ranked by
+    argpartition, noise as an explicit ``where`` on float uniforms, (t, t')
     deposited and read back through boolean masks of θ, and one Toeplitz
     build per extraction."""
     n, half, ext, code = params.n, params.half, params.extractor, params.code
@@ -827,11 +845,17 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
     def bits(nbits):
         return bits_from_words(take(-(-nbits // 64)), nbits)
 
-    def floats(count):
-        return (take(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def keys(count):
+        # key 2j: the low 32 bits of word j; key 2j + 1: its high 32 bits
+        field = take(-(-count // 2))
+        halves = np.stack([field & np.uint64(0xFFFFFFFF), field >> np.uint64(32)], axis=-1)
+        return halves.reshape(field.shape[0], -1)[:, :count]
 
     def top_k(draws, k):
-        top = np.argpartition(draws, draws.shape[1] - k, axis=1)[:, draws.shape[1] - k :]
+        # equal keys rank the earlier position higher
+        n_draws = draws.shape[1]
+        ranks = draws * 2**32 + np.arange(n_draws - 1, -1, -1, dtype=np.uint64)
+        top = np.argpartition(ranks, n_draws - k, axis=1)[:, n_draws - k :]
         mask = np.zeros(draws.shape, dtype=np.uint8)
         mask[np.arange(draws.shape[0])[:, None], top] = 1
         return mask
@@ -847,7 +871,7 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
     fault = isinstance(device, SyndromeFault)
     if fault:
         c = device.codeword if device.codeword is not None else min_weight_codeword(code)
-    theta = top_k(floats(n), half)
+    theta = top_k(keys(n), half)
     free, pivots = theta == 0, theta == 1
     t, tp = bits(half), bits(half)
     x = np.empty_like(theta)
@@ -862,8 +886,8 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
         eve_x = np.where(eve_theta == theta, x, bits(n))
         rec_theta, rec_x = eve_theta, eve_x
     if noise is not None:
-        ux, uz = floats(n), floats(n)
-        flips = ((ux < noise.dx) & (rec_theta == 0)) | ((uz < noise.dz) & (rec_theta == 1))
+        u = keys(n) * 2.0**-32
+        flips = np.where(rec_theta == 0, u < noise.dx, u < noise.dz)
         rec_x = rec_x ^ flips.astype(np.uint8)
     dev_read = rec_x
     if eve is not None:
@@ -876,7 +900,7 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
     est_ok = est_distance <= params.gamma * half
     syn_hat = syndrome_batch(code, tp_hat)
     t_bar = align_batch(code, tp, syn_hat)
-    spot = top_k(floats(half), params.spot_size)
+    spot = top_k(keys(half), params.spot_size)
     mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1)
     f = est_ok & (mismatches == 0)
     seed = bits(ext.seed_len)
@@ -984,9 +1008,11 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
         keys[name] = keys.pop("proto")
     monkeypatch.setattr(moe, "run_blocks", recording("moe", moe.run_blocks))
     moe.play_leaky(moe.MoeParams(n=4, trials=1, seed=seed), moe.builtin_strategy("bob_all"))
+    assert sorted(keys) == ["moe", "qecm", "qkd", "urbc"]
     first = {name: tuple(trial_words(key, 4, 0, 1)[0]) for name, key in keys.items()}
     assert len(set(first.values())) == 4
     # nor do they meet the per-trial generators that tfkw and the statevector
-    # paths use (moe's own stream starts where trial_rng(seed, 0) does)
-    per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(4)}
-    assert not per_trial & {first["qecm"], first["urbc"], first["qkd"]}
+    # paths use
+    per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(64)}
+    assert len(per_trial) == 64
+    assert not per_trial & set(first.values())
