@@ -1262,15 +1262,18 @@ class SyndromeFault:
 EveKind = Union[None, KeepAndSubstitute, InterceptResend]
 
 
-def _riqkd_words(params: QkdParams, noise: Optional[PauliNoise], eve: EveKind) -> int:
-    """Window size of one run (see ``_riqkd_batch``)."""
+def _riqkd_words(
+    params: QkdParams, noise: Optional[PauliNoise], eve: EveKind, lead_bits: int = 0
+) -> int:
+    """Window size of one run (see ``_riqkd_batch``), after a leading field of
+    ``lead_bits`` bits that a caller reads first (secrecy_probe's guess)."""
     n, half = params.n, params.half
     eve_bits: tuple[int, ...] = ()
     if isinstance(eve, InterceptResend):
         # basis guesses (unless fixed), wrong-basis reads, her final coins
         eve_bits = ((n,) if eve.theta_hat is None else ()) + (n, half)
     return words_for(
-        bit_fields=(half, half, *eve_bits, *((n,) if eve is not None else ()),
+        bit_fields=(lead_bits, half, half, *eve_bits, *((n,) if eve is not None else ()),
                     params.extractor.seed_len),
         key_fields=(n, *((n,) if noise is not None else ()), half),
     )
@@ -1642,8 +1645,9 @@ def secrecy_probe(
     bound (computed at min-entropy ``kappa``, defaulting to the
     half-dimension uncertainty rate).  Without an eavesdropper the guess is
     a uniform baseline.  A trial's window starts with that baseline guess
-    (ell bits) and the run's own window follows; the trials run as batch
-    kernels over ``threads`` threads.
+    (ell bits) and the run's own fields follow, the whole rounded up to a
+    Philox block once; the trials run as batch kernels over ``threads``
+    threads.
 
     mode="exact": noiseless, eavesdropper-free enumeration of the classical
     leakage (n <= 6, ell = 1): returns the exact trace distance between
@@ -1665,7 +1669,7 @@ def secrecy_probe(
         "seed": seed,
     }
     ell = params.ell
-    words = round_up_words(-(-ell // 64) + _riqkd_words(params, noise, eve))
+    words = _riqkd_words(params, noise, eve, lead_bits=ell)
 
     def kernel(block: np.ndarray) -> np.ndarray:
         r = TrialReader(block)

@@ -317,9 +317,9 @@ GOLDEN_DIGESTS = {
     "qkd-correctness": (0, "01fd3500080a95e93bc6e8b6e6f93cb59a1c70b556c9461112df94bca8d82a43"),
     "qkd-completeness": (0, "8f1cdaa54b2907c96166ad4e4ea8bcfb4e9af17c341b7a83cf024b55f4f05f5a"),
     "qkd-device-fault": (0, "93514764fac8b1a1e45ccd8636c5b93f5a3f52d0a28fc29b9dab67a23546eb09"),
-    "qkd-secrecy": (0, "e103874b1fcf0c21d98ddfd3b480d82695443f7e9dbcbd5d3317208d60098b81"),
+    "qkd-secrecy": (0, "2cae093c9f518f6ed7c9aaee46672ab51e81147758e89d3a5cdb6178781835b2"),
     "qkd-secrecy-keep": (0, "959ebc42071a6ce80429d41f869d578ed6764c0a2a78d4ca1d516d139f245caa"),
-    "qkd-secrecy-ir": (0, "2eae4eaaf2af6ded9fff28f3155a5e5b3142c4b6756d37bb2496f6da19a45575"),
+    "qkd-secrecy-ir": (0, "1c3a62dc39a97190db3598ed1ef8fd4147ab7fd6d7665f4b6e312104f2f47ed3"),
     "tfkw-honest": (0, "6d80a0c71f8869168a85aed651bb3bcd8d88aaae858914dc3f7c386a18d144e2"),
     "tfkw-attack": (0, "d3a84a7e136e75bc89f195f8a959d97983651acef1aa8f97c63a8b05d49eef2d"),
     "tfkw-noise-fail": (1, "5ae3a47c6f1f959b5f9804341880edfae19403a9a602ad4c9b8483b55ae99ccc"),

@@ -684,6 +684,22 @@ def test_secrecy_probe_monte_carlo_honest_baseline():
     assert abs(rep["guess_estimate"] - p) <= 3 * _sigma(p, 3000)
 
 
+def test_secrecy_probe_window_is_rounded_once(monkeypatch):
+    # n=16: the run's fields take 15 words, so the one-word guess fits in
+    # its padding and a trial reads 16 words, not 1 + 16 rounded up to 20
+    sizes = []
+    real = proto._run_trials
+
+    def recording(trials, words, *args):
+        sizes.append(words)
+        return real(trials, words, *args)
+
+    monkeypatch.setattr(proto, "_run_trials", recording)
+    params = _qkd_params()
+    secrecy_probe(params, trials=10, seed=0)
+    assert sizes == [16] == [proto._riqkd_words(params, None, None)]
+
+
 def test_secrecy_probe_keep_and_substitute():
     params = _qkd_params(n=8, eta=0.25, code=make_code("repetition", 4))
     rep = secrecy_probe(params, eve=KeepAndSubstitute(), trials=8000, seed=56)
@@ -966,8 +982,8 @@ def test_riqkd_batch_equals_boolean_mask_reference(n, noise, eve, device):
      InterceptResend(Gf2Vec([0, 1] * 4)), PauliNoise(dx=0.1, dz=0.0)),
 ])
 def test_secrecy_probe_counts_equal_per_trial_runs(monkeypatch, seed, params, eve, noise):
-    # the baseline guess (used without an eavesdropper) precedes the run's window
-    words = round_up_words(1 + proto._riqkd_words(params, noise, eve))
+    # the baseline guess (used without an eavesdropper) precedes the run's fields
+    words = proto._riqkd_words(params, noise, eve, lead_bits=params.ell)
     _small_blocks(monkeypatch, words)
     rep = secrecy_probe(params, eve=eve, trials=ORACLE_TRIALS, seed=seed, noise=noise)
     accepts = hits = 0
