@@ -4,11 +4,19 @@ Every batch experiment draws its randomness from its own Philox counter
 stream, keyed by ``stream_key(seed, id)`` (key words [seed, 2^63 | id]): the
 games (``moe``) and each protocol experiment have their own id, so no two
 batch experiments share words, and none shares words with the per-trial
-generator ``proto.trial_rng(seed, trial)`` (key words [seed, trial]).  Trial i
-owns the fixed word window [i*W, (i+1)*W), where W, the per-trial word
-budget, is a whole number of Philox blocks (4 x 64-bit words).  Because the
-window depends only on (seed, trial index), results are bit-identical no
-matter how trials are grouped into blocks or spread over threads.
+generator ``proto.trial_rng(seed, trial)`` (key words [seed, trial]) that
+``tfkw`` uses.  Trial i owns the fixed word window [i*W, (i+1)*W), where W,
+the per-trial word budget, is a whole number of Philox blocks (4 x 64-bit
+words).  Because the window depends only on (seed, trial index), results are
+bit-identical no matter how trials are grouped into blocks or spread over
+threads.
+
+A trial whose number of draws is not fixed (the statevector backend samples
+a general subspace by rejection, then Born outcomes) reads two words of its
+window as the 128-bit key of its own Philox generator
+(``TrialReader.generators``).  Philox keys may be drawn freely from a
+counter stream (Salmon et al., SC 2011), and such a key meets a
+``stream_key`` or a [seed, trial] key only with probability 2^-128.
 
 A bit field is read packed: whole uint64 words, bit 0 of the field in the
 most significant bit of the first word, with the bits past the field's
@@ -37,7 +45,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,9 +153,9 @@ def key_threshold(p: float) -> int:
 class TrialReader:
     """Carves a block of trial words into named fields, in declaration order.
 
-    The same sequence of ``packed``/``bits``/``keys``/``floats`` calls must
-    be made every time a kernel runs, so a field's position in the stream is
-    a function of the layout alone.
+    The same sequence of ``packed``/``bits``/``keys``/``floats``/``generators``
+    calls must be made every time a kernel runs, so a field's position in the
+    stream is a function of the layout alone.
     """
 
     def __init__(self, words: np.ndarray):
@@ -186,6 +194,12 @@ class TrialReader:
     def floats(self, count: int) -> np.ndarray:
         """The next ``count`` draws as (T, count) float64 uniforms in [0, 1)."""
         return floats_from_words(self._take(count))
+
+    def generators(self) -> Iterator[np.random.Generator]:
+        """The next two words of each row as the 128-bit key (key words
+        [w0, w1]) of that row's own Philox generator, made row by row as the
+        caller iterates.  The words are taken when this is called."""
+        return (np.random.Generator(np.random.Philox(key=key)) for key in self._take(2))
 
 
 def top_k_mask(keys: np.ndarray, k: int) -> np.ndarray:

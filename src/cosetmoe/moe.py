@@ -19,7 +19,12 @@ strategies:
   of the basis word, so no per-trial sort or gather over coordinates runs;
 * a statevector path that actually prepares the state, runs the channel
   dilation and Born-rule measures party registers, for any family up to the
-  simulator's qubit limit.
+  simulator's qubit limit.  A round reads its labels and the key of its own
+  Philox generator from its window.
+
+Both run as ``mc.run_blocks`` kernels on one counter stream,
+``mc.stream_key(seed, _MOE_STREAM)``, so their counts do not depend on the
+block size or the thread count.
 
 Strategies whose split is not a product across the Bob/Charlie cut must do
 all their measuring inside the channel (the party registers are measured
@@ -37,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import Gf2Subspace, Gf2Vec, hamming, sample_subspace, solve_coset_membership
+from .gf2 import Gf2Subspace, Gf2Vec, sample_subspace, solve_coset_membership
 from .info import ball_volume
 from .mc import (
     TrialReader,
@@ -88,7 +93,7 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 _MAX_SEED = 1 << 64
-# The register kernels' counter stream, ``stream_key(seed, _MOE_STREAM)``;
+# The games' counter stream, ``stream_key(seed, _MOE_STREAM)``, for both backends;
 # the protocol experiments use ids 1-3 (``proto._QECM_STREAM`` and on).
 _MOE_STREAM = 4
 
@@ -730,12 +735,13 @@ def play_leaky(
 ) -> GameResult:
     """Run the game ``params.trials`` times and tally wins.
 
-    backend="wiesner" uses the strategy's vectorised register kernel (register
-    family only; thread-count invariant) on the counter stream
-    ``mc.stream_key(seed, _MOE_STREAM)``.  backend="statevector" prepares and
-    measures actual states, one trial at a time, with a per-trial Philox key
-    (seed, trial); ``threads`` is ignored there.  "auto" picks the kernel
-    when it exists.
+    backend="wiesner" uses the strategy's vectorised register kernel
+    (register family only).  backend="statevector" prepares and measures
+    actual states, one trial at a time (``_statevector_kernel``).  "auto"
+    picks the register kernel when it exists.  Both run as ``mc.run_blocks``
+    kernels over ``threads`` threads on the counter stream
+    ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
+    thread count.
     """
     if backend == "auto":
         backend = (
@@ -749,37 +755,41 @@ def play_leaky(
         if strategy.register_kernel is None:
             raise ValueError(f"strategy {strategy.name!r} has no register kernel")
         wpt, kernel = strategy.register_kernel(params, leak)
-        wins, bob_ok = (int(c) for c in run_blocks(
-            params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
-        ))
-        return GameResult.from_counts(wins, bob_ok, params.trials)
-    if backend != "statevector":
+    elif backend == "statevector":
+        wpt, kernel = _statevector_kernel(params, strategy, leak)
+    else:
         raise ValueError(f"unknown backend {backend!r}")
-    wins = 0
-    bob_ok_count = 0
-    for trial in range(params.trials):
-        win, bob_ok = _statevector_round(params, strategy, leak, trial)
-        wins += win
-        bob_ok_count += bob_ok
-    return GameResult.from_counts(wins, bob_ok_count, params.trials)
+    wins, bob_ok = (int(c) for c in run_blocks(
+        params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
+    ))
+    return GameResult.from_counts(wins, bob_ok, params.trials)
 
 
-def _statevector_round(
-    params: MoeParams, strategy: Strategy, leak: bool, trial: int
-) -> tuple[int, int]:
-    key = np.array([params.seed, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    a = sample_subspace(params.n, params.family, rng)
-    t = _uniform_guess(rng, params.half)
-    tp = _uniform_guess(rng, params.half)
-    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend="statevector")
-    channel = strategy.split(params.n, rng)
-    reg = apply_adversary(reg, channel, rng)
-    log = tuple(channel.log)
-    bob_view = PartyView(reg, reg.qubits_of("bob"), log)
-    t_b = strategy.bob(a, bob_view, rng)
-    charlie_view = PartyView(reg, reg.qubits_of("charlie"), log)
-    t_c = strategy.charlie(a, t_b if leak else None, charlie_view, rng)
-    bob_ok = hamming(t_b, t) <= params.m
-    win = bob_ok and hamming(t_c, tp) <= params.m_prime
-    return int(win), int(bob_ok)
+def _statevector_kernel(params: MoeParams, strategy: Strategy, leak: bool):
+    """The statevector backend as a (words_per_trial, kernel) pair.  A
+    round's window holds the key of its own generator
+    (``TrialReader.generators``) and the labels (t, t'); the generator
+    samples a, then drives the channel and the parties' answers."""
+    half = params.half
+    wpt = words_for(bit_fields=(128, half, half))
+
+    def kernel(words):
+        r = TrialReader(words)
+        rngs = r.generators()
+        t, tp = r.bits(half), r.bits(half)
+        t_b, t_c = np.empty_like(t), np.empty_like(tp)
+        for i, rng in enumerate(rngs):
+            a = sample_subspace(params.n, params.family, rng)
+            reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
+            channel = strategy.split(params.n, rng)
+            reg = apply_adversary(reg, channel, rng)
+            log = tuple(channel.log)
+            bob = strategy.bob(a, PartyView(reg, reg.qubits_of("bob"), log), rng)
+            charlie_view = PartyView(reg, reg.qubits_of("charlie"), log)
+            t_b[i] = bob.bits
+            t_c[i] = strategy.charlie(a, bob if leak else None, charlie_view, rng).bits
+        bob_ok = (t_b != t).sum(axis=1) <= params.m
+        win = bob_ok & ((t_c != tp).sum(axis=1) <= params.m_prime)
+        return _counters(win, bob_ok)
+
+    return wpt, kernel

@@ -21,13 +21,16 @@ Every run returns an outcome dataclass carrying the full message transcript.
 Classical messages are always eavesdropper-visible; an eavesdropper's quantum
 side information comes only from how she split the state in transit.
 
-The register (conjugate-coding) family runs on classical Wiesner records and
-scales to thousands of qubits.  Each of its protocols is one batch function
-(``_qecm_batch``, ``_urbc_batch``, ``_riqkd_batch``) from a block of trial
-windows to per-trial arrays: the experiments reduce them to counters through
-``mc.run_blocks``, and a single run calls the same function on one window
-and builds its transcript from row 0.  The general subspace family uses the
-statevector backend, one trial at a time, and is limited to small n.  Abort
+Each protocol is one batch function (``_qecm_batch``, ``_urbc_batch``,
+``_riqkd_batch``) from a block of trial windows to per-trial arrays: the
+experiments reduce them to counters through ``mc.run_blocks``, and a single
+run calls the same function on one window and builds its transcript from
+row 0.  Only the quantum step depends on the subspace family
+(``_CosetStates``).  The register (conjugate-coding) family runs on
+classical Wiesner records, read through θ masks, and scales to thousands of
+qubits.  The general family (interactive encryption and commitment) reads
+its states row by row on the statevector backend, with each row's own
+generator keyed from its window, and is limited to small n.  Abort
 semantics: downstream fields of an aborted run are ``None``, never
 zero-filled.
 """
@@ -60,7 +63,6 @@ from .mc import (
     binomial_sigma,
     key_threshold,
     keys_from_words,
-    round_up_words,
     run_blocks,
     stream_key,
     top_k_mask,
@@ -340,10 +342,72 @@ def _uniform_bits(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.integers(0, 2, size=k, dtype=np.uint8)
 
 
-def _register_subspace(theta: np.ndarray) -> Gf2Subspace:
-    """The register subspace spanned by e_i at the Hadamard positions θ_i = 1."""
-    unit = np.eye(theta.shape[0], dtype=np.uint8)
-    return Gf2Subspace(theta.shape[0], Gf2Matrix(unit[theta == 1]))
+def _coset_fields(family: str, n: int, computational: bool = False):
+    """(bit_fields, key_fields) that ``_CosetStates`` reads from a window."""
+    if family != "register":
+        return (128,), ()
+    return ((n // 2,) if computational else ()), (n,)
+
+
+class _CosetStates:
+    """The coset states |a_{t,t'}> of a block of trials and the quantum step
+    that reads them, one row per trial.
+
+    The subspace draw comes first in a window.  On the register family it is
+    the Hadamard positions θ, from n draw keys, and a state is its
+    conjugate-coding record, read through θ masks.  On the general family it
+    is a 2-word key for the row's own generator (``TrialReader.generators``),
+    which samples a and then the Born outcomes of a statevector simulation.
+    """
+
+    def __init__(self, family: str, n: int, r: TrialReader):
+        self.family, self.n = family, n
+        self.theta = self.rngs = self.basis = self.forwarded = None
+        if family == "register":
+            self.theta = top_k_mask(r.keys(n), n // 2)
+        else:
+            self.rngs = r.generators()
+
+    def read(
+        self, t: np.ndarray, tp: np.ndarray, r: TrialReader, computational: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(t̂, t̂') of whoever holds each intact state: a measurement in the
+        coset basis of a, or (``computational``) one in the computational
+        basis, decoded against a, whose outcomes are kept in ``forwarded``."""
+        half = self.n // 2
+        if self.theta is not None:
+            if not computational:
+                return t, tp  # exact on an intact state
+            # the free positions read t, the Hadamard ones read coins
+            coins = r.bits(half)
+            self.forwarded = np.empty(self.theta.shape, dtype=np.uint8)
+            self.forwarded[self.theta == 0] = t.ravel()
+            self.forwarded[self.theta == 1] = coins.ravel()
+            return t, coins
+        t_hat, tp_hat = np.empty_like(t), np.empty_like(tp)
+        self.basis = np.empty((len(t), half, self.n), dtype=np.uint8)
+        if computational:
+            self.forwarded = np.empty((len(t), self.n), dtype=np.uint8)
+        for i, rng in enumerate(self.rngs):
+            a = sample_subspace(self.n, self.family, rng)
+            reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
+            if computational:
+                v, _ = measure_computational(reg, rng)
+                read_t, u = solve_coset_membership(a, v)
+                read_tp = Gf2Vec(u.bits[list(a.pivots)])
+                self.forwarded[i] = v.bits
+            else:
+                read_t, read_tp = measure_coset_basis(reg, a, rng)
+            t_hat[i], tp_hat[i], self.basis[i] = read_t.bits, read_tp.bits, a.basis.rows
+        return t_hat, tp_hat
+
+    def subspace(self, row: int) -> Gf2Subspace:
+        """The subspace a of one row, for its transcript."""
+        if self.theta is None:
+            rows = self.basis[row]
+        else:  # spanned by e_i at the Hadamard positions θ_i = 1
+            rows = np.eye(self.n, dtype=np.uint8)[self.theta[row] == 1]
+        return Gf2Subspace(self.n, Gf2Matrix(rows))
 
 
 def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
@@ -361,10 +425,6 @@ def _syn(code: LinearCode, bits: np.ndarray) -> np.ndarray:
 
 def _align(code: LinearCode, t_prime: np.ndarray, target: np.ndarray) -> np.ndarray:
     return align_batch(code, t_prime[None, :], target[None, :])[0]
-
-
-def _spot_indices(rng: np.random.Generator, half: int, size: int) -> np.ndarray:
-    return np.sort(rng.permutation(half)[:size])
 
 
 def _check_spot_size(eta: float, half: int) -> int:
@@ -473,18 +533,21 @@ class MessageSource:
         shifts = np.arange(self.ell - 1, -1, -1)
         return ((picks[:, None] >> shifts) & 1).astype(np.uint8)
 
-    def __call__(self, rng: np.random.Generator) -> Gf2Vec:
-        return Gf2Vec(self.bits(np.array([rng.random()]))[0])
 
-
-def _qecm_words(params: QecmParams, eve: Optional[str], message) -> int:
-    """Window size of one register-family run (see ``_qecm_batch``)."""
+def _qecm_words(
+    params: QecmParams, eve: Optional[str], message, lead_bits: tuple[int, ...] = ()
+) -> int:
+    """Window size of one run (see ``_qecm_batch``), after the leading bit
+    fields ``lead_bits`` that a caller reads first (the distinguishing
+    game's referee fields)."""
     half, ell = params.half, params.ell
-    eve_bits = {None: (), "keep_all": (half, half, ell), "measure_computational": (half, ell)}
+    state_bits, state_keys = _coset_fields(params.family, params.n,
+                                           eve == "measure_computational")
+    eve_bits = {None: (), "keep_all": (half, half, ell), "measure_computational": (ell,)}
     return words_for(
-        bit_fields=(half, half, params.extractor.seed_len, ell,
+        bit_fields=(*lead_bits, *state_bits, half, half, params.extractor.seed_len, ell,
                     *((ell,) if message is None else ()), *eve_bits[eve]),
-        key_fields=(params.n,),
+        key_fields=state_keys,
         float_fields=(1,) if isinstance(message, MessageSource) else (),
     )
 
@@ -492,15 +555,15 @@ def _qecm_words(params: QecmParams, eve: Optional[str], message) -> int:
 def _qecm_batch(
     params: QecmParams, r: TrialReader, eve: Optional[str], message
 ) -> SimpleNamespace:
-    """Interactive encryption on the register family, one trial per row.
+    """Interactive encryption, one trial per row.
 
     ``message`` is None (uniform, drawn from the window), a MessageSource
     (one uniform from the window), or fixed bits of shape (ell,) or (T, ell).
     """
     n, half, ell, ext = params.n, params.half, params.ell, params.extractor
 
-    # key generation: a's Hadamard positions, labels, extractor seed and mask
-    theta = top_k_mask(r.keys(n), half)
+    # key generation: the subspace a, labels, extractor seed and mask
+    states = _CosetStates(params.family, n, r)
     t, tp = r.bits(half), r.bits(half)
     seed, h = r.bits(ext.seed_len), r.bits(ell)
     if message is None:
@@ -510,18 +573,15 @@ def _qecm_batch(
     else:
         m = np.broadcast_to(np.asarray(message, dtype=np.uint8), (r.count, ell))
 
-    # the channel and Bob's coset measurement (in the bases of a: exact on
-    # an intact state); tp_eve is Eve's phase read
+    # the channel: Bob reads the state on an honest channel, Eve under an
+    # attack; tp_eve is Eve's phase read
+    t_read, tp_read = states.read(t, tp, r, eve == "measure_computational")
     if eve == "keep_all":
         # Bob holds no qubits and answers blind; Eve kept the intact state
-        t_hat, tp_hat, tp_eve = r.bits(half), r.bits(half), tp
-    elif eve == "measure_computational":
-        # her string carries t on the free coordinates and coins on the
-        # Hadamard ones, and Bob and Eve both decode it: t exactly, coins as t'
-        coins = r.bits(half)
-        t_hat, tp_hat, tp_eve = t, coins, coins
+        t_hat, tp_hat, tp_eve = r.bits(half), r.bits(half), tp_read
     else:
-        t_hat, tp_hat = t, tp
+        # under measure_computational Bob and Eve both decode her string
+        t_hat, tp_hat, tp_eve = t_read, tp_read, tp_read
 
     # the pads T(seed)·t' ^ h of Alice, Bob and Eve, from one seed build
     inputs = [tp, tp_hat] if eve is None else [tp, tp_hat, tp_eve]
@@ -537,8 +597,8 @@ def _qecm_batch(
     if eve is not None:
         blind = r.bits(ell)
         m_check = np.where(f[:, None], m_bar ^ pads[2], blind)
-    return SimpleNamespace(theta=theta, t=t, seed=seed, h=h, m=m, m_bar=m_bar,
-                           t_hat=t_hat, tp_hat=tp_hat, f=f, m_hat=m_hat, m_check=m_check)
+    return SimpleNamespace(states=states, seed=seed, h=h, m=m, m_bar=m_bar,
+                           t_hat=t_hat, f=f, m_hat=m_hat, m_check=m_check)
 
 
 def run_qecm_id(
@@ -557,17 +617,14 @@ def run_qecm_id(
     answer.  Eve guesses the message from her stash plus the classical
     transcript once the run ends.
 
-    The register family reads one window of raw words from ``rng`` (see
+    The run reads one window of raw words from ``rng`` (see
     ``_qecm_batch``); a MessageSource draws from that window, any other
-    callable ``message(rng)`` after it.  The general family runs on the
-    statevector backend and draws through ``rng``'s methods.
+    callable ``message(rng)`` after it.
     """
     if eve not in _QECM_EVE_KINDS:
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
-    if params.family != "register":
-        return _run_qecm_statevector(params, rng, eve, message)
     reader = _window(rng, _qecm_words(params, eve, message))
-    if callable(message) and not isinstance(message, MessageSource):
+    if callable(message):
         message = message(rng)
     if isinstance(message, Gf2Vec):
         if message.n != params.ell:
@@ -580,13 +637,9 @@ def run_qecm_id(
     tr = Transcript()
     tr.send("alice", "bob", "ciphertext_pad", Gf2Vec(b.m_bar[0]))
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
-    theta = b.theta[0]
     if eve == "measure_computational":
-        forwarded = np.empty(params.n, dtype=np.uint8)
-        forwarded[theta == 0] = b.t[0]
-        forwarded[theta == 1] = b.tp_hat[0]
-        tr.send("eve", "bob", "forwarded_string", Gf2Vec(forwarded))
-    tr.send("alice", "bob", "subspace", _register_subspace(theta).to_json())
+        tr.send("eve", "bob", "forwarded_string", Gf2Vec(b.states.forwarded[0]))
+    tr.send("alice", "bob", "subspace", b.states.subspace(0).to_json())
     tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
     f = int(b.f[0])
     tr.send("alice", "bob", "accept_flag", f)
@@ -596,84 +649,6 @@ def run_qecm_id(
         m_hat = Gf2Vec(b.m_hat[0])
     m_check = None if b.m_check is None else Gf2Vec(b.m_check[0])
     return QecmOutcome(Gf2Vec(b.m[0]), m_hat, m_check, f, tr)
-
-
-def _run_qecm_statevector(
-    params: QecmParams,
-    rng: np.random.Generator,
-    eve: Optional[str],
-    message: Union[None, Gf2Vec, Callable],
-) -> QecmOutcome:
-    """``run_qecm_id`` on the general family, one Born-rule sample at a time."""
-    ext = params.extractor
-    tr = Transcript()
-
-    # key generation
-    a = sample_subspace(params.n, params.family, rng)
-    t = Gf2Vec(_uniform_bits(rng, params.half))
-    tp = Gf2Vec(_uniform_bits(rng, params.half))
-    r = Gf2Vec(_uniform_bits(rng, ext.seed_len))
-    h = Gf2Vec(_uniform_bits(rng, params.ell))
-
-    if message is None:
-        m = Gf2Vec(_uniform_bits(rng, params.ell))
-    elif callable(message):
-        m = message(rng)
-    else:
-        m = message
-    if m.n != params.ell:
-        raise ValueError("message length mismatch")
-
-    # encryption: pad + state
-    m_bar = m + ext.extract(tp, r) + h
-    tr.send("alice", "bob", "ciphertext_pad", m_bar)
-    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend="statevector")
-    tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
-    # the channel: Eve may intercept the state here
-    eve_classical: Optional[Gf2Vec] = None
-    if eve == "measure_computational":
-        v, reg = measure_computational(reg, rng)
-        eve_classical = v
-        tr.send("eve", "bob", "forwarded_string", v)
-
-    # interactive decryption
-    tr.send("alice", "bob", "subspace", a.to_json())
-    t_hat: Gf2Vec
-    tp_hat: Optional[Gf2Vec]
-    if eve == "keep_all":
-        # Bob never received anything quantum; he can only answer blindly
-        t_hat = Gf2Vec(_uniform_bits(rng, params.half))
-        tp_hat = Gf2Vec(_uniform_bits(rng, params.half))
-    elif eve == "measure_computational":
-        t_hat, u = solve_coset_membership(a, eve_classical)
-        tp_hat = Gf2Vec(u.bits[list(a.pivots)])
-    else:
-        t_hat, tp_hat = measure_coset_basis(reg, a, rng)
-    tr.send("bob", "alice", "position_response", t_hat)
-
-    f = int(t_hat == t)
-    tr.send("alice", "bob", "accept_flag", f)
-    m_hat = None
-    if f:
-        tr.send("alice", "bob", "key_release", (r, h))
-        m_hat = m_bar + ext.extract(tp_hat, r) + h
-
-    # Eve's guess from her side information plus the classical transcript
-    m_check = None
-    if eve == "keep_all":
-        if f:
-            _, tp_eve = measure_coset_basis(reg, a, rng)
-            m_check = m_bar + ext.extract(tp_eve, r) + h
-        else:
-            m_check = Gf2Vec(_uniform_bits(rng, params.ell))
-    elif eve == "measure_computational":
-        if f:
-            _, u = solve_coset_membership(a, eve_classical)
-            tp_eve = Gf2Vec(u.bits[list(a.pivots)])
-            m_check = m_bar + ext.extract(tp_eve, r) + h
-        else:
-            m_check = Gf2Vec(_uniform_bits(rng, params.ell))
-    return QecmOutcome(m, m_hat, m_check, f, tr)
 
 
 def _register_subspaces(n: int):
@@ -741,8 +716,8 @@ def qecm_experiment(
     accepted runs.  ``message_probs`` optionally biases the message source
     (uncloneable kind only); the bound then uses the source's min-entropy.
 
-    The register family runs as batch kernels over ``threads`` threads; the
-    counts do not depend on the thread count.
+    Both families run as batch kernels over ``threads`` threads; the counts
+    do not depend on the thread count.
     """
     report: dict = {"experiment": f"qecm_{kind}", "n": params.n, "ell": params.ell}
     n_messages = 1 << params.ell
@@ -775,11 +750,7 @@ def qecm_experiment(
             raise ValueError("message distribution must cover all messages")
         source = MessageSource(tuple(message_probs))
         h_min = -math.log2(max(source.probs))
-    accepts, hits = (
-        _qecm_counts(kind, params, eve, source, trials, seed, threads)
-        if params.family == "register"
-        else _qecm_statevector_counts(kind, params, eve, source, trials, seed)
-    )
+    accepts, hits = _qecm_counts(kind, params, eve, source, trials, seed, threads)
 
     if kind == "correctness":
         report["disagreements"] = hits
@@ -821,19 +792,19 @@ def _qecm_counts(
     seed: int,
     threads: int,
 ) -> tuple[int, int]:
-    """(accepts, hits) of a register-family experiment: hits are the
-    disagreements (correctness) or Eve's wins (the two games).
+    """(accepts, hits) of an experiment: hits are the disagreements
+    (correctness) or Eve's wins (the two games).
 
     In the distinguishing game a trial's window starts with the referee's
     bit y, the alternative message m1 and Eve's fallback coin, one field
-    each, and the run's own window follows: so a run reading its window
-    right after those fields replays the trial.
+    each, and the run's own fields follow, the whole rounded up to a Philox
+    block once: so a run reading its window right after those fields
+    replays the trial.
     """
     ell = params.ell
     game = kind == "uncloneable_indistinguishable"
-    words = _qecm_words(params, eve, source if not game else np.zeros(ell))
-    if game:
-        words = round_up_words(2 + -(-ell // 64) + words)
+    lead = (1, ell, 1) if game else ()
+    words = _qecm_words(params, eve, np.zeros(ell) if game else source, lead)
 
     def kernel(block: np.ndarray) -> np.ndarray:
         r = TrialReader(block)
@@ -844,9 +815,8 @@ def _qecm_counts(
             if b.m_check is None:  # no eavesdropper: nobody guesses
                 return _counters(b.f, np.zeros_like(b.f))
             return _counters(b.f, b.f & (b.m_check == b.m).all(axis=1))
-        y = r.bits(1)[:, 0]
-        m1 = r.bits(ell)
-        coin = r.bits(1)[:, 0]
+        y, m1, coin = (r.bits(bits) for bits in lead)
+        y, coin = y[:, 0], coin[:, 0]
         b = _qecm_batch(params, r, eve, np.where(y[:, None] == 1, m1, 0))
         # Eve names the message her guess matches, else guesses blind
         guess = coin
@@ -859,39 +829,6 @@ def _qecm_counts(
 
     accepts, hits = _run_trials(trials, words, seed, _QECM_STREAM, kernel, threads)
     return int(accepts), int(hits)
-
-
-def _qecm_statevector_counts(
-    kind: str,
-    params: QecmParams,
-    eve: Optional[str],
-    source: Optional[MessageSource],
-    trials: int,
-    seed: int,
-) -> tuple[int, int]:
-    """``_qecm_counts`` on the general family: one run per ``trial_rng``."""
-    m0 = Gf2Vec.zeros(params.ell)
-    accepts = hits = 0
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        if kind != "uncloneable_indistinguishable":
-            out = run_qecm_id(params, rng, eve=eve, message=source)
-            accepts += out.f
-            if kind == "correctness":
-                hits += int(not (out.f == 1 and out.m_hat == out.m))
-            else:
-                hits += int(out.f == 1 and out.m_check == out.m)
-            continue
-        y = int(rng.integers(0, 2))
-        m1 = Gf2Vec(_uniform_bits(rng, params.ell))
-        out = run_qecm_id(params, rng, eve=eve, message=m0 if y == 0 else m1)
-        accepts += out.f
-        if out.m_check is None or m1 == m0 or out.m_check not in (m0, m1):
-            y_guess = int(rng.integers(0, 2))
-        else:
-            y_guess = int(out.m_check == m1)
-        hits += int(out.f == 1 and y_guess == y)
-    return accepts, hits
 
 
 # ------------------------------------------------------------------
@@ -947,21 +884,25 @@ class UrbcOutcome:
     transcript: Transcript
 
 
-def _urbc_words(params: UrbcParams) -> int:
-    """Window size of one register-family run (see ``_urbc_batch``)."""
+def _urbc_words(params: UrbcParams, family: str = "register") -> int:
+    """Window size of one run (see ``_urbc_batch``)."""
     nonce = (256,) if params.scheme == "hash_based" else ()
+    state_bits, state_keys = _coset_fields(family, params.n)
     return words_for(
-        bit_fields=(params.half, params.half, params.extractor.seed_len, params.ell, *nonce),
-        key_fields=(params.n, params.half),
+        bit_fields=(*state_bits, params.half, params.half, params.extractor.seed_len,
+                    params.ell, *nonce),
+        key_fields=(*state_keys, params.half),
     )
 
 
-def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespace:
-    """Commit, check and reveal on the register family, one trial per row."""
+def _urbc_batch(
+    params: UrbcParams, r: TrialReader, alice: str, family: str = "register"
+) -> SimpleNamespace:
+    """Commit, check and reveal, one trial per row."""
     n, half, ext, code = params.n, params.half, params.extractor, params.code
 
     # commit: the base commitment binds Alice to the extraction inputs (r, h)
-    theta = top_k_mask(r.keys(n), half)
+    states = _CosetStates(family, n, r)
     t, tp = r.bits(half), r.bits(half)
     seed, h = r.bits(ext.seed_len), r.bits(params.ell)
     committed = np.concatenate([seed, h], axis=1)
@@ -971,8 +912,8 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
         values = [_pack_pair(Gf2Vec(rr), Gf2Vec(hh)) for rr, hh in zip(seed, h)]
         tokens = [_hash_token(v, nonce.tobytes()) for v, nonce in zip(values, nonces)]
 
-    # check: Bob measures the intact state in the bases of a: exact
-    t_hat, tp_hat = t, tp
+    # check: Bob measures the intact state in the coset basis of a
+    t_hat, tp_hat = states.read(t, tp, r)
     g = (t_hat == t).all(axis=1)
 
     # reveal: Bob's spot subset, then Alice's syndrome, spot bits and opening
@@ -995,7 +936,7 @@ def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespa
     f = syn_ok & spot_ok & base_ok
 
     y, y_hat = ext.extract_batch(np.stack([reveal_tp, tp_hat]), seed) ^ h
-    return SimpleNamespace(theta=theta, seed=seed, h=h, tokens=tokens, nonces=nonces,
+    return SimpleNamespace(states=states, seed=seed, h=h, tokens=tokens, nonces=nonces,
                            t_hat=t_hat, g=g, spot=spot, reveal_tp=reveal_tp,
                            syn_sent=syn_sent, f=f, y=y, y_hat=y_hat)
 
@@ -1014,21 +955,20 @@ def run_urbc(
     the syndrome, and hopes the spot check misses the support.  Her output y
     is the string she tried to open to.
 
-    The register family reads one window of raw words from ``rng`` (see
-    ``_urbc_batch``); family="all" runs on the statevector backend.
+    The run reads one window of raw words from ``rng`` (see
+    ``_urbc_batch``); on family="all" the window keys the generator of the
+    statevector simulation.
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")
-    if family != "register":
-        return _run_urbc_statevector(params, rng, alice, family)
-    b = _urbc_batch(params, _window(rng, _urbc_words(params)), alice)
+    b = _urbc_batch(params, _window(rng, _urbc_words(params, family)), alice, family)
     token = "ideal:0" if b.tokens is None else b.tokens[0]
     opening = b"" if b.nonces is None else b.nonces[0].tobytes()
 
     tr = Transcript()
     tr.send("alice", "bob", "base_commitment", token)
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
-    tr.send("alice", "bob", "subspace", _register_subspace(b.theta[0]).to_json())
+    tr.send("alice", "bob", "subspace", b.states.subspace(0).to_json())
     tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
     g = int(b.g[0])
     tr.send("alice", "bob", "check_flag", g)
@@ -1040,56 +980,6 @@ def run_urbc(
     f = int(b.f[0])
     tr.send("bob", "alice", "reveal_flag", f)
     return UrbcOutcome(Gf2Vec(b.y[0]), Gf2Vec(b.y_hat[0]) if f else None, g, f, tr)
-
-
-def _run_urbc_statevector(
-    params: UrbcParams, rng: np.random.Generator, alice: str, family: str
-) -> UrbcOutcome:
-    """``run_urbc`` on the general family, one Born-rule sample at a time."""
-    ext = params.extractor
-    scheme = CommitmentScheme(params.scheme)
-    tr = Transcript()
-
-    # commit
-    a = sample_subspace(params.n, family, rng)
-    t = Gf2Vec(_uniform_bits(rng, params.half))
-    tp = Gf2Vec(_uniform_bits(rng, params.half))
-    r = Gf2Vec(_uniform_bits(rng, ext.seed_len))
-    h = Gf2Vec(_uniform_bits(rng, params.ell))
-    token, opening = base_commit(scheme, _pack_pair(r, h), rng)
-    tr.send("alice", "bob", "base_commitment", token)
-    reg = prepare_coset_state(CosetDescriptor(a, t, tp), backend="statevector")
-    tr.send_quantum("alice", "bob", "coset_state", "qreg:0")
-
-    # check
-    tr.send("alice", "bob", "subspace", a.to_json())
-    t_hat, tp_hat = measure_coset_basis(reg, a, rng)
-    tr.send("bob", "alice", "position_response", t_hat)
-    g = int(t_hat == t)
-    tr.send("alice", "bob", "check_flag", g)
-
-    # reveal
-    spot = _spot_indices(rng, params.half, params.spot_size)
-    j = IndexSubset(params.half, tuple(int(i) for i in spot))
-    tr.send("bob", "alice", "spot_subset", j)
-    reveal_tp = tp
-    if alice == "binding_attack":
-        reveal_tp = tp + min_weight_codeword(params.code)
-    syn_sent = Gf2Vec(_syn(params.code, reveal_tp.bits))
-    tr.send("alice", "bob", "syndrome", syn_sent)
-    spot_sent = Gf2Vec(reveal_tp.bits[spot])
-    tr.send("alice", "bob", "spot_bits", spot_sent)
-    tr.send("alice", "bob", "opening", (token, r, h, opening))
-
-    syn_ok = Gf2Vec(_syn(params.code, tp_hat.bits)) == syn_sent
-    spot_ok = np.array_equal(tp_hat.bits[spot], spot_sent.bits)
-    base_ok = base_verify(scheme, token, _pack_pair(r, h), opening)
-    f = int(syn_ok and spot_ok and base_ok)
-    tr.send("bob", "alice", "reveal_flag", f)
-
-    y = ext.extract(reveal_tp, r) + h
-    y_hat = ext.extract(tp_hat, r) + h if f else None
-    return UrbcOutcome(y, y_hat, g, f, tr)
 
 
 def urbc_hiding_exact(params: UrbcParams) -> float:

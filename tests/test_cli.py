@@ -75,6 +75,14 @@ def test_bad_domain_value_exits_2(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("subcommand", ["moe", "qecm"])
+def test_statevector_size_limit_exits_2(capsys, subcommand):
+    code, _, err = _run(capsys, subcommand, "--set", "family=all", "--set", "n=22",
+                        "--threads", "2")
+    assert code == 2
+    assert "ambient dimension exceeds statevector limit" in err
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 4, "ell": 1, "trials": 50, "seed": 1}))
@@ -295,13 +303,13 @@ GOLDEN_DIGESTS = {
     "moe-measure_wiesner": (0, "d983ec45dac6d56675211e0486ad3a1896dc74c290a1680b1cb1b0f4b84c2f6f"),
     "moe-keep_and_substitute": (0, "9a58e87e23bfed662ab1654c50947cb9883dabbef263823652e72860cced894b"),
     "moe-leak_smuggle": (0, "c84404babf31106b32ee176f0fec663db2f4aadc51d0bea36598f16faec4ecc9"),
-    "moe-all-bob_all": (0, "100c45b7b78b2a1d457bafd6af3719d1ccb8a55d717aafdb672f3627282aadc9"),
-    "moe-all-charlie_all": (0, "871e176cadeb0c0c2ce174a5bfa9266bd1cbe3f949b0b2b08b9a555d1db437e0"),
-    "moe-all-mix": (0, "0fbe3f560db88ea95595bbe75bddea5203df9f5fb3ebf26ee5d60e0780fa7aa6"),
-    "moe-all-measure_computational": (0, "72313239e7d69acaf530edb70ada3012155fe263ef228b2c359b81712496beba"),
-    "moe-all-measure_wiesner": (0, "79669ae17a1ecab17446143551e3874ea38f9629154b3c4d4997c224a2228822"),
-    "moe-all-keep_and_substitute": (0, "ac045f500b0f4909f9eb5c5baaa42b9b58c7c9251964b856ba139ebf69a6d3a7"),
-    "moe-all-leak_smuggle": (0, "443bc22aa94eb964b66d6623acfabd3f31fbe1ed813562ca3436d4a3301d4b00"),
+    "moe-all-bob_all": (0, "b2039b6631c17c09f2d52ba58550fb61fbc741fe31ef5bc8ae34caf0cdcf5a7d"),
+    "moe-all-charlie_all": (0, "8999fb0bb6037e693bb8307ade50293a576b954ffecbf5b9d97ffc7cc9e033d7"),
+    "moe-all-mix": (0, "445794ed5363cbef1a7a5e7650e04af33321b3a4d5ad7ebe5aec20826ba23015"),
+    "moe-all-measure_computational": (0, "8fb9d4e21fd01b7b3097844e320db2abe8502276013aa4309ae8e2e2084b69a0"),
+    "moe-all-measure_wiesner": (0, "52618b859e3dd98cc517ed3d97382e9f1d04805fe5238c6c78e631992376bb86"),
+    "moe-all-keep_and_substitute": (0, "dfc1cb0b851ee8a878108848f9b14c1a1c5af6683d96737279a3d3e84d2f01b9"),
+    "moe-all-leak_smuggle": (0, "8711119e1e9826a6dcc17e6b53a7982d99247a7e9e8429fe43c773b777b97023"),
     "moe64-bob_all": (0, "069c51cd69f09c6a66c33ead802e88e0f57f6d4b9576f4072ba08ee42e211805"),
     "moe64-measure_wiesner": (0, "881a6eedef22dffc52c2effa54214803a5701474c251a68ea621df547820ee69"),
     "moe64-keep_and_substitute": (0, "03d3e985c3fe3ed12208c78363343c59c7cfa0909041049a682699350baa1baf"),
@@ -348,6 +356,7 @@ THREAD_ARGVS = {
     "qkd-blocks": ("qkd", "--set", "kind=device_fault", "--set", "n=14",
                    "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
                    "--trials", "11500", "--seed", "3"),
+    "moe-all-measure_wiesner": GOLDEN_ARGVS["moe-all-measure_wiesner"],
     "tfkw": GOLDEN_ARGVS["tfkw-attack"],
     "sweep": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "8",
               "--steps", "2", "--trials", "40000", "--seed", "2", "--format", "json"),

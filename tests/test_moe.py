@@ -1,6 +1,7 @@
 """Monogamy-game harness tests: closed forms vs Monte Carlo on both backends,
 leak behaviour, determinism, and the counter-stream plumbing underneath."""
 
+import functools
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetmoe import moe
 from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, solve_coset_membership
 from cosetmoe.info import ball_volume, moe_bound
 from cosetmoe.mc import (
@@ -453,12 +455,18 @@ def test_same_seed_same_result_kernel_and_statevector():
     )
 
 
-def test_thread_count_does_not_change_counts():
+def test_thread_count_does_not_change_counts(monkeypatch):
     p = MoeParams(n=12, trials=100_000, seed=42)
     for s in (all_builtin_strategies(12)[4], builtin_strategy("mix", q=0.3)):
         r1 = play_leaky(p, s, threads=1)
         r8 = play_leaky(p, s, threads=8)
         assert r1 == r8
+    # the statevector backend, in 16-trial blocks so that the threads split it
+    p_all = MoeParams(n=4, family="all", trials=40, seed=42)
+    s = builtin_strategy("mix", q=0.3)
+    one = play_leaky(p_all, s, threads=1)
+    monkeypatch.setattr(moe, "run_blocks", functools.partial(moe.run_blocks, block=16))
+    assert play_leaky(p_all, s, threads=2) == one
 
 
 def test_different_seeds_decorrelate():

@@ -1,5 +1,6 @@
 """Protocol-level tests: transcripts, commitments, and the four protocols."""
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from cosetmoe import moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec
-from cosetmoe.mc import TrialReader, bits_from_words, round_up_words, stream_key, trial_words
+from cosetmoe.mc import TrialReader, bits_from_words, stream_key, trial_words
 from cosetmoe.proto import (
     CommitmentScheme,
     InterceptResend,
@@ -423,6 +424,51 @@ def test_urbc_correctness_experiment():
         urbc_experiment("bend", _urbc_params(), trials=10, seed=0)
 
 
+def _urbc_all_params(scheme="ideal"):
+    return UrbcParams(6, 1, 1.0 / 3.0, make_code("repetition", 3), scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["ideal", "hash_based"])
+def test_urbc_general_family_honest_runs(scheme):
+    params = _urbc_all_params(scheme)
+    for i in range(40):
+        out = run_urbc(params, trial_rng(28, i), family="all")
+        assert out.g == 1 and out.f == 1
+        assert out.y_hat == out.y
+
+
+def test_urbc_general_family_binding_attack_never_opens():
+    # the spot (one of three positions) always meets the weight-3 codeword's
+    # support: the hypergeometric acceptance C(3-3, 1) / C(3, 1) is 0
+    params = _urbc_all_params()
+    w = min_weight_codeword(params.code).weight()
+    assert math.comb(params.half - w, params.spot_size) == 0
+    for i in range(40):
+        out = run_urbc(params, trial_rng(29, i), alice="binding_attack", family="all")
+        assert out.g == 1 and out.f == 0 and out.y_hat is None
+
+
+@pytest.mark.parametrize("alice", ["honest", "binding_attack"])
+def test_urbc_general_family_replays_its_window(alice):
+    # one generator read run after run, a generator positioned at each
+    # window, and the batch function on the block of windows all agree
+    params = _urbc_all_params("hash_based")
+    words = proto._urbc_words(params, "all")
+    key = stream_key(30, proto._URBC_STREAM)
+    b = proto._urbc_batch(params, TrialReader(trial_words(key, words, 0, 6)), alice, "all")
+    sequential = _window_rng(30, proto._URBC_STREAM, words, 0)
+    for i in range(6):
+        out = run_urbc(params, sequential, alice=alice, family="all")
+        again = run_urbc(params, _window_rng(30, proto._URBC_STREAM, words, i),
+                         alice=alice, family="all")
+        assert out.transcript.to_jsonl() == again.transcript.to_jsonl()
+        assert (out.y, out.g, out.f) == (again.y, again.g, again.f) == (
+            Gf2Vec(b.y[i]), int(b.g[i]), int(b.f[i]))
+        assert out.transcript.value("subspace") == b.states.subspace(i).to_json()
+    with pytest.raises(ValueError):
+        run_urbc(params, trial_rng(0, 0), family="diagonal")
+
+
 def test_urbc_hiding_exact_is_zero():
     params = UrbcParams(4, 1, 0.5, make_code("repetition", 2))
     assert urbc_hiding_exact(params) <= 1e-9
@@ -735,16 +781,26 @@ def _prefix(rng, *bit_fields):
     return [reader.bits(b)[0] for b in bit_fields]
 
 
+_QECM = QecmParams(8, 2)
+_QECM_ALL = QecmParams(4, 1, family="all")
+
+
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-@pytest.mark.parametrize("kind,eve,probs", [
-    ("correctness", None, None),
-    ("uncloneable", "keep_all", None),
-    ("uncloneable", "measure_computational", None),
-    ("uncloneable", "keep_all", (0.4, 0.3, 0.2, 0.1)),
-    ("uncloneable", "measure_computational", (0.7, 0.1, 0.1, 0.1)),
+@pytest.mark.parametrize("params,kind,eve,probs", [
+    pytest.param(_QECM, "correctness", None, None, id="correctness-None-None"),
+    pytest.param(_QECM, "uncloneable", "keep_all", None, id="uncloneable-keep_all-None"),
+    pytest.param(_QECM, "uncloneable", "measure_computational", None,
+                 id="uncloneable-measure_computational-None"),
+    pytest.param(_QECM, "uncloneable", "keep_all", (0.4, 0.3, 0.2, 0.1),
+                 id="uncloneable-keep_all-probs3"),
+    pytest.param(_QECM, "uncloneable", "measure_computational", (0.7, 0.1, 0.1, 0.1),
+                 id="uncloneable-measure_computational-probs4"),
+    pytest.param(_QECM_ALL, "correctness", None, None, id="all-correctness"),
+    pytest.param(_QECM_ALL, "uncloneable", "keep_all", None, id="all-keep_all"),
+    pytest.param(_QECM_ALL, "uncloneable", "measure_computational", (0.7, 0.3),
+                 id="all-measure_computational-probs"),
 ])
-def test_qecm_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, eve, probs):
-    params = QecmParams(8, 2)
+def test_qecm_batch_counts_equal_per_trial_runs(monkeypatch, seed, params, kind, eve, probs):
     source = None if probs is None else MessageSource(probs)
     words = proto._qecm_words(params, eve, source)
     _small_blocks(monkeypatch, words)
@@ -768,8 +824,8 @@ def test_qecm_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, eve, pr
 def test_qecm_distinguishing_game_equals_per_trial_runs(monkeypatch, seed, eve):
     params = QecmParams(8, 2)
     # the referee's bit y, the alternative message m1 and Eve's fallback coin
-    # precede the run's own window
-    words = round_up_words(3 + proto._qecm_words(params, eve, np.zeros(2)))
+    # precede the run's own fields
+    words = proto._qecm_words(params, eve, np.zeros(2), lead_bits=(1, 2, 1))
     _small_blocks(monkeypatch, words)
     rep = qecm_experiment("uncloneable_indistinguishable", params, adversary=eve,
                           trials=ORACLE_TRIALS, seed=seed)
@@ -787,6 +843,22 @@ def test_qecm_distinguishing_game_equals_per_trial_runs(monkeypatch, seed, eve):
         accepts += out.f
         wins += int(out.f == 1 and guess == y[0])
     assert (rep["accepts"], rep["wins"]) == (accepts, wins)
+
+
+@pytest.mark.parametrize("n,ell,expected", [(4, 1, 12), (8, 2, 16)])
+def test_qecm_distinguishing_game_window_is_rounded_once(monkeypatch, n, ell, expected):
+    # at n=4, ell=1 the referee's three words fit in the run's padding: 12
+    # words, not 3 + 12 rounded up to 16
+    sizes = []
+    real = proto._run_trials
+
+    def recording(trials, words, *args):
+        sizes.append(words)
+        return real(trials, words, *args)
+
+    monkeypatch.setattr(proto, "_run_trials", recording)
+    qecm_experiment("uncloneable_indistinguishable", QecmParams(n, ell), trials=10, seed=0)
+    assert sizes == [expected]
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -1000,8 +1072,13 @@ def test_secrecy_probe_counts_equal_per_trial_runs(monkeypatch, seed, params, ev
 def test_batch_counts_do_not_depend_on_blocks_or_threads(monkeypatch):
     params = _urbc_params()
     one = urbc_experiment("binding", params, trials=300, seed=3)
+    one_all = qecm_experiment("uncloneable", _QECM_ALL, adversary="measure_computational",
+                              trials=40, seed=3)
     _small_blocks(monkeypatch, proto._urbc_words(params))
     assert urbc_experiment("binding", params, trials=300, seed=3, threads=2) == one
+    _small_blocks(monkeypatch, proto._qecm_words(_QECM_ALL, "measure_computational", None))
+    assert qecm_experiment("uncloneable", _QECM_ALL, adversary="measure_computational",
+                           trials=40, seed=3, threads=2) == one_all
 
 
 def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
@@ -1027,8 +1104,26 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
     assert sorted(keys) == ["moe", "qecm", "qkd", "urbc"]
     first = {name: tuple(trial_words(key, 4, 0, 1)[0]) for name, key in keys.items()}
     assert len(set(first.values())) == 4
-    # nor do they meet the per-trial generators that tfkw and the statevector
-    # paths use
+    # nor do they meet the per-trial generators that tfkw uses
     per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(64)}
     assert len(per_trial) == 64
     assert not per_trial & set(first.values())
+
+    # the statevector trials' generators, caught at their first draw (the
+    # subspace), are distinct across trials and experiments and meet neither
+    statevector = []
+
+    def sampling(real):
+        def sample(n, family, rng):
+            statevector.append(tuple(copy.deepcopy(rng.bit_generator).random_raw(4)))
+            return real(n, family, rng)
+        return sample
+
+    monkeypatch.setattr(proto, "sample_subspace", sampling(proto.sample_subspace))
+    monkeypatch.setattr(moe, "sample_subspace", sampling(moe.sample_subspace))
+    qecm_experiment("correctness", _QECM_ALL, trials=8, seed=seed)
+    moe.play_leaky(moe.MoeParams(n=4, family="all", trials=8, seed=seed),
+                   moe.builtin_strategy("bob_all"))
+    assert len(statevector) == 16
+    assert len(set(statevector)) == 16
+    assert not set(statevector) & (per_trial | set(first.values()))
