@@ -265,6 +265,8 @@ GOLDEN_ARGVS = {
                             "--trials", "200", "--seed", "7"),
     "qecm-uncloneable-ind": ("qecm", "--set", "kind=uncloneable_indistinguishable",
                              "--trials", "200", "--seed", "7"),
+    "qecm-uncloneable-all": ("qecm", "--set", "kind=uncloneable", "--set", "family=all",
+                             "--set", "n=4", "--set", "ell=1", "--trials", "200", "--seed", "7"),
     "urbc-correctness": ("urbc", "--trials", "100", "--seed", "8"),
     "urbc-binding": ("urbc", "--set", "kind=binding", "--trials", "300", "--seed", "8"),
     "urbc-hiding": ("urbc", "--set", "kind=hiding", "--set", "n=6", "--set", "ell=1",
@@ -319,6 +321,7 @@ GOLDEN_DIGESTS = {
     "qecm-uncloneable": (0, "3358d71ffc934abe6a3d143d52205c526d800e9c69bc4bc975b7c233ea178fdd"),
     "qecm-uncloneable-mc": (0, "1fd7d64b799e49b87fd77db99eb101d50bc0a10f6612cd931c1de5954be0ea7e"),
     "qecm-uncloneable-ind": (0, "2c66f4e0063b787a2947ec6adfc6eb2faaad0b9a8c42805da6216a9a0d461a17"),
+    "qecm-uncloneable-all": (0, "d333c66003a345e412d8199d3ebc502e916edd11281261e1056435f6d6c8fd33"),
     "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
     "urbc-binding": (0, "d2218ac29424312b0a7fa22bc581af171fde3417c5c8bce02457952ffa703013"),
     "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),
