@@ -10,8 +10,7 @@ Conventions shared by every subcommand:
   repeated ``--set key=value`` overrides, then the dedicated flags
   (``--seed``/``--trials``); unknown keys are rejected;
 * ``--threads`` is not config: it only sets how many threads the batch
-  kernels of ``moe``, ``qecm``, ``urbc`` and ``qkd`` use (``tfkw`` runs on
-  one thread);
+  kernels of the experiments use;
 * every report embeds {version, config, config_sha256, seed} so a run can be
   replayed byte-for-byte;
 * floats are printed with 12 significant digits and reports contain no
@@ -448,7 +447,7 @@ def _run_tfkw(config: dict, threads: int) -> dict:
     if config["dx"] or config["dz"]:
         noise = PauliNoise(dx=config["dx"], dz=config["dz"])
     rep = tfkw_experiment(params, eve=config["eve"], trials=config["trials"],
-                          seed=config["seed"], noise=noise)
+                          seed=config["seed"], noise=noise, threads=threads)
     if config["eve"] is None:
         rep["pass"] = rep["aborts"] == 0 and rep["key_matches"] == rep["trials"]
     else:
@@ -457,8 +456,7 @@ def _run_tfkw(config: dict, threads: int) -> dict:
 
 
 # Each runner takes (config, threads).  The thread count is not part of the
-# config, so it never reaches a report; the batch kernels of moe, qecm, urbc
-# and qkd use it, tfkw runs on one thread.
+# config, so it never reaches a report; only the batch kernels use it.
 _EXPERIMENTS = {
     "moe": (_MOE_DEFAULTS, _run_moe),
     "qecm": (_QECM_DEFAULTS, _run_qecm),
@@ -657,9 +655,10 @@ def _check_riqkd_device_fault(seed: int, threads: int) -> tuple[bool, float]:
     return rep["pass"], rep["estimate"]
 
 
-def _check_tfkw_attack(seed: int) -> tuple[bool, float]:
+def _check_tfkw_attack(seed: int, threads: int) -> tuple[bool, float]:
     params = TfkwParams(16, 0.0, make_code("repetition", 8))
-    rep = tfkw_experiment(params, eve="substitute_zero", trials=50, seed=seed)
+    rep = tfkw_experiment(params, eve="substitute_zero", trials=50, seed=seed,
+                          threads=threads)
     return bool(rep["broken"]), float(rep["eve_matches_device"])
 
 
@@ -686,7 +685,7 @@ def selftest_checks(seed: int, threads: int) -> list[dict]:
         ("urbc_binding_n14", lambda: _check_urbc_binding(seed, threads)),
         ("riqkd_honest_n16", lambda: _check_riqkd_honest(seed, threads)),
         ("riqkd_device_fault_n14", lambda: _check_riqkd_device_fault(seed, threads)),
-        ("tfkw_substitution_attack", lambda: _check_tfkw_attack(seed)),
+        ("tfkw_substitution_attack", lambda: _check_tfkw_attack(seed, threads)),
         ("secrecy_exact_toy", lambda: _check_secrecy_exact()),
     ]
     checks = []

@@ -1,11 +1,11 @@
 """Counter-based Monte Carlo plumbing shared by the game and protocol harnesses.
 
-Every batch experiment draws its randomness from its own Philox counter
-stream, keyed by ``stream_key(seed, id)`` (key words [seed, 2^63 | id]): the
-games (``moe``) and each protocol experiment have their own id, so no two
-batch experiments share words, and none shares words with the per-trial
-generator ``proto.trial_rng(seed, trial)`` (key words [seed, trial]) that
-``tfkw`` uses.  Trial i owns the fixed word window [i*W, (i+1)*W), where W,
+Every experiment draws its randomness from its own Philox counter stream,
+keyed by ``stream_key(seed, id)`` (key words [seed, 2^63 | id]): the games
+(``moe``) and each protocol experiment have their own id, so no two
+experiments share words, and none shares words with the per-trial generator
+``proto.trial_rng(seed, trial)`` (key words [seed, trial]), which no
+experiment uses.  Trial i owns the fixed word window [i*W, (i+1)*W), where W,
 the per-trial word budget, is a whole number of Philox blocks (4 x 64-bit
 words).  Because the window depends only on (seed, trial index), results are
 bit-identical no matter how trials are grouped into blocks or spread over

@@ -94,7 +94,7 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 _MAX_SEED = 1 << 64
 # The games' counter stream, ``stream_key(seed, _MOE_STREAM)``, for both backends;
-# the protocol experiments use ids 1-3 (``proto._QECM_STREAM`` and on).
+# the protocol experiments use ids 1-3 and 5 (``proto._QECM_STREAM`` and on).
 _MOE_STREAM = 4
 
 

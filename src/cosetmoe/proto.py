@@ -22,10 +22,10 @@ Classical messages are always eavesdropper-visible; an eavesdropper's quantum
 side information comes only from how she split the state in transit.
 
 Each protocol is one batch function (``_qecm_batch``, ``_urbc_batch``,
-``_riqkd_batch``) from a block of trial windows to per-trial arrays: the
-experiments reduce them to counters through ``mc.run_blocks``, and a single
-run calls the same function on one window and builds its transcript from
-row 0.  Only the quantum step depends on the subspace family
+``_riqkd_batch``, ``_tfkw_batch``) from a block of trial windows to per-trial
+arrays: the experiments reduce them to counters through ``mc.run_blocks``,
+and a single run calls the same function on one window and builds its
+transcript from row 0.  Only the quantum step depends on the subspace family
 (``_CosetStates``).  The register (conjugate-coding) family runs on
 classical Wiesner records, read through θ masks, and scales to thousands of
 qubits.  The general family (interactive encryption and commitment) reads
@@ -62,7 +62,6 @@ from .mc import (
     TrialReader,
     binomial_sigma,
     key_threshold,
-    keys_from_words,
     run_blocks,
     stream_key,
     top_k_mask,
@@ -119,13 +118,14 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Register-family runs draw every trial's randomness from one fixed window of
-# raw Philox words, read field by field through a TrialReader.  An experiment
+# Protocol runs draw every trial's randomness from one fixed window of raw
+# Philox words, read field by field through a TrialReader.  An experiment
 # reads trial i's window from its own stream, ``stream_key(seed, id)``, at
 # words [i*W, (i+1)*W); a single run reads the next W words of the generator
 # it is given.  Both feed the same batch function, so a run given a generator
-# positioned at trial i's window reproduces trial i of the experiment.
-_QECM_STREAM, _URBC_STREAM, _QKD_STREAM = 1, 2, 3
+# positioned at trial i's window reproduces trial i of the experiment.  The
+# games (``moe``) take stream id 4.
+_QECM_STREAM, _URBC_STREAM, _QKD_STREAM, _TFKW_STREAM = 1, 2, 3, 5
 # Words per run_blocks block: bounds a block's memory at any n.
 _BLOCK_WORDS = 1 << 17
 
@@ -142,10 +142,11 @@ def _run_trials(
     stream: int,
     kernel: Callable[[np.ndarray], np.ndarray],
     threads: int,
-) -> np.ndarray:
-    """Sum ``kernel``'s int64 counters over the windows of trials [0, trials)."""
+) -> tuple[int, ...]:
+    """Sum ``kernel``'s counters over the windows of trials [0, trials), as ints."""
     block = max(1, _BLOCK_WORDS // words)
-    return run_blocks(trials, words, stream_key(seed, stream), kernel, threads, block)
+    return tuple(int(c) for c in run_blocks(
+        trials, words, stream_key(seed, stream), kernel, threads, block))
 
 
 def _counters(*flags: np.ndarray) -> np.ndarray:
@@ -322,12 +323,6 @@ class PauliNoise:
         if not (0.0 <= self.dx <= 1.0 and 0.0 <= self.dz <= 1.0):
             raise ValueError("flip probabilities must lie in [0, 1]")
 
-    def apply_bits(self, x: np.ndarray, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Flip x with the n keys of the next ceil(n/2) raw words of ``rng``,
-        read as ``mc.TrialReader.keys`` reads a window."""
-        n = x.shape[0]
-        return x ^ self.flips(theta, keys_from_words(rng.bit_generator.random_raw(-(-n // 2)), n))
-
     def flips(self, theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Flip indicator from one draw key per qubit (see
         ``mc.TrialReader.keys``).  Only an X flip changes a θ=0 bit and only a
@@ -336,10 +331,6 @@ class PauliNoise:
         xflip = keys < key_threshold(self.dx)
         zflip = keys < key_threshold(self.dz)
         return (xflip ^ ((xflip ^ zflip) & (theta != 0))).view(np.uint8)
-
-
-def _uniform_bits(rng: np.random.Generator, k: int) -> np.ndarray:
-    return rng.integers(0, 2, size=k, dtype=np.uint8)
 
 
 def _coset_fields(family: str, n: int, computational: bool = False):
@@ -368,12 +359,13 @@ class _CosetStates:
         else:
             self.rngs = r.generators()
 
-    def read(
-        self, t: np.ndarray, tp: np.ndarray, r: TrialReader, computational: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, t: np.ndarray, tp: np.ndarray, r: TrialReader, computational: bool = False,
+             rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """(t̂, t̂') of whoever holds each intact state: a measurement in the
         coset basis of a, or (``computational``) one in the computational
-        basis, decoded against a, whose outcomes are kept in ``forwarded``."""
+        basis, decoded against a, whose outcomes are kept in ``forwarded``.
+        A statevector row outside the flags ``rows``, whose read is not used,
+        samples a for its transcript but is not measured, and reads zeros."""
         half = self.n // 2
         if self.theta is not None:
             if not computational:
@@ -384,12 +376,15 @@ class _CosetStates:
             self.forwarded[self.theta == 0] = t.ravel()
             self.forwarded[self.theta == 1] = coins.ravel()
             return t, coins
-        t_hat, tp_hat = np.empty_like(t), np.empty_like(tp)
+        t_hat, tp_hat = np.zeros_like(t), np.zeros_like(tp)
         self.basis = np.empty((len(t), half, self.n), dtype=np.uint8)
         if computational:
             self.forwarded = np.empty((len(t), self.n), dtype=np.uint8)
         for i, rng in enumerate(self.rngs):
             a = sample_subspace(self.n, self.family, rng)
+            self.basis[i] = a.basis.rows
+            if rows is not None and not rows[i]:
+                continue
             reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
             if computational:
                 v, _ = measure_computational(reg, rng)
@@ -398,7 +393,7 @@ class _CosetStates:
                 self.forwarded[i] = v.bits
             else:
                 read_t, read_tp = measure_coset_basis(reg, a, rng)
-            t_hat[i], tp_hat[i], self.basis[i] = read_t.bits, read_tp.bits, a.basis.rows
+            t_hat[i], tp_hat[i] = read_t.bits, read_tp.bits
         return t_hat, tp_hat
 
     def subspace(self, row: int) -> Gf2Subspace:
@@ -417,14 +412,6 @@ def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
     if vec.n != n:
         raise ValueError(f"{what} length must match the run")
     return vec.bits[None, :]
-
-
-def _syn(code: LinearCode, bits: np.ndarray) -> np.ndarray:
-    return syndrome_batch(code, bits[None, :])[0]
-
-
-def _align(code: LinearCode, t_prime: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return align_batch(code, t_prime[None, :], target[None, :])[0]
 
 
 def _check_spot_size(eta: float, half: int) -> int:
@@ -574,22 +561,19 @@ def _qecm_batch(
         m = np.broadcast_to(np.asarray(message, dtype=np.uint8), (r.count, ell))
 
     # the channel: Bob reads the state on an honest channel, Eve under an
-    # attack; tp_eve is Eve's phase read
-    t_read, tp_read = states.read(t, tp, r, eve == "measure_computational")
+    # attack; under measure_computational Bob and Eve both decode her string
     if eve == "keep_all":
-        # Bob holds no qubits and answers blind; Eve kept the intact state
-        t_hat, tp_hat, tp_eve = r.bits(half), r.bits(half), tp_read
+        t_hat, tp_hat = r.bits(half), r.bits(half)  # Bob holds no qubits
     else:
-        # under measure_computational Bob and Eve both decode her string
-        t_hat, tp_hat, tp_eve = t_read, tp_read, tp_read
+        t_hat, tp_hat = states.read(t, tp, r, eve == "measure_computational")
+    f = (t_hat == t).all(axis=1)  # Alice accepts a correct position response
+    # under keep_all Eve kept the state; her read matters only where Alice accepts
+    tp_eve = states.read(t, tp, r, rows=f)[1] if eve == "keep_all" else tp_hat
 
     # the pads T(seed)·t' ^ h of Alice, Bob and Eve, from one seed build
     inputs = [tp, tp_hat] if eve is None else [tp, tp_hat, tp_eve]
     pads = ext.extract_batch(np.stack(inputs), seed) ^ h
     m_bar = m ^ pads[0]
-
-    # interactive decryption
-    f = (t_hat == t).all(axis=1)
     m_hat = m_bar ^ pads[1]
 
     # Eve's guess from her side information plus the classical transcript
@@ -827,8 +811,7 @@ def _qecm_counts(
             guess = np.where(named, said_m1, coin)
         return _counters(b.f, b.f & (guess == y))
 
-    accepts, hits = _run_trials(trials, words, seed, _QECM_STREAM, kernel, threads)
-    return int(accepts), int(hits)
+    return _run_trials(trials, words, seed, _QECM_STREAM, kernel, threads)
 
 
 # ------------------------------------------------------------------
@@ -1045,9 +1028,7 @@ def urbc_experiment(
         agree = b.g & b.f & (b.y_hat == b.y).all(axis=1)
         return _counters(b.f, ~agree)
 
-    accepts, bad = (int(c) for c in _run_trials(
-        trials, _urbc_words(params), seed, _URBC_STREAM, kernel, threads
-    ))
+    accepts, bad = _run_trials(trials, _urbc_words(params), seed, _URBC_STREAM, kernel, threads)
     if kind == "correctness":
         report["disagreements"] = bad
         report["pass"] = bad == 0
@@ -1348,9 +1329,8 @@ def riqkd_experiment(
         b = _riqkd_batch(params, TrialReader(block), noise, device, None)
         return _counters(b.f, b.f & (b.k != b.k_hat).any(axis=1))
 
-    accepts, wrong_key = (int(c) for c in _run_trials(
-        trials, _riqkd_words(params, noise, None), seed, _QKD_STREAM, kernel, threads
-    ))
+    accepts, wrong_key = _run_trials(trials, _riqkd_words(params, noise, None), seed,
+                                     _QKD_STREAM, kernel, threads)
 
     if kind in ("correctness", "completeness"):
         aborts = trials - accepts
@@ -1415,6 +1395,51 @@ class TfkwParams:
             raise ValueError("extractor input must match the kept bits")
 
 
+def _tfkw_words(params: TfkwParams, noise: Optional[PauliNoise]) -> int:
+    """Window size of one run (see ``_tfkw_batch``)."""
+    n = params.n
+    return words_for(bit_fields=(n, n, params.extractor.seed_len),
+                     key_fields=(n,) if noise is None else (n, n))
+
+
+def _tfkw_batch(
+    params: TfkwParams, r: TrialReader, noise: Optional[PauliNoise], eve: Optional[str]
+) -> SimpleNamespace:
+    """The reference protocol, one trial per row.
+
+    Fields are read in protocol order: the data bits x and bases θ, one
+    noise key per qubit (only with noise), the check subset, the extractor
+    seed.  An aborted trial's later values are computed and ignored.
+    """
+    if eve not in (None, "substitute_zero"):
+        raise ValueError(f"unknown eavesdropper kind {eve!r}")
+    n, ext, code = params.n, params.extractor, params.code
+
+    # state preparation and the channel.  An honest device measures in the
+    # announced bases; under substitute_zero Eve kept the real state, her
+    # read is exact once the bases are public, and the device (hers) repeats
+    # it.  Either way the device reads the record as it arrived, y.
+    x, theta = r.bits(n), r.bits(n)
+    y = x if noise is None else x ^ noise.flips(theta, r.keys(n))
+
+    # parameter estimation on Alice's check subset
+    check = top_k_mask(r.keys(n), params.check_size)
+    est_distance = ((x ^ y) & check).sum(axis=1)
+    f = est_distance <= params.gamma * n
+
+    # error correction and privacy amplification on the kept bits
+    keep = np.flatnonzero(check == 0)
+    x_keep = np.take(x, keep).reshape(r.count, -1)
+    syn = syndrome_batch(code, x_keep)
+    seed = r.bits(ext.seed_len)
+    x_dev = align_batch(code, np.take(y, keep).reshape(r.count, -1), syn)
+    k, k_hat = ext.extract_batch(np.stack([x_keep, x_dev]), seed)
+    # Eve's read equals y and the correction is public: hers is the device's key
+    eve_guess = k_hat if eve == "substitute_zero" else None
+    return SimpleNamespace(x=x, theta=theta, check=check, est_distance=est_distance, f=f,
+                           syn=syn, seed=seed, k=k, k_hat=k_hat, eve_guess=eve_guess)
+
+
 def run_tfkw(
     params: TfkwParams,
     rng: np.random.Generator,
@@ -1429,53 +1454,30 @@ def run_tfkw(
     device |0...0⟩.  Once the bases are announced she reads the kept state
     perfectly and, controlling the device, supplies its answers — so the spot
     check passes and she computes the device's key exactly.
+
+    The run reads one window of raw words from ``rng`` (see ``_tfkw_batch``).
     """
-    if eve not in (None, "substitute_zero"):
-        raise ValueError(f"unknown eavesdropper kind {eve!r}")
-    ext = params.extractor
+    b = _tfkw_batch(params, _window(rng, _tfkw_words(params, noise)), noise, eve)
     tr = Transcript()
-
-    x = _uniform_bits(rng, params.n)
-    theta = _uniform_bits(rng, params.n)
     tr.send_quantum("alice", "bob", "wiesner_state", "qreg:0")
-
-    rec_x = x
-    if noise is not None:
-        rec_x = noise.apply_bits(rec_x, theta, rng)
-
     # the receipt confirmation precedes the basis announcement: the device
     # commits to holding the state before it learns how to read it
     tr.send("bob", "alice", "receipt", 1)
-    tr.send("alice", "bob", "basis_string", Gf2Vec(theta))
-    # an honest device measures in the announced bases; under substitute_zero
-    # Eve kept the real state, her read is exact once the bases are public,
-    # and the device (hers) repeats it.  Either way the device reads rec_x.
-    y = rec_x.copy()
+    tr.send("alice", "bob", "basis_string", Gf2Vec(b.theta[0]))
 
-    check = np.sort(rng.permutation(params.n)[: params.check_size])
-    keep = np.setdiff1d(np.arange(params.n), check)
+    check = np.flatnonzero(b.check[0])
     tr.send("alice", "bob", "spot_subset", IndexSubset(params.n, tuple(int(i) for i in check)))
-    tr.send("alice", "bob", "spot_bits", Gf2Vec(x[check]))
-    est_distance = int((x[check] ^ y[check]).sum())
-    if est_distance > params.gamma * params.n:
+    tr.send("alice", "bob", "spot_bits", Gf2Vec(b.x[0][check]))
+    est_distance = int(b.est_distance[0])
+    if not b.f[0]:
         tr.send("bob", "alice", "estimate_flag", 0)
         return QkdOutcome(None, None, 0, None, est_distance, None, tr)
     tr.send("bob", "alice", "estimate_flag", 1)
 
-    syn_keep = _syn(params.code, x[keep])
-    tr.send("alice", "bob", "syndrome", Gf2Vec(syn_keep))
-    r = Gf2Vec(_uniform_bits(rng, ext.seed_len))
-    tr.send("alice", "bob", "extractor_seed", r)
-
-    x_dev = _align(params.code, y[keep], syn_keep)
-    k = ext.extract(Gf2Vec(x[keep]), r)
-    k_hat = ext.extract(Gf2Vec(x_dev), r)
-
-    eve_guess = None
-    if eve == "substitute_zero":
-        # her read equals y, and the correction procedure is public
-        eve_guess = ext.extract(Gf2Vec(_align(params.code, y[keep], syn_keep)), r)
-    return QkdOutcome(k, k_hat, 1, eve_guess, est_distance, 0, tr)
+    tr.send("alice", "bob", "syndrome", Gf2Vec(b.syn[0]))
+    tr.send("alice", "bob", "extractor_seed", Gf2Vec(b.seed[0]))
+    eve_guess = None if b.eve_guess is None else Gf2Vec(b.eve_guess[0])
+    return QkdOutcome(Gf2Vec(b.k[0]), Gf2Vec(b.k_hat[0]), 1, eve_guess, est_distance, 0, tr)
 
 
 def tfkw_experiment(
@@ -1485,9 +1487,11 @@ def tfkw_experiment(
     trials: int = 100,
     seed: int = 0,
     noise: Optional[PauliNoise] = None,
+    threads: int = 1,
 ) -> dict:
     """Counts aborts, Alice/device key agreement, and (under the attack)
-    how often Eve's computed key equals the device's."""
+    how often Eve's computed key equals the device's.  The trials run as
+    batch kernels over ``threads`` threads."""
     report: dict = {
         "experiment": "tfkw",
         "n": params.n,
@@ -1496,15 +1500,14 @@ def tfkw_experiment(
         "trials": trials,
         "seed": seed,
     }
-    aborts = key_match = eve_match = 0
-    for i in range(trials):
-        out = run_tfkw(params, trial_rng(seed, i), eve=eve, noise=noise)
-        if out.f == 0:
-            aborts += 1
-            continue
-        key_match += int(out.k == out.k_hat)
-        if out.eve_guess is not None:
-            eve_match += int(out.eve_guess == out.k_hat)
+
+    def kernel(block: np.ndarray) -> np.ndarray:
+        b = _tfkw_batch(params, TrialReader(block), noise, eve)
+        eve_match = np.zeros_like(b.f) if eve is None else (b.eve_guess == b.k_hat).all(axis=1)
+        return _counters(~b.f, b.f & (b.k == b.k_hat).all(axis=1), b.f & eve_match)
+
+    aborts, key_match, eve_match = _run_trials(trials, _tfkw_words(params, noise), seed,
+                                               _TFKW_STREAM, kernel, threads)
     report["aborts"] = aborts
     report["key_matches"] = key_match
     report["eve_matches_device"] = eve_match
@@ -1568,9 +1571,7 @@ def secrecy_probe(
         guess = baseline if b.eve_guess is None else b.eve_guess
         return _counters(b.f, b.f & (guess == b.k).all(axis=1))
 
-    accepts, hits = (int(c) for c in _run_trials(
-        trials, words, seed, _QKD_STREAM, kernel, threads
-    ))
+    accepts, hits = _run_trials(trials, words, seed, _QKD_STREAM, kernel, threads)
     report["accepts"] = accepts
     report["accept_rate"] = accepts / trials
     report["guess_and_accept"] = hits
@@ -1613,7 +1614,7 @@ def _secrecy_exact(params: QkdParams) -> dict:
         for t_int in range(1 << half):
             for tp_int in range(1 << half):
                 tp = Gf2Vec.from_int(tp_int, half)
-                syn_bits = tuple(int(b) for b in _syn(params.code, tp.bits))
+                syn_bits = tuple(int(b) for b in syndrome_batch(params.code, tp.bits[None, :])[0])
                 for spot in spots:
                     spot_bits = tuple(int(tp.bits[i]) for i in spot)
                     for r_int in seeds:

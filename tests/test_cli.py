@@ -83,6 +83,14 @@ def test_statevector_size_limit_exits_2(capsys, subcommand):
     assert "ambient dimension exceeds statevector limit" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("subcommand", ["moe", "qecm", "urbc", "qkd", "tfkw"])
+def test_nonpositive_trials_exit_2(capsys, subcommand, trials):
+    code, _, err = _run(capsys, subcommand, "--trials", trials)
+    assert code == 2
+    assert "trials must be positive" in err
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 4, "ell": 1, "trials": 50, "seed": 1}))
@@ -288,6 +296,9 @@ GOLDEN_ARGVS = {
     "tfkw-attack": ("tfkw", "--set", "eve=substitute_zero", "--trials", "50", "--seed", "4"),
     "tfkw-noise-fail": ("tfkw", "--set", "dx=1.0", "--set", "dz=1.0", "--trials", "10",
                         "--seed", "5"),
+    # fractional rates, where the counts depend on the noise draws
+    "tfkw-noise-partial": ("tfkw", "--set", "dx=0.15", "--set", "dz=0.15",
+                           "--set", "gamma=0.25", "--trials", "300", "--seed", "6"),
 }
 
 # (exit code, sha256 of stdout) for each argv above.
@@ -334,6 +345,7 @@ GOLDEN_DIGESTS = {
     "tfkw-honest": (0, "6d80a0c71f8869168a85aed651bb3bcd8d88aaae858914dc3f7c386a18d144e2"),
     "tfkw-attack": (0, "d3a84a7e136e75bc89f195f8a959d97983651acef1aa8f97c63a8b05d49eef2d"),
     "tfkw-noise-fail": (1, "5ae3a47c6f1f959b5f9804341880edfae19403a9a602ad4c9b8483b55ae99ccc"),
+    "tfkw-noise-partial": (1, "f224b9f9ba181103a76eb757704f3b493d7830de267b144f3909b5f8bba9a2dc"),
 }
 
 
@@ -346,7 +358,8 @@ def test_report_bytes_are_pinned(capsys, name):
 # Every subcommand that takes --threads.  The -blocks argvs span two kernel
 # blocks and a partial one, so two threads really split the work: a block is
 # 2^17 // W trials for a W-word trial window, 8192 trials for qecm (W=16),
-# 4681 for urbc (W=28) and 5461 for qkd (W=24) at these sizes, 16384 for moe.
+# 4681 for urbc (W=28), 5461 for qkd (W=24) and 6553 for noisy tfkw (W=20) at
+# these sizes, 16384 for moe.
 # selftest is checked by test_selftest_passes_and_is_thread_invariant.
 THREAD_ARGVS = {
     "moe": ("moe", "--set", "kind=measure_wiesner", "--trials", "40000", "--seed", "3"),
@@ -361,6 +374,8 @@ THREAD_ARGVS = {
                    "--trials", "11500", "--seed", "3"),
     "moe-all-measure_wiesner": GOLDEN_ARGVS["moe-all-measure_wiesner"],
     "tfkw": GOLDEN_ARGVS["tfkw-attack"],
+    "tfkw-blocks": ("tfkw", "--set", "dx=0.15", "--set", "dz=0.15", "--set", "gamma=0.25",
+                    "--trials", "15000", "--seed", "3"),
     "sweep": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "8",
               "--steps", "2", "--trials", "40000", "--seed", "2", "--format", "json"),
 }

@@ -89,12 +89,11 @@ def test_transcript_rejects_unserialisable_payloads():
 
 
 def test_pauli_noise_flips_only_matching_basis():
-    rng = np.random.default_rng(0)
     theta = np.array([0, 0, 1, 1, 0, 1], dtype=np.uint8)
-    x = np.zeros(6, dtype=np.uint8)
-    flipped = PauliNoise(dx=1.0, dz=0.0).apply_bits(x, theta, rng)
+    keys = np.array([0, 1, 2**31, 7, 2**32 - 1, 0], dtype=np.uint32)
+    flipped = PauliNoise(dx=1.0, dz=0.0).flips(theta, keys)
     assert np.array_equal(flipped, (theta == 0).astype(np.uint8))
-    flipped = PauliNoise(dx=0.0, dz=1.0).apply_bits(x, theta, rng)
+    flipped = PauliNoise(dx=0.0, dz=1.0).flips(theta, keys)
     assert np.array_equal(flipped, theta)
     with pytest.raises(ValueError):
         PauliNoise(dx=1.5)
@@ -127,20 +126,6 @@ def test_pauli_noise_one_key_rule_equals_where(dx, dz):
         assert got.all()
     if (dx, dz) == (0.0, 0.0):
         assert not got.any()
-
-
-def test_pauli_noise_apply_bits_is_pinned():
-    # the golden tfkw report uses dx = dz = 1 and so cannot see a change at
-    # fractional rates
-    rng = trial_rng(11, 3)
-    x = rng.integers(0, 2, size=96, dtype=np.uint8)
-    theta = rng.integers(0, 2, size=96, dtype=np.uint8)
-    out = PauliNoise(dx=0.3, dz=0.15).apply_bits(x, theta, rng)
-    assert Gf2Vec(x).to_hex() == "781caa0a6e008ae015efa64e"
-    assert Gf2Vec(theta).to_hex() == "1b234be5e94a96e7779cc329"
-    assert Gf2Vec(out).to_hex() == "5934be012831aa4011efde5a"
-    # it reads exactly the n/2 words that hold one key per qubit
-    assert rng.bit_generator.random_raw() == 6384732137073782969
 
 
 # ------------------------------------------------------------------
@@ -911,6 +896,35 @@ def test_riqkd_batch_counts_equal_per_trial_runs(monkeypatch, seed, params, kind
         assert (rep["accepts"], rep["wrong_key_accepts"]) == (accepts, wrong)
 
 
+_TFKW_NOISY = _tfkw_params(gamma=0.25)
+_TFKW_NOISE = PauliNoise(dx=0.15, dz=0.15)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("params,eve,noise", [
+    pytest.param(_tfkw_params(), None, None, id="honest"),
+    pytest.param(_tfkw_params(), "substitute_zero", None, id="substitute_zero"),
+    pytest.param(_TFKW_NOISY, None, _TFKW_NOISE, id="noise"),
+    # heavy enough that some trials abort and some accepted keys differ
+    pytest.param(_TFKW_NOISY, None, PauliNoise(dx=0.3, dz=0.3), id="noise-heavy"),
+])
+def test_tfkw_batch_counts_equal_per_trial_runs(monkeypatch, seed, threads, params, eve, noise):
+    words = proto._tfkw_words(params, noise)
+    _small_blocks(monkeypatch, words)
+    rep = tfkw_experiment(params, eve=eve, trials=ORACLE_TRIALS, seed=seed, noise=noise,
+                          threads=threads)
+    aborts = key_matches = eve_matches = 0
+    for i in range(ORACLE_TRIALS):
+        rng = _window_rng(seed, proto._TFKW_STREAM, words, i)
+        out = run_tfkw(params, rng, eve=eve, noise=noise)
+        aborts += 1 - out.f
+        key_matches += int(out.f == 1 and out.k == out.k_hat)
+        eve_matches += int(out.f == 1 and out.eve_guess == out.k_hat)
+    assert (rep["aborts"], rep["key_matches"], rep["eve_matches_device"]) == (
+        aborts, key_matches, eve_matches)
+
+
 # ------------------------------------------------------------------
 # the riqkd kernel against the boolean-mask kernel it replaced
 # ------------------------------------------------------------------
@@ -1074,11 +1088,15 @@ def test_batch_counts_do_not_depend_on_blocks_or_threads(monkeypatch):
     one = urbc_experiment("binding", params, trials=300, seed=3)
     one_all = qecm_experiment("uncloneable", _QECM_ALL, adversary="measure_computational",
                               trials=40, seed=3)
+    one_tfkw = tfkw_experiment(_TFKW_NOISY, trials=300, seed=3, noise=_TFKW_NOISE)
     _small_blocks(monkeypatch, proto._urbc_words(params))
     assert urbc_experiment("binding", params, trials=300, seed=3, threads=2) == one
     _small_blocks(monkeypatch, proto._qecm_words(_QECM_ALL, "measure_computational", None))
     assert qecm_experiment("uncloneable", _QECM_ALL, adversary="measure_computational",
                            trials=40, seed=3, threads=2) == one_all
+    _small_blocks(monkeypatch, proto._tfkw_words(_TFKW_NOISY, _TFKW_NOISE))
+    assert tfkw_experiment(_TFKW_NOISY, trials=300, seed=3, noise=_TFKW_NOISE,
+                           threads=2) == one_tfkw
 
 
 def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
@@ -1096,15 +1114,17 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
         ("qecm", lambda: qecm_experiment("correctness", QecmParams(8, 2), trials=1, seed=seed)),
         ("urbc", lambda: urbc_experiment("correctness", _urbc_params(), trials=1, seed=seed)),
         ("qkd", lambda: riqkd_experiment("correctness", _qkd_params(), trials=1, seed=seed)),
+        ("tfkw", lambda: tfkw_experiment(_tfkw_params(), trials=1, seed=seed)),
     ]:
         call()
         keys[name] = keys.pop("proto")
     monkeypatch.setattr(moe, "run_blocks", recording("moe", moe.run_blocks))
     moe.play_leaky(moe.MoeParams(n=4, trials=1, seed=seed), moe.builtin_strategy("bob_all"))
-    assert sorted(keys) == ["moe", "qecm", "qkd", "urbc"]
+    assert sorted(keys) == ["moe", "qecm", "qkd", "tfkw", "urbc"]
     first = {name: tuple(trial_words(key, 4, 0, 1)[0]) for name, key in keys.items()}
-    assert len(set(first.values())) == 4
-    # nor do they meet the per-trial generators that tfkw uses
+    assert len(set(first.values())) == 5
+    # nor do they meet the per-trial generators, which no experiment uses
+    # but tests and replays do
     per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(64)}
     assert len(per_trial) == 64
     assert not per_trial & set(first.values())
