@@ -1,6 +1,7 @@
 """Protocol-level tests: transcripts, commitments, and the four protocols."""
 
 import copy
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -1147,3 +1148,59 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
     assert len(statevector) == 16
     assert len(set(statevector)) == 16
     assert not set(statevector) & (per_trial | set(first.values()))
+
+
+# ------------------------------------------------------------------
+# replay transcripts
+# ------------------------------------------------------------------
+
+_HAMMING = make_code("hamming74")
+_URBC_REPLAY = UrbcParams(14, 2, 2 / 7, _HAMMING)
+_QKD_REPLAY = QkdParams(14, 2, 0.0, 2 / 7, _HAMMING)
+_QKD_TOLERANT = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
+_QECM_ALL8 = QecmParams(8, 2, family="all")
+_NOISE = PauliNoise(0.1, 0.1)
+
+# name: (stream, window words, run on a generator, sha256 of trials 0-199)
+_REPLAYS = {
+    # the three replays of the benchmark
+    "qecm-keep_all": (
+        proto._QECM_STREAM, proto._qecm_words(_QECM, "keep_all", None),
+        lambda rng: run_qecm_id(_QECM, rng, eve="keep_all"),
+        "7996dc948e818b1018b7d440faadc7c2b91eca4ff3ec4f8726a38a49b0717528"),
+    "urbc-binding": (
+        proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY),
+        lambda rng: run_urbc(_URBC_REPLAY, rng, alice="binding_attack"),
+        "3f54af9c0b7be375513a858700197e9079a4c8c4fd6373e0afee0867d99a5466"),
+    "qkd-fault": (
+        proto._QKD_STREAM, proto._riqkd_words(_QKD_REPLAY, None, None),
+        lambda rng: run_riqkd(_QKD_REPLAY, rng, device=SyndromeFault()),
+        "eabf03dac90e8446163c2dc9883d65b509342be92f898e4993a551db6176fcdf"),
+    "qecm-all": (
+        proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, None, None),
+        lambda rng: run_qecm_id(_QECM_ALL8, rng),
+        "2162b5e06fadc1ac880ab024f425a832906024889ac0d4d2d294ef81c00ae39d"),
+    # the device's read of an intact record under noise, and of Eve's records
+    "qkd-noise": (
+        proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, _NOISE, None),
+        lambda rng: run_riqkd(_QKD_TOLERANT, rng, noise=_NOISE),
+        "d0fae2eedc281eff2c47011793c71bbde4207c5038f231dc33a7089e381ee60c"),
+    "qkd-substitute": (
+        proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, None, KeepAndSubstitute()),
+        lambda rng: run_riqkd(_QKD_TOLERANT, rng, eve=KeepAndSubstitute()),
+        "0f147f4069f135673088b1d9e6ba969475fb954f8633a888f4c93fcc4124cb4c"),
+    "qkd-intercept": (
+        proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, None, InterceptResend()),
+        lambda rng: run_riqkd(_QKD_TOLERANT, rng, eve=InterceptResend()),
+        "ef2aeb010ed3fe0a9cab1960965780b5c54b322f6020d3339aa3928044843d53"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPLAYS))
+def test_replay_transcripts_are_pinned(name):
+    # trials 0-199 of the experiment's stream; the digest pins every byte of
+    # Transcript.to_jsonl (see its docstring for the line format)
+    stream, words, run, digest = _REPLAYS[name]
+    text = "\n".join(run(_window_rng(9, stream, words, i)).transcript.to_jsonl()
+                     for i in range(200))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
