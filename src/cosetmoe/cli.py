@@ -589,8 +589,7 @@ def _check_orthonormality(seed: int) -> tuple[bool, float]:
 
     worst = 0.0
     for support in itertools.combinations(range(4), 2):
-        gens = [Gf2Vec.from_int(1 << (3 - i), 4) for i in support]
-        a = Gf2Subspace(4, gens)
+        a = Gf2Subspace.register(4, support)
         states = []
         for t_int in range(4):
             for tp_int in range(4):

@@ -382,7 +382,7 @@ def syndrome_batch(code: LinearCode, words: np.ndarray) -> np.ndarray:
     h = code.parity_check.rows
     # float matmul hits BLAS; exact for counts below 2^53
     prod = words.astype(np.float64) @ h.T.astype(np.float64)
-    return (prod % 2).astype(np.uint8)
+    return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
 def leader_batch(code: LinearCode, syns: np.ndarray) -> np.ndarray:

@@ -49,6 +49,17 @@ def _as_bits(bits, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _ints(rows: np.ndarray) -> list[int]:
+    """Each row of a (k, n) bit array as an integer, most significant bit first."""
+    shift = -rows.shape[1] % 8  # np.packbits zero-pads each row at its end
+    return [int.from_bytes(p.tobytes(), "big") >> shift for p in np.packbits(rows, axis=1)]
+
+
+def _hex(value: int, n: int) -> str:
+    """An n-bit integer as ceil(n/4) hex digits (at least one)."""
+    return format(value, f"0{max(1, (n + 3) // 4)}x")
+
+
 class Gf2Vec:
     """An immutable bit vector.  ``+`` and ``^`` both mean XOR."""
 
@@ -69,7 +80,8 @@ class Gf2Vec:
         vector is the most significant bit of the integer)."""
         if value < 0 or value >= (1 << n):
             raise ValueError(f"value {value} out of range for {n} bits")
-        return cls([(value >> (n - 1 - i)) & 1 for i in range(n)])
+        raw = np.frombuffer(int(value).to_bytes(-(-n // 8), "big"), dtype=np.uint8)
+        return cls(np.unpackbits(raw)[-n % 8:])
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "Gf2Vec":
@@ -87,15 +99,11 @@ class Gf2Vec:
         return self._bits
 
     def to_int(self) -> int:
-        out = 0
-        for b in self._bits:
-            out = (out << 1) | int(b)
-        return out
+        return _ints(self._bits[None, :])[0]
 
     def to_hex(self) -> str:
         """Hex string, most significant bit first, width ceil(n/4) digits."""
-        width = max(1, (self.n + 3) // 4)
-        return format(self.to_int(), f"0{width}x")
+        return _hex(self.to_int(), self.n)
 
     def weight(self) -> int:
         return int(self._bits.sum())
@@ -269,6 +277,7 @@ class Gf2Subspace:
 
     The stored basis has no zero rows and its pivot columns are strictly
     increasing, so equality of subspaces is equality of stored bytes.
+    ``Gf2Subspace.register`` builds a register subspace without elimination.
     """
 
     __slots__ = ("_n", "_basis", "_pivots")
@@ -283,10 +292,26 @@ class Gf2Subspace:
         if mat.shape[1] != n:
             raise ValueError("generator length does not match ambient dimension")
         reduced, pivots = rref(mat)
-        basis = reduced.rows[: len(pivots)]
+        self._store(n, reduced.rows[: len(pivots)], pivots)
+
+    def _store(self, n: int, basis: np.ndarray, pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_basis", Gf2Matrix(basis.reshape(len(pivots), n)))
         object.__setattr__(self, "_pivots", pivots)
+
+    @classmethod
+    def register(cls, n: int, positions: Iterable[int]) -> "Gf2Subspace":
+        """The register subspace spanned by e_i for i in ``positions``.  Its
+        unit rows in increasing position order are the canonical basis, with
+        the positions as pivots, so no elimination is needed."""
+        pivots = tuple(sorted({int(i) for i in positions}))
+        if pivots and (pivots[0] < 0 or pivots[-1] >= n):
+            raise ValueError("position out of range")
+        basis = np.zeros((len(pivots), n), dtype=np.uint8)
+        basis[np.arange(len(pivots)), pivots] = 1
+        a = cls.__new__(cls)
+        a._store(n, basis, pivots)
+        return a
 
     # -- structure ----------------------------------------------------
 
@@ -341,7 +366,7 @@ class Gf2Subspace:
     def to_json(self) -> dict:
         return {
             "n": self._n,
-            "basis": [Gf2Vec(r).to_hex() for r in self._basis.rows],
+            "basis": [_hex(v, self._n) for v in _ints(self._basis.rows)],
         }
 
     @classmethod
@@ -373,7 +398,7 @@ def complement(a: Gf2Subspace) -> Gf2Subspace:
     """
     n = a.n
     if a.dim == 0:
-        return Gf2Subspace(n, [Gf2Vec(row) for row in np.eye(n, dtype=np.uint8)])
+        return Gf2Subspace.register(n, range(n))
     basis = a.basis.rows
     pivots = a.pivots
     free = a.free_coords
@@ -384,8 +409,6 @@ def complement(a: Gf2Subspace) -> Gf2Subspace:
         for r_idx, p in enumerate(pivots):
             v[p] = basis[r_idx, f]
         gens.append(Gf2Vec(v))
-    if not gens:
-        return Gf2Subspace(n, None)
     return Gf2Subspace(n, gens)
 
 
@@ -448,13 +471,7 @@ def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspac
         raise ValueError("ambient dimension must be even")
     half = n // 2
     if family == "register":
-        support = rng.permutation(n)[:half]
-        gens = []
-        for i in sorted(support):
-            v = np.zeros(n, dtype=np.uint8)
-            v[i] = 1
-            gens.append(Gf2Vec(v))
-        return Gf2Subspace(n, gens)
+        return Gf2Subspace.register(n, rng.permutation(n)[:half])
     if family == "all":
         while True:
             mat = Gf2Matrix(rng.integers(0, 2, size=(half, n), dtype=np.uint8))

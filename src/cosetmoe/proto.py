@@ -171,6 +171,9 @@ class Message:
     eve_visible: bool = True
 
 
+_PAYLOAD_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _jsonable(value) -> object:
     if isinstance(value, Gf2Vec):
         return value.to_hex()
@@ -229,19 +232,24 @@ class Transcript:
         return [m for m in self._messages if m.eve_visible]
 
     def to_jsonl(self) -> str:
+        """One compact JSON object per message, in order, joined by newlines:
+        keys ``idx, from, to, label``, then ``qreg_id`` (a quantum message's
+        handle) or ``payload_hex``, then ``eve_visible``; separators ``,``
+        and ``:`` without spaces, strings ASCII-escaped.  ``payload_hex`` is
+        a Gf2Vec payload's own hex, or else the hex of the UTF-8 bytes of
+        the payload's sorted-key compact JSON."""
+        esc = json.encoder.encode_basestring_ascii
         lines = []
         for m in self._messages:
-            row: dict = {"idx": m.idx, "from": m.sender, "to": m.receiver, "label": m.label}
             if m.quantum:
-                row["qreg_id"] = m.payload
+                key, value = "qreg_id", m.payload
             elif isinstance(m.payload, Gf2Vec):
-                row["payload_hex"] = m.payload.to_hex()
+                key, value = "payload_hex", m.payload.to_hex()
             else:
-                row["payload_hex"] = json.dumps(
-                    _jsonable(m.payload), sort_keys=True, separators=(",", ":")
-                ).encode().hex()
-            row["eve_visible"] = m.eve_visible
-            lines.append(json.dumps(row, sort_keys=False, separators=(",", ":")))
+                key, value = "payload_hex", _PAYLOAD_JSON.encode(_jsonable(m.payload)).encode().hex()
+            lines.append(f'{{"idx":{m.idx},"from":{esc(m.sender)},"to":{esc(m.receiver)},'
+                         f'"label":{esc(m.label)},"{key}":{esc(value)},'
+                         f'"eve_visible":{"true" if m.eve_visible else "false"}}}')
         return "\n".join(lines)
 
 
@@ -397,12 +405,12 @@ class _CosetStates:
         return t_hat, tp_hat
 
     def subspace(self, row: int) -> Gf2Subspace:
-        """The subspace a of one row, for its transcript."""
+        """The subspace a of one row, for its transcript.  On the register
+        family it is spanned by e_i at the Hadamard positions θ_i = 1, built
+        by ``Gf2Subspace.register`` without elimination."""
         if self.theta is None:
-            rows = self.basis[row]
-        else:  # spanned by e_i at the Hadamard positions θ_i = 1
-            rows = np.eye(self.n, dtype=np.uint8)[self.theta[row] == 1]
-        return Gf2Subspace(self.n, Gf2Matrix(rows))
+            return Gf2Subspace(self.n, Gf2Matrix(self.basis[row]))
+        return Gf2Subspace.register(self.n, np.flatnonzero(self.theta[row]))
 
 
 def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
@@ -635,23 +643,14 @@ def run_qecm_id(
     return QecmOutcome(Gf2Vec(b.m[0]), m_hat, m_check, f, tr)
 
 
-def _register_subspaces(n: int):
-    for support in itertools.combinations(range(n), n // 2):
-        gens = []
-        for i in support:
-            v = np.zeros(n, dtype=np.uint8)
-            v[i] = 1
-            gens.append(Gf2Vec(v))
-        yield Gf2Subspace(n, gens)
-
-
 def _pad_blocks(params: Union[QecmParams, "UrbcParams"]):
     """Yield (Ext(t', r) + h, |a_{t,t'}><a_{t,t'}|) for every register
     subspace a, labels t and t', extractor seed r and mask h, in that nesting
     order; each averaged operator below accumulates in this order."""
     ext = params.extractor
     n, ell, half = params.n, params.ell, params.half
-    for a in _register_subspaces(n):
+    for support in itertools.combinations(range(n), half):
+        a = Gf2Subspace.register(n, support)
         for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
             t = Gf2Vec.from_int(t_int, half)
             tp = Gf2Vec.from_int(tp_int, half)
@@ -1181,30 +1180,33 @@ def _riqkd_batch(
     theta = top_k_mask(r.keys(n), half)
     free, pivots = np.flatnonzero(theta == 0), np.flatnonzero(theta == 1)
     t, tp = r.bits(half), r.bits(half)
-    x = np.empty(theta.size, dtype=np.uint8)
-    x[free], x[pivots] = t.ravel(), tp.ravel()
-    x = x.reshape(theta.shape)
 
-    # the channel: Eve and/or noise act on the record in transit
-    rec_theta, rec_x = theta, x
-    if isinstance(eve, KeepAndSubstitute):
-        eve_theta, eve_x = theta, x
-        rec_theta = _bits_of(eve.theta, n, "substitute record")
-        rec_x = _bits_of(eve.x, n, "substitute record")
-    elif isinstance(eve, InterceptResend):
-        hat = r.bits(n) if eve.theta_hat is None else _bits_of(eve.theta_hat, n, "basis-guess")
-        eve_theta = np.broadcast_to(hat, theta.shape)
-        eve_x = np.where(eve_theta == theta, x, r.bits(n))
-        rec_theta, rec_x = eve_theta, eve_x
-    if noise is not None:
-        rec_x = rec_x ^ noise.flips(rec_theta, r.keys(n))
-
-    # the device measures in the coset basis of a (bases = theta)
-    dev_read = rec_x
-    if eve is not None:
+    # the channel: Eve and/or noise act on the record in transit, then the
+    # device measures in the coset basis of a (bases = theta)
+    if eve is None:  # the intact record reads (t, t') exactly, up to noise flips
+        t_hat, tp_hat = t, tp
+        if noise is not None:
+            flips = noise.flips(theta, r.keys(n))
+            t_hat = t ^ np.take(flips, free).reshape(-1, half)
+            tp_hat = tp ^ np.take(flips, pivots).reshape(-1, half)
+    else:
+        x = np.empty(theta.size, dtype=np.uint8)
+        x[free], x[pivots] = t.ravel(), tp.ravel()
+        x = x.reshape(theta.shape)
+        if isinstance(eve, KeepAndSubstitute):
+            eve_theta, eve_x = theta, x
+            rec_theta = _bits_of(eve.theta, n, "substitute record")
+            rec_x = _bits_of(eve.x, n, "substitute record")
+        else:
+            hat = r.bits(n) if eve.theta_hat is None else _bits_of(eve.theta_hat, n, "basis-guess")
+            eve_theta = np.broadcast_to(hat, theta.shape)
+            eve_x = np.where(eve_theta == theta, x, r.bits(n))
+            rec_theta, rec_x = eve_theta, eve_x
+        if noise is not None:
+            rec_x = rec_x ^ noise.flips(rec_theta, r.keys(n))
         dev_read = np.where(rec_theta == theta, rec_x, r.bits(n))
-    t_hat = np.take(dev_read, free).reshape(-1, half)
-    tp_hat = np.take(dev_read, pivots).reshape(-1, half)
+        t_hat = np.take(dev_read, free).reshape(-1, half)
+        tp_hat = np.take(dev_read, pivots).reshape(-1, half)
     if fault:
         tp_hat = tp_hat ^ c.bits  # same syndrome, different word
 

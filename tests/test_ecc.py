@@ -360,6 +360,20 @@ def test_batch_operations_match_scalar():
             assert aligned[i].tolist() == expect.bits.tolist()
 
 
+def test_syndrome_batch_matches_per_word_syndrome():
+    # hamming74 and random_linear have no block structure: both take the
+    # floating-point product and its integer parity
+    rng = np.random.default_rng(29)
+    every = np.array(list(itertools.product((0, 1), repeat=7)), dtype=np.uint8)
+    random = rng.integers(0, 2, size=(500, 40), dtype=np.uint8)
+    for c, words in ((make_code("hamming74"), every),
+                     (make_code("random_linear", 40, 20, 1), random)):
+        syns = syndrome_batch(c, words)
+        assert syns.dtype == np.uint8
+        for word, syn in zip(words, syns):
+            assert syn.tolist() == syndrome(c, Gf2Vec(word)).bits.tolist()
+
+
 def test_batch_shape_validation():
     c = make_code("hamming74")
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,12 +343,31 @@ def test_canonicalization_of_generating_sets():
         assert b.basis.rows.tobytes() == reference.basis.rows.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_register_equals_elimination_of_unit_vectors(n):
+    for k in range(n + 1):
+        for support in itertools.combinations(range(n), k):
+            a = Gf2Subspace.register(n, support)
+            b = Gf2Subspace(n, [e(i, n) for i in support])
+            assert a == b
+            assert a.pivots == b.pivots == support
+            assert a.to_json() == b.to_json()
+
+
+def test_register_positions():
+    assert Gf2Subspace.register(4, (3, 1, 3)) == Gf2Subspace.register(4, (1, 3))
+    with pytest.raises(ValueError):
+        Gf2Subspace.register(4, (4,))
+    with pytest.raises(ValueError):
+        Gf2Subspace.register(4, (-1,))
+
+
 # -------------------------------------------------------- serialization
 
 
 def test_subspace_json_roundtrip():
     rng = np.random.default_rng(89)
-    for _ in range(10):
+    for _ in range(200):
         a = sample_subspace(8, "all", rng)
         payload = a.to_json()
         assert payload["n"] == 8
@@ -389,6 +410,26 @@ def test_vec_xor_group_laws(x, y):
 def test_vec_int_roundtrip(x):
     assert Gf2Vec.from_int(x, 12).to_int() == x
     assert Gf2Vec.from_hex(Gf2Vec.from_int(x, 12).to_hex(), 12).to_int() == x
+
+
+@given(st.lists(st.integers(0, 1), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_vec_conversions_match_per_bit_reference(bits):
+    # n = 0, n % 8 != 0 and n > 64 all occur
+    n = len(bits)
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    padded = [0] * (-n % 4) + bits
+    nibbles = [padded[i:i + 4] for i in range(0, len(padded), 4)]
+    digits = "".join("0123456789abcdef"[8 * a + 4 * b + 2 * c + d] for a, b, c, d in nibbles)
+    v = Gf2Vec(bits)
+    assert v.to_int() == value
+    assert v.to_hex() == (digits or "0")
+    assert Gf2Vec.from_int(value, n).bits.tolist() == bits
+    assert Gf2Vec.from_hex(v.to_hex(), n) == v
+    with pytest.raises(ValueError):
+        Gf2Vec.from_int(1 << n, n)
 
 
 def test_matrix_inverse():
