@@ -49,10 +49,9 @@ def _as_bits(bits, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def _ints(rows: np.ndarray) -> list[int]:
-    """Each row of a (k, n) bit array as an integer, most significant bit first."""
-    shift = -rows.shape[1] % 8  # np.packbits zero-pads each row at its end
-    return [int.from_bytes(p.tobytes(), "big") >> shift for p in np.packbits(rows, axis=1)]
+def _int(packed: np.ndarray, n: int) -> int:
+    """n bits packed by ``np.packbits`` (zero-padded at the end) as an integer."""
+    return int.from_bytes(packed.tobytes(), "big") >> (-n % 8)
 
 
 def _hex(value: int, n: int) -> str:
@@ -99,7 +98,7 @@ class Gf2Vec:
         return self._bits
 
     def to_int(self) -> int:
-        return _ints(self._bits[None, :])[0]
+        return _int(np.packbits(self._bits), self.n)
 
     def to_hex(self) -> str:
         """Hex string, most significant bit first, width ceil(n/4) digits."""
@@ -366,7 +365,8 @@ class Gf2Subspace:
     def to_json(self) -> dict:
         return {
             "n": self._n,
-            "basis": [_hex(v, self._n) for v in _ints(self._basis.rows)],
+            "basis": [_hex(_int(p, self._n), self._n)
+                      for p in np.packbits(self._basis.rows, axis=1)],
         }
 
     @classmethod
