@@ -12,11 +12,18 @@ strategies:
 
 * a vectorised classical path for the register family, where every built-in
   reduces to bookkeeping over Wiesner records (basis bits, data bits, coins).
-  Its kernels work on packed words: every bit field is read as uint64 words
-  (``TrialReader.packed``) and every Hamming distance is the popcount of an
-  XOR.  Where the labels (t, t') must be laid onto the coordinates, a
-  256 x 256 byte table deposits them onto the packed free and pivot masks
-  of the basis word, so no per-trial sort or gather over coordinates runs;
+  Its kernels work on whole 64-bit words: every bit field is read as packed
+  uint64 words (``TrialReader.packed``), and every row over the n
+  coordinates (basis, coins, fixed masks) is a coordinate row, its
+  ``np.packbits`` bytes zero-padded to 8 * ceil(n/64) and held as uint64
+  words.  Zero padding adds no weight and takes no deposit.  Bitwise
+  operations and popcounts do not depend on the byte order of a word, so
+  every Hamming distance is the popcount of an XOR of words; the one piece of
+  arithmetic, the byte prefix sums of ``_coset_offsets``, reads the bytes
+  through ``'<u8'`` views, which give the same words on either host byte
+  order.  Where the labels (t, t') must be laid onto the coordinates, a
+  256 x 256 byte table deposits them onto the free and pivot masks of the
+  basis row, so no per-trial sort or gather over coordinates runs;
 * a statevector path that actually prepares the state, runs the channel
   dilation and Born-rule measures party registers, for any family up to the
   simulator's qubit limit.  A round reads its labels and the key of its own
@@ -219,16 +226,39 @@ def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
     return Gf2Vec(rng.integers(0, 2, size=k, dtype=np.uint8))
 
 
-def _sample_pivots(keys: np.ndarray) -> np.ndarray:
-    """Exact-half-weight basis rows from iid draw keys, packed to bytes MSB
-    first: the n/2 largest keys of each row mark the Hadamard (pivot)
-    positions, where θ = 1."""
-    return np.packbits(top_k_mask(keys, keys.shape[1] // 2), axis=1)
+def _coordinate_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., n) 0/1 coordinates as coordinate rows: their ``np.packbits``
+    bytes, zero-padded to 8 * ceil(n/64), as (..., ceil(n/64)) uint64 words."""
+    n = bits.shape[-1]
+    rows = np.zeros((*bits.shape[:-1], 8 * -(-n // 64)), dtype=np.uint8)
+    rows[..., : -(-n // 8)] = np.packbits(bits, axis=-1)
+    return rows.view(np.uint64)
 
 
-def _weight(packed: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming weight of packed words or bytes."""
-    return np.bitwise_count(packed).sum(axis=1)
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """(T, W) words, or (T, 8W) bytes, as (T, 8W) bytes in memory order."""
+    return np.ascontiguousarray(rows).view(np.uint8)
+
+
+def _le_words(rows: np.ndarray) -> np.ndarray:
+    """(T, 8W) bytes, or (T, W) words, as (T, W) ``'<u8'`` words: byte j of a
+    row is byte j % 8 of word j // 8 counted from the least significant end,
+    on a host of either byte order."""
+    return np.ascontiguousarray(rows).view("<u8")
+
+
+def _le_bytes(words: np.ndarray) -> np.ndarray:
+    """The bytes of (T, W) word values, least significant first: the inverse
+    of ``_le_words``."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _weight(rows: np.ndarray) -> np.ndarray:
+    """Row-wise Hamming weight of (T, W) words or (T, 8W) bytes.  A word's
+    popcount does not depend on the order of its bytes, so one ``'<u8'`` view
+    serves packed and coordinate rows alike; a one-word row skips the sum."""
+    count = np.bitwise_count(_le_words(rows))
+    return count[:, 0] if count.shape[1] == 1 else count.sum(axis=1)
 
 
 @functools.cache
@@ -246,28 +276,61 @@ def _deposit_table() -> np.ndarray:
     return table
 
 
-def _deposit(src: np.ndarray, mask: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Spread the bits of packed (T, W) uint64 rows ``src`` over the set bits
-    of the (T, B) byte rows ``mask``, in order: byte j takes popcount(mask[:, j])
-    bits starting at bit ``offset[:, j]`` (uint64) of its source row."""
-    t, w = src.shape
-    # two zero words past each row: an offset may reach the end of the source
-    flat = np.concatenate([src, np.zeros((t, 2), dtype=np.uint64)], axis=1).reshape(-1)
-    word = (offset >> np.uint64(6)).astype(np.intp) + np.arange(0, t * (w + 2), w + 2)[:, None]
-    shift = offset & np.uint64(63)
-    # the 8 source bits from the offset on; numpy shifts by 64 give 0
-    window = ((flat[word] << shift) | (flat[word + 1] >> (np.uint64(64) - shift))) >> np.uint64(56)
-    return _deposit_table()[(mask.astype(np.intp) << 8) | window.astype(np.intp)]
+# Byte k of w * _BYTE_ONES is the sum of bytes 0..k of w while no sum passes
+# 255; byte k of _BYTE_EIGHTS is 8k.
+_BYTE_ONES = np.uint64(0x0101010101010101)
+_BYTE_EIGHTS = np.uint64(0x3830282018100800)
 
 
 def _coset_offsets(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offsets of t and t' at each byte of the packed pivot rows: t fills
-    the free (θ=0) coordinates and t' the pivots, each in ascending order, so
-    the offset at byte j counts the free (resp. pivot) coordinates before it."""
-    count = np.bitwise_count(pivots)
-    pivot_off = np.cumsum(count, axis=1, dtype=np.uint64) - count
-    free_off = np.arange(0, 8 * pivots.shape[1], 8, dtype=np.uint64) - pivot_off
+    """Bit offsets of t and t' at each byte of the coordinate rows ``pivots``,
+    as (T, 8W) uint64: t fills the free (θ=0) coordinates and t' the pivots,
+    each in ascending order, so the offset at byte j counts the free (resp.
+    pivot) coordinates before it.
+
+    Within a word, one multiplication of its ``'<u8'`` word of byte popcounts
+    by 0x0101010101010101 gives their prefix sums, byte by byte (a word holds
+    at most 64 pivots, so no byte carries); at byte k of a word, 8k less the
+    pivots before it is the free count.  Rows of more than one word add the
+    counts of the words before."""
+    count = _le_words(np.bitwise_count(_row_bytes(pivots)))
+    inclusive = count * _BYTE_ONES
+    pivot_in = inclusive - count
+    pivot_off = _le_bytes(pivot_in).astype(np.uint64)
+    free_off = _le_bytes(_BYTE_EIGHTS - pivot_in).astype(np.uint64)
+    if count.shape[1] > 1:
+        total = inclusive >> np.uint64(56)  # the word's pivots
+        before = np.cumsum(total, axis=1, dtype=np.uint64) - total
+        pivot_off += np.repeat(before, 8, axis=1)
+        free_off += np.repeat(np.arange(0, 64 * count.shape[1], 64, dtype=np.uint64) - before,
+                              8, axis=1)
     return free_off, pivot_off
+
+
+def _deposit(src: np.ndarray, mask: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Spread the bits of packed (T, W) uint64 rows ``src`` over the set bits
+    of the coordinate rows ``mask``, in order, into coordinate rows: byte j
+    takes popcount(mask byte j) bits starting at bit ``offset[:, j]``
+    (uint64) of its source row.
+
+    A one-word source (W = 1: n/2 <= 64, every paper size) reads byte j's
+    8-bit window with one broadcast shift, (src << offset) >> 56; numpy
+    shifts by 64 or more give 0, so a window past the end of the source reads
+    zeros.  A longer source gathers the two words that the window spans.
+    Either way the mask byte and the window index the deposit table."""
+    t, w = src.shape
+    if w == 1:
+        window = (src << offset) >> np.uint64(56)
+    else:
+        # two zero words past each row: an offset may reach the end of the source
+        flat = np.concatenate([src, np.zeros((t, 2), dtype=np.uint64)], axis=1).reshape(-1)
+        word = (offset >> np.uint64(6)).astype(np.intp) + np.arange(0, t * (w + 2), w + 2)[:, None]
+        shift = offset & np.uint64(63)
+        window = (((flat[word] << shift) | (flat[word + 1] >> (np.uint64(64) - shift)))
+                  >> np.uint64(56))
+    index = _row_bytes(mask).astype(np.uint16) << 8
+    index |= window.astype(np.uint16)
+    return _deposit_table().take(index).view(np.uint64)
 
 
 def _binom_tail_half(f: int, m: int) -> float:
@@ -379,16 +442,16 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
         n, half, m, mp = params.n, params.half, params.m, params.m_prime
         if theta_hat.n != n:
             raise ValueError("basis-choice length must match the game")
-        hat = np.packbits(theta_hat.bits)
-        coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
+        hat = _coordinate_rows(theta_hat.bits)
+        coords = _coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
             t = r.packed(half)
             tp = r.packed(half)
-            coins = words_to_bytes(r.packed(n))[:, : hat.size]
-            pivots = _sample_pivots(r.keys(n))
+            coins = words_to_bytes(r.packed(n)).view(np.uint64)
+            pivots = _coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
             free = coords ^ pivots
             free_off, pivot_off = _coset_offsets(pivots)
             x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
@@ -410,16 +473,16 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
         rec = record if record is not None else _zero_record(n)
         if rec.n != n:
             raise ValueError("substitute record length must match the game")
-        rx = np.packbits(rec.x.bits)
-        rtheta = np.packbits(rec.theta.bits)
-        coords = np.packbits(np.ones(n, dtype=np.uint8))  # the n real coordinates
+        rx = _coordinate_rows(rec.x.bits)
+        rtheta = _coordinate_rows(rec.theta.bits)
+        coords = _coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, n), key_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
             t = r.packed(half)
-            coins = words_to_bytes(r.packed(n))[:, : rx.size]
-            pivots = _sample_pivots(r.keys(n))
+            coins = words_to_bytes(r.packed(n)).view(np.uint64)
+            pivots = _coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
             free = coords ^ pivots
             free_off, _ = _coset_offsets(pivots)
             # Bob coset-measures the substitute: at each free coordinate he

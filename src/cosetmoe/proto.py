@@ -50,7 +50,6 @@ import numpy as np
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
 from .gf2 import (
-    Gf2Matrix,
     Gf2Subspace,
     Gf2Vec,
     IndexSubset,
@@ -361,7 +360,7 @@ class _CosetStates:
 
     def __init__(self, family: str, n: int, r: TrialReader):
         self.family, self.n = family, n
-        self.theta = self.rngs = self.basis = self.forwarded = None
+        self.theta = self.rngs = self.subspaces = self.forwarded = None
         if family == "register":
             self.theta = top_k_mask(r.keys(n), n // 2)
         else:
@@ -385,12 +384,12 @@ class _CosetStates:
             self.forwarded[self.theta == 1] = coins.ravel()
             return t, coins
         t_hat, tp_hat = np.zeros_like(t), np.zeros_like(tp)
-        self.basis = np.empty((len(t), half, self.n), dtype=np.uint8)
+        self.subspaces = []
         if computational:
             self.forwarded = np.empty((len(t), self.n), dtype=np.uint8)
         for i, rng in enumerate(self.rngs):
             a = sample_subspace(self.n, self.family, rng)
-            self.basis[i] = a.basis.rows
+            self.subspaces.append(a)
             if rows is not None and not rows[i]:
                 continue
             reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
@@ -405,11 +404,12 @@ class _CosetStates:
         return t_hat, tp_hat
 
     def subspace(self, row: int) -> Gf2Subspace:
-        """The subspace a of one row, for its transcript.  On the register
-        family it is spanned by e_i at the Hadamard positions θ_i = 1, built
-        by ``Gf2Subspace.register`` without elimination."""
+        """The subspace a of one row, for its transcript.  On the general
+        family it is the subspace that ``read`` sampled, already canonical.
+        On the register family it is spanned by e_i at the Hadamard positions
+        θ_i = 1, built by ``Gf2Subspace.register`` without elimination."""
         if self.theta is None:
-            return Gf2Subspace(self.n, Gf2Matrix(self.basis[row]))
+            return self.subspaces[row]
         return Gf2Subspace.register(self.n, np.flatnonzero(self.theta[row]))
 
 

@@ -697,7 +697,7 @@ def _fixed_bits(fill, n, seed):
 @pytest.mark.parametrize("kind", BUILTIN_KINDS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    n=st.sampled_from([2, 6, 8, 14, 64, 66, 130]),
+    n=st.sampled_from([2, 6, 8, 14, 64, 66, 128, 130, 256]),
     m_at=st.sampled_from([0, 1, 2]),
     mp_at=st.sampled_from([0, 1, 2]),
     seed=st.sampled_from([0, 7, 2**64 - 1]),
@@ -723,3 +723,124 @@ def test_register_kernels_equal_uint8_reference(kind, leak, n, m_at, mp_at, seed
     got = run_blocks(params.trials, wpt, seed, kernel, block=16)
     expected = run_blocks(params.trials, wpt, seed, reference, block=16)
     assert np.array_equal(got, expected)
+
+
+# ------------------------------------------------------------------
+# the whole-word row helpers against bit-by-bit formulas
+# ------------------------------------------------------------------
+
+_HELPER_NS = [2, 6, 8, 14, 64, 66, 126, 128, 130, 256]
+_LAYOUTS = ["contiguous", "column_slice", "strided"]
+
+
+def _rows(rng, rows, cols, dtype, layout):
+    """Random (rows, cols) values, either contiguous or as a column slice of a
+    wider array: one that skips a leading column (rows apart in memory, and
+    byte rows off word alignment), or one that takes every other column."""
+    high = np.iinfo(dtype).max
+    wide = rng.integers(0, high, (rows, 2 * cols + 1), dtype=dtype, endpoint=True)
+    if layout == "contiguous":
+        return np.ascontiguousarray(wide[:, :cols])
+    if layout == "column_slice":
+        return wide[:, 1 : cols + 1]
+    return wide[:, 1::2]
+
+
+def _row_sizes(n):
+    """(coordinate-row bytes, source words) at dimension n."""
+    return 8 * -(-n // 64), -(-(n // 2) // 64)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", _HELPER_NS)
+def test_weight_equals_unpacked_sum(n, layout):
+    rng = np.random.default_rng(n)
+    nbytes, _ = _row_sizes(n)
+    rows = _rows(rng, 7, nbytes, np.uint8, layout)
+    rows[0] = 0xFF
+    rows[1] = 0
+    assert np.array_equal(moe._weight(rows), np.unpackbits(rows, axis=1).sum(axis=1))
+    words = _rows(rng, 7, nbytes // 8, np.uint64, layout)
+    words[0] = np.uint64(2**64 - 1)
+    expected = _shift_bits(words, 64 * words.shape[1]).sum(axis=1)
+    assert np.array_equal(moe._weight(words), expected)
+
+
+def _offsets_by_bits(pivots):
+    """(free, pivot) offsets at each byte of byte rows: the zero (resp. set)
+    bits before it."""
+    bits = np.unpackbits(pivots, axis=1).astype(np.uint64)
+    pivot_off = (np.cumsum(bits, axis=1) - bits)[:, ::8]
+    return np.arange(0, bits.shape[1], 8, dtype=np.uint64) - pivot_off, pivot_off
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", _HELPER_NS)
+def test_coset_offsets_equal_bit_cumsum(n, layout):
+    rng = np.random.default_rng(n + 1)
+    nbytes, _ = _row_sizes(n)
+    pivots = _rows(rng, 7, nbytes, np.uint8, layout)
+    pivots[0] = 0xFF  # 64 pivots in every word: the largest in-word sum
+    pivots[1] = 0
+    words = _rows(rng, 7, nbytes // 8, np.uint64, layout)
+    for rows, row_bytes in ((pivots, pivots), (words, np.ascontiguousarray(words).view(np.uint8))):
+        got = moe._coset_offsets(rows)
+        assert got[0].dtype == got[1].dtype == np.uint64
+        for got_off, off in zip(got, _offsets_by_bits(row_bytes)):
+            assert np.array_equal(got_off, off)
+
+
+def _deposit_by_bits(src, mask, offset):
+    """The deposit bit by bit: the set bits of mask byte j, in order, take
+    source bits offset[j], offset[j] + 1, ...; bits past the source read 0."""
+    src_bits = _shift_bits(src, 64 * src.shape[1])
+    mask_bits = np.unpackbits(mask, axis=1)
+    out = np.zeros_like(mask_bits)
+    for i, j in itertools.product(range(mask.shape[0]), range(mask.shape[1])):
+        k = int(offset[i, j])
+        for bit in range(8 * j, 8 * j + 8):
+            if mask_bits[i, bit]:
+                out[i, bit] = src_bits[i, k] if k < src_bits.shape[1] else 0
+                k += 1
+    return np.packbits(out, axis=1)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", _HELPER_NS)
+def test_deposit_equals_bit_loop_on_coset_layouts(n, layout):
+    # the kernels' use: t onto the free coordinates and t' onto the pivots,
+    # each from the offsets of the bit-by-bit prefix counts
+    rng = np.random.default_rng(n + 2)
+    half, (nbytes, nwords) = n // 2, _row_sizes(n)
+    theta = np.zeros((6, 8 * nbytes), dtype=np.uint8)
+    for row in theta:
+        row[rng.permutation(n)[:half]] = 1
+    theta[0, :n] = np.arange(n) >= half  # every free coordinate first
+    coords = (np.arange(8 * nbytes) < n).astype(np.uint8)
+    for mask_bits in (theta, coords ^ theta):
+        src = _rows(rng, 6, nwords, np.uint64, layout)
+        src[:, -1] &= np.uint64(((1 << 64) - 1) ^ ((1 << (64 * nwords - half)) - 1))  # packed
+        before = np.cumsum(mask_bits, axis=1, dtype=np.uint64) - mask_bits
+        offset = before[:, ::8]
+        mask = np.packbits(mask_bits, axis=1)
+        expected = _deposit_by_bits(src, mask, offset)
+        wide = np.zeros((6, 2 * nbytes), dtype=np.uint8)
+        wide[:, nbytes:] = mask
+        for rows in (mask, mask.view(np.uint64), wide[:, nbytes:]):
+            got = moe._deposit(src, rows, offset)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got.view(np.uint8), expected)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", _HELPER_NS)
+def test_deposit_equals_bit_loop_on_any_mask(n, layout):
+    # any mask bytes, and offsets up to a word past the end of the source
+    rng = np.random.default_rng(n + 3)
+    nbytes, nwords = _row_sizes(n)
+    src = _rows(rng, 6, nwords, np.uint64, layout)
+    mask = _rows(rng, 6, nbytes, np.uint8, layout)
+    offset = _rows(rng, 6, nbytes, np.uint64, layout) % np.uint64(64 * nwords + 64)
+    offset[0] = 64 * nwords  # every window past the end
+    got = moe._deposit(src, mask, offset)
+    assert np.array_equal(got.view(np.uint8), _deposit_by_bits(src, mask, offset))
