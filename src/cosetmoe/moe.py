@@ -300,7 +300,7 @@ def _coset_offsets(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     free_off = _le_bytes(_BYTE_EIGHTS - pivot_in).astype(np.uint64)
     if count.shape[1] > 1:
         total = inclusive >> np.uint64(56)  # the word's pivots
-        before = np.cumsum(total, axis=1, dtype=np.uint64) - total
+        before = np.cumsum(total, axis=1) - total
         pivot_off += np.repeat(before, 8, axis=1)
         free_off += np.repeat(np.arange(0, 64 * count.shape[1], 64, dtype=np.uint64) - before,
                               8, axis=1)
