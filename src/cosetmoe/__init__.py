@@ -3,7 +3,7 @@
 Subpackages
 -----------
 ``gf2``    linear algebra over Z_2: vectors, matrices, subspaces, cosets
-``qsim``   coset-state preparation and measurement (statevector + record backends)
+``qsim``   statevector simulator of coset states: the general family and the oracle
 ``info``   closed-form bounds, entropy tools, density-operator utilities
 ``ext``    Toeplitz two-universal extractor and leftover-hash error
 ``ecc``    linear codes with syndrome decoding for reconciliation

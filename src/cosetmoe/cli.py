@@ -582,7 +582,7 @@ def _check_gamma_star() -> tuple[bool, float]:
     return 0.0150 <= g <= 0.0156, g
 
 
-def _check_orthonormality(seed: int) -> tuple[bool, float]:
+def _check_orthonormality() -> tuple[bool, float]:
     import itertools
 
     from .gf2 import Gf2Subspace
@@ -673,7 +673,7 @@ def selftest_checks(seed: int, threads: int) -> list[dict]:
         ("combinatorial_bound_n60", lambda: _check_combinatorial_bound()),
         ("moe_bound_n10", lambda: _check_bounds_value()),
         ("gamma_star_window", lambda: _check_gamma_star()),
-        ("coset_basis_orthonormality_n4", lambda: _check_orthonormality(seed)),
+        ("coset_basis_orthonormality_n4", lambda: _check_orthonormality()),
         ("extractor_two_universal", lambda: _check_extractor_two_universal()),
         ("moe_bob_all_n8", lambda: _check_moe_kernel("bob_all", seed, threads)),
         ("moe_measure_computational_n8",

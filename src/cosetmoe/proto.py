@@ -654,9 +654,7 @@ def _pad_blocks(params: Union[QecmParams, "UrbcParams"]):
         for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
             t = Gf2Vec.from_int(t_int, half)
             tp = Gf2Vec.from_int(tp_int, half)
-            psi = prepare_coset_state(
-                CosetDescriptor(a, t, tp), backend="statevector"
-            ).payload.amps
+            psi = prepare_coset_state(CosetDescriptor(a, t, tp)).payload.amps
             block = np.outer(psi, psi.conj())
             for r_int in range(1 << ext.seed_len):
                 pad = ext.extract(tp, Gf2Vec.from_int(r_int, ext.seed_len))

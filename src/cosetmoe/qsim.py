@@ -1,22 +1,22 @@
-"""Quantum simulation of coset states on two backends.
+"""Dense statevector simulation of coset states, for any half-dimension
+subspace up to 20 qubits.
 
-The dense statevector backend handles arbitrary half-dimension subspaces up
-to 20 qubits.  The Wiesner backend stores a classical record (x, θ) — the
-conjugate-coding form of a coset state for a register subspace — and works at
-any size; it reproduces the exact measurement statistics for register
-subspaces because those states are tensor products of single-qubit
-computational/Hadamard states.
+It is the general family's quantum step and the oracle for the register
+family's kernels.  A register subspace's coset state is a conjugate-coding
+(Wiesner) state, a product of computational and Hadamard qubits, so the
+register family runs on classical records (x, θ) in the ``moe`` and ``proto``
+kernels instead; ``WiesnerRecord`` is the type of such a record.
 
 Basis-vector indexing is most-significant-bit first: qubit 0 corresponds to
 the top bit of the amplitude index, matching Gf2Vec.to_int.
 
-Measuring in the coset basis of a subspace ``a`` on the statevector backend
-is done in three steps: relabel amplitude indices by the inverse of the
-invertible map (t, w) ↦ coset_rep(a,t) + w·basis(a) (a pure index
-permutation), apply Hadamards to the w block (a Walsh–Hadamard transform),
-and sample.  The sampled high bits are t̂ directly; the low bits ŝ relate to
-the phase label through the invertible matrix S = basis(a) · inj(a⊥), where
-inj(a⊥) injects phase labels into ambient space, so t̂' = S⁻¹ŝ.
+Measuring in the coset basis of a subspace ``a`` is done in three steps:
+relabel amplitude indices by the inverse of the invertible map
+(t, w) ↦ coset_rep(a,t) + w·basis(a) (a pure index permutation), apply
+Hadamards to the w block (a Walsh–Hadamard transform), and sample.  The
+sampled high bits are t̂ directly; the low bits ŝ relate to the phase label
+through the invertible matrix S = basis(a) · inj(a⊥), where inj(a⊥) injects
+phase labels into ambient space, so t̂' = S⁻¹ŝ.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .gf2 import (
     Gf2Vec,
     complement,
     coset_rep,
-    indicator,
-    solve_coset_membership,
 )
 
 __all__ = [
@@ -50,10 +48,8 @@ __all__ = [
     "prepare_coset_state",
     "measure_coset_basis",
     "measure_computational",
-    "apply_pauli_noise",
     "apply_adversary",
     "coset_overlap",
-    "dump_statevector",
 ]
 
 STATEVECTOR_QUBIT_LIMIT = 20
@@ -84,25 +80,22 @@ class CosetDescriptor:
 
 
 class StateVec:
-    """Dense complex amplitudes over 2^n computational basis states."""
+    """Dense complex amplitudes of a unit vector over 2^n computational basis
+    states."""
 
-    __slots__ = ("n", "amps", "trace")
+    __slots__ = ("n", "amps")
 
-    def __init__(self, n: int, amps: np.ndarray, trace: float = 1.0):
+    def __init__(self, n: int, amps: np.ndarray):
         if n > STATEVECTOR_QUBIT_LIMIT:
             raise ValueError(f"statevector backend limited to {STATEVECTOR_QUBIT_LIMIT} qubits")
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (1 << n,):
             raise ValueError("amplitude count must be 2^n")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - trace) > _ATOL:
-            raise ValueError(f"squared norm {norm2} differs from recorded trace {trace}")
+        if abs(norm2 - 1.0) > _ATOL:
+            raise ValueError(f"squared norm {norm2} differs from 1")
         self.n = n
         self.amps = amps
-        self.trace = trace
-
-    def copy(self) -> "StateVec":
-        return StateVec(self.n, self.amps.copy(), self.trace)
 
 
 @dataclass(frozen=True)
@@ -123,21 +116,14 @@ class WiesnerRecord:
 
 
 class QuantumReg:
-    """A register: backend payload plus a per-qubit ownership map."""
+    """A register: a statevector plus a per-qubit ownership map."""
 
-    __slots__ = ("backend", "payload", "owner")
+    __slots__ = ("payload", "owner")
 
-    def __init__(self, backend: str, payload, owner: Sequence[str]):
-        if backend not in ("statevector", "wiesner"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "statevector" and not isinstance(payload, StateVec):
-            raise TypeError("statevector backend requires a StateVec payload")
-        if backend == "wiesner" and not isinstance(payload, WiesnerRecord):
-            raise TypeError("wiesner backend requires a WiesnerRecord payload")
+    def __init__(self, payload: StateVec, owner: Sequence[str]):
         owner = tuple(owner)
         if len(owner) != payload.n:
             raise ValueError("ownership map must assign every qubit")
-        self.backend = backend
         self.payload = payload
         self.owner = owner
 
@@ -147,9 +133,6 @@ class QuantumReg:
 
     def qubits_of(self, party: str) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.owner) if p == party)
-
-    def with_owner(self, party: str) -> "QuantumReg":
-        return QuantumReg(self.backend, self.payload, (party,) * self.n_qubits)
 
 
 # ------------------------------------------------------------------
@@ -264,19 +247,9 @@ def _coset_change_of_basis(a: Gf2Subspace):
 # ------------------------------------------------------------------
 
 
-def prepare_coset_state(
-    d: CosetDescriptor, backend: str = "statevector", owner: str = "alice"
-) -> QuantumReg:
+def prepare_coset_state(d: CosetDescriptor, owner: str = "alice") -> QuantumReg:
     """Prepare |a_{t,t'}⟩ = 2^{-n/4} Σ_{u∈a} (−1)^{u·t'_{a⊥}} |u + t_a⟩."""
     n, k = d.n, d.a.dim
-    if backend == "wiesner":
-        if not d.a.is_register():
-            raise ValueError("wiesner backend requires a register subspace")
-        x = coset_rep(d.a, d.t) + Gf2Vec(_phase_inject(d.a).mulvec(d.t_prime).bits)
-        rec = WiesnerRecord(x=x, theta=indicator(d.a))
-        return QuantumReg("wiesner", rec, (owner,) * n)
-    if backend != "statevector":
-        raise ValueError(f"unknown backend {backend!r}")
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ValueError("ambient dimension exceeds statevector limit")
     t_a = coset_rep(d.a, d.t).bits
@@ -290,7 +263,7 @@ def prepare_coset_state(
     idx = (u_all ^ t_a) @ weights
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[idx] = phases / np.sqrt(float(1 << k))
-    return QuantumReg("statevector", StateVec(n, amps), (owner,) * n)
+    return QuantumReg(StateVec(n, amps), (owner,) * n)
 
 
 # ------------------------------------------------------------------
@@ -320,20 +293,6 @@ def measure_coset_basis(
     n, k = a.n, a.dim
     if k * 2 != n:
         raise ValueError("subspace dimension must be half the ambient dimension")
-    if reg.backend == "wiesner":
-        if not a.is_register():
-            raise ValueError("wiesner backend requires a register subspace")
-        rec: WiesnerRecord = reg.payload
-        if rec.n != n:
-            raise ValueError("register size mismatch")
-        basis = indicator(a).bits
-        matched = basis == rec.theta.bits
-        outcome = np.where(matched, rec.x.bits, rng.integers(0, 2, size=n, dtype=np.uint8))
-        v = Gf2Vec(outcome)
-        t_hat, _ = solve_coset_membership(a, v)
-        t_prime_hat = Gf2Vec(outcome[list(a.pivots)])
-        return t_hat, t_prime_hat
-
     sv: StateVec = reg.payload
     targets = tuple(qubits) if qubits is not None else tuple(range(sv.n))
     if len(targets) != n:
@@ -348,8 +307,8 @@ def measure_coset_basis(
     ).reshape(1 << k, 1 << (n - k), -1)  # [s, t, env], unnormalized
     joint = (np.abs(transformed) ** 2).sum(axis=2) / float(1 << k)
     flat = joint.T.reshape(-1)  # index = t·2^k + s
-    if abs(float(flat.sum()) - sv.trace) > 1e-8:
-        raise AssertionError("probability mass inconsistent with state trace")
+    if abs(float(flat.sum()) - 1.0) > 1e-8:
+        raise AssertionError("probability mass of a unit state differs from 1")
     flat = np.clip(flat, 0.0, None)
     flat = flat / flat.sum()
     pick = int(rng.choice(flat.size, p=flat))
@@ -364,24 +323,6 @@ def measure_computational(
 ) -> tuple[Gf2Vec, QuantumReg]:
     """Computational-basis measurement of a qubit subset; returns the
     outcome and the collapsed register (measured qubits left in place)."""
-    if reg.backend == "wiesner":
-        rec: WiesnerRecord = reg.payload
-        n = rec.n
-        targets = tuple(qubits) if qubits is not None else tuple(range(n))
-        theta = rec.theta.bits
-        x = rec.x.bits.copy()
-        out = np.empty(len(targets), dtype=np.uint8)
-        for j, q in enumerate(targets):
-            out[j] = x[q] if theta[q] == 0 else rng.integers(0, 2)
-        new_x, new_theta = x.copy(), theta.copy()
-        for j, q in enumerate(targets):
-            new_x[q] = out[j]
-            new_theta[q] = 0
-        collapsed = QuantumReg(
-            "wiesner", WiesnerRecord(Gf2Vec(new_x), Gf2Vec(new_theta)), reg.owner
-        )
-        return Gf2Vec(out), collapsed
-
     sv: StateVec = reg.payload
     n_total = sv.n
     targets = tuple(qubits) if qubits is not None else tuple(range(n_total))
@@ -400,45 +341,12 @@ def measure_computational(
         idx[q] = slice(None)
     flat = tensor.reshape(-1)
     flat = flat / np.sqrt(float(np.vdot(flat, flat).real))
-    return out, QuantumReg("statevector", StateVec(n_total, flat), reg.owner)
+    return out, QuantumReg(StateVec(n_total, flat), reg.owner)
 
 
 # ------------------------------------------------------------------
-# noise and adversary channels
+# adversary channels
 # ------------------------------------------------------------------
-
-
-def apply_pauli_noise(
-    reg: QuantumReg, delta_x: float, delta_z: float, rng: np.random.Generator
-) -> QuantumReg:
-    """Independently per qubit: apply X with prob δx and Z with prob δz
-    (one sampled Pauli trajectory)."""
-    if not (0.0 <= delta_x <= 1.0 and 0.0 <= delta_z <= 1.0):
-        raise ValueError("noise probabilities must lie in [0, 1]")
-    n = reg.n_qubits
-    fx = rng.random(n) < delta_x
-    fz = rng.random(n) < delta_z
-    if reg.backend == "wiesner":
-        rec: WiesnerRecord = reg.payload
-        theta = rec.theta.bits.astype(bool)
-        flips = np.where(theta, fz, fx)
-        new_x = rec.x.bits ^ flips.astype(np.uint8)
-        return QuantumReg("wiesner", WiesnerRecord(Gf2Vec(new_x), rec.theta), reg.owner)
-    sv: StateVec = reg.payload
-    amps = sv.amps
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    xmask = int((fx * weights).sum())
-    zmask = int((fz * weights).sum())
-    if xmask:
-        amps = amps[np.arange(amps.size) ^ xmask]
-    if zmask:
-        parity = np.zeros(amps.size, dtype=np.int64)
-        idx = np.arange(amps.size) & zmask
-        while idx.any():
-            parity ^= idx & 1
-            idx >>= 1
-        amps = amps * (1.0 - 2.0 * parity)
-    return QuantumReg("statevector", StateVec(n, amps, sv.trace), reg.owner)
 
 
 def _apply_unitary_statevec(amps: np.ndarray, n_total: int, u: np.ndarray,
@@ -459,8 +367,6 @@ def apply_adversary(
 ) -> QuantumReg:
     """Run the channel's dilation. Every qubit must be assigned to a party
     exactly once across the channel's assign actions."""
-    if reg.backend != "statevector":
-        raise ValueError("adversary channels require the statevector backend")
     sv: StateVec = reg.payload
     amps = sv.amps
     n_total = sv.n
@@ -484,7 +390,7 @@ def apply_adversary(
             amps = _apply_unitary_statevec(amps, n_total, u, targets)
         elif kind == "measure":
             targets = act[1]
-            tmp = QuantumReg("statevector", StateVec(n_total, amps), ("tmp",) * n_total)
+            tmp = QuantumReg(StateVec(n_total, amps), ("tmp",) * n_total)
             outcome, collapsed = measure_computational(tmp, rng, targets)
             ch.log.append((targets, outcome))
             amps = collapsed.payload.amps
@@ -497,11 +403,11 @@ def apply_adversary(
     if set(assigned) != set(range(n_total)):
         raise ValueError("every qubit must be assigned exactly once")
     owner = tuple(assigned[i] for i in range(n_total))
-    return QuantumReg("statevector", StateVec(n_total, amps, sv.trace), owner)
+    return QuantumReg(StateVec(n_total, amps), owner)
 
 
 # ------------------------------------------------------------------
-# overlaps and dumps
+# overlaps
 # ------------------------------------------------------------------
 
 
@@ -538,14 +444,3 @@ def coset_overlap(
             )
     return value
 
-
-def dump_statevector(reg: QuantumReg, path: str) -> None:
-    """Debug dump: little-endian f64 (re, im) pairs in index order."""
-    if reg.backend != "statevector":
-        raise ValueError("only statevector registers can be dumped")
-    amps = reg.payload.amps
-    pairs = np.empty((amps.size, 2), dtype="<f8")
-    pairs[:, 0] = amps.real
-    pairs[:, 1] = amps.imag
-    with open(path, "wb") as fh:
-        fh.write(pairs.tobytes())

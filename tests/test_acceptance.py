@@ -13,9 +13,10 @@ import sys
 import numpy as np
 import pytest
 
+from cosetmoe import moe
 from cosetmoe.ecc import make_code
 from cosetmoe.ext import ToeplitzExtractor, lhl_epsilon
-from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, intersect, sample_subspace
+from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, indicator, intersect, sample_subspace
 from cosetmoe.info import (
     DensityOp,
     gamma_star,
@@ -97,18 +98,35 @@ def _wiesner_product(x, theta):
     return acc
 
 
+def _register_records(theta, t, tp):
+    """Data bits x of the conjugate-coding records of register coset states,
+    one per row of (θ, t, t'), deposited as the moe register kernels deposit
+    them: t on the θ=0 coordinates and t' on the θ=1 ones, in order."""
+    def packed(bits):  # as TrialReader.packed words: bit 0 on top of word 0
+        padded = np.zeros((bits.shape[0], 64 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+        padded[:, : bits.shape[1]] = bits
+        return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+    pivots = moe._coordinate_rows(theta)
+    free_off, pivot_off = moe._coset_offsets(pivots)
+    x = (moe._deposit(packed(t), moe._coordinate_rows(1 - theta), free_off)
+         | moe._deposit(packed(tp), pivots, pivot_off))
+    return np.unpackbits(x.view(np.uint8), axis=1, count=theta.shape[1])
+
+
 def test_criterion_02_wiesner_equivalence():
+    # every (t, t') label of a subspace in one block, t in the top three bits
+    labels = np.unpackbits(np.arange(64, dtype=np.uint8)[:, None], axis=1)[:, 2:]
     rng = np.random.default_rng(SEED)
     worst = 1.0
     for _ in range(50):
         a = sample_subspace(6, "register", rng)
-        for t_int in range(8):
-            for tp_int in range(8):
-                d = CosetDescriptor(a, Gf2Vec.from_int(t_int, 3), Gf2Vec.from_int(tp_int, 3))
-                sv = prepare_coset_state(d, "statevector").payload.amps
-                rec = prepare_coset_state(d, "wiesner").payload
-                overlap = abs(np.vdot(_wiesner_product(rec.x.bits, rec.theta.bits), sv))
-                worst = min(worst, overlap)
+        theta = indicator(a).bits
+        records = _register_records(np.tile(theta, (64, 1)), labels[:, :3], labels[:, 3:])
+        for x, label in zip(records, labels):
+            d = CosetDescriptor(a, Gf2Vec(label[:3]), Gf2Vec(label[3:]))
+            sv = prepare_coset_state(d).payload.amps
+            worst = min(worst, abs(np.vdot(_wiesner_product(x, theta), sv)))
     _verdict(2, abs(worst - 1.0) <= 1e-10,
              f"min |overlap| {worst:.12f} over 50 subspaces x 64 labels at n=6")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cosetmoe import moe
 from cosetmoe.gf2 import (
     Gf2Subspace,
     Gf2Vec,
@@ -11,20 +12,19 @@ from cosetmoe.gf2 import (
     sample_subspace,
     solve_coset_membership,
 )
+from cosetmoe.mc import TrialReader, trial_words, words_for
+from cosetmoe.proto import PauliNoise
 from cosetmoe.qsim import (
     STATEVECTOR_QUBIT_LIMIT,
     AdversaryChannel,
     CosetDescriptor,
     QuantumReg,
     StateVec,
-    WiesnerRecord,
     append_ancilla,
     apply_adversary,
-    apply_pauli_noise,
     apply_unitary,
     assign_ownership,
     coset_overlap,
-    dump_statevector,
     measure_computational,
     measure_coset_basis,
     measure_qubits,
@@ -61,6 +61,37 @@ def wiesner_statevector(x, theta):
     return acc
 
 
+def packed(bits):
+    """(T, h) bits as ``TrialReader.packed`` words: bit 0 on top of word 0."""
+    padded = np.zeros((bits.shape[0], 64 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+def register_records(theta, t, tp):
+    """Data bits x of register coset states' conjugate-coding records, one per
+    row of (θ, t, t'), deposited as the moe register kernels deposit them: t
+    on the θ=0 coordinates and t' on the θ=1 ones, each in ascending order."""
+    pivots = moe._coordinate_rows(theta)
+    free_off, pivot_off = moe._coset_offsets(pivots)
+    x = (moe._deposit(packed(t), moe._coordinate_rows(1 - theta), free_off)
+         | moe._deposit(packed(tp), pivots, pivot_off))
+    return np.unpackbits(x.view(np.uint8), axis=1, count=theta.shape[1])
+
+
+def pauli_noise(reg, dx, dz, rng):
+    """Noise oracle: independently per qubit, X with probability dx and Z
+    with probability dz (one sampled Pauli trajectory)."""
+    n = reg.n_qubits
+    fx = rng.random(n) < dx
+    fz = rng.random(n) < dz
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    index = np.arange(1 << n)
+    amps = reg.payload.amps[index ^ int((fx * weights).sum())]
+    amps = amps * (1.0 - 2.0 * (np.bitwise_count(index & int((fz * weights).sum())) & 1))
+    return QuantumReg(StateVec(n, amps), reg.owner)
+
+
 def raw_coset_statevector(a, v, vp):
     """Independent oracle: 2^{-n/4} Σ_{u∈a} (−1)^{u·v'} |u+v⟩ for ambient
     labels v, v' (not reduced to canonical form)."""
@@ -84,25 +115,21 @@ def test_prepare_matches_wiesner_tensor_product():
     for n in (2, 4, 6):
         for _ in range(10):
             d = random_descriptor(n, "register", rng)
-            sv = prepare_coset_state(d, "statevector").payload.amps
-            rec = prepare_coset_state(d, "wiesner").payload
-            oracle = wiesner_statevector(rec.x.bits, rec.theta.bits)
-            overlap = abs(np.vdot(oracle, sv))
+            sv = prepare_coset_state(d).payload.amps
+            theta = indicator(d.a).bits
+            x, = register_records(theta[None], d.t.bits[None], d.t_prime.bits[None])
+            overlap = abs(np.vdot(wiesner_statevector(x, theta), sv))
             assert abs(overlap - 1.0) < 1e-10
 
 
 def test_prepare_wiesner_labels():
-    d = CosetDescriptor(span(4, e(0, 4).bits, e(2, 4).bits), Gf2Vec([1, 0]), Gf2Vec([0, 1]))
-    rec = prepare_coset_state(d, "wiesner").payload
-    assert rec.theta == Gf2Vec([1, 0, 1, 0])
-    # x = t injected at free coords {1,3} plus t' injected at coords {0,2}
-    assert rec.x == Gf2Vec([0, 1, 1, 0])
-
-
-def test_prepare_rejects_non_register_wiesner():
-    d = CosetDescriptor(span(2, [1, 1]), Gf2Vec([0]), Gf2Vec([0]))
-    with pytest.raises(ValueError):
-        prepare_coset_state(d, "wiesner")
+    # the record of the chi-squared test below: θ marks the pivots {0, 2},
+    # t lands on the free coordinates {1, 3} and t' on the pivots
+    a = span(4, e(0, 4).bits, e(2, 4).bits)
+    theta = indicator(a).bits
+    assert theta.tolist() == [1, 0, 1, 0]
+    x = register_records(theta[None], np.array([[1, 0]], np.uint8), np.array([[0, 1]], np.uint8))
+    assert x.tolist() == [[0, 1, 1, 0]]
 
 
 def test_orthonormal_basis_small():
@@ -155,23 +182,10 @@ def test_measure_roundtrip_statevector():
             assert tp_hat == d.t_prime
 
 
-def test_measure_roundtrip_wiesner():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        d = random_descriptor(8, "register", rng)
-        reg = prepare_coset_state(d, "wiesner")
-        t_hat, tp_hat = measure_coset_basis(reg, d.a, rng)
-        assert t_hat == d.t and tp_hat == d.t_prime
-
-
 def test_measure_zero_state_in_register_basis():
     rng = np.random.default_rng(17)
     a = span(4, e(0, 4).bits, e(1, 4).bits)
-    reg0 = QuantumReg(
-        "statevector",
-        StateVec(4, np.eye(1, 16, 0, dtype=np.complex128).ravel()),
-        ("bob",) * 4,
-    )
+    reg0 = QuantumReg(StateVec(4, np.eye(1, 16, 0, dtype=np.complex128).ravel()), ("bob",) * 4)
     counts = {}
     for _ in range(2000):
         t_hat, tp_hat = measure_coset_basis(reg0, a, rng)
@@ -182,27 +196,13 @@ def test_measure_zero_state_in_register_basis():
         assert abs(counts.get(v, 0) - 500) <= 3 * sigma
 
 
-def test_measure_mismatched_wiesner_basis_is_uniform():
-    rng = np.random.default_rng(19)
-    # record stored entirely in computational basis, measured in a basis
-    # whose Hadamard block covers the first half: those bits come out uniform
-    rec = WiesnerRecord(Gf2Vec([0] * 6), Gf2Vec([0] * 6))
-    reg = QuantumReg("wiesner", rec, ("bob",) * 6)
-    a = span(6, e(0, 6).bits, e(1, 6).bits, e(2, 6).bits)
-    seen = set()
-    for _ in range(300):
-        _, tp_hat = measure_coset_basis(reg, a, rng)
-        seen.add(tp_hat.to_int())
-    assert len(seen) == 8
-
-
 def test_measure_computational_collapse():
     rng = np.random.default_rng(23)
     # (|00⟩ + |11⟩)/√2: measuring qubit 0 fixes qubit 1
     bell = np.zeros(4, dtype=np.complex128)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     for _ in range(20):
-        reg = QuantumReg("statevector", StateVec(2, bell.copy()), ("eve",) * 2)
+        reg = QuantumReg(StateVec(2, bell.copy()), ("eve",) * 2)
         out0, collapsed = measure_computational(reg, rng, (0,))
         out1, _ = measure_computational(collapsed, rng, (1,))
         assert out0 == out1
@@ -214,63 +214,19 @@ def test_measure_computational_collapse():
 def test_noise_identity():
     rng = np.random.default_rng(29)
     d = random_descriptor(4, "register", rng)
-    for backend in ("statevector", "wiesner"):
-        reg = prepare_coset_state(d, backend)
-        out = apply_pauli_noise(reg, 0.0, 0.0, rng)
-        if backend == "statevector":
-            assert np.allclose(out.payload.amps, reg.payload.amps)
-        else:
-            assert out.payload == reg.payload
-
-
-def test_noise_deterministic_x_flip():
-    rng = np.random.default_rng(31)
-    rec = WiesnerRecord(Gf2Vec([0, 1, 0, 1]), Gf2Vec([0, 0, 0, 0]))
-    reg = QuantumReg("wiesner", rec, ("bob",) * 4)
-    out = apply_pauli_noise(reg, 1.0, 0.0, rng)
-    assert out.payload.x == Gf2Vec([1, 0, 1, 0])
-    # Z noise leaves computational-basis records untouched
-    out = apply_pauli_noise(reg, 0.0, 1.0, rng)
-    assert out.payload.x == rec.x
+    reg = prepare_coset_state(d)
+    out = pauli_noise(reg, 0.0, 0.0, rng)
+    assert np.allclose(out.payload.amps, reg.payload.amps)
 
 
 def test_noise_statevector_paulis():
     rng = np.random.default_rng(37)
-    zero = QuantumReg(
-        "statevector", StateVec(2, np.eye(1, 4, 0, dtype=np.complex128).ravel()), ("a",) * 2
-    )
-    flipped = apply_pauli_noise(zero, 1.0, 0.0, rng)
+    zero = QuantumReg(StateVec(2, np.eye(1, 4, 0, dtype=np.complex128).ravel()), ("a",) * 2)
+    flipped = pauli_noise(zero, 1.0, 0.0, rng)
     assert abs(flipped.payload.amps[3]) == pytest.approx(1.0)
-    plus = QuantumReg(
-        "statevector",
-        StateVec(1, np.array([1, 1], dtype=np.complex128) / np.sqrt(2)),
-        ("a",),
-    )
-    minus = apply_pauli_noise(plus, 0.0, 1.0, rng)
+    plus = QuantumReg(StateVec(1, np.array([1, 1], dtype=np.complex128) / np.sqrt(2)), ("a",))
+    minus = pauli_noise(plus, 0.0, 1.0, rng)
     assert np.allclose(minus.payload.amps, np.array([1, -1]) / np.sqrt(2))
-
-
-def test_noise_empirical_rate():
-    rng = np.random.default_rng(41)
-    flips = 0
-    total = 0
-    x0 = Gf2Vec([0] * 100)
-    theta = Gf2Vec([0] * 100)
-    reg = QuantumReg("wiesner", WiesnerRecord(x0, theta), ("b",) * 100)
-    for _ in range(10_000):
-        out = apply_pauli_noise(reg, 0.01, 0.0, rng)
-        flips += out.payload.x.weight()
-        total += 100
-    sigma = np.sqrt(total * 0.01 * 0.99)
-    assert abs(flips - total * 0.01) <= 3 * sigma
-
-
-def test_noise_range_check():
-    rng = np.random.default_rng(43)
-    d = random_descriptor(4, "register", rng)
-    reg = prepare_coset_state(d)
-    with pytest.raises(ValueError):
-        apply_pauli_noise(reg, -0.1, 0.0, rng)
 
 
 # --------------------------------------------------------- adversary
@@ -312,9 +268,7 @@ def test_adversary_cnot_born_table():
     counts = {0: 0, 1: 0, 2: 0, 3: 0}
     trials = 4000
     for _ in range(trials):
-        reg = QuantumReg(
-            "statevector", StateVec(1, np.array([alpha, beta])), ("alice",)
-        )
+        reg = QuantumReg(StateVec(1, np.array([alpha, beta])), ("alice",))
         ch = AdversaryChannel(
             [
                 append_ancilla(1),
@@ -353,9 +307,6 @@ def test_adversary_validation():
             ),
             rng,
         )
-    wreg = prepare_coset_state(d, "wiesner")
-    with pytest.raises(ValueError):
-        apply_adversary(wreg, AdversaryChannel([assign_ownership(range(4), "b")]), rng)
 
 
 def test_unitary_preserves_norm():
@@ -375,41 +326,34 @@ def test_unitary_preserves_norm():
 
 
 def test_backend_equivalence_chi_squared():
-    rng = np.random.default_rng(71)
-    n = 4
+    # one state, |a_{t,t'}> with record (x, θ) written out, read two ways:
+    # the statevector after the noise oracle, measured in the coset basis,
+    # and the register read x ^ PauliNoise.flips(θ, keys) on an mc window
+    n, trials, dx, dz = 4, 20_000, 0.25, 0.25
     a = span(n, e(0, n).bits, e(2, n).bits)
     d = CosetDescriptor(a, Gf2Vec([1, 0]), Gf2Vec([0, 1]))
-    dx = dz = 0.25
-    trials = 20_000
+    x = np.array([0, 1, 1, 0], dtype=np.uint8)
+    theta = np.array([1, 0, 1, 0], dtype=np.uint8)
     # exact per-qubit outcome distribution: a flip lands on a stored bit
     # when the sampled Pauli anticommutes with its basis
-    rec = prepare_coset_state(d, "wiesner").payload
-    cell_prob = np.ones(16)
-    for v in range(16):
-        bits = [(v >> (n - 1 - i)) & 1 for i in range(n)]
-        p = 1.0
-        for i in range(n):
-            flip = dx if rec.theta[i] == 0 else dz
-            p *= flip if bits[i] != rec.x[i] else (1 - flip)
-        cell_prob[v] = p
+    cells = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 8 - n:]
+    flip = np.where(theta == 0, dx, dz)
+    expected = np.where(cells != x, flip, 1 - flip).prod(axis=1) * trials
+    rng = np.random.default_rng(71)
+    base = prepare_coset_state(d)
+    sv_counts = np.zeros(16)
+    for _ in range(trials):
+        t_hat, tp_hat = measure_coset_basis(pauli_noise(base, dx, dz, rng), a, rng)
+        # reassemble the raw outcome string for binning
+        v = coset_rep(a, t_hat) + Gf2Vec([tp_hat[0], 0, tp_hat[1], 0])
+        sv_counts[v.to_int()] += 1
+    keys = TrialReader(trial_words(71, words_for(key_fields=(n,)), 0, trials)).keys(n)
+    reads = x ^ PauliNoise(dx, dz).flips(theta, keys)
+    register_counts = np.bincount(reads @ (1 << np.arange(n - 1, -1, -1)), minlength=16)
     threshold = 37.70  # χ², 15 dof, 0.999 quantile
-    for backend in ("wiesner", "statevector"):
-        base = prepare_coset_state(d, backend)
-        counts = np.zeros(16)
-        for _ in range(trials):
-            if backend == "statevector":
-                noisy = apply_pauli_noise(
-                    QuantumReg("statevector", base.payload.copy(), base.owner), dx, dz, rng
-                )
-            else:
-                noisy = apply_pauli_noise(base, dx, dz, rng)
-            t_hat, tp_hat = measure_coset_basis(noisy, a, rng)
-            # reassemble the raw outcome string for binning
-            v = coset_rep(a, t_hat) + Gf2Vec([tp_hat[0], 0, tp_hat[1], 0])
-            counts[v.to_int()] += 1
-        expected = cell_prob * trials
+    for name, counts in (("statevector", sv_counts), ("register", register_counts)):
         chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < threshold, f"{backend} χ² = {chi2}"
+        assert chi2 < threshold, f"{name} χ² = {chi2}"
 
 
 # ------------------------------------------------------ coset overlap
@@ -449,37 +393,20 @@ def test_coset_overlap_dimension_check():
 # ------------------------------------------------------------- misc
 
 
-def test_dump_statevector(tmp_path):
-    rng = np.random.default_rng(89)
-    d = random_descriptor(4, "all", rng)
-    reg = prepare_coset_state(d)
-    path = tmp_path / "state.bin"
-    dump_statevector(reg, str(path))
-    raw = np.fromfile(path, dtype="<f8").reshape(-1, 2)
-    assert np.allclose(raw[:, 0] + 1j * raw[:, 1], reg.payload.amps)
-
-
 def test_statevec_validation():
     with pytest.raises(ValueError):
         StateVec(2, np.ones(4))  # unnormalized
     with pytest.raises(ValueError):
         StateVec(STATEVECTOR_QUBIT_LIMIT + 1, np.zeros(2))
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = np.sqrt(0.5)
-    sub = StateVec(2, amps, trace=0.5)
-    assert sub.trace == 0.5
 
 
 def test_quantum_reg_validation():
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0
     with pytest.raises(ValueError):
-        QuantumReg("statevector", StateVec(2, amps), ("bob",))
-    with pytest.raises(TypeError):
-        QuantumReg("wiesner", StateVec(2, amps), ("bob", "bob"))
-    reg = QuantumReg("statevector", StateVec(2, amps), ("bob", "eve"))
+        QuantumReg(StateVec(2, amps), ("bob",))
+    reg = QuantumReg(StateVec(2, amps), ("bob", "eve"))
     assert reg.qubits_of("eve") == (1,)
-    assert reg.with_owner("eve").owner == ("eve", "eve")
 
 
 def test_descriptor_validation():
