@@ -24,11 +24,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import click
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from . import __version__
 from .ecc import make_code, make_code_from_config
 from .ext import ToeplitzExtractor
-from .gf2 import Gf2Vec
+from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vec
 from .info import (
     combinatorial_sum,
     gamma_star,
@@ -62,7 +64,7 @@ from .proto import (
 )
 from .qsim import CosetDescriptor, WiesnerRecord, prepare_coset_state
 
-__all__ = ["RunSpec", "dispatch", "emit_report", "main", "selftest_checks"]
+__all__ = ["CHECKS", "RunSpec", "dispatch", "emit_report", "main", "selftest_checks"]
 
 
 @dataclass(frozen=True)
@@ -562,60 +564,95 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
 
 
 # ------------------------------------------------------------------
-# selftest
+# selftest and the acceptance criteria
 # ------------------------------------------------------------------
 
 
-def _check_combinatorial_bound() -> tuple[bool, float]:
-    ok = all(verify_combinatorial_bound(n) for n in range(2, 62, 2))
-    ratio = float(combinatorial_sum(60)) / (math.sqrt(math.e) * math.cos(math.pi / 8) ** 60)
+class Check(NamedTuple):
+    """One row of the check table.  ``run(size, seed, threads)`` returns
+    (ok, value).  ``selftest`` runs every row at its ``quick`` size; the
+    acceptance gate (tests/test_acceptance.py) runs each row that has a
+    ``criterion`` number at its ``full`` size, with the criterion's seed."""
+
+    name: str
+    criterion: Optional[int]
+    run: Callable
+    quick: object
+    full: object = None
+
+
+def _check_combinatorial_bound(n_max, seed, threads) -> tuple[bool, float]:
+    ok = all(verify_combinatorial_bound(n) for n in range(2, n_max + 2, 2))
+    ratio = float(combinatorial_sum(n_max)) / (
+        math.sqrt(math.e) * math.cos(math.pi / 8) ** n_max)
     return ok, ratio
 
 
-def _check_bounds_value() -> tuple[bool, float]:
+def _check_bounds_value(size, seed, threads) -> tuple[bool, float]:
     value = moe_bound(10)
     return abs(value - 0.747) < 5e-4, value
 
 
-def _check_gamma_star() -> tuple[bool, float]:
+def _check_gamma_star(size, seed, threads) -> tuple[bool, float]:
     g = gamma_star()
     return 0.0150 <= g <= 0.0156, g
 
 
-def _check_orthonormality() -> tuple[bool, float]:
-    import itertools
+def _half_subspaces(n: int, family: str):
+    """Every n/2-dimensional subspace of Z_2^n in the family, once each, from
+    its canonical basis: a unit entry at each pivot column and, for family
+    "all", every filling of the non-pivot entries right of each pivot (a
+    register subspace has them all zero)."""
+    half = n // 2
+    for pivots in itertools.combinations(range(n), half):
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)
+                if j not in pivots]
+        fillings = itertools.product((0, 1), repeat=len(free)) if family == "all" else [()]
+        for filling in fillings:
+            basis = np.zeros((half, n), dtype=np.uint8)
+            basis[np.arange(half), pivots] = 1
+            for (i, j), bit in zip(free, filling):
+                basis[i, j] = bit
+            yield Gf2Subspace(n, Gf2Matrix(basis))
 
-    from .gf2 import Gf2Subspace
 
+def _check_orthonormality(size, seed, threads) -> tuple[bool, float]:
+    family, dims = size
     worst = 0.0
-    for support in itertools.combinations(range(4), 2):
-        a = Gf2Subspace.register(4, support)
-        states = []
-        for t_int in range(4):
-            for tp_int in range(4):
-                d = CosetDescriptor(a, Gf2Vec.from_int(t_int, 2), Gf2Vec.from_int(tp_int, 2))
-                states.append(prepare_coset_state(d).payload.amps)
-        gram = np.array([[np.vdot(u, v) for v in states] for u in states])
-        worst = max(worst, float(np.abs(gram - np.eye(16)).max()))
+    for n in dims:
+        half = n // 2
+        for a in _half_subspaces(n, family):
+            states = [
+                prepare_coset_state(CosetDescriptor(
+                    a, Gf2Vec.from_int(t_int, half), Gf2Vec.from_int(tp_int, half)
+                )).payload.amps
+                for t_int in range(1 << half) for tp_int in range(1 << half)
+            ]
+            gram = np.array([[np.vdot(u, v) for v in states] for u in states])
+            worst = max(worst, float(np.abs(gram - np.eye(1 << n)).max()))
     return worst <= 1e-10, worst
 
 
-def _check_extractor_two_universal() -> tuple[bool, float]:
-    ext = ToeplitzExtractor(4, 2)
-    worst = 0.0
-    n_seeds = 1 << ext.seed_len
-    for x_int in range(1, 1 << 4):
-        x = Gf2Vec.from_int(x_int, 4)
-        collisions = sum(
-            ext.extract(x, Gf2Vec.from_int(s, ext.seed_len)).to_int() == 0
-            for s in range(n_seeds)
-        )
-        worst = max(worst, collisions / n_seeds)
-    return worst <= 2.0 ** -2 + 1e-12, worst
+def _check_extractor_two_universal(shapes, seed, threads) -> tuple[bool, float]:
+    """For each (input bits, output bits) shape, the collision probability
+    Pr_s[T(s) c = 0] of every nonzero c = x + y is at most 2^-ell."""
+    ok, worst = True, 0.0
+    for n_in, ell in shapes:
+        ext = ToeplitzExtractor(n_in, ell)
+        n_seeds = 1 << ext.seed_len
+        for c_int in range(1, 1 << n_in):
+            c = Gf2Vec.from_int(c_int, n_in)
+            collisions = sum(
+                ext.extract(c, Gf2Vec.from_int(s, ext.seed_len)).to_int() == 0
+                for s in range(n_seeds)
+            )
+            ok &= collisions / n_seeds <= 2.0 ** -ell + 1e-12
+            worst = max(worst, collisions / n_seeds)
+    return ok, worst
 
 
-def _check_moe_kernel(kind: str, seed: int, threads: int) -> tuple[bool, float]:
-    params = MoeParams(n=8, trials=20_000, seed=seed)
+def _check_moe_kernel(kind: str, trials, seed, threads) -> tuple[bool, float]:
+    params = MoeParams(n=8, trials=trials, seed=seed)
     kwargs = {}
     if kind == "measure_wiesner":
         kwargs["theta_hat"] = Gf2Vec((np.arange(8) % 2 == 0).astype(np.uint8))
@@ -626,71 +663,81 @@ def _check_moe_kernel(kind: str, seed: int, threads: int) -> tuple[bool, float]:
     return abs(result.estimate - target) <= 4 * sigma, result.estimate
 
 
-def _check_qecm_honest(seed: int, threads: int) -> tuple[bool, float]:
-    rep = qecm_experiment("correctness", QecmParams(8, 2), trials=300, seed=seed,
+def _check_qecm_honest(trials, seed, threads) -> tuple[bool, float]:
+    rep = qecm_experiment("correctness", QecmParams(8, 2), trials=trials, seed=seed,
                           threads=threads)
     return rep["pass"], float(rep["disagreements"])
 
 
-def _check_urbc_binding(seed: int, threads: int) -> tuple[bool, float]:
+def _check_urbc_binding(size, seed, threads) -> tuple[bool, float]:
+    trials, band = size  # band: half-width of the window around 6/21, in sigmas
     params = UrbcParams(14, 2, 2.0 / 7.0, make_code("hamming74"))
-    rep = urbc_experiment("binding", params, trials=3000, seed=seed, threads=threads)
+    rep = urbc_experiment("binding", params, trials=trials, seed=seed, threads=threads)
     rate, target = rep["estimate"], rep["analytic_rate"]  # target = 6/21
-    sigma = binomial_sigma(target, rep["trials"])
-    return abs(rate - target) <= 4 * sigma and rate <= 16.0 / 49.0, rate
+    sigma = binomial_sigma(target, trials)
+    return abs(rate - target) <= band * sigma and rate <= 16.0 / 49.0, rate
 
 
-def _check_riqkd_honest(seed: int, threads: int) -> tuple[bool, float]:
+def _check_riqkd_honest(trials, seed, threads) -> tuple[bool, float]:
     params = QkdParams(16, 2, 0.0, 0.25, make_code("repetition", 8))
-    rep = riqkd_experiment("correctness", params, trials=200, seed=seed, threads=threads)
+    rep = riqkd_experiment("correctness", params, trials=trials, seed=seed, threads=threads)
     return rep["pass"], float(rep["aborts"] + rep["key_mismatches_accepted"])
 
 
-def _check_riqkd_device_fault(seed: int, threads: int) -> tuple[bool, float]:
+def _check_riqkd_device_fault(trials, seed, threads) -> tuple[bool, float]:
     # passes when the wrong-key rate is at most (1 - 2*3/14)^2 + 3 sigma
     params = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
-    rep = riqkd_experiment("device_fault", params, trials=3000, seed=seed,
+    rep = riqkd_experiment("device_fault", params, trials=trials, seed=seed,
                            threads=threads)
     return rep["pass"], rep["estimate"]
 
 
-def _check_tfkw_attack(seed: int, threads: int) -> tuple[bool, float]:
+def _check_tfkw_attack(trials, seed, threads) -> tuple[bool, float]:
+    # broken: no aborts, and Eve holds the device's key in every trial
     params = TfkwParams(16, 0.0, make_code("repetition", 8))
-    rep = tfkw_experiment(params, eve="substitute_zero", trials=50, seed=seed,
+    rep = tfkw_experiment(params, eve="substitute_zero", trials=trials, seed=seed,
                           threads=threads)
     return bool(rep["broken"]), float(rep["eve_matches_device"])
 
 
-def _check_secrecy_exact() -> tuple[bool, float]:
+def _check_secrecy_exact(size, seed, threads) -> tuple[bool, float]:
     params = QkdParams(6, 1, 0.0, 1.0 / 3.0, make_code("repetition", 3))
     rep = secrecy_probe(params, mode="exact")
     return abs(rep["trace_distance"] - 0.5) <= 1e-12, rep["trace_distance"]
 
 
+# The selftest battery, in report order.  A quick size keeps selftest fast at
+# any seed (hence the wider 4-sigma band of urbc_binding_n14); a full size is
+# the acceptance criterion's own size.
+CHECKS = (
+    Check("combinatorial_bound_n60", 3, _check_combinatorial_bound, 60, 60),
+    Check("moe_bound_n10", None, _check_bounds_value, None),
+    Check("gamma_star_window", 14, _check_gamma_star, None, None),
+    Check("coset_basis_orthonormality_n4", 1, _check_orthonormality,
+          ("register", (4,)), ("all", (2, 4))),
+    Check("extractor_two_universal", 16, _check_extractor_two_universal,
+          ((4, 2),), tuple(itertools.product(range(2, 7), (1, 2)))),
+    Check("moe_bob_all_n8", None, partial(_check_moe_kernel, "bob_all"), 20_000),
+    Check("moe_measure_computational_n8", None,
+          partial(_check_moe_kernel, "measure_computational"), 20_000),
+    Check("moe_measure_wiesner_n8", None,
+          partial(_check_moe_kernel, "measure_wiesner"), 20_000),
+    Check("qecm_honest_n8", 6, _check_qecm_honest, 300, 10_000),
+    Check("urbc_binding_n14", 9, _check_urbc_binding, (3000, 4), (100_000, 3)),
+    Check("riqkd_honest_n16", 11, _check_riqkd_honest, 200, 1000),
+    Check("riqkd_device_fault_n14", 13, _check_riqkd_device_fault, 3000, 100_000),
+    Check("tfkw_substitution_attack", 15, _check_tfkw_attack, 50, 100),
+    Check("secrecy_exact_toy", None, _check_secrecy_exact, None),
+)
+
+
 def selftest_checks(seed: int, threads: int) -> list[dict]:
-    """The selftest battery; the outputs never depend on ``threads``."""
-    named = [
-        ("combinatorial_bound_n60", lambda: _check_combinatorial_bound()),
-        ("moe_bound_n10", lambda: _check_bounds_value()),
-        ("gamma_star_window", lambda: _check_gamma_star()),
-        ("coset_basis_orthonormality_n4", lambda: _check_orthonormality()),
-        ("extractor_two_universal", lambda: _check_extractor_two_universal()),
-        ("moe_bob_all_n8", lambda: _check_moe_kernel("bob_all", seed, threads)),
-        ("moe_measure_computational_n8",
-         lambda: _check_moe_kernel("measure_computational", seed, threads)),
-        ("moe_measure_wiesner_n8",
-         lambda: _check_moe_kernel("measure_wiesner", seed, threads)),
-        ("qecm_honest_n8", lambda: _check_qecm_honest(seed, threads)),
-        ("urbc_binding_n14", lambda: _check_urbc_binding(seed, threads)),
-        ("riqkd_honest_n16", lambda: _check_riqkd_honest(seed, threads)),
-        ("riqkd_device_fault_n14", lambda: _check_riqkd_device_fault(seed, threads)),
-        ("tfkw_substitution_attack", lambda: _check_tfkw_attack(seed, threads)),
-        ("secrecy_exact_toy", lambda: _check_secrecy_exact()),
-    ]
+    """Every row of ``CHECKS`` at its quick size; the outputs never depend on
+    ``threads``."""
     checks = []
-    for name, fn in named:
-        ok, value = fn()
-        checks.append({"name": name, "pass": bool(ok), "value": float(value)})
+    for row in CHECKS:
+        ok, value = row.run(row.quick, seed, threads)
+        checks.append({"name": row.name, "pass": bool(ok), "value": float(value)})
     return checks
 
 
@@ -705,7 +752,10 @@ def selftest_cmd(seed, threads, out, fmt):
     if threads < 1:
         raise click.UsageError("--threads must be >= 1")
     config = {"seed": seed}
-    checks = selftest_checks(seed, threads)
+    try:
+        checks = selftest_checks(seed, threads)
+    except ValueError as exc:
+        raise _run_config_error(exc)
     report = _envelope("selftest", config)
     report["checks"] = checks
     report["all_pass"] = all(c["pass"] for c in checks)

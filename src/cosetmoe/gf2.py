@@ -32,9 +32,7 @@ __all__ = [
     "coset_rep",
     "solve_coset_membership",
     "sample_subspace",
-    "indicator",
     "hamming",
-    "sample_subset",
 ]
 
 
@@ -106,14 +104,6 @@ class Gf2Vec:
 
     def weight(self) -> int:
         return int(self._bits.sum())
-
-    def restrict(self, subset: "IndexSubset") -> "Gf2Vec":
-        if subset.n != self.n:
-            raise ValueError("subset ambient size mismatch")
-        return Gf2Vec(self._bits[list(subset.indices)])
-
-    def concat(self, other: "Gf2Vec") -> "Gf2Vec":
-        return Gf2Vec(np.concatenate([self._bits, other._bits]))
 
     # -- algebra ------------------------------------------------------
 
@@ -266,10 +256,6 @@ class IndexSubset:
     def size(self) -> int:
         return len(self.indices)
 
-    def complement_indices(self) -> tuple[int, ...]:
-        chosen = set(self.indices)
-        return tuple(i for i in range(self.n) if i not in chosen)
-
 
 class Gf2Subspace:
     """A linear subspace of GF(2)^n in canonical (RREF basis) form.
@@ -355,10 +341,6 @@ class Gf2Subspace:
                 if (coeff >> (k - 1 - i)) & 1:
                     v ^= rows[i]
             yield Gf2Vec(v)
-
-    def is_register(self) -> bool:
-        """True iff the subspace is spanned by standard basis vectors."""
-        return all(int(r.sum()) == 1 for r in self._basis.rows)
 
     # -- serialization ------------------------------------------------
 
@@ -448,15 +430,6 @@ def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:
     return t, Gf2Vec(u)
 
 
-def indicator(a: Gf2Subspace) -> Gf2Vec:
-    """Indicator bit vector of a register subspace (1 where e_i ∈ a)."""
-    if not a.is_register():
-        raise ValueError("indicator is only defined for register subspaces")
-    v = np.zeros(a.n, dtype=np.uint8)
-    v[list(a.pivots)] = 1
-    return Gf2Vec(v)
-
-
 def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspace:
     """Sample a dimension-n/2 subspace.
 
@@ -484,11 +457,3 @@ def hamming(x: Gf2Vec, y: Gf2Vec) -> int:
     if x.n != y.n:
         raise ValueError("length mismatch")
     return int(np.count_nonzero(x.bits ^ y.bits))
-
-
-def sample_subset(n: int, size: int, rng: np.random.Generator) -> IndexSubset:
-    """Uniform subset of {0..n-1} of the given size."""
-    if not 0 <= size <= n:
-        raise ValueError("subset size out of range")
-    chosen = rng.permutation(n)[:size]
-    return IndexSubset(n, tuple(int(i) for i in chosen))

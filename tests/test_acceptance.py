@@ -2,42 +2,32 @@
 
 Each test computes its measurement, prints a single ``criterion NN: PASS/FAIL``
 line with the observed value, and then asserts.  Run with ``-v`` to get the
-per-criterion verdicts from the test names as well.
+per-criterion verdicts from the test names as well.  A criterion that
+``selftest`` also checks runs its row of ``cli.CHECKS`` at the row's full size.
 """
 
+import inspect
 import itertools
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
-from cosetmoe import moe
+from cosetmoe import cli, moe
 from cosetmoe.ecc import make_code
 from cosetmoe.ext import ToeplitzExtractor, lhl_epsilon
-from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, indicator, intersect, sample_subspace
-from cosetmoe.info import (
-    DensityOp,
-    gamma_star,
-    moe_bound,
-    sequential_min_entropy_fixed,
-    verify_combinatorial_bound,
-)
+from cosetmoe.gf2 import Gf2Vec, intersect, sample_subspace
+from cosetmoe.info import DensityOp, moe_bound, sequential_min_entropy_fixed
 from cosetmoe.moe import MoeParams, all_builtin_strategies, play_leaky
 from cosetmoe.proto import (
     PauliNoise,
     QecmParams,
     QkdParams,
-    TfkwParams,
     UrbcParams,
     qecm_experiment,
     riqkd_experiment,
-    run_qecm_id,
-    run_riqkd,
-    tfkw_experiment,
-    trial_rng,
-    urbc_experiment,
     urbc_hiding_exact,
 )
 from cosetmoe.qsim import CosetDescriptor, coset_overlap, prepare_coset_state
@@ -50,41 +40,17 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def _all_subspaces(n: int, k: int):
-    """Every k-dimensional subspace of Z_2^n, canonicalized by its vector set."""
-    seen = {}
-    nonzero = range(1, 1 << n)
-    for combo in itertools.combinations(nonzero, k):
-        gens = [Gf2Vec.from_int(v, n) for v in combo]
-        a = Gf2Subspace(n, gens)
-        if a.dim != k:
-            continue
-        key = frozenset(v.to_int() for v in a.vectors())
-        seen.setdefault(key, a)
-    return list(seen.values())
+def _full_size(num: int, seed: int = SEED) -> tuple[bool, str]:
+    """Run criterion ``num``'s row of the check table at its full size."""
+    row = next(r for r in cli.CHECKS if r.criterion == num)
+    ok, value = row.run(row.full, seed, 1)
+    return ok, f"{row.name} at its full size: {value:.6g}"
 
 
 def test_criterion_01_coset_basis_orthonormality():
-    worst = 0.0
-    n_checked = 0
-    for n in (2, 4):
-        half = n // 2
-        subspaces = _all_subspaces(n, half)
-        expected = {2: 3, 4: 35}[n]
-        assert len(subspaces) == expected
-        for a in subspaces:
-            states = []
-            for t_int in range(1 << half):
-                for tp_int in range(1 << half):
-                    d = CosetDescriptor(
-                        a, Gf2Vec.from_int(t_int, half), Gf2Vec.from_int(tp_int, half)
-                    )
-                    states.append(prepare_coset_state(d).payload.amps)
-            gram = np.array([[np.vdot(u, v) for v in states] for u in states])
-            worst = max(worst, float(np.abs(gram - np.eye(1 << n)).max()))
-            n_checked += 1
-    _verdict(1, worst <= 1e-10,
-             f"max Gram deviation {worst:.2e} over {n_checked} subspaces (n in {{2,4}})")
+    # the full size covers every subspace: [2 choose 1]_2 = 3, [4 choose 2]_2 = 35
+    assert [len(list(cli._half_subspaces(n, "all"))) for n in (2, 4)] == [3, 35]
+    _verdict(1, *_full_size(1))
 
 
 def _wiesner_product(x, theta):
@@ -121,7 +87,8 @@ def test_criterion_02_wiesner_equivalence():
     worst = 1.0
     for _ in range(50):
         a = sample_subspace(6, "register", rng)
-        theta = indicator(a).bits
+        theta = np.zeros(6, dtype=np.uint8)
+        theta[list(a.pivots)] = 1
         records = _register_records(np.tile(theta, (64, 1)), labels[:, :3], labels[:, 3:])
         for x, label in zip(records, labels):
             d = CosetDescriptor(a, Gf2Vec(label[:3]), Gf2Vec(label[3:]))
@@ -132,8 +99,7 @@ def test_criterion_02_wiesner_equivalence():
 
 
 def test_criterion_03_combinatorial_bound_exact():
-    ok = all(verify_combinatorial_bound(n) for n in range(2, 62, 2))
-    _verdict(3, ok, "exact sum <= sqrt(e) cos(pi/8)^n for all even n <= 60")
+    _verdict(3, *_full_size(3))
 
 
 def test_criterion_04_overlap_lemma():
@@ -182,12 +148,7 @@ def test_criterion_05_moe_harness():
 
 
 def test_criterion_06_qecm_honest_correctness():
-    params = QecmParams(8, 2)
-    bad = 0
-    for i in range(10_000):
-        out = run_qecm_id(params, trial_rng(SEED + 4, i))
-        bad += int(not (out.f == 1 and out.m_hat == out.m))
-    _verdict(6, bad == 0, f"{bad} disagreements in 10^4 honest runs at n=8")
+    _verdict(6, *_full_size(6, SEED + 4))
 
 
 def test_criterion_07_qecm_perfect_indistinguishability():
@@ -209,12 +170,7 @@ def test_criterion_08_eve_keeps_all_accept_rate():
 
 
 def test_criterion_09_urbc_binding_attack():
-    params = UrbcParams(14, 2, 2.0 / 7.0, make_code("hamming74"))
-    rep = urbc_experiment("binding", params, trials=100_000, seed=SEED + 6)
-    rate = rep["estimate"]
-    sigma = math.sqrt((6 / 21) * (1 - 6 / 21) / 100_000)
-    ok = abs(rate - 6 / 21) <= 3 * sigma and rate <= 16 / 49
-    _verdict(9, ok, f"acceptance {rate:.5f} vs 6/21 +- {3 * sigma:.5f}, <= 16/49")
+    _verdict(9, *_full_size(9, SEED + 6))
 
 
 def test_criterion_10_urbc_hiding_exact():
@@ -223,12 +179,7 @@ def test_criterion_10_urbc_hiding_exact():
 
 
 def test_criterion_11_riqkd_honest():
-    params = QkdParams(16, 2, 0.0, 0.25, make_code("repetition", 8))
-    bad = 0
-    for i in range(1000):
-        out = run_riqkd(params, trial_rng(SEED + 7, i))
-        bad += int(not (out.f == 1 and out.k == out.k_hat))
-    _verdict(11, bad == 0, f"{bad} failures in 10^3 noiseless runs at n=16")
+    _verdict(11, *_full_size(11, SEED + 7))
 
 
 def test_criterion_12_riqkd_completeness():
@@ -244,47 +195,20 @@ def test_criterion_12_riqkd_completeness():
 
 
 def test_criterion_13_riqkd_device_fault_bound():
-    params = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
-    rep = riqkd_experiment("device_fault", params, trials=100_000, seed=SEED + 9)
-    bound = rep["correctness_bound"]
-    sigma = math.sqrt(bound * (1 - bound) / 100_000)
-    ok = rep["estimate"] <= bound + 3 * sigma
-    _verdict(13, ok,
-             f"Pr[K!=K_hat and F=1] = {rep['estimate']:.5f} <= {bound:.5f} + 3 sigma")
+    _verdict(13, *_full_size(13, SEED + 9))
 
 
 def test_criterion_14_gamma_star_window():
-    g = gamma_star()
-    _verdict(14, 0.0150 <= g <= 0.0156, f"gamma* = {g:.6f}")
+    _verdict(14, *_full_size(14))
 
 
 def test_criterion_15_tfkw_substitution_attack():
-    params = TfkwParams(16, 0.0, make_code("repetition", 8))
-    rep = tfkw_experiment(params, eve="substitute_zero", trials=100, seed=SEED + 10)
-    ok = rep["aborts"] == 0 and rep["eve_matches_device"] == 100
-    _verdict(15, ok,
-             f"{rep['eve_matches_device']}/100 Eve-device key matches, "
-             f"{rep['aborts']} aborts")
+    _verdict(15, *_full_size(15, SEED + 10))
 
 
 def test_criterion_16_extractor_guarantees():
-    # exhaustive two-universality: collision probability of any distinct pair
-    # equals Pr[T(s) c = 0] for c = x + y != 0
-    worst = 0.0
-    for n_in in range(2, 7):
-        for ell in (1, 2):
-            if ell > n_in:
-                continue
-            ext = ToeplitzExtractor(n_in, ell)
-            n_seeds = 1 << ext.seed_len
-            for c_int in range(1, 1 << n_in):
-                c = Gf2Vec.from_int(c_int, n_in)
-                hits = sum(
-                    ext.extract(c, Gf2Vec.from_int(s, ext.seed_len)).to_int() == 0
-                    for s in range(n_seeds)
-                )
-                worst = max(worst, hits / n_seeds - 2.0 ** -ell)
-    two_universal_ok = worst <= 1e-12
+    # exhaustive two-universality, for inputs of 2..6 bits and 1 or 2 output bits
+    two_universal_ok, two_universal = _full_size(16)
     # flat five-bit source on eight bits, two extracted bits, full enumeration
     ext = ToeplitzExtractor(8, 2)
     support = np.array(
@@ -306,8 +230,7 @@ def test_criterion_16_extractor_guarantees():
     eps = lhl_epsilon(5, 2)
     ok = two_universal_ok and distance <= eps
     _verdict(16, ok,
-             f"collision slack {worst:.2e}; flat-source distance {distance:.5f} "
-             f"<= {eps:.5f}")
+             f"{two_universal}; flat-source distance {distance:.5f} <= {eps:.5f}")
 
 
 def _random_onb_projectors(dim, rng):
@@ -389,3 +312,19 @@ def test_criterion_18_selftest_determinism():
     _verdict(18, ok,
              f"selftest bytes identical across thread counts "
              f"({len(outputs[0])} bytes)")
+
+
+def test_every_criterion_has_one_verdict():
+    # one test per criterion 01-18, each calling _verdict once with its number
+    tests = {name: fn for name, fn in globals().items() if name.startswith("test_criterion_")}
+    numbers = sorted(int(name.split("_")[2]) for name in tests)
+    assert numbers == list(range(1, 19))
+    for name, fn in tests.items():
+        calls = re.findall(r"\b_verdict\((\d+),", inspect.getsource(fn))
+        assert calls == [str(int(name.split("_")[2]))], name
+    # a table row with a criterion replaces that criterion's own check
+    table = [row.criterion for row in cli.CHECKS if row.criterion is not None]
+    assert len(set(table)) == len(table)
+    for num in table:
+        (fn,) = (fn for name, fn in tests.items() if int(name.split("_")[2]) == num)
+        assert f"_full_size({num}" in inspect.getsource(fn)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cosetmoe.cli import SWEEP_COLUMNS, _json_text, dispatch, emit_report
+from cosetmoe.cli import CHECKS, SWEEP_COLUMNS, _json_text, dispatch, emit_report
 
 
 def _run(capsys, *argv):
@@ -89,6 +89,14 @@ def test_nonpositive_trials_exit_2(capsys, subcommand, trials):
     code, _, err = _run(capsys, subcommand, "--trials", trials)
     assert code == 2
     assert "trials must be positive" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("subcommand", ["selftest", "moe", "qecm", "urbc", "qkd", "tfkw"])
+def test_seed_outside_64_bits_exits_2(capsys, subcommand, seed):
+    code, out, err = _run(capsys, subcommand, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert "Error: seed must fit in 64 bits" in err
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -214,8 +222,9 @@ def test_selftest_passes_and_is_thread_invariant(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["all_pass"] is True
+    # one check per row of the table, in table order, each name once
     names = [c["name"] for c in report["checks"]]
-    assert "tfkw_substitution_attack" in names and "urbc_binding_n14" in names
+    assert names == [row.name for row in CHECKS] and len(set(names)) == len(names)
 
 
 def test_dispatch_help_exits_0(capsys):

@@ -7,7 +7,6 @@ from cosetmoe.gf2 import (
     Gf2Vec,
     complement,
     coset_rep,
-    indicator,
     intersect,
     sample_subspace,
     solve_coset_membership,
@@ -116,7 +115,8 @@ def test_prepare_matches_wiesner_tensor_product():
         for _ in range(10):
             d = random_descriptor(n, "register", rng)
             sv = prepare_coset_state(d).payload.amps
-            theta = indicator(d.a).bits
+            theta = np.zeros(n, dtype=np.uint8)
+            theta[list(d.a.pivots)] = 1
             x, = register_records(theta[None], d.t.bits[None], d.t_prime.bits[None])
             overlap = abs(np.vdot(wiesner_statevector(x, theta), sv))
             assert abs(overlap - 1.0) < 1e-10
@@ -126,7 +126,8 @@ def test_prepare_wiesner_labels():
     # the record of the chi-squared test below: θ marks the pivots {0, 2},
     # t lands on the free coordinates {1, 3} and t' on the pivots
     a = span(4, e(0, 4).bits, e(2, 4).bits)
-    theta = indicator(a).bits
+    theta = np.zeros(4, dtype=np.uint8)
+    theta[list(a.pivots)] = 1
     assert theta.tolist() == [1, 0, 1, 0]
     x = register_records(theta[None], np.array([[1, 0]], np.uint8), np.array([[0, 1]], np.uint8))
     assert x.tolist() == [[0, 1, 1, 0]]
