@@ -236,8 +236,11 @@ def protocol_bounds(
     if d is not None and eta is not None:
         vals["binding_bound"] = (1.0 - 2.0 * d / n) ** (eta * n / 2.0)
     if gamma is not None and delta is not None and d is not None:
-        vals["completeness_bound"] = math.exp(-((gamma - delta) ** 2) * n) + math.exp(
-            -((2.0 * d / n - delta) ** 2) * n
+        # two Hoeffding tails exp(-(c - delta)^2 n), c = gamma and c = 2d/n;
+        # each holds only for delta < c, and is the trivial bound 1 otherwise
+        vals["completeness_bound"] = sum(
+            math.exp(-((cut - delta) ** 2) * n) if delta < cut else 1.0
+            for cut in (gamma, 2.0 * d / n)
         )
     eps = epsilon
     if eps is None and kappa is not None and ell is not None:

@@ -11,6 +11,12 @@ words).  Because the window depends only on (seed, trial index), results are
 bit-identical no matter how trials are grouped into blocks or spread over
 threads.
 
+``run_blocks`` cuts every run, games and protocols alike, into blocks of
+``_BLOCK_WORDS // W`` trials (at least one).  The budget of 2^17 words
+(1 MiB) keeps a block's words in a core's L2 cache, so each pass a kernel
+makes over the block reads cache, not L3 or memory, whatever the window
+width W.  The block size changes speed, never a count.
+
 A trial whose number of draws is not fixed (the statevector backend samples
 a general subspace by rejection, then Born outcomes) reads two words of its
 window as the 128-bit key of its own Philox generator
@@ -73,6 +79,8 @@ _WORD_MASK = (1 << 64) - 1
 _KEY_BITS = 32
 _LITTLE_ENDIAN = sys.byteorder == "little"
 _Z_95 = 1.959963984540054
+# Words per run_blocks block: 1 MiB, which fits in a core's L2 cache.
+_BLOCK_WORDS = 1 << 17
 
 
 def round_up_words(words: int) -> int:
@@ -240,16 +248,18 @@ def run_blocks(
     seed: int,
     kernel: Callable[[np.ndarray], np.ndarray],
     threads: int = 1,
-    block: int = 1 << 14,
 ) -> np.ndarray:
     """Evaluate ``kernel`` over blocks of trial windows and sum its counters.
 
     ``kernel`` maps a (T, words_per_trial) uint64 array to an int64 counter
-    vector.  Counters are integer sums accumulated in block order, so the
-    total is independent of the thread count.
+    vector.  A block holds ``max(1, _BLOCK_WORDS // words_per_trial)``
+    trials, so its words fit in L2 whatever the window width.  Counters are
+    integer sums accumulated in block order, so the total is independent of
+    the block size and the thread count.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    block = max(1, _BLOCK_WORDS // words_per_trial)
     spans = [(s, min(block, trials - s)) for s in range(0, trials, block)]
 
     def one(span: tuple[int, int]) -> np.ndarray:

@@ -125,8 +125,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 # positioned at trial i's window reproduces trial i of the experiment.  The
 # games (``moe``) take stream id 4.
 _QECM_STREAM, _URBC_STREAM, _QKD_STREAM, _TFKW_STREAM = 1, 2, 3, 5
-# Words per run_blocks block: bounds a block's memory at any n.
-_BLOCK_WORDS = 1 << 17
 
 
 def _window(rng: np.random.Generator, words: int) -> TrialReader:
@@ -143,9 +141,8 @@ def _run_trials(
     threads: int,
 ) -> tuple[int, ...]:
     """Sum ``kernel``'s counters over the windows of trials [0, trials), as ints."""
-    block = max(1, _BLOCK_WORDS // words)
     return tuple(int(c) for c in run_blocks(
-        trials, words, stream_key(seed, stream), kernel, threads, block))
+        trials, words, stream_key(seed, stream), kernel, threads))
 
 
 def _counters(*flags: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ phase labels into ambient space, so t̂' = S⁻¹ŝ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -220,10 +221,13 @@ def _phase_inject(a: Gf2Subspace) -> Gf2Matrix:
     return Gf2Matrix(np.array(cols, dtype=np.uint8).T)
 
 
+# A perm holds 2^n int64 entries: 32 of them take at most 256 MiB, at n = 20.
+@functools.lru_cache(maxsize=32)
 def _coset_change_of_basis(a: Gf2Subspace):
     """Returns (perm, s_inv) for the coset-basis measurement of ``a``:
     perm relabels every amplitude index v to (t, w) packed high/low, and
-    s_inv maps sampled Hadamard-block labels back to phase labels."""
+    s_inv maps sampled Hadamard-block labels back to phase labels.  Cached
+    per subspace; perm is read-only, as the cache shares it."""
     n, k = a.n, a.dim
     free = a.free_coords
     # columns of M: first the label injection e_{free_j}, then the basis rows
@@ -238,6 +242,7 @@ def _coset_change_of_basis(a: Gf2Subspace):
         col = m_inv.rows[:, n - 1 - p]
         gens.append(Gf2Vec(col).to_int())
     perm = _xor_dp(gens, n)
+    perm.setflags(write=False)
     s_mat = a.basis.mulmat(_phase_inject(a))
     return perm, s_mat.inverse()
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cosetmoe import mc
 from cosetmoe.cli import CHECKS, SWEEP_COLUMNS, _json_text, dispatch, emit_report
 
 
@@ -258,8 +259,9 @@ GOLDEN_ARGVS = {
                     "--seed", "5") for k in _MOE_KINDS},
     **{f"moe-all-{k}": ("moe", "--set", f"kind={k}", "--set", "n=4", "--set", "family=all",
                         "--trials", "100", "--seed", "5") for k in _MOE_KINDS},
-    # n=64, two blocks of 2^14 trials and a partial one, radii that give
-    # non-trivial counts, and a substitute record with both bases in play
+    # n=64 over several blocks and a partial one (32768 + 5 rows for the
+    # 4-word bob_all window, 9 x 3640 + 13 for the 36-word ones), radii that
+    # give non-trivial counts, and a substitute record with both bases in play
     "moe64-bob_all": ("moe", "--set", "kind=bob_all", "--set", "n=64", "--set", "m_prime=14",
                       "--trials", _MOE_BLOCKS_TRIALS, "--seed", "5"),
     "moe64-measure_wiesner": ("moe", "--set", "kind=measure_wiesner", "--set", "n=64",
@@ -368,7 +370,7 @@ def test_report_bytes_are_pinned(capsys, name):
 # blocks and a partial one, so two threads really split the work: a block is
 # 2^17 // W trials for a W-word trial window, 8192 trials for qecm (W=16),
 # 4681 for urbc (W=28), 5461 for qkd (W=24) and 6553 for noisy tfkw (W=20) at
-# these sizes, 16384 for moe.
+# these sizes, and 16384 for moe measure_wiesner at n=8 (W=8).
 # selftest is checked by test_selftest_passes_and_is_thread_invariant.
 THREAD_ARGVS = {
     "moe": ("moe", "--set", "kind=measure_wiesner", "--trials", "40000", "--seed", "3"),
@@ -388,6 +390,14 @@ THREAD_ARGVS = {
     "sweep": ("sweep", "--experiment", "moe", "--param", "n", "--from", "4", "--to", "8",
               "--steps", "2", "--trials", "40000", "--seed", "2", "--format", "json"),
 }
+
+
+@pytest.mark.parametrize("rows", [16384, 3640, 17])
+def test_moe64_report_bytes_do_not_depend_on_the_block_size(capsys, monkeypatch, rows):
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", rows * 36)  # W=36 for measure_wiesner at n=64
+    code, out, _ = _run(capsys, *GOLDEN_ARGVS["moe64-measure_wiesner"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_DIGESTS[
+        "moe64-measure_wiesner"]
 
 
 @pytest.mark.parametrize("name", list(THREAD_ARGVS))

@@ -125,6 +125,20 @@ def test_completeness_bound_example():
     assert vacuous.clamped("completeness_bound") == 1.0
 
 
+@pytest.mark.parametrize("d, gamma, delta, expected", [
+    # delta >= gamma: the estimate's tail is the trivial 1
+    (8, 0.05, 0.1, 1.0 + math.exp(-((2 * 8 / 64 - 0.1) ** 2) * 64)),
+    # delta >= 2d/n: the decoding tail is the trivial 1
+    (2, 0.3, 0.1, math.exp(-((0.3 - 0.1) ** 2) * 64) + 1.0),
+    # both: formerly exp(-0.0625 * 64) + exp(-0.0025 * 64) = 0.870
+    (8, 0.05, 0.3, 2.0),
+])
+def test_completeness_bound_outside_its_hypotheses_is_vacuous(d, gamma, delta, expected):
+    rep = protocol_bounds(n=64, d=d, gamma=gamma, delta=delta)
+    assert rep.values["completeness_bound"] == pytest.approx(expected, rel=1e-12)
+    assert rep.clamped("completeness_bound") == 1.0
+
+
 def test_secrecy_bound_and_kappas():
     rep = protocol_bounds(n=64, s=8, eta=1 / 16, gamma=0.01, kappa=4.0, ell=2)
     v = rep.values

@@ -1,7 +1,6 @@
 """Monogamy-game harness tests: closed forms vs Monte Carlo on both backends,
 leak behaviour, determinism, and the counter-stream plumbing underneath."""
 
-import functools
 import itertools
 import json
 import math
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetmoe import moe
+from cosetmoe import mc, moe
 from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, solve_coset_membership
 from cosetmoe.info import ball_volume, moe_bound
 from cosetmoe.mc import (
@@ -236,16 +235,35 @@ def test_trial_reader_budget_enforced():
         r.floats(1)
 
 
-def test_run_blocks_threads_and_block_size_invariant():
+def test_run_blocks_threads_and_block_size_invariant(monkeypatch):
     def kernel(words):
         return np.array([int(words.sum() % 97), words.shape[0]], dtype=np.int64)
 
-    a = run_blocks(1000, 8, 7, kernel, threads=1, block=64)
-    b = run_blocks(1000, 8, 7, kernel, threads=8, block=64)
-    c = run_blocks(1000, 8, 7, kernel, threads=3, block=17)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 64 * 8)  # 64-trial blocks of 8 words
+    a = run_blocks(1000, 8, 7, kernel, threads=1)
+    b = run_blocks(1000, 8, 7, kernel, threads=8)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 17 * 8)
+    c = run_blocks(1000, 8, 7, kernel, threads=3)
     assert np.array_equal(a, b)
     # per-block modular sums differ with block size, trial counts cannot
     assert b[1] == c[1] == 1000
+
+
+@pytest.mark.parametrize("words, block", [
+    (36, 3640),  # moe measure_wiesner and keep_and_substitute at n=64
+    (4, 32768),  # moe bob_all at n=64
+    (4816, 27),  # noisy qkd completeness at n=3780
+    (mc._BLOCK_WORDS + 4, 1),  # a window wider than the budget
+])
+def test_run_blocks_spans_are_the_word_budget_over_the_window(words, block):
+    rows = []
+
+    def kernel(w):
+        rows.append(w.shape[0])
+        return np.zeros(1, dtype=np.int64)
+
+    run_blocks(2 * block + 1, words, 7, kernel)
+    assert rows == [block, block, 1]
 
 
 def test_wilson_interval_edges():
@@ -465,7 +483,7 @@ def test_thread_count_does_not_change_counts(monkeypatch):
     p_all = MoeParams(n=4, family="all", trials=40, seed=42)
     s = builtin_strategy("mix", q=0.3)
     one = play_leaky(p_all, s, threads=1)
-    monkeypatch.setattr(moe, "run_blocks", functools.partial(moe.run_blocks, block=16))
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * moe._statevector_kernel(p_all, s, True)[0])
     assert play_leaky(p_all, s, threads=2) == one
 
 
@@ -720,8 +738,10 @@ def test_register_kernels_equal_uint8_reference(kind, leak, n, m_at, mp_at, seed
     wpt, kernel = strategy.register_kernel(params, leak)
     reference = _reference_kernel(kind, params, leak, q, theta_hat, substitute)
     # 45 trials in blocks of 16: two whole blocks and a partial one
-    got = run_blocks(params.trials, wpt, seed, kernel, block=16)
-    expected = run_blocks(params.trials, wpt, seed, reference, block=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_BLOCK_WORDS", 16 * wpt)
+        got = run_blocks(params.trials, wpt, seed, kernel)
+        expected = run_blocks(params.trials, wpt, seed, reference)
     assert np.array_equal(got, expected)
 
 

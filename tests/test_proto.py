@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cosetmoe import moe, proto
+from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec
@@ -750,7 +750,7 @@ ORACLE_TRIALS = 40  # two 16-trial blocks and a partial one (see _small_blocks)
 
 def _small_blocks(monkeypatch, words):
     """Make run_blocks use 16-trial blocks for a window of ``words`` words."""
-    monkeypatch.setattr(proto, "_BLOCK_WORDS", 16 * words)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * words)
 
 
 def _window_rng(seed, stream, words, trial):

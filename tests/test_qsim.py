@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cosetmoe import moe
+from cosetmoe.cli import _half_subspaces
 from cosetmoe.gf2 import (
     Gf2Subspace,
     Gf2Vec,
@@ -19,6 +20,7 @@ from cosetmoe.qsim import (
     CosetDescriptor,
     QuantumReg,
     StateVec,
+    _coset_change_of_basis,
     append_ancilla,
     apply_adversary,
     apply_unitary,
@@ -181,6 +183,17 @@ def test_measure_roundtrip_statevector():
             t_hat, tp_hat = measure_coset_basis(reg, d.a, rng)
             assert t_hat == d.t
             assert tp_hat == d.t_prime
+
+
+def test_cached_change_of_basis_equals_a_fresh_build():
+    subspaces = list(_half_subspaces(4, "all"))
+    assert len(subspaces) == 35
+    for a in subspaces:
+        perm, s_inv = _coset_change_of_basis(a)
+        fresh_perm, fresh_s_inv = _coset_change_of_basis.__wrapped__(a)
+        assert np.array_equal(perm, fresh_perm) and s_inv == fresh_s_inv
+        assert _coset_change_of_basis(a)[0] is perm  # a hit returns the cached arrays
+        assert not perm.flags.writeable
 
 
 def test_measure_zero_state_in_register_basis():
