@@ -90,19 +90,6 @@ class LinearCode:
         )
 
     @cached_property
-    def leader_table(self) -> dict[Gf2Vec, Gf2Vec]:
-        """Map syndrome -> minimum-weight coset leader (lexicographic tie-break).
-
-        Built lazily from the dense lookup; available only when the syndrome
-        length is at most 20 bits.
-        """
-        s = self.syndrome_length
-        return {
-            Gf2Vec.from_int(key, s): Gf2Vec(row)
-            for key, row in enumerate(self._dense_leaders)
-        }
-
-    @cached_property
     def _dense_leaders(self) -> np.ndarray:
         """(2^s, N) uint8 leader lookup; row σ is the leader of syndrome σ.
 
@@ -311,17 +298,21 @@ def syndrome(code: LinearCode, x: Gf2Vec) -> Gf2Vec:
 def _block_leader(block_params: tuple[int, int], syn_bits: np.ndarray) -> np.ndarray:
     """Closed-form per-block leaders for repetition-structured codes.
 
-    Per block the syndrome sigma fixes the coset {(sigma, 0), (~sigma, 1)}; the
-    leader is whichever is lighter, ties (even block length) going to the
-    lexicographically smaller one, which is decided by sigma's first bit.
+    Per block the syndrome sigma fixes the coset {(sigma, 0), (~sigma, 1)},
+    whose words weigh w and b − w for w = |sigma|.  The leader is the lighter
+    one, ties (2w = b, even block length) going to the lexicographically
+    smaller one, which is decided by sigma's first bit.  So one flag per block,
+    flip = 2w > b or (2w = b and sigma_0 = 1), picks the leader: it is
+    (sigma ^ flip, flip).  w is summed in 32 bits: exact, since no block has
+    2^31 bits, and faster than a 64-bit sum or ``np.count_nonzero``.
     """
     b, k = block_params
     sig = syn_bits.reshape(*syn_bits.shape[:-1], k, b - 1)
-    w = sig.sum(axis=-1, dtype=np.int64)
-    take_sigma = (2 * w < b) | ((2 * w == b) & (sig[..., 0] == 0))
+    w2 = 2 * sig.sum(axis=-1, dtype=np.int32)
+    flip = ((w2 > b) | ((w2 == b) & (sig[..., 0] != 0))).view(np.uint8)
     out = np.empty(sig.shape[:-1] + (b,), dtype=np.uint8)
-    out[..., : b - 1] = np.where(take_sigma[..., None], sig, sig ^ 1)
-    out[..., b - 1] = np.where(take_sigma, 0, 1).astype(np.uint8)
+    np.bitwise_xor(sig, flip[..., None], out=out[..., : b - 1])
+    out[..., b - 1] = flip
     return out.reshape(*syn_bits.shape[:-1], k * b)
 
 

@@ -1173,7 +1173,8 @@ def _riqkd_batch(
     # order.  free and pivots are the flat position plans of the block: the
     # row-major indices of those positions, half of them in each row.
     theta = top_k_mask(r.keys(n), half)
-    free, pivots = np.flatnonzero(theta == 0), np.flatnonzero(theta == 1)
+    hadamard = theta.view(bool)  # theta is a 0/1 mask
+    free, pivots = np.flatnonzero(~hadamard), np.flatnonzero(hadamard)
     t, tp = r.bits(half), r.bits(half)
 
     # the channel: Eve and/or noise act on the record in transit, then the
@@ -1205,8 +1206,9 @@ def _riqkd_batch(
     if fault:
         tp_hat = tp_hat ^ c.bits  # same syndrome, different word
 
-    # parameter estimation
-    est_distance = (t_hat ^ t).sum(axis=1)
+    # parameter estimation; a 32-bit sum of bits is exact here and faster
+    # than a 64-bit one or count_nonzero
+    est_distance = (t_hat ^ t).sum(axis=1, dtype=np.int32)
     est_ok = est_distance <= params.gamma * half
 
     # error correction: the device reports its phase-word syndrome
@@ -1215,7 +1217,7 @@ def _riqkd_batch(
 
     # information reconciliation
     spot = top_k_mask(r.keys(half), params.spot_size)
-    mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1)
+    mismatches = ((tp_hat ^ t_bar) & spot).sum(axis=1, dtype=np.int32)
     f = est_ok & (mismatches == 0)
 
     # privacy amplification

@@ -298,6 +298,12 @@ GOLDEN_ARGVS = {
     "qkd-device-fault": ("qkd", "--set", "kind=device_fault", "--set", "n=14",
                          "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
                          "--trials", "300", "--seed", "9"),
+    # criterion 12's config at n=3780 over 27 + 27 + 6 rows: two blocks of a
+    # 4816-word window and a partial one
+    "qkd-longkey": ("qkd", "--set", "kind=completeness", "--set", "n=3780", "--set", "ell=2",
+                    "--set", "gamma=0.03", "--set", "eta=0.1",
+                    "--set", 'code={"kind":"block_repeat","params":[63,30]}',
+                    "--set", "dx=0.005", "--set", "dz=0.005", "--trials", "60", "--seed", "12"),
     "qkd-secrecy": ("qkd", "--set", "kind=secrecy", "--trials", "100", "--seed", "9"),
     "qkd-secrecy-keep": ("qkd", "--set", "kind=secrecy", "--set", "eve=keep_substitute",
                          "--trials", "100", "--seed", "9"),
@@ -350,6 +356,7 @@ GOLDEN_DIGESTS = {
     "qkd-correctness": (0, "01fd3500080a95e93bc6e8b6e6f93cb59a1c70b556c9461112df94bca8d82a43"),
     "qkd-completeness": (0, "8f1cdaa54b2907c96166ad4e4ea8bcfb4e9af17c341b7a83cf024b55f4f05f5a"),
     "qkd-device-fault": (0, "93514764fac8b1a1e45ccd8636c5b93f5a3f52d0a28fc29b9dab67a23546eb09"),
+    "qkd-longkey": (0, "0215cbda7b9933f558230daa6b74b5ed1be3465dba19d80b1aadc1f756981956"),
     "qkd-secrecy": (0, "2cae093c9f518f6ed7c9aaee46672ab51e81147758e89d3a5cdb6178781835b2"),
     "qkd-secrecy-keep": (0, "959ebc42071a6ce80429d41f869d578ed6764c0a2a78d4ca1d516d139f245caa"),
     "qkd-secrecy-ir": (0, "1c3a62dc39a97190db3598ed1ef8fd4147ab7fd6d7665f4b6e312104f2f47ed3"),

@@ -150,11 +150,18 @@ def test_syndrome_linearity_and_length_check():
 # ---------------------------------------------------------------------------
 # leaders and correction
 
+def _leader_table(code):
+    """Syndrome -> coset leader, one entry per row of the dense lookup."""
+    s = code.syndrome_length
+    return {Gf2Vec.from_int(key, s): Gf2Vec(row) for key, row in enumerate(code._dense_leaders)}
+
+
 def test_leader_table_exhaustively_minimal_hamming74():
     c = make_code("hamming74")
-    assert len(c.leader_table) == 8
+    table = _leader_table(c)
+    assert len(table) == 8
     words = codewords(c)
-    for syn, leader in c.leader_table.items():
+    for syn, leader in table.items():
         assert syndrome(c, leader) == syn
         coset_weights = [(leader + w).weight() for w in words]
         assert leader.weight() == min(coset_weights)
@@ -169,9 +176,11 @@ def test_leader_closed_form_matches_table():
         make_code("block_repeat", 3, 3),
         make_code("block_repeat", 4, 2),
     ):
-        for s_int in range(1 << c.syndrome_length):
-            syn = Gf2Vec.from_int(s_int, c.syndrome_length)
-            assert coset_leader(c, syn) == c.leader_table[syn], (c.kind, s_int)
+        table = _leader_table(c)
+        every = np.array([syn.bits for syn in table], dtype=np.uint8)
+        assert np.array_equal(leader_batch(c, every), c._dense_leaders), c.kind
+        for syn, leader in table.items():
+            assert coset_leader(c, syn) == leader, (c.kind, syn)
 
 
 def test_leader_tie_break_is_lexicographic():
@@ -213,8 +222,6 @@ def _scan_leaders(code):
 def test_leader_lookup_matches_the_word_by_word_scan(args):
     code = make_code(*args)
     assert np.array_equal(code._dense_leaders, _scan_leaders(code))
-    table = code.leader_table
-    assert list(table) == [Gf2Vec.from_int(k, code.syndrome_length) for k in range(len(table))]
 
 
 def test_correct_examples():
@@ -236,7 +243,7 @@ def test_correct_needs_a_decoder():
     with pytest.raises(ValueError):
         correct(c, Gf2Vec.zeros(30))
     with pytest.raises(ValueError):
-        c.leader_table
+        c._dense_leaders
 
 
 def test_one_decoder_limit_at_twenty_syndrome_bits():
@@ -247,7 +254,7 @@ def test_one_decoder_limit_at_twenty_syndrome_bits():
     with pytest.raises(ValueError):
         coset_leader(over, Gf2Vec.zeros(21))
     with pytest.raises(ValueError):
-        over.leader_table
+        over._dense_leaders
     at = make_code("random_linear", 22, 2, 0)
     assert at.syndrome_length == 20 and at.has_decoder()
     # a one-row stand-in for the 2^20-row lookup, which is slow to build:
@@ -345,9 +352,23 @@ def test_min_weight_codeword():
     assert min_weight_codeword(c) is w  # built once per code
 
 
+def _block_rule_leader(code, syn):
+    """Per block, the lighter of the coset's two words (sigma, 0) and
+    (~sigma, 1), the lexicographically smaller one on a tie."""
+    b, k = code.block_params
+    out = []
+    for sig in np.asarray(syn, dtype=np.uint8).reshape(k, b - 1).tolist():
+        words = (sig + [0], [1 - v for v in sig] + [1])
+        out += min(words, key=lambda w: (sum(w), w))
+    return out
+
+
 def test_batch_operations_match_scalar():
     rng = np.random.default_rng(21)
-    for c in (make_code("hamming74"), make_code("block_repeat", 5, 3)):
+    # block_repeat(63, 30) is criterion 12's code; block_repeat(4, 5) has even
+    # blocks, where 3/8 of the random block syndromes are ties
+    for c in (make_code("hamming74"), make_code("block_repeat", 5, 3),
+              make_code("block_repeat", 63, 30), make_code("block_repeat", 4, 5)):
         words = rng.integers(0, 2, size=(40, c.length), dtype=np.uint8)
         syns = syndrome_batch(c, words)
         targets = rng.integers(0, 2, size=(40, c.syndrome_length), dtype=np.uint8)
@@ -356,6 +377,8 @@ def test_batch_operations_match_scalar():
         for i in range(40):
             assert syns[i].tolist() == syndrome(c, Gf2Vec(words[i])).bits.tolist()
             assert leaders[i].tolist() == coset_leader(c, Gf2Vec(targets[i])).bits.tolist()
+            if c.block_params is not None:
+                assert leaders[i].tolist() == _block_rule_leader(c, targets[i])
             expect = align_correction(c, Gf2Vec(words[i]), Gf2Vec(targets[i]))
             assert aligned[i].tolist() == expect.bits.tolist()
 

@@ -119,14 +119,16 @@ def test_extract_batch_matches_single_calls():
     xs = rng.integers(0, 2, size=(50, 7), dtype=np.uint8)
     seeds = rng.integers(0, 2, size=(50, ext.seed_len), dtype=np.uint8)
     batch = ext.extract_batch(xs, seeds)
+    assert ext.extract_batch(xs[:0], seeds[:0]).shape == (0, 3)
     for i in range(50):
         single = ext.extract(Gf2Vec(xs[i]), Gf2Vec(seeds[i]))
         assert batch[i].tolist() == single.bits.tolist()
 
 
-@pytest.mark.parametrize("n_in,ell", [(7, 3), (1890, 2)])
+@pytest.mark.parametrize("n_in,ell", [(1, 1), (7, 1), (7, 3), (7, 7), (1890, 2), (1890, 8)])
 def test_extract_batch_on_a_stack_matches_single_calls(n_in, ell):
-    # one seed build for three inputs; at 1890 bits the uint8 sums wrap
+    # one seed build for three inputs; at 1890 bits the uint8 sums wrap.
+    # ell = 1 has no reversed column tail, ell = n_in the longest one
     ext = ToeplitzExtractor(n_in, ell)
     rng = np.random.default_rng(n_in)
     xs = rng.integers(0, 2, size=(3, 5, n_in), dtype=np.uint8)
@@ -152,3 +154,6 @@ def test_validation_errors():
         ext.extract(Gf2Vec((1, 0, 1)), Gf2Vec.zeros(ext.seed_len))
     with pytest.raises(ValueError):
         ext.extract(Gf2Vec.zeros(4), Gf2Vec.zeros(2))
+    for seed_len in (ext.seed_len - 1, ext.seed_len + 1):
+        with pytest.raises(ValueError):
+            ext.extract_batch(np.zeros((2, 4), np.uint8), np.zeros((2, seed_len), np.uint8))

@@ -1024,7 +1024,10 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
 _RIQKD_ORACLE_PARAMS = {
     14: QkdParams(14, 2, 2.0 / 7.0, 2.0 / 7.0, make_code("hamming74")),
     126: QkdParams(126, 2, 0.1, 1.0 / 9.0, make_code("block_repeat", 7, 9)),
+    3780: QkdParams(3780, 2, 0.03, 0.1, make_code("block_repeat", 63, 30)),  # criterion 12
 }
+# rows per call; at n=3780 a production block holds 27 rows (2^17 // 4816 words)
+_RIQKD_ORACLE_TRIALS = {14: (1, 9, 17), 126: (1, 9, 17), 3780: (1, 28)}
 
 
 def _substitute_record(n):
@@ -1033,8 +1036,9 @@ def _substitute_record(n):
 
 
 @pytest.mark.parametrize("n", sorted(_RIQKD_ORACLE_PARAMS))
-@pytest.mark.parametrize("noise", [None, PauliNoise(0.005, 0.005), PauliNoise(1.0, 0.0)],
-                         ids=["noiseless", "noisy", "x-flips"])
+@pytest.mark.parametrize("noise", [
+    None, PauliNoise(0.005, 0.005), PauliNoise(1.0, 0.0), PauliNoise(0.1, 0.3),
+], ids=["noiseless", "noisy", "x-flips", "asymmetric"])
 @pytest.mark.parametrize("eve", [
     None, KeepAndSubstitute(), "substitute", InterceptResend(), "fixed-guess",
 ], ids=["no-eve", "keep-default", "keep-custom", "intercept-fresh", "intercept-fixed"])
@@ -1046,7 +1050,7 @@ def test_riqkd_batch_equals_boolean_mask_reference(n, noise, eve, device):
     elif eve == "fixed-guess":
         eve = InterceptResend(Gf2Vec([0, 1] * (n // 2)))
     words_per_trial = proto._riqkd_words(params, noise, eve)
-    for trials in (1, 9, 17):
+    for trials in _RIQKD_ORACLE_TRIALS[n]:
         words = trial_words(n * trials, words_per_trial, 0, trials)
         before = words.copy()
         got = vars(proto._riqkd_batch(params, TrialReader(words), noise, device, eve))
