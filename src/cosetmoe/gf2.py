@@ -80,10 +80,6 @@ class Gf2Vec:
         raw = np.frombuffer(int(value).to_bytes(-(-n // 8), "big"), dtype=np.uint8)
         return cls(np.unpackbits(raw)[-n % 8:])
 
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> "Gf2Vec":
-        return cls.from_int(int(text, 16), n)
-
     # -- views --------------------------------------------------------
 
     @property
@@ -113,11 +109,6 @@ class Gf2Vec:
         return Gf2Vec(self._bits ^ other._bits)
 
     __xor__ = __add__
-
-    def dot(self, other: "Gf2Vec") -> int:
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        return int(np.bitwise_and(self._bits, other._bits).sum() & 1)
 
     # -- protocol plumbing --------------------------------------------
 
@@ -350,12 +341,6 @@ class Gf2Subspace:
             "basis": [_hex(_int(p, self._n), self._n)
                       for p in np.packbits(self._basis.rows, axis=1)],
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Gf2Subspace":
-        n = int(payload["n"])
-        gens = [Gf2Vec.from_hex(h, n) for h in payload["basis"]]
-        return cls(n, gens)
 
     def __eq__(self, other) -> bool:
         return (

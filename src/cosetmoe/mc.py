@@ -62,6 +62,7 @@ __all__ = [
     "trial_words",
     "words_to_bytes",
     "bits_from_words",
+    "coordinate_rows",
     "keys_from_words",
     "floats_from_words",
     "key_threshold",
@@ -129,6 +130,16 @@ def bits_from_words(words: np.ndarray, nbits: int) -> np.ndarray:
     if nbits > 64 * words.shape[1]:
         raise ValueError("not enough words for requested bits")
     return np.unpackbits(words_to_bytes(words), axis=1, count=nbits)
+
+
+def coordinate_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., n) 0/1 coordinates as coordinate rows: their ``np.packbits``
+    bytes, zero-padded to 8 * ceil(n/64), as (..., ceil(n/64)) uint64 words.
+    Viewed as ``'>u8'``, bit j of a row is bit 63 - j % 64 of word j // 64."""
+    n = bits.shape[-1]
+    rows = np.zeros((*bits.shape[:-1], 8 * -(-n // 64)), dtype=np.uint8)
+    rows[..., : -(-n // 8)] = np.packbits(bits, axis=-1)
+    return rows.view(np.uint64)
 
 
 def keys_from_words(words: np.ndarray, count: int) -> np.ndarray:

@@ -14,10 +14,11 @@ strategies:
   reduces to bookkeeping over Wiesner records (basis bits, data bits, coins).
   Its kernels work on whole 64-bit words: every bit field is read as packed
   uint64 words (``TrialReader.packed``), and every row over the n
-  coordinates (basis, coins, fixed masks) is a coordinate row, its
-  ``np.packbits`` bytes zero-padded to 8 * ceil(n/64) and held as uint64
-  words.  Zero padding adds no weight and takes no deposit.  Bitwise
-  operations and popcounts do not depend on the byte order of a word, so
+  coordinates (basis, coins, fixed masks) is a coordinate row
+  (``mc.coordinate_rows``), its ``np.packbits`` bytes zero-padded to
+  8 * ceil(n/64) and held as uint64 words.  Zero padding adds no weight
+  and takes no deposit.  Bitwise operations and popcounts do not depend on
+  the byte order of a word, so
   every Hamming distance is the popcount of an XOR of words; the one piece of
   arithmetic, the byte prefix sums of ``_coset_offsets``, reads the bytes
   through ``'<u8'`` views, which give the same words on either host byte
@@ -53,6 +54,7 @@ from .gf2 import Gf2Subspace, Gf2Vec, sample_subspace, solve_coset_membership
 from .info import ball_volume
 from .mc import (
     TrialReader,
+    coordinate_rows,
     run_blocks,
     stream_key,
     top_k_mask,
@@ -224,15 +226,6 @@ class Strategy:
 
 def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
     return Gf2Vec(rng.integers(0, 2, size=k, dtype=np.uint8))
-
-
-def _coordinate_rows(bits: np.ndarray) -> np.ndarray:
-    """(..., n) 0/1 coordinates as coordinate rows: their ``np.packbits``
-    bytes, zero-padded to 8 * ceil(n/64), as (..., ceil(n/64)) uint64 words."""
-    n = bits.shape[-1]
-    rows = np.zeros((*bits.shape[:-1], 8 * -(-n // 64)), dtype=np.uint8)
-    rows[..., : -(-n // 8)] = np.packbits(bits, axis=-1)
-    return rows.view(np.uint64)
 
 
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
@@ -442,8 +435,8 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
         n, half, m, mp = params.n, params.half, params.m, params.m_prime
         if theta_hat.n != n:
             raise ValueError("basis-choice length must match the game")
-        hat = _coordinate_rows(theta_hat.bits)
-        coords = _coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
+        hat = coordinate_rows(theta_hat.bits)
+        coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
 
         def kernel(words):
@@ -451,7 +444,7 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
             t = r.packed(half)
             tp = r.packed(half)
             coins = words_to_bytes(r.packed(n)).view(np.uint64)
-            pivots = _coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
+            pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
             free = coords ^ pivots
             free_off, pivot_off = _coset_offsets(pivots)
             x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
@@ -473,16 +466,16 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
         rec = record if record is not None else _zero_record(n)
         if rec.n != n:
             raise ValueError("substitute record length must match the game")
-        rx = _coordinate_rows(rec.x.bits)
-        rtheta = _coordinate_rows(rec.theta.bits)
-        coords = _coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
+        rx = coordinate_rows(rec.x.bits)
+        rtheta = coordinate_rows(rec.theta.bits)
+        coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, n), key_fields=(n,))
 
         def kernel(words):
             r = TrialReader(words)
             t = r.packed(half)
             coins = words_to_bytes(r.packed(n)).view(np.uint64)
-            pivots = _coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
+            pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
             free = coords ^ pivots
             free_off, _ = _coset_offsets(pivots)
             # Bob coset-measures the substitute: at each free coordinate he

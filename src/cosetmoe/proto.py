@@ -60,6 +60,7 @@ from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
     binomial_sigma,
+    coordinate_rows,
     key_threshold,
     run_blocks,
     stream_key,
@@ -223,9 +224,6 @@ class Transcript:
 
     def has(self, label: str) -> bool:
         return any(m.label == label for m in self._messages)
-
-    def eve_view(self) -> list[Message]:
-        return [m for m in self._messages if m.eve_visible]
 
     def to_jsonl(self) -> str:
         """One compact JSON object per message, in order, joined by newlines:
@@ -1144,6 +1142,30 @@ def _riqkd_words(
     )
 
 
+def _place_flips(
+    theta: np.ndarray, t: np.ndarray, tp: np.ndarray, flips: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reads (t_hat, t_hat') of intact records (θ, t, t') under noise
+    ``flips``, and each row's count of flips on θ=0 coordinates.
+
+    Only the set flips are placed.  With c = the number of θ=1 coordinates up
+    to coordinate j of a row, j included, a flip at j lands in t' at rank
+    c - 1 (θ_j = 1) or in t at rank j - c (θ_j = 0).  c is counted on θ's
+    coordinate rows read as big-endian words: the exclusive prefix sum of
+    the word popcounts, plus the popcount of j's word shifted down to bit j."""
+    rows, cols = np.divmod(np.flatnonzero(flips.view(bool)), theta.shape[1])
+    words = coordinate_rows(theta)
+    count = np.bitwise_count(words)
+    before = np.cumsum(count, axis=1, dtype=np.int64) - count
+    word, bit = np.divmod(cols, 64)
+    upto = words.view(">u8")[rows, word].astype(np.uint64) >> (63 - bit).astype(np.uint64)
+    ones = before[rows, word] + np.bitwise_count(upto)
+    side = (upto & np.uint64(1)).astype(np.intp)  # θ_j
+    reads = np.stack([t, tp])
+    reads[side, rows, np.where(side, ones - 1, cols - ones)] ^= 1
+    return reads[0], reads[1], np.bincount(rows[side == 0], minlength=len(t))
+
+
 def _riqkd_batch(
     params: QkdParams,
     r: TrialReader,
@@ -1170,22 +1192,25 @@ def _riqkd_batch(
 
     # state preparation: basis pattern + labels, as a conjugate-coding record;
     # row by row, t fills the free (θ=0) and t' the Hadamard positions in
-    # order.  free and pivots are the flat position plans of the block: the
-    # row-major indices of those positions, half of them in each row.
+    # order, so bit r of t (t') sits at the row's r-th θ=0 (θ=1) position.
     theta = top_k_mask(r.keys(n), half)
-    hadamard = theta.view(bool)  # theta is a 0/1 mask
-    free, pivots = np.flatnonzero(~hadamard), np.flatnonzero(hadamard)
     t, tp = r.bits(half), r.bits(half)
 
     # the channel: Eve and/or noise act on the record in transit, then the
     # device measures in the coset basis of a (bases = theta)
     if eve is None:  # the intact record reads (t, t') exactly, up to noise flips
+        # only the set flips are placed, each at its rank in t or t'
+        # (_place_flips); d(t_hat, t) counts those on θ=0 positions
         t_hat, tp_hat = t, tp
+        est_distance = np.zeros(r.count, dtype=np.int64)
         if noise is not None:
-            flips = noise.flips(theta, r.keys(n))
-            t_hat = t ^ np.take(flips, free).reshape(-1, half)
-            tp_hat = tp ^ np.take(flips, pivots).reshape(-1, half)
+            t_hat, tp_hat, est_distance = _place_flips(theta, t, tp, noise.flips(theta, r.keys(n)))
     else:
+        # Eve's records are whole n-bit rows: free and pivots are the flat
+        # position plans of the block, the row-major indices of the θ=0 and
+        # θ=1 positions, half of them in each row
+        hadamard = theta.view(bool)  # theta is a 0/1 mask
+        free, pivots = np.flatnonzero(~hadamard), np.flatnonzero(hadamard)
         x = np.empty(theta.size, dtype=np.uint8)
         x[free], x[pivots] = t.ravel(), tp.ravel()
         x = x.reshape(theta.shape)
@@ -1203,12 +1228,13 @@ def _riqkd_batch(
         dev_read = np.where(rec_theta == theta, rec_x, r.bits(n))
         t_hat = np.take(dev_read, free).reshape(-1, half)
         tp_hat = np.take(dev_read, pivots).reshape(-1, half)
+        # a 32-bit sum of bits is exact here and faster than a 64-bit one or
+        # count_nonzero
+        est_distance = (t_hat ^ t).sum(axis=1, dtype=np.int32)
     if fault:
         tp_hat = tp_hat ^ c.bits  # same syndrome, different word
 
-    # parameter estimation; a 32-bit sum of bits is exact here and faster
-    # than a 64-bit one or count_nonzero
-    est_distance = (t_hat ^ t).sum(axis=1, dtype=np.int32)
+    # parameter estimation
     est_ok = est_distance <= params.gamma * half
 
     # error correction: the device reports its phase-word syndrome

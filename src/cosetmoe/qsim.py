@@ -128,10 +128,6 @@ class QuantumReg:
         self.payload = payload
         self.owner = owner
 
-    @property
-    def n_qubits(self) -> int:
-        return self.payload.n
-
     def qubits_of(self, party: str) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.owner) if p == party)
 

@@ -20,6 +20,7 @@ from cosetmoe.ecc import make_code
 from cosetmoe.ext import ToeplitzExtractor, lhl_epsilon
 from cosetmoe.gf2 import Gf2Vec, intersect, sample_subspace
 from cosetmoe.info import DensityOp, moe_bound, sequential_min_entropy_fixed
+from cosetmoe.mc import coordinate_rows
 from cosetmoe.moe import MoeParams, all_builtin_strategies, play_leaky
 from cosetmoe.proto import (
     PauliNoise,
@@ -73,9 +74,9 @@ def _register_records(theta, t, tp):
         padded[:, : bits.shape[1]] = bits
         return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
-    pivots = moe._coordinate_rows(theta)
+    pivots = coordinate_rows(theta)
     free_off, pivot_off = moe._coset_offsets(pivots)
-    x = (moe._deposit(packed(t), moe._coordinate_rows(1 - theta), free_off)
+    x = (moe._deposit(packed(t), coordinate_rows(1 - theta), free_off)
          | moe._deposit(packed(tp), pivots, pivot_off))
     return np.unpackbits(x.view(np.uint8), axis=1, count=theta.shape[1])
 

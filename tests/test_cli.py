@@ -76,6 +76,32 @@ def test_bad_domain_value_exits_2(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--n", "8", "--d", "6", "--eta", "0.3"), "code distance"),  # complex power
+    (("--n", "8", "--d", "5", "--eta", "0.5"), "code distance"),  # negative base
+    (("--n", "0"), "even and positive"),
+    (("--n", "-4"), "even and positive"),
+    (("--n", "8", "--d", "0"), "code distance"),
+    (("--n", "8", "--d", "-2"), "code distance"),
+    (("--n", "8", "--eta", "1.5"), "eta must lie in [0, 1]"),
+    (("--n", "8", "--gamma", "-0.1"), "gamma must lie in [0, 1]"),
+    (("--n", "8", "--delta", "-0.5"), "delta must lie in [0, 1]"),
+])
+def test_bounds_outside_their_domain_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, "bounds", *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_bounds_domain_edges_run(capsys):
+    # d = n/2 and eta, gamma, delta at 0 and 1 are codes and probabilities
+    for argv in (("--d", "4", "--eta", "1", "--gamma", "0", "--delta", "1"),
+                 ("--d", "1", "--eta", "0", "--gamma", "1", "--delta", "0")):
+        code, out, _ = _run(capsys, "bounds", "--n", "8", *argv)
+        assert code == 0 and "binding_bound" in json.loads(out)
+
+
 @pytest.mark.parametrize("subcommand", ["moe", "qecm"])
 def test_statevector_size_limit_exits_2(capsys, subcommand):
     code, _, err = _run(capsys, subcommand, "--set", "family=all", "--set", "n=22",

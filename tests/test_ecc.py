@@ -99,7 +99,7 @@ def test_config_and_json_export():
     payload = code_to_json(c)
     assert payload["kind"] == "block_repeat" and payload["params"] == [3, 2]
     assert len(payload["H"]) == c.syndrome_length and len(payload["G"]) == c.dimension
-    assert Gf2Vec.from_hex(payload["G"][0], 6) == c.generator.row(0)
+    assert Gf2Vec.from_int(int(payload["G"][0], 16), 6) == c.generator.row(0)
     with pytest.raises(ValueError):
         make_code_from_config({"kind": "hamming74", "flavor": "extra"})
 

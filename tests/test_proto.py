@@ -13,7 +13,14 @@ from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec
-from cosetmoe.mc import TrialReader, bits_from_words, stream_key, trial_words
+from cosetmoe.mc import (
+    TrialReader,
+    bits_from_words,
+    stream_key,
+    top_k_mask,
+    trial_words,
+    words_for,
+)
 from cosetmoe.proto import (
     CommitmentScheme,
     InterceptResend,
@@ -72,7 +79,7 @@ def test_transcript_labels_and_serialisation():
     with pytest.raises(KeyError):
         tr.value("missing")
     # quantum handles are not part of Eve's view
-    assert [m.label for m in tr.eve_view()] == ["greeting", "reply"]
+    assert [m.label for m in tr.messages if m.eve_visible] == ["greeting", "reply"]
     lines = tr.to_jsonl().splitlines()
     assert len(lines) == 3
     rows = [json.loads(line) for line in lines]
@@ -127,6 +134,40 @@ def test_pauli_noise_one_key_rule_equals_where(dx, dz):
         assert got.all()
     if (dx, dz) == (0.0, 0.0):
         assert not got.any()
+
+
+def _plan_and_gather(theta, t, tp, flips):
+    """Reference for ``proto._place_flips``: the flat position plans of the
+    θ=0 and θ=1 coordinates, the flips gathered along them, and the distance
+    as a dense XOR-sum."""
+    half = t.shape[1]
+    free, pivots = np.flatnonzero(theta == 0), np.flatnonzero(theta == 1)
+    t_hat = t ^ np.take(flips, free).reshape(-1, half)
+    tp_hat = tp ^ np.take(flips, pivots).reshape(-1, half)
+    return t_hat, tp_hat, (t_hat ^ t).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 14, 62, 64, 66, 128, 130, 3780])
+def test_place_flips_equals_plan_and_gather(n):
+    half, trials = n // 2, 9
+    words = trial_words(n, words_for(bit_fields=(half, half), key_fields=(n, n)), 0, trials)
+    r = TrialReader(words)
+    theta = top_k_mask(r.keys(n), half)
+    t, tp = r.bits(half), r.bits(half)
+    keys = r.keys(n)
+    assert not keys.flags.c_contiguous  # a strided window of the block, as kernels read it
+    boundary = np.zeros_like(theta)
+    boundary[:, [c for c in (0, 63, 64, 127, n - 1) if c < n]] = 1
+    cases = {"none": np.zeros_like(theta), "every": np.ones_like(theta), "boundary": boundary}
+    for dx, dz in [(0.005, 0.005), (0.5, 0.5), (0.1, 0.9)]:  # sparse and dense: one path
+        cases[f"noise {dx} {dz}"] = PauliNoise(dx, dz).flips(theta, keys)
+    t_in, tp_in = t.copy(), tp.copy()
+    for name, flips in cases.items():
+        got = proto._place_flips(theta, t, tp, flips)
+        want = _plan_and_gather(theta, t, tp, flips)
+        for field, g, w in zip(("t_hat", "tp_hat", "est_distance"), got, want):
+            assert np.array_equal(g, w), (name, field)
+    assert np.array_equal(t, t_in) and np.array_equal(tp, tp_in)
 
 
 # ------------------------------------------------------------------

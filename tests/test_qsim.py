@@ -12,7 +12,7 @@ from cosetmoe.gf2 import (
     sample_subspace,
     solve_coset_membership,
 )
-from cosetmoe.mc import TrialReader, trial_words, words_for
+from cosetmoe.mc import TrialReader, coordinate_rows, trial_words, words_for
 from cosetmoe.proto import PauliNoise
 from cosetmoe.qsim import (
     STATEVECTOR_QUBIT_LIMIT,
@@ -73,9 +73,9 @@ def register_records(theta, t, tp):
     """Data bits x of register coset states' conjugate-coding records, one per
     row of (θ, t, t'), deposited as the moe register kernels deposit them: t
     on the θ=0 coordinates and t' on the θ=1 ones, each in ascending order."""
-    pivots = moe._coordinate_rows(theta)
+    pivots = coordinate_rows(theta)
     free_off, pivot_off = moe._coset_offsets(pivots)
-    x = (moe._deposit(packed(t), moe._coordinate_rows(1 - theta), free_off)
+    x = (moe._deposit(packed(t), coordinate_rows(1 - theta), free_off)
          | moe._deposit(packed(tp), pivots, pivot_off))
     return np.unpackbits(x.view(np.uint8), axis=1, count=theta.shape[1])
 
@@ -83,7 +83,7 @@ def register_records(theta, t, tp):
 def pauli_noise(reg, dx, dz, rng):
     """Noise oracle: independently per qubit, X with probability dx and Z
     with probability dz (one sampled Pauli trajectory)."""
-    n = reg.n_qubits
+    n = reg.payload.n
     fx = rng.random(n) < dx
     fz = rng.random(n) < dz
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -98,7 +98,7 @@ def raw_coset_statevector(a, v, vp):
     labels v, v' (not reduced to canonical form)."""
     amps = np.zeros(1 << a.n, dtype=np.complex128)
     for u in a.vectors():
-        amps[(u + v).to_int()] += (-1) ** (u.dot(vp)) / np.sqrt(float(1 << a.dim))
+        amps[(u + v).to_int()] += (-1) ** int((u.bits & vp.bits).sum()) / np.sqrt(float(1 << a.dim))
     return amps
 
 
