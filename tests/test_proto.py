@@ -1206,6 +1206,14 @@ _QKD_TOLERANT = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
 _QECM_ALL8 = QecmParams(8, 2, family="all")
 _NOISE = PauliNoise(0.1, 0.1)
 
+
+def _with_eve_guess(outcome):
+    """Log Eve's message guess at the end of the transcript, so a digest
+    pins her read of the state as well as the messages."""
+    outcome.transcript.send("eve", "eve", "message_guess", outcome.m_check)
+    return outcome
+
+
 # name: (stream, window words, run on a generator, sha256 of trials 0-199)
 _REPLAYS = {
     # the three replays of the benchmark
@@ -1225,6 +1233,23 @@ _REPLAYS = {
         proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, None, None),
         lambda rng: run_qecm_id(_QECM_ALL8, rng),
         "2162b5e06fadc1ac880ab024f425a832906024889ac0d4d2d294ef81c00ae39d"),
+    # the general family's computational read and Eve's kept state
+    "qecm-all-keep_all": (
+        proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, "keep_all", None),
+        lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="keep_all")),
+        "459bf0b191eca4950d1859f1617df39115501d4ddbad6820e3064f2540ea797b"),
+    "qecm-all-measure_computational": (
+        proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, "measure_computational", None),
+        lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="measure_computational")),
+        "4a0978616ceba9a708132bfd7062aa9ff18dd5739fc3e59a96180cc7b393ffb9"),
+    "urbc-all": (
+        proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY, "all"),
+        lambda rng: run_urbc(_URBC_REPLAY, rng, family="all"),
+        "72ec819c60a575457aa62888bfd4b51d461a85670b547b8cde0eea5b8a1cd907"),
+    "urbc-all-binding": (
+        proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY, "all"),
+        lambda rng: run_urbc(_URBC_REPLAY, rng, alice="binding_attack", family="all"),
+        "4afff8e556b2b816ea9bc61cecfdb2811df7d69a2831c053ca6a137ea1ebe049"),
     # the device's read of an intact record under noise, and of Eve's records
     "qkd-noise": (
         proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, _NOISE, None),
