@@ -47,7 +47,7 @@ from .info import (
     verify_combinatorial_bound,
 )
 from .mc import binomial_sigma
-from .moe import MoeParams, analytic_win, builtin_strategy, play_leaky
+from .moe import MoeParams, alternating_basis, analytic_win, builtin_strategy, play_leaky
 from .proto import (
     InterceptResend,
     KeepAndSubstitute,
@@ -338,7 +338,7 @@ def _run_moe(config: dict, threads: int) -> dict:
     kind = config["kind"]
     theta_hat = _bits_arg(config["theta_hat"], params.n, "theta_hat")
     if kind == "measure_wiesner" and theta_hat is None:
-        theta_hat = Gf2Vec((np.arange(params.n) % 2 == 0).astype(np.uint8))
+        theta_hat = alternating_basis(params.n)
     substitute = None
     if kind == "keep_and_substitute":
         x = _bits_arg(config["substitute_x"], params.n, "substitute_x")
@@ -653,9 +653,7 @@ def _check_extractor_two_universal(shapes, seed, threads) -> tuple[bool, float]:
 
 def _check_moe_kernel(kind: str, trials, seed, threads) -> tuple[bool, float]:
     params = MoeParams(n=8, trials=trials, seed=seed)
-    kwargs = {}
-    if kind == "measure_wiesner":
-        kwargs["theta_hat"] = Gf2Vec((np.arange(8) % 2 == 0).astype(np.uint8))
+    kwargs = {"theta_hat": alternating_basis(params.n)} if kind == "measure_wiesner" else {}
     strategy = builtin_strategy(kind, **kwargs)
     result = play_leaky(params, strategy, threads=threads)
     target = analytic_win(kind, params, **kwargs)

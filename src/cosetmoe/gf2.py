@@ -270,10 +270,12 @@ class Gf2Subspace:
         reduced, pivots = rref(mat)
         self._store(n, reduced.rows[: len(pivots)], pivots)
 
-    def _store(self, n: int, basis: np.ndarray, pivots: tuple[int, ...]) -> None:
+    def _store(self, n: int, basis: np.ndarray, pivots: tuple[int, ...]) -> "Gf2Subspace":
+        """Set the fields from a basis already in RREF with these pivots."""
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_basis", Gf2Matrix(basis.reshape(len(pivots), n)))
         object.__setattr__(self, "_pivots", pivots)
+        return self
 
     @classmethod
     def register(cls, n: int, positions: Iterable[int]) -> "Gf2Subspace":
@@ -285,9 +287,7 @@ class Gf2Subspace:
             raise ValueError("position out of range")
         basis = np.zeros((len(pivots), n), dtype=np.uint8)
         basis[np.arange(len(pivots)), pivots] = 1
-        a = cls.__new__(cls)
-        a._store(n, basis, pivots)
-        return a
+        return cls.__new__(cls)._store(n, basis, pivots)
 
     # -- structure ----------------------------------------------------
 
@@ -423,7 +423,8 @@ def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspac
     family="all": uniform over all dimension-n/2 subspaces, by drawing random
     n/2 x n matrices until one has full rank and taking its row space.  Each
     subspace has the same number of full-rank generator matrices, so the row
-    space is uniform.
+    space is uniform.  One reduction per draw both tests the rank and gives
+    the canonical basis.
     """
     if n % 2:
         raise ValueError("ambient dimension must be even")
@@ -432,9 +433,9 @@ def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspac
         return Gf2Subspace.register(n, rng.permutation(n)[:half])
     if family == "all":
         while True:
-            mat = Gf2Matrix(rng.integers(0, 2, size=(half, n), dtype=np.uint8))
-            if mat.rank() == half:
-                return Gf2Subspace(n, mat)
+            reduced, pivots = rref(Gf2Matrix(rng.integers(0, 2, size=(half, n), dtype=np.uint8)))
+            if len(pivots) == half:
+                return Gf2Subspace.__new__(Gf2Subspace)._store(n, reduced.rows, pivots)
     raise ValueError(f"unknown subspace family {family!r}")
 
 

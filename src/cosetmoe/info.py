@@ -216,15 +216,20 @@ def protocol_bounds(
     extractor error (derived from kappa/ell when absent).
 
     Raises when a name listed in ``require`` cannot be computed, and on
-    parameters no code or probability can have: n must be even and positive,
-    1 <= d <= n/2 (so the binding base 1 - 2d/n is not negative), and eta,
-    gamma and delta must lie in [0, 1].
+    parameters no code, source or probability can have: n must be even and
+    positive, 1 <= d <= n/2 (so the binding base 1 - 2d/n is not negative),
+    s and kappa must lie in [0, n/2] (a syndrome of, and the min-entropy of,
+    an n/2-bit string), and eta, gamma, delta and epsilon must lie in [0, 1].
     """
     if n <= 0 or n % 2:
         raise ValueError("ambient dimension must be even and positive")
     if d is not None and not 1 <= d <= n // 2:
         raise ValueError("code distance d must lie in [1, n/2]")
-    for name, value in (("eta", eta), ("gamma", gamma), ("delta", delta)):
+    for name, value in (("syndrome length s", s), ("kappa", kappa)):
+        if value is not None and not 0 <= value <= n // 2:
+            raise ValueError(f"{name} must lie in [0, n/2]")
+    for name, value in (("eta", eta), ("gamma", gamma), ("delta", delta),
+                        ("epsilon", epsilon)):
         if value is not None and not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
     params = {

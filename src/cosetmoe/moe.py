@@ -83,6 +83,7 @@ __all__ = [
     "Strategy",
     "builtin_strategy",
     "all_builtin_strategies",
+    "alternating_basis",
     "analytic_win",
     "play_leaky",
     "BUILTIN_KINDS",
@@ -212,11 +213,12 @@ class Strategy:
     kind: Optional[str] = None
     options: Optional[dict] = None
 
-    def analytic(self, params: MoeParams) -> Optional[float]:
-        """Closed-form win probability, when one is known for this strategy."""
+    def analytic(self, params: MoeParams, leak: bool = True) -> Optional[float]:
+        """Closed-form win probability with the position leak on or off, when
+        one is known for this strategy."""
         if self.kind is None:
             return None
-        return analytic_win(self.kind, params, **(self.options or {}))
+        return analytic_win(self.kind, params, leak=leak, **(self.options or {}))
 
 
 # ------------------------------------------------------------------
@@ -699,7 +701,9 @@ def builtin_strategy(
     raise ValueError(f"unknown built-in strategy {kind!r}")
 
 
-def _alternating_basis(n: int) -> Gf2Vec:
+def alternating_basis(n: int) -> Gf2Vec:
+    """The default basis guess of ``measure_wiesner``: Hadamard at the even
+    positions, computational at the odd ones."""
     return Gf2Vec((np.arange(n) % 2 == 0).astype(np.uint8))
 
 
@@ -710,7 +714,7 @@ def all_builtin_strategies(n: int) -> list[Strategy]:
         builtin_strategy("charlie_all"),
         builtin_strategy("mix", q=0.5),
         builtin_strategy("measure_computational"),
-        builtin_strategy("measure_wiesner", theta_hat=_alternating_basis(n)),
+        builtin_strategy("measure_wiesner", theta_hat=alternating_basis(n)),
         builtin_strategy("keep_and_substitute", substitute=_zero_record(n)),
         builtin_strategy("leak_smuggle"),
     ]

@@ -26,13 +26,14 @@ Each protocol is one batch function (``_qecm_batch``, ``_urbc_batch``,
 arrays: the experiments reduce them to counters through ``mc.run_blocks``,
 and a single run calls the same function on one window and builds its
 transcript from row 0.  Only the quantum step depends on the subspace family
-(``_CosetStates``).  The register (conjugate-coding) family runs on
-classical Wiesner records, read through θ masks, and scales to thousands of
-qubits.  The general family (interactive encryption and commitment) reads
-its states row by row on the statevector backend, with each row's own
-generator keyed from its window, and is limited to small n.  Abort
-semantics: downstream fields of an aborted run are ``None``, never
-zero-filled.
+(``_CosetStates``), and it reads every coset state in closed form: a
+coset-basis measurement returns the labels (t, t'), and a computational one
+a uniform element of the coset.  The register (conjugate-coding) family runs
+on classical Wiesner records, read through θ masks, and scales to thousands
+of qubits.  The general family (interactive encryption and commitment)
+samples each row's subspace, and the uniform of a computational read, from
+the row's own generator keyed from its window.  Abort semantics: downstream
+fields of an aborted run are ``None``, never zero-filled.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ import numpy as np
 
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
-from .gf2 import (
-    Gf2Subspace,
-    Gf2Vec,
-    IndexSubset,
-    sample_subspace,
-    solve_coset_membership,
-)
+from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_rep, sample_subspace
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
@@ -69,12 +64,7 @@ from .mc import (
     words_for,
     words_to_bytes,
 )
-from .qsim import (
-    CosetDescriptor,
-    measure_computational,
-    measure_coset_basis,
-    prepare_coset_state,
-)
+from .qsim import CosetDescriptor, prepare_coset_state
 
 __all__ = [
     "Message",
@@ -346,63 +336,60 @@ class _CosetStates:
     """The coset states |a_{t,t'}> of a block of trials and the quantum step
     that reads them, one row per trial.
 
+    Both reads are the closed forms of an intact coset state: a measurement
+    in the coset basis of a returns (t, t') with certainty, and one in the
+    computational basis returns a uniform element coset_rep(a, t) ⊕ c·A of
+    the coset, for A the canonical basis of a and c uniform on n/2 bits.
+
     The subspace draw comes first in a window.  On the register family it is
-    the Hadamard positions θ, from n draw keys, and a state is its
-    conjugate-coding record, read through θ masks.  On the general family it
-    is a 2-word key for the row's own generator (``TrialReader.generators``),
-    which samples a and then the Born outcomes of a statevector simulation.
+    the Hadamard positions θ, from n draw keys, and c is n/2 window bits.  On
+    the general family it is a 2-word key for the row's own generator
+    (``TrialReader.generators``), which samples a and then, for a
+    computational read, the one uniform that picks c.
     """
 
     def __init__(self, family: str, n: int, r: TrialReader):
-        self.family, self.n = family, n
+        self.n = n
         self.theta = self.rngs = self.subspaces = self.forwarded = None
         if family == "register":
             self.theta = top_k_mask(r.keys(n), n // 2)
         else:
-            self.rngs = r.generators()
+            self.rngs = list(r.generators())
+            self.subspaces = [sample_subspace(n, family, rng) for rng in self.rngs]
 
-    def read(self, t: np.ndarray, tp: np.ndarray, r: TrialReader, computational: bool = False,
-             rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """(t̂, t̂') of whoever holds each intact state: a measurement in the
-        coset basis of a, or (``computational``) one in the computational
-        basis, decoded against a, whose outcomes are kept in ``forwarded``.
-        A statevector row outside the flags ``rows``, whose read is not used,
-        samples a for its transcript but is not measured, and reads zeros."""
+    def read(self, t: np.ndarray, tp: np.ndarray, r: TrialReader,
+             computational: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(t̂, t̂') of whoever holds each intact state: (t, t') in the coset
+        basis of a, or (``computational``) (t, c), decoded from the strings
+        v = coset_rep(a, t) ⊕ c·A kept in ``forwarded``."""
+        if not computational:
+            return t, tp
         half = self.n // 2
         if self.theta is not None:
-            if not computational:
-                return t, tp  # exact on an intact state
             # the free positions read t, the Hadamard ones read coins
             coins = r.bits(half)
             self.forwarded = np.empty(self.theta.shape, dtype=np.uint8)
             self.forwarded[self.theta == 0] = t.ravel()
             self.forwarded[self.theta == 1] = coins.ravel()
             return t, coins
-        t_hat, tp_hat = np.zeros_like(t), np.zeros_like(tp)
-        self.subspaces = []
-        if computational:
-            self.forwarded = np.empty((len(t), self.n), dtype=np.uint8)
-        for i, rng in enumerate(self.rngs):
-            a = sample_subspace(self.n, self.family, rng)
-            self.subspaces.append(a)
-            if rows is not None and not rows[i]:
-                continue
-            reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
-            if computational:
-                v, _ = measure_computational(reg, rng)
-                read_t, u = solve_coset_membership(a, v)
-                read_tp = Gf2Vec(u.bits[list(a.pivots)])
-                self.forwarded[i] = v.bits
-            else:
-                read_t, read_tp = measure_coset_basis(reg, a, rng)
-            t_hat[i], tp_hat[i] = read_t.bits, read_tp.bits
-        return t_hat, tp_hat
+        if half > 53:
+            raise ValueError("a computational read of the general family needs n <= 106")
+        # The Born weights are uniform on the coset, and its k-th element in
+        # index order has the bits of k at a's pivots (A is in RREF).  So one
+        # uniform u picks c = ⌊u·2^{n/2}⌋, as inverting the outcome CDF would.
+        k = (np.array([rng.random() for rng in self.rngs]) * (1 << half)).astype(np.int64)
+        c = ((k[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
+        reps = np.stack([coset_rep(a, Gf2Vec(row)).bits for a, row in zip(self.subspaces, t)])
+        bases = np.stack([a.basis.rows for a in self.subspaces])
+        self.forwarded = reps ^ (np.einsum("ti,tij->tj", c, bases) & 1)
+        return t, c
 
     def subspace(self, row: int) -> Gf2Subspace:
         """The subspace a of one row, for its transcript.  On the general
-        family it is the subspace that ``read`` sampled, already canonical.
-        On the register family it is spanned by e_i at the Hadamard positions
-        θ_i = 1, built by ``Gf2Subspace.register`` without elimination."""
+        family it is the subspace sampled from the row's generator, already
+        canonical.  On the register family it is spanned by e_i at the
+        Hadamard positions θ_i = 1, built by ``Gf2Subspace.register``
+        without elimination."""
         if self.theta is None:
             return self.subspaces[row]
         return Gf2Subspace.register(self.n, np.flatnonzero(self.theta[row]))
@@ -570,20 +557,19 @@ def _qecm_batch(
     else:
         t_hat, tp_hat = states.read(t, tp, r, eve == "measure_computational")
     f = (t_hat == t).all(axis=1)  # Alice accepts a correct position response
-    # under keep_all Eve kept the state; her read matters only where Alice accepts
-    tp_eve = states.read(t, tp, r, rows=f)[1] if eve == "keep_all" else tp_hat
 
-    # the pads T(seed)·t' ^ h of Alice, Bob and Eve, from one seed build
-    inputs = [tp, tp_hat] if eve is None else [tp, tp_hat, tp_eve]
-    pads = ext.extract_batch(np.stack(inputs), seed) ^ h
+    # the pads T(seed)·t' ^ h of Alice and Bob, from one seed build
+    pads = ext.extract_batch(np.stack([tp, tp_hat]), seed) ^ h
     m_bar = m ^ pads[0]
     m_hat = m_bar ^ pads[1]
 
-    # Eve's guess from her side information plus the classical transcript
+    # Eve's guess once Alice releases the keys: under keep_all she reads t'
+    # from the intact state, so her pad is Alice's; under
+    # measure_computational she decodes her string as Bob does
     m_check = None
     if eve is not None:
         blind = r.bits(ell)
-        m_check = np.where(f[:, None], m_bar ^ pads[2], blind)
+        m_check = np.where(f[:, None], m if eve == "keep_all" else m_hat, blind)
     return SimpleNamespace(states=states, seed=seed, h=h, m=m, m_bar=m_bar,
                            t_hat=t_hat, f=f, m_hat=m_hat, m_check=m_check)
 
@@ -931,8 +917,8 @@ def run_urbc(
     is the string she tried to open to.
 
     The run reads one window of raw words from ``rng`` (see
-    ``_urbc_batch``); on family="all" the window keys the generator of the
-    statevector simulation.
+    ``_urbc_batch``); on family="all" the window keys the generator that
+    samples the subspace.
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")

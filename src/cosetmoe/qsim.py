@@ -1,11 +1,13 @@
 """Dense statevector simulation of coset states, for any half-dimension
 subspace up to 20 qubits.
 
-It is the general family's quantum step and the oracle for the register
-family's kernels.  A register subspace's coset state is a conjugate-coding
-(Wiesner) state, a product of computational and Hadamard qubits, so the
-register family runs on classical records (x, θ) in the ``moe`` and ``proto``
-kernels instead; ``WiesnerRecord`` is the type of such a record.
+It runs the game's statevector backend (``moe``) and the exact
+enumerations, and it is the oracle for the closed-form reads of the
+protocols (``proto``) and for the register family's kernels.  A register
+subspace's coset state is a conjugate-coding (Wiesner) state, a product of
+computational and Hadamard qubits, so the register family runs on classical
+records (x, θ) in the ``moe`` and ``proto`` kernels instead;
+``WiesnerRecord`` is the type of such a record.
 
 Basis-vector indexing is most-significant-bit first: qubit 0 corresponds to
 the top bit of the amplitude index, matching Gf2Vec.to_int.

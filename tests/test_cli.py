@@ -86,6 +86,11 @@ def test_bad_domain_value_exits_2(capsys):
     (("--n", "8", "--eta", "1.5"), "eta must lie in [0, 1]"),
     (("--n", "8", "--gamma", "-0.1"), "gamma must lie in [0, 1]"),
     (("--n", "8", "--delta", "-0.5"), "delta must lie in [0, 1]"),
+    (("--n", "8", "--s", "-3", "--eta", "0.2"), "syndrome length s must lie in [0, n/2]"),
+    (("--n", "8", "--s", "100", "--eta", "0.5"), "syndrome length s must lie in [0, n/2]"),
+    (("--n", "8", "--epsilon", "2", "--gamma", "0.1"), "epsilon must lie in [0, 1]"),
+    (("--n", "8", "--epsilon", "-1", "--gamma", "0.1"), "epsilon must lie in [0, 1]"),
+    (("--n", "8", "--kappa", "-4", "--ell", "2"), "kappa must lie in [0, n/2]"),
 ])
 def test_bounds_outside_their_domain_exit_2(capsys, argv, message):
     code, out, err = _run(capsys, "bounds", *argv)
@@ -95,14 +100,17 @@ def test_bounds_outside_their_domain_exit_2(capsys, argv, message):
 
 
 def test_bounds_domain_edges_run(capsys):
-    # d = n/2 and eta, gamma, delta at 0 and 1 are codes and probabilities
-    for argv in (("--d", "4", "--eta", "1", "--gamma", "0", "--delta", "1"),
-                 ("--d", "1", "--eta", "0", "--gamma", "1", "--delta", "0")):
+    # d = s = n/2, kappa = 0, and eta, gamma, delta, epsilon at 0 and 1 are
+    # codes, entropies and probabilities
+    for argv in (("--d", "4", "--eta", "1", "--gamma", "0", "--delta", "1", "--s", "4"),
+                 ("--d", "1", "--eta", "0", "--gamma", "1", "--delta", "0",
+                  "--kappa", "0", "--ell", "2"),
+                 ("--d", "2", "--eta", "0.5", "--gamma", "0.1", "--epsilon", "1")):
         code, out, _ = _run(capsys, "bounds", "--n", "8", *argv)
         assert code == 0 and "binding_bound" in json.loads(out)
 
 
-@pytest.mark.parametrize("subcommand", ["moe", "qecm"])
+@pytest.mark.parametrize("subcommand", ["moe"])
 def test_statevector_size_limit_exits_2(capsys, subcommand):
     code, _, err = _run(capsys, subcommand, "--set", "family=all", "--set", "n=22",
                         "--threads", "2")
@@ -411,6 +419,7 @@ THREAD_ARGVS = {
     "qecm": GOLDEN_ARGVS["qecm-uncloneable"],
     "urbc": GOLDEN_ARGVS["urbc-binding"],
     "qkd": GOLDEN_ARGVS["qkd-device-fault"],
+    "qecm-all64": ("qecm", "--set", "family=all", "--set", "n=64", "--trials", "20"),
     "qecm-blocks": ("qecm", "--set", "kind=uncloneable", "--trials", "17000", "--seed", "3"),
     "urbc-blocks": ("urbc", "--set", "kind=binding", "--trials", "10000", "--seed", "3"),
     "qkd-blocks": ("qkd", "--set", "kind=device_fault", "--set", "n=14",

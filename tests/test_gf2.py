@@ -226,6 +226,20 @@ def test_sample_subspace_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_sample_subspace_is_the_first_full_rank_draws_row_space(n):
+    # a copy of the generator replays the draws: rank test, then elimination
+    for seed in range(20):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = sample_subspace(n, "all", rng)
+        while True:
+            mat = Gf2Matrix(replay.integers(0, 2, size=(n // 2, n), dtype=np.uint8))
+            if mat.rank() == n // 2:
+                break
+        assert a == Gf2Subspace(n, mat) and a.pivots == Gf2Subspace(n, mat).pivots
+        assert rng.random() == replay.random()  # both took the same draws
+
+
 def test_sample_subspace_odd_n():
     with pytest.raises(ValueError):
         sample_subspace(5, "register", np.random.default_rng(1))

@@ -441,6 +441,7 @@ def test_smuggler_exploits_the_leak():
     assert abs(on - 1 / 16) <= three_sigma(1 / 16, p.trials)
     assert abs(off - 1 / 256) <= three_sigma(1 / 256, p.trials)
     assert analytic_win("leak_smuggle", p, leak=False) == 1 / 256
+    assert s.analytic(p, leak=False) == 1 / 256 and s.analytic(p) == 1 / 16
 
 
 def test_smuggler_wins_always_when_bob_radius_is_vacuous():

@@ -12,7 +12,7 @@ import pytest
 from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
-from cosetmoe.gf2 import Gf2Vec
+from cosetmoe.gf2 import Gf2Vec, sample_subspace, solve_coset_membership
 from cosetmoe.mc import (
     TrialReader,
     bits_from_words,
@@ -46,6 +46,12 @@ from cosetmoe.proto import (
     trial_rng,
     urbc_experiment,
     urbc_hiding_exact,
+)
+from cosetmoe.qsim import (
+    CosetDescriptor,
+    measure_computational,
+    measure_coset_basis,
+    prepare_coset_state,
 )
 
 
@@ -494,6 +500,25 @@ def test_urbc_general_family_replays_its_window(alice):
         assert out.transcript.value("subspace") == b.states.subspace(i).to_json()
     with pytest.raises(ValueError):
         run_urbc(params, trial_rng(0, 0), family="diagonal")
+
+
+def test_general_family_runs_past_the_statevector_limit():
+    # both closed-form reads at n = 64, beyond any 2^n statevector
+    params = UrbcParams(64, 2, 0.25, make_code("block_repeat", 8, 4))
+    qecm = QecmParams(64, 2, family="all")
+    for i in range(5):
+        out = run_urbc(params, trial_rng(31, i), family="all")
+        assert out.g == 1 and out.f == 1 and out.y_hat == out.y
+    words = proto._qecm_words(qecm, "measure_computational", None)
+    reader = TrialReader(trial_words(stream_key(31, proto._QECM_STREAM), words, 0, 5))
+    b = proto._qecm_batch(qecm, reader, "measure_computational", None)
+    assert b.f.all() and np.array_equal(b.m_check, b.m_hat)
+    for i in range(5):  # each forwarded string lies in the coset of its t
+        t, _ = solve_coset_membership(b.states.subspace(i), Gf2Vec(b.states.forwarded[i]))
+        assert np.array_equal(t.bits, b.t_hat[i])
+    # one 53-bit uniform picks c, so it cannot cover more than 2^53 coset elements
+    with pytest.raises(ValueError, match="n <= 106"):
+        run_qecm_id(QecmParams(108, 2, family="all"), trial_rng(31, 0), eve="measure_computational")
 
 
 def test_urbc_hiding_exact_is_zero():
@@ -965,6 +990,37 @@ def test_tfkw_batch_counts_equal_per_trial_runs(monkeypatch, seed, threads, para
         eve_matches += int(out.f == 1 and out.eve_guess == out.k_hat)
     assert (rep["aborts"], rep["key_matches"], rep["eve_matches_device"]) == (
         aborts, key_matches, eve_matches)
+
+
+# ------------------------------------------------------------------
+# the general family's closed-form reads against the statevector
+# ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("computational", [False, True], ids=["coset", "computational"])
+@pytest.mark.parametrize("n", range(2, 16, 2))
+def test_general_family_reads_equal_statevector_measurements(n, computational):
+    # each row's generator key, then t and t'; the statevector path replays a
+    # copy of every row's generator: sample a, prepare, measure, decode
+    half = n // 2
+    words = np.random.Philox(key=stream_key(n, computational)).random_raw((500, 4))
+    r = TrialReader(words)
+    states = proto._CosetStates("all", n, r)
+    t, tp = r.bits(half), r.bits(half)
+    t_hat, tp_hat = states.read(t, tp, r, computational)
+    for i, rng in enumerate(TrialReader(words).generators()):
+        a = sample_subspace(n, "all", rng)
+        assert a == states.subspace(i)
+        reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
+        if computational:
+            v, _ = measure_computational(reg, rng)
+            read_t, u = solve_coset_membership(a, v)
+            read_tp = Gf2Vec(u.bits[list(a.pivots)])
+            assert np.array_equal(states.forwarded[i], v.bits)
+        else:
+            read_t, read_tp = measure_coset_basis(reg, a, rng)
+        assert np.array_equal(t_hat[i], read_t.bits)
+        assert np.array_equal(tp_hat[i], read_tp.bits)
 
 
 # ------------------------------------------------------------------
