@@ -1257,6 +1257,7 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
 
 _HAMMING = make_code("hamming74")
 _URBC_REPLAY = UrbcParams(14, 2, 2 / 7, _HAMMING)
+_URBC_HASH = UrbcParams(14, 2, 2 / 7, _HAMMING, scheme="hash_based")
 _QKD_REPLAY = QkdParams(14, 2, 0.0, 2 / 7, _HAMMING)
 _QKD_TOLERANT = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
 _QECM_ALL8 = QecmParams(8, 2, family="all")
@@ -1306,6 +1307,15 @@ _REPLAYS = {
         proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY, "all"),
         lambda rng: run_urbc(_URBC_REPLAY, rng, alice="binding_attack", family="all"),
         "4afff8e556b2b816ea9bc61cecfdb2811df7d69a2831c053ca6a137ea1ebe049"),
+    # the sha256 base commitment's token and nonce bytes
+    "urbc-hash": (
+        proto._URBC_STREAM, proto._urbc_words(_URBC_HASH),
+        lambda rng: run_urbc(_URBC_HASH, rng),
+        "4aa0b4d93752542dbf547439df7e79ca4664bde42d14a05e15fd1234406e46a6"),
+    "urbc-hash-binding": (
+        proto._URBC_STREAM, proto._urbc_words(_URBC_HASH),
+        lambda rng: run_urbc(_URBC_HASH, rng, alice="binding_attack"),
+        "bdc0e8c369320d25f0e4e3ede2b556a42ecea9de1c5a2c7c955b181862d28b60"),
     # the device's read of an intact record under noise, and of Eve's records
     "qkd-noise": (
         proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, _NOISE, None),
