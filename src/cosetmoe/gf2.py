@@ -171,27 +171,16 @@ class Gf2Matrix:
         return len(rref(self)[1])
 
     def inverse(self) -> "Gf2Matrix":
-        """Inverse of a square invertible matrix (Gauss-Jordan)."""
+        """Inverse of a square invertible matrix: [M | I] reduces to
+        [I | M^-1], and M is singular unless the pivots are 0..r-1."""
         r, c = self.shape
         if r != c:
             raise ValueError("matrix is not square")
-        work = np.concatenate([self._rows.copy(), np.eye(r, dtype=np.uint8)], axis=1)
-        row = 0
-        for col in range(c):
-            piv = None
-            for i in range(row, r):
-                if work[i, col]:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("matrix is singular")
-            if piv != row:
-                work[[row, piv]] = work[[piv, row]]
-            for i in range(r):
-                if i != row and work[i, col]:
-                    work[i] ^= work[row]
-            row += 1
-        return Gf2Matrix(work[:, c:])
+        augmented = np.concatenate([self._rows, np.eye(r, dtype=np.uint8)], axis=1)
+        reduced, pivots = rref(Gf2Matrix(augmented))
+        if pivots != tuple(range(r)):
+            raise ValueError("matrix is singular")
+        return Gf2Matrix(reduced.rows[:, r:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Gf2Matrix) and np.array_equal(self._rows, other._rows)

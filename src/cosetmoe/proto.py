@@ -42,7 +42,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
 
@@ -69,9 +69,6 @@ from .qsim import CosetDescriptor, prepare_coset_state
 __all__ = [
     "Message",
     "Transcript",
-    "CommitmentScheme",
-    "base_commit",
-    "base_verify",
     "PauliNoise",
     "MessageSource",
     "QecmParams",
@@ -238,63 +235,6 @@ class Transcript:
 
 
 # ------------------------------------------------------------------
-# base commitment
-# ------------------------------------------------------------------
-
-
-@dataclass
-class CommitmentScheme:
-    """The assumed string-commitment primitive under the protocols.
-
-    kind="ideal" is a trusted in-simulation functionality: tokens are opaque
-    handles into a vault, so it is perfectly hiding and perfectly binding.
-    kind="hash_based" commits via sha256(value || 32-byte nonce); its hiding
-    and binding are the usual computational properties of the digest and are
-    documented, not proven, here."""
-
-    kind: str = "ideal"
-    _vault: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("ideal", "hash_based"):
-            raise ValueError(f"unknown commitment kind {self.kind!r}")
-
-
-def base_commit(
-    scheme: CommitmentScheme, value: bytes, rng: np.random.Generator
-) -> tuple[str, bytes]:
-    """Commit to a byte string; returns (token, opening)."""
-    if not isinstance(value, bytes):
-        raise ValueError("commit values are byte strings")
-    if scheme.kind == "ideal":
-        token = f"ideal:{len(scheme._vault)}"
-        scheme._vault[token] = value
-        return token, b""
-    nonce = rng.bytes(32)
-    return _hash_token(value, nonce), nonce
-
-
-def base_verify(scheme: CommitmentScheme, token: str, value: bytes, opening: bytes) -> bool:
-    if not isinstance(value, bytes) or not isinstance(opening, bytes):
-        raise ValueError("malformed opening")
-    if scheme.kind == "ideal":
-        if token not in scheme._vault:
-            raise ValueError("unknown ideal commitment token")
-        return scheme._vault[token] == value
-    if len(opening) != 32:
-        raise ValueError("malformed opening")
-    return _hash_token(value, opening) == token
-
-
-def _hash_token(value: bytes, nonce: bytes) -> str:
-    return hashlib.sha256(value + nonce).hexdigest()
-
-
-def _pack_pair(r: Gf2Vec, h: Gf2Vec) -> bytes:
-    return json.dumps([r.to_hex(), h.to_hex()]).encode()
-
-
-# ------------------------------------------------------------------
 # shared helpers
 # ------------------------------------------------------------------
 
@@ -320,9 +260,10 @@ class PauliNoise:
         ``mc.TrialReader.keys``).  Only an X flip changes a θ=0 bit and only a
         Z flip a θ=1 bit, so one key serves both: a qubit flips where its
         uniform key * 2^-32 is below dx (θ=0) or dz (θ=1)."""
-        xflip = keys < key_threshold(self.dx)
-        zflip = keys < key_threshold(self.dz)
-        return (xflip ^ ((xflip ^ zflip) & (theta != 0))).view(np.uint8)
+        flips = keys < key_threshold(self.dx)
+        if self.dz != self.dx:  # the θ=1 qubits read the dz threshold instead
+            flips ^= (flips ^ (keys < key_threshold(self.dz))) & (theta != 0)
+        return flips.view(np.uint8)
 
 
 def _coset_fields(family: str, n: int, computational: bool = False):
@@ -404,14 +345,48 @@ def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
     return vec.bits[None, :]
 
 
-def _check_spot_size(eta: float, half: int) -> int:
-    size = eta * half
-    if abs(size - round(size)) > 1e-9:
-        raise ValueError("eta times half the dimension must be an integer")
-    size = int(round(size))
-    if not 0 < size <= half:
-        raise ValueError("spot-check size out of range")
-    return size
+class _CosetParams:
+    """The shape the coset-state protocols share: n ambient qubits, n even,
+    and an extractor from the n/2 phase bits to ell bits, Toeplitz unless
+    given.  A frozen dataclass with fields n, ell and extractor runs this
+    check first in its ``__post_init__``."""
+
+    def __post_init__(self):
+        if self.n < 2 or self.n % 2:
+            raise ValueError("ambient dimension must be even and >= 2")
+        if self.extractor is None:
+            object.__setattr__(self, "extractor", ToeplitzExtractor(self.half, self.ell))
+        if self.extractor.n_in != self.half or self.extractor.ell != self.ell:
+            raise ValueError("extractor shape must be (n/2 -> ell)")
+
+    @property
+    def half(self) -> int:
+        return self.n // 2
+
+
+class _SpotParams(_CosetParams):
+    """Coset parameters with an eta-fraction spot check of the n/2 phase
+    bits (field eta)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.spot_size  # raises unless eta gives a whole spot in (0, n/2]
+
+    @property
+    def spot_size(self) -> int:
+        """eta * n/2, which must be an integer in (0, n/2]."""
+        size = self.eta * self.half
+        if abs(size - round(size)) > 1e-9:
+            raise ValueError("eta times half the dimension must be an integer")
+        size = int(round(size))
+        if not 0 < size <= self.half:
+            raise ValueError("spot-check size out of range")
+        return size
+
+
+def _check_family(family: str) -> None:
+    if family not in ("register", "all"):
+        raise ValueError(f"unknown subspace family {family!r}")
 
 
 def _uncloneable_eps(n: int, ell: int) -> float:
@@ -436,7 +411,7 @@ def _report_interval(report: dict, wins: int, trials: int, prefix: str = "") -> 
 
 
 @dataclass(frozen=True)
-class QecmParams:
+class QecmParams(_CosetParams):
     """Interactive-encryption configuration: n ambient qubits carry the coset
     state; messages are ell-bit strings padded by extractor output + h."""
 
@@ -446,20 +421,8 @@ class QecmParams:
     extractor: Optional[ToeplitzExtractor] = None
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise ValueError("ambient dimension must be even and >= 2")
-        if self.ell < 1:
-            raise ValueError("message length must be positive")
-        if self.family not in ("register", "all"):
-            raise ValueError(f"unknown subspace family {self.family!r}")
-        if self.extractor is None:
-            object.__setattr__(self, "extractor", ToeplitzExtractor(self.n // 2, self.ell))
-        if self.extractor.n_in != self.n // 2 or self.extractor.ell != self.ell:
-            raise ValueError("extractor shape must be (n/2 -> ell)")
-
-    @property
-    def half(self) -> int:
-        return self.n // 2
+        super().__post_init__()  # the extractor rejects ell < 1
+        _check_family(self.family)
 
 
 @dataclass(frozen=True)
@@ -579,7 +542,7 @@ def run_qecm_id(
     rng: np.random.Generator,
     *,
     eve: Optional[str] = None,
-    message: Union[None, Gf2Vec, Callable] = None,
+    message: Union[None, Gf2Vec, MessageSource] = None,
 ) -> QecmOutcome:
     """One full encrypt-then-interactively-decrypt run.
 
@@ -591,14 +554,12 @@ def run_qecm_id(
     transcript once the run ends.
 
     The run reads one window of raw words from ``rng`` (see
-    ``_qecm_batch``); a MessageSource draws from that window, any other
-    callable ``message(rng)`` after it.
+    ``_qecm_batch``).  ``message`` is None (uniform), a fixed Gf2Vec, or a
+    MessageSource; either random message is drawn from that window.
     """
     if eve not in _QECM_EVE_KINDS:
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
     reader = _window(rng, _qecm_words(params, eve, message))
-    if callable(message):
-        message = message(rng)
     if isinstance(message, Gf2Vec):
         if message.n != params.ell:
             raise ValueError("message length mismatch")
@@ -798,10 +759,19 @@ def _qecm_counts(
 
 
 @dataclass(frozen=True)
-class UrbcParams:
+class UrbcParams(_SpotParams):
     """Commitment configuration: the committed string is ell bits extracted
     from the phase label; the reveal is certified by a code syndrome plus an
-    eta-fraction spot check."""
+    eta-fraction spot check.  ``family`` picks the subspaces of the coset
+    states, as in QecmParams.
+
+    ``scheme`` is the base string commitment that binds Alice to the
+    extraction inputs (r, h).  It is assumed, not simulated: Alice always
+    opens what she committed.  scheme="ideal" is a trusted functionality
+    whose token is an opaque handle, so it is perfectly hiding and binding.
+    scheme="hash_based" commits by sha256 of the pair and a 32-byte nonce;
+    its hiding and binding are the usual computational properties of the
+    digest and are documented, not proven, here."""
 
     n: int
     ell: int
@@ -809,27 +779,15 @@ class UrbcParams:
     code: LinearCode
     extractor: Optional[ToeplitzExtractor] = None
     scheme: str = "ideal"
+    family: str = "register"
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise ValueError("ambient dimension must be even and >= 2")
-        if self.code.length != self.n // 2:
+        super().__post_init__()
+        if self.code.length != self.half:
             raise ValueError("code length must be n/2")
-        if self.extractor is None:
-            object.__setattr__(self, "extractor", ToeplitzExtractor(self.n // 2, self.ell))
-        if self.extractor.n_in != self.n // 2 or self.extractor.ell != self.ell:
-            raise ValueError("extractor shape must be (n/2 -> ell)")
         if self.scheme not in ("ideal", "hash_based"):
             raise ValueError(f"unknown commitment kind {self.scheme!r}")
-        _check_spot_size(self.eta, self.n // 2)
-
-    @property
-    def half(self) -> int:
-        return self.n // 2
-
-    @property
-    def spot_size(self) -> int:
-        return _check_spot_size(self.eta, self.n // 2)
+        _check_family(self.family)
 
 
 @dataclass(frozen=True)
@@ -845,10 +803,10 @@ class UrbcOutcome:
     transcript: Transcript
 
 
-def _urbc_words(params: UrbcParams, family: str = "register") -> int:
+def _urbc_words(params: UrbcParams) -> int:
     """Window size of one run (see ``_urbc_batch``)."""
     nonce = (256,) if params.scheme == "hash_based" else ()
-    state_bits, state_keys = _coset_fields(family, params.n)
+    state_bits, state_keys = _coset_fields(params.family, params.n)
     return words_for(
         bit_fields=(*state_bits, params.half, params.half, params.extractor.seed_len,
                     params.ell, *nonce),
@@ -856,22 +814,16 @@ def _urbc_words(params: UrbcParams, family: str = "register") -> int:
     )
 
 
-def _urbc_batch(
-    params: UrbcParams, r: TrialReader, alice: str, family: str = "register"
-) -> SimpleNamespace:
+def _urbc_batch(params: UrbcParams, r: TrialReader, alice: str) -> SimpleNamespace:
     """Commit, check and reveal, one trial per row."""
     n, half, ext, code = params.n, params.half, params.extractor, params.code
 
-    # commit: the base commitment binds Alice to the extraction inputs (r, h)
-    states = _CosetStates(family, n, r)
+    # commit: the base commitment binds Alice to the extraction inputs (r, h);
+    # a hash-based one draws its nonce here
+    states = _CosetStates(params.family, n, r)
     t, tp = r.bits(half), r.bits(half)
     seed, h = r.bits(ext.seed_len), r.bits(params.ell)
-    committed = np.concatenate([seed, h], axis=1)
-    tokens = nonces = None
-    if params.scheme == "hash_based":
-        nonces = words_to_bytes(r.packed(256))
-        values = [_pack_pair(Gf2Vec(rr), Gf2Vec(hh)) for rr, hh in zip(seed, h)]
-        tokens = [_hash_token(v, nonce.tobytes()) for v, nonce in zip(values, nonces)]
+    nonces = words_to_bytes(r.packed(256)) if params.scheme == "hash_based" else None
 
     # check: Bob measures the intact state in the coset basis of a
     t_hat, tp_hat = states.read(t, tp, r)
@@ -885,29 +837,24 @@ def _urbc_batch(
     syn_sent = syndrome_batch(code, reveal_tp)
     syn_ok = (syndrome_batch(code, tp_hat) == syn_sent).all(axis=1)
     spot_ok = ~((tp_hat ^ reveal_tp) & spot).any(axis=1)
-    opened = np.concatenate([seed, h], axis=1)  # Alice opens (r, h) in both roles
-    if tokens is None:  # the ideal vault compares the opened pair
-        base_ok = (opened == committed).all(axis=1)
-    else:
-        scheme = CommitmentScheme("hash_based")
-        base_ok = np.array([
-            base_verify(scheme, tok, v, nonce.tobytes())
-            for tok, v, nonce in zip(tokens, values, nonces)
-        ], dtype=bool)
-    f = syn_ok & spot_ok & base_ok
+    # Alice opens the committed (r, h) in both roles, so the base commitment
+    # verifies on every row and only the syndrome and spot checks can fail
+    f = syn_ok & spot_ok
 
     y, y_hat = ext.extract_batch(np.stack([reveal_tp, tp_hat]), seed) ^ h
-    return SimpleNamespace(states=states, seed=seed, h=h, tokens=tokens, nonces=nonces,
+    return SimpleNamespace(states=states, seed=seed, h=h, nonces=nonces,
                            t_hat=t_hat, g=g, spot=spot, reveal_tp=reveal_tp,
                            syn_sent=syn_sent, f=f, y=y, y_hat=y_hat)
 
 
+def _hash_token(r: Gf2Vec, h: Gf2Vec, nonce: bytes) -> str:
+    """The hash-based base commitment to (r, h): the sha256 hex digest of
+    the pair's JSON (a list of the two hex strings) followed by the nonce."""
+    return hashlib.sha256(json.dumps([r.to_hex(), h.to_hex()]).encode() + nonce).hexdigest()
+
+
 def run_urbc(
-    params: UrbcParams,
-    rng: np.random.Generator,
-    *,
-    alice: str = "honest",
-    family: str = "register",
+    params: UrbcParams, rng: np.random.Generator, *, alice: str = "honest"
 ) -> UrbcOutcome:
     """One commit / check / reveal interaction.
 
@@ -917,14 +864,15 @@ def run_urbc(
     is the string she tried to open to.
 
     The run reads one window of raw words from ``rng`` (see
-    ``_urbc_batch``); on family="all" the window keys the generator that
-    samples the subspace.
+    ``_urbc_batch``); on params.family="all" the window keys the generator
+    that samples the subspace.
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")
-    b = _urbc_batch(params, _window(rng, _urbc_words(params, family)), alice, family)
-    token = "ideal:0" if b.tokens is None else b.tokens[0]
+    b = _urbc_batch(params, _window(rng, _urbc_words(params)), alice)
+    seed, h = Gf2Vec(b.seed[0]), Gf2Vec(b.h[0])
     opening = b"" if b.nonces is None else b.nonces[0].tobytes()
+    token = "ideal:0" if b.nonces is None else _hash_token(seed, h, opening)
 
     tr = Transcript()
     tr.send("alice", "bob", "base_commitment", token)
@@ -937,7 +885,7 @@ def run_urbc(
     tr.send("bob", "alice", "spot_subset", IndexSubset(params.half, tuple(int(i) for i in spot)))
     tr.send("alice", "bob", "syndrome", Gf2Vec(b.syn_sent[0]))
     tr.send("alice", "bob", "spot_bits", Gf2Vec(b.reveal_tp[0][spot]))
-    tr.send("alice", "bob", "opening", (token, Gf2Vec(b.seed[0]), Gf2Vec(b.h[0]), opening))
+    tr.send("alice", "bob", "opening", (token, seed, h, opening))
     f = int(b.f[0])
     tr.send("bob", "alice", "reveal_flag", f)
     return UrbcOutcome(Gf2Vec(b.y[0]), Gf2Vec(b.y_hat[0]) if f else None, g, f, tr)
@@ -953,6 +901,8 @@ def urbc_hiding_exact(params: UrbcParams) -> float:
     """
     if params.scheme != "ideal":
         raise ValueError("the exact probe models the ideal base commitment")
+    if params.family != "register":
+        raise ValueError("exact enumeration covers the register family")
     if params.n > 6 or params.ell > 2:
         raise ValueError("enumeration too large")
     n = params.n
@@ -987,7 +937,8 @@ def urbc_experiment(
     kind="binding": the syndrome-preserving substitution attack; reports the
     acceptance rate, its hypergeometric closed form, and the reveal bound.
     kind="hiding": exact trace-distance probe (no trials).  The trials run
-    as register-family batch kernels over ``threads`` threads."""
+    as batch kernels on params.family over ``threads`` threads; the counts
+    do not depend on the thread count."""
     report: dict = {"experiment": f"urbc_{kind}", "n": params.n, "ell": params.ell}
     if kind == "hiding":
         dist = urbc_hiding_exact(params)
@@ -1032,7 +983,7 @@ def urbc_experiment(
 
 
 @dataclass(frozen=True)
-class QkdParams:
+class QkdParams(_SpotParams):
     """Key-distribution configuration over the register family: code and
     extractor act on the n/2 phase bits; gamma tolerates position errors at
     parameter estimation; eta sizes the reconciliation spot check."""
@@ -1045,27 +996,13 @@ class QkdParams:
     extractor: Optional[ToeplitzExtractor] = None
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise ValueError("ambient dimension must be even and >= 2")
+        super().__post_init__()
         if not 0.0 <= self.gamma <= 0.5:
             raise ValueError("gamma must lie in [0, 1/2]")
-        if self.code.length != self.n // 2:
+        if self.code.length != self.half:
             raise ValueError("code length must be n/2")
         if not self.code.has_decoder():
             raise ValueError("the code must support coset-leader decoding")
-        if self.extractor is None:
-            object.__setattr__(self, "extractor", ToeplitzExtractor(self.n // 2, self.ell))
-        if self.extractor.n_in != self.n // 2 or self.extractor.ell != self.ell:
-            raise ValueError("extractor shape must be (n/2 -> ell)")
-        _check_spot_size(self.eta, self.n // 2)
-
-    @property
-    def half(self) -> int:
-        return self.n // 2
-
-    @property
-    def spot_size(self) -> int:
-        return _check_spot_size(self.eta, self.n // 2)
 
 
 @dataclass(frozen=True)

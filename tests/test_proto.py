@@ -22,7 +22,6 @@ from cosetmoe.mc import (
     words_for,
 )
 from cosetmoe.proto import (
-    CommitmentScheme,
     InterceptResend,
     KeepAndSubstitute,
     MessageSource,
@@ -33,8 +32,6 @@ from cosetmoe.proto import (
     TfkwParams,
     Transcript,
     UrbcParams,
-    base_commit,
-    base_verify,
     qecm_experiment,
     riqkd_experiment,
     run_qecm_id,
@@ -126,7 +123,8 @@ def test_pauli_noise_key_threshold_agrees_with_float_compare(d):
 
 
 @pytest.mark.parametrize("dx,dz", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
-                                   (0.3, 0.15), (2.0**-32, 1.0 - 2.0**-32)])
+                                   (0.3, 0.15), (2.0**-32, 1.0 - 2.0**-32),
+                                   (0.005, 0.005)])
 def test_pauli_noise_one_key_rule_equals_where(dx, dz):
     rng = np.random.default_rng(17)
     keys = rng.integers(0, 2**32, size=(7, 300), dtype=np.uint64).astype(np.uint32)
@@ -174,49 +172,6 @@ def test_place_flips_equals_plan_and_gather(n):
         for field, g, w in zip(("t_hat", "tp_hat", "est_distance"), got, want):
             assert np.array_equal(g, w), (name, field)
     assert np.array_equal(t, t_in) and np.array_equal(tp, tp_in)
-
-
-# ------------------------------------------------------------------
-# base commitment
-# ------------------------------------------------------------------
-
-
-def test_ideal_commitment_binds_and_verifies():
-    rng = np.random.default_rng(1)
-    scheme = CommitmentScheme("ideal")
-    token, opening = base_commit(scheme, b"payload", rng)
-    assert base_verify(scheme, token, b"payload", opening)
-    assert not base_verify(scheme, token, b"other", opening)
-    with pytest.raises(ValueError):
-        base_verify(scheme, "ideal:999", b"payload", opening)
-
-
-def test_ideal_commitment_rejects_every_other_value():
-    rng = np.random.default_rng(2)
-    scheme = CommitmentScheme("ideal")
-    token, opening = base_commit(scheme, b"\x17", rng)
-    rejected = sum(
-        not base_verify(scheme, token, bytes([v]), opening)
-        for v in range(256)
-        if v != 0x17
-    )
-    assert rejected == 255
-
-
-def test_hash_commitment_tamper_and_malformed():
-    rng = np.random.default_rng(3)
-    scheme = CommitmentScheme("hash_based")
-    token, opening = base_commit(scheme, b"secret", rng)
-    assert base_verify(scheme, token, b"secret", opening)
-    assert not base_verify(scheme, token, b"secret!", opening)
-    tampered = bytes([opening[0] ^ 1]) + opening[1:]
-    assert not base_verify(scheme, token, b"secret", tampered)
-    with pytest.raises(ValueError):
-        base_verify(scheme, token, b"secret", opening[:-1])  # wrong length
-    with pytest.raises(ValueError):
-        base_commit(scheme, "not bytes", rng)
-    with pytest.raises(ValueError):
-        CommitmentScheme("quantum")
 
 
 # ------------------------------------------------------------------
@@ -375,8 +330,8 @@ def test_qecm_indistinguishability_guards():
 # ------------------------------------------------------------------
 
 
-def _urbc_params(ell=2, scheme="ideal"):
-    return UrbcParams(14, ell, 2.0 / 7.0, make_code("hamming74"), scheme=scheme)
+def _urbc_params(ell=2, scheme="ideal", family="register"):
+    return UrbcParams(14, ell, 2.0 / 7.0, make_code("hamming74"), scheme=scheme, family=family)
 
 
 def test_urbc_params_validation():
@@ -387,6 +342,8 @@ def test_urbc_params_validation():
         UrbcParams(14, 2, 0.3, code)  # 0.3 * 7 is not an integer
     with pytest.raises(ValueError):
         UrbcParams(14, 2, 2.0 / 7.0, code, scheme="vault")
+    with pytest.raises(ValueError):
+        UrbcParams(14, 2, 2.0 / 7.0, code, family="diagonal")
 
 
 def test_urbc_honest_roundtrip():
@@ -458,14 +415,14 @@ def test_urbc_correctness_experiment():
 
 
 def _urbc_all_params(scheme="ideal"):
-    return UrbcParams(6, 1, 1.0 / 3.0, make_code("repetition", 3), scheme=scheme)
+    return UrbcParams(6, 1, 1.0 / 3.0, make_code("repetition", 3), scheme=scheme, family="all")
 
 
 @pytest.mark.parametrize("scheme", ["ideal", "hash_based"])
 def test_urbc_general_family_honest_runs(scheme):
     params = _urbc_all_params(scheme)
     for i in range(40):
-        out = run_urbc(params, trial_rng(28, i), family="all")
+        out = run_urbc(params, trial_rng(28, i))
         assert out.g == 1 and out.f == 1
         assert out.y_hat == out.y
 
@@ -477,7 +434,7 @@ def test_urbc_general_family_binding_attack_never_opens():
     w = min_weight_codeword(params.code).weight()
     assert math.comb(params.half - w, params.spot_size) == 0
     for i in range(40):
-        out = run_urbc(params, trial_rng(29, i), alice="binding_attack", family="all")
+        out = run_urbc(params, trial_rng(29, i), alice="binding_attack")
         assert out.g == 1 and out.f == 0 and out.y_hat is None
 
 
@@ -486,28 +443,25 @@ def test_urbc_general_family_replays_its_window(alice):
     # one generator read run after run, a generator positioned at each
     # window, and the batch function on the block of windows all agree
     params = _urbc_all_params("hash_based")
-    words = proto._urbc_words(params, "all")
+    words = proto._urbc_words(params)
     key = stream_key(30, proto._URBC_STREAM)
-    b = proto._urbc_batch(params, TrialReader(trial_words(key, words, 0, 6)), alice, "all")
+    b = proto._urbc_batch(params, TrialReader(trial_words(key, words, 0, 6)), alice)
     sequential = _window_rng(30, proto._URBC_STREAM, words, 0)
     for i in range(6):
-        out = run_urbc(params, sequential, alice=alice, family="all")
-        again = run_urbc(params, _window_rng(30, proto._URBC_STREAM, words, i),
-                         alice=alice, family="all")
+        out = run_urbc(params, sequential, alice=alice)
+        again = run_urbc(params, _window_rng(30, proto._URBC_STREAM, words, i), alice=alice)
         assert out.transcript.to_jsonl() == again.transcript.to_jsonl()
         assert (out.y, out.g, out.f) == (again.y, again.g, again.f) == (
             Gf2Vec(b.y[i]), int(b.g[i]), int(b.f[i]))
         assert out.transcript.value("subspace") == b.states.subspace(i).to_json()
-    with pytest.raises(ValueError):
-        run_urbc(params, trial_rng(0, 0), family="diagonal")
 
 
 def test_general_family_runs_past_the_statevector_limit():
     # both closed-form reads at n = 64, beyond any 2^n statevector
-    params = UrbcParams(64, 2, 0.25, make_code("block_repeat", 8, 4))
+    params = UrbcParams(64, 2, 0.25, make_code("block_repeat", 8, 4), family="all")
     qecm = QecmParams(64, 2, family="all")
     for i in range(5):
-        out = run_urbc(params, trial_rng(31, i), family="all")
+        out = run_urbc(params, trial_rng(31, i))
         assert out.g == 1 and out.f == 1 and out.y_hat == out.y
     words = proto._qecm_words(qecm, "measure_computational", None)
     reader = TrialReader(trial_words(stream_key(31, proto._QECM_STREAM), words, 0, 5))
@@ -530,6 +484,8 @@ def test_urbc_hiding_exact_is_zero():
         urbc_hiding_exact(
             UrbcParams(4, 1, 0.5, make_code("repetition", 2), scheme="hash_based")
         )
+    with pytest.raises(ValueError, match="register family"):
+        urbc_hiding_exact(UrbcParams(4, 1, 0.5, make_code("repetition", 2), family="all"))
 
 
 # ------------------------------------------------------------------
@@ -914,11 +870,12 @@ def test_qecm_distinguishing_game_window_is_rounded_once(monkeypatch, n, ell, ex
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-@pytest.mark.parametrize("kind,scheme", [
-    ("correctness", "ideal"), ("correctness", "hash_based"), ("binding", "ideal"),
-])
-def test_urbc_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, scheme):
-    params = _urbc_params(scheme=scheme)
+@pytest.mark.parametrize("kind,scheme,family", [
+    ("correctness", "ideal", "register"), ("correctness", "hash_based", "register"),
+    ("binding", "ideal", "register"), ("binding", "hash_based", "all"),
+], ids=["correctness-ideal", "correctness-hash_based", "binding-ideal", "binding-hash_based-all"])
+def test_urbc_batch_counts_equal_per_trial_runs(monkeypatch, seed, kind, scheme, family):
+    params = _urbc_params(scheme=scheme, family=family)
     words = proto._urbc_words(params)
     _small_blocks(monkeypatch, words)
     rep = urbc_experiment(kind, params, trials=ORACLE_TRIALS, seed=seed)
@@ -1258,6 +1215,7 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
 _HAMMING = make_code("hamming74")
 _URBC_REPLAY = UrbcParams(14, 2, 2 / 7, _HAMMING)
 _URBC_HASH = UrbcParams(14, 2, 2 / 7, _HAMMING, scheme="hash_based")
+_URBC_ALL = UrbcParams(14, 2, 2 / 7, _HAMMING, family="all")
 _QKD_REPLAY = QkdParams(14, 2, 0.0, 2 / 7, _HAMMING)
 _QKD_TOLERANT = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
 _QECM_ALL8 = QecmParams(8, 2, family="all")
@@ -1300,12 +1258,12 @@ _REPLAYS = {
         lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="measure_computational")),
         "4a0978616ceba9a708132bfd7062aa9ff18dd5739fc3e59a96180cc7b393ffb9"),
     "urbc-all": (
-        proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY, "all"),
-        lambda rng: run_urbc(_URBC_REPLAY, rng, family="all"),
+        proto._URBC_STREAM, proto._urbc_words(_URBC_ALL),
+        lambda rng: run_urbc(_URBC_ALL, rng),
         "72ec819c60a575457aa62888bfd4b51d461a85670b547b8cde0eea5b8a1cd907"),
     "urbc-all-binding": (
-        proto._URBC_STREAM, proto._urbc_words(_URBC_REPLAY, "all"),
-        lambda rng: run_urbc(_URBC_REPLAY, rng, alice="binding_attack", family="all"),
+        proto._URBC_STREAM, proto._urbc_words(_URBC_ALL),
+        lambda rng: run_urbc(_URBC_ALL, rng, alice="binding_attack"),
         "4afff8e556b2b816ea9bc61cecfdb2811df7d69a2831c053ca6a137ea1ebe049"),
     # the sha256 base commitment's token and nonce bytes
     "urbc-hash": (
