@@ -1220,12 +1220,20 @@ _QKD_REPLAY = QkdParams(14, 2, 0.0, 2 / 7, _HAMMING)
 _QKD_TOLERANT = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
 _QECM_ALL8 = QecmParams(8, 2, family="all")
 _NOISE = PauliNoise(0.1, 0.1)
+_TFKW_REPLAY = TfkwParams(16, 0.0, make_code("repetition", 8))
 
 
 def _with_eve_guess(outcome):
     """Log Eve's message guess at the end of the transcript, so a digest
     pins her read of the state as well as the messages."""
     outcome.transcript.send("eve", "eve", "message_guess", outcome.m_check)
+    return outcome
+
+
+def _with_key_guess(outcome):
+    """Log Eve's key guess at the end of the transcript (see
+    ``_with_eve_guess``)."""
+    outcome.transcript.send("eve", "eve", "key_guess", outcome.eve_guess)
     return outcome
 
 
@@ -1257,6 +1265,11 @@ _REPLAYS = {
         proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, "measure_computational", None),
         lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="measure_computational")),
         "4a0978616ceba9a708132bfd7062aa9ff18dd5739fc3e59a96180cc7b393ffb9"),
+    # the register family's computational read and Eve's forwarded string
+    "qecm-measure_computational": (
+        proto._QECM_STREAM, proto._qecm_words(_QECM, "measure_computational", None),
+        lambda rng: _with_eve_guess(run_qecm_id(_QECM, rng, eve="measure_computational")),
+        "a34ad2e6dd4b7c2d6a4f0a0b7f4613e553cf4e946f5e533bdee4a1dbe2ac90f9"),
     "urbc-all": (
         proto._URBC_STREAM, proto._urbc_words(_URBC_ALL),
         lambda rng: run_urbc(_URBC_ALL, rng),
@@ -1287,6 +1300,20 @@ _REPLAYS = {
         proto._QKD_STREAM, proto._riqkd_words(_QKD_TOLERANT, None, InterceptResend()),
         lambda rng: run_riqkd(_QKD_TOLERANT, rng, eve=InterceptResend()),
         "ef2aeb010ed3fe0a9cab1960965780b5c54b322f6020d3339aa3928044843d53"),
+    # the reference protocol: honest, under noise (84 of the 200 pass the
+    # estimate, so both branches occur) and under the substitution attack
+    "tfkw": (
+        proto._TFKW_STREAM, proto._tfkw_words(_TFKW_REPLAY, None),
+        lambda rng: run_tfkw(_TFKW_REPLAY, rng),
+        "758165ec35aefb4274faee5035af93c8f663a11389e8673a8b3c85b86c889d87"),
+    "tfkw-noise": (
+        proto._TFKW_STREAM, proto._tfkw_words(_TFKW_REPLAY, _NOISE),
+        lambda rng: run_tfkw(_TFKW_REPLAY, rng, noise=_NOISE),
+        "3159dc8990b95358713ba02930e6c689ed7420befe44ac87d7f170d4010154f1"),
+    "tfkw-substitute": (
+        proto._TFKW_STREAM, proto._tfkw_words(_TFKW_REPLAY, None),
+        lambda rng: _with_key_guess(run_tfkw(_TFKW_REPLAY, rng, eve="substitute_zero")),
+        "d66d320900238aad27d2d94a572b654678ba1152fe167110b13bdb8e5d81ad37"),
 }
 
 
