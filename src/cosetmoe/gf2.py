@@ -36,25 +36,21 @@ __all__ = [
 ]
 
 
-def _as_bits(bits, n: int | None = None) -> np.ndarray:
-    # ``& 1`` makes a fresh array: freezing it never touches the caller's
-    arr = np.asarray(bits, dtype=np.uint8) & 1
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional bit sequence")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"expected length {n}, got {arr.shape[0]}")
-    arr.flags.writeable = False
-    return arr
+_U8 = np.dtype(np.uint8)
+# byte -> its low bit, and bit -> ASCII digit, for ``bytes.translate``
+_LOW_BIT = bytes(i & 1 for i in range(256))
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _int(packed: np.ndarray, n: int) -> int:
-    """n bits packed by ``np.packbits`` (zero-padded at the end) as an integer."""
-    return int.from_bytes(packed.tobytes(), "big") >> (-n % 8)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """The low bits of a uint8 array, flattened, as a fresh read-only array:
+    it reads an immutable bytes copy, so it never shares the caller's memory."""
+    return np.frombuffer(arr.tobytes().translate(_LOW_BIT), _U8)
 
 
-def _hex(value: int, n: int) -> str:
-    """An n-bit integer as ceil(n/4) hex digits (at least one)."""
-    return format(value, f"0{max(1, (n + 3) // 4)}x")
+def _hex_width(n: int) -> int:
+    """Hex digits that write an n-bit integer: ceil(n/4), at least one."""
+    return (n + 3) // 4 or 1
 
 
 class Gf2Vec:
@@ -63,7 +59,10 @@ class Gf2Vec:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int]):
-        object.__setattr__(self, "_bits", _as_bits(bits))
+        arr = np.asarray(bits, _U8)
+        if arr.ndim != 1:
+            raise ValueError("expected a one-dimensional bit sequence")
+        object.__setattr__(self, "_bits", _frozen(arr))
 
     # -- constructors -------------------------------------------------
 
@@ -84,7 +83,7 @@ class Gf2Vec:
 
     @property
     def n(self) -> int:
-        return int(self._bits.shape[0])
+        return len(self._bits)
 
     @property
     def bits(self) -> np.ndarray:
@@ -92,11 +91,11 @@ class Gf2Vec:
         return self._bits
 
     def to_int(self) -> int:
-        return _int(np.packbits(self._bits), self.n)
+        return int(self._bits.tobytes().translate(_DIGIT) or b"0", 2)
 
     def to_hex(self) -> str:
         """Hex string, most significant bit first, width ceil(n/4) digits."""
-        return _hex(self.to_int(), self.n)
+        return "%0*x" % (_hex_width(len(self._bits)), self.to_int())
 
     def weight(self) -> int:
         return int(self._bits.sum())
@@ -137,11 +136,10 @@ class Gf2Matrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=np.uint8) & 1  # a fresh array, as in _as_bits
+        arr = np.asarray(rows, _U8)
         if arr.ndim != 2:
             raise ValueError("expected a two-dimensional bit array")
-        arr.flags.writeable = False
-        object.__setattr__(self, "_rows", arr)
+        object.__setattr__(self, "_rows", _frozen(arr).reshape(arr.shape))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -274,9 +272,10 @@ class Gf2Subspace:
         pivots = tuple(sorted({int(i) for i in positions}))
         if pivots and (pivots[0] < 0 or pivots[-1] >= n):
             raise ValueError("position out of range")
-        basis = np.zeros((len(pivots), n), dtype=np.uint8)
-        basis[np.arange(len(pivots)), pivots] = 1
-        return cls.__new__(cls)._store(n, basis, pivots)
+        basis = bytearray(len(pivots) * n)
+        for row, col in enumerate(pivots):
+            basis[row * n + col] = 1
+        return cls.__new__(cls)._store(n, np.frombuffer(basis, _U8), pivots)
 
     # -- structure ----------------------------------------------------
 
@@ -325,10 +324,14 @@ class Gf2Subspace:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
+        """``{"n": n, "basis": [...]}``, each basis row as ``Gf2Vec.to_hex``
+        writes it."""
+        n, width = self._n, _hex_width(self._n)
+        digits = self._basis.rows.tobytes().translate(_DIGIT)
         return {
-            "n": self._n,
-            "basis": [_hex(_int(p, self._n), self._n)
-                      for p in np.packbits(self._basis.rows, axis=1)],
+            "n": n,
+            "basis": ["%0*x" % (width, int(digits[i * n:(i + 1) * n], 2))
+                      for i in range(len(self._pivots))],
         }
 
     def __eq__(self, other) -> bool:

@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,8 +142,7 @@ def _counters(*flags: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One protocol message; classical payloads are always Eve-visible."""
 
     idx: int
@@ -155,22 +154,33 @@ class Message:
     eve_visible: bool = True
 
 
-_PAYLOAD_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_esc = json.encoder.encode_basestring_ascii
 
 
-def _jsonable(value) -> object:
+def _json(value) -> str:
+    """A payload's sorted-key compact JSON: a Gf2Vec is its hex string, an
+    IndexSubset its index list, a tuple a list, bytes their hex string, and
+    a dict's keys are strings; any other type but str, int, bool and None
+    raises TypeError."""
+    if isinstance(value, str):
+        return _esc(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, Gf2Vec):
-        return value.to_hex()
+        return f'"{value.to_hex()}"'
     if isinstance(value, IndexSubset):
-        return list(value.indices)
+        return f"[{','.join(map(_json, value.indices))}]"
     if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
+        return f"[{','.join(map(_json, value))}]"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        items = {str(k): v for k, v in value.items()}
+        return "{" + ",".join(f"{_esc(k)}:{_json(items[k])}" for k in sorted(items)) + "}"
     if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
+        return f'"{value.hex()}"'
+    if value is None:
+        return "null"
     raise TypeError(f"cannot serialize payload of type {type(value).__name__}")
 
 
@@ -219,18 +229,17 @@ class Transcript:
         and ``:`` without spaces, strings ASCII-escaped.  ``payload_hex`` is
         a Gf2Vec payload's own hex, or else the hex of the UTF-8 bytes of
         the payload's sorted-key compact JSON."""
-        esc = json.encoder.encode_basestring_ascii
         lines = []
-        for m in self._messages:
-            if m.quantum:
-                key, value = "qreg_id", m.payload
-            elif isinstance(m.payload, Gf2Vec):
-                key, value = "payload_hex", m.payload.to_hex()
+        for idx, sender, receiver, label, payload, quantum, eve_visible in self._messages:
+            if quantum:
+                field = f'"qreg_id":{_esc(payload)}'
+            elif isinstance(payload, Gf2Vec):
+                field = f'"payload_hex":"{payload.to_hex()}"'
             else:
-                key, value = "payload_hex", _PAYLOAD_JSON.encode(_jsonable(m.payload)).encode().hex()
-            lines.append(f'{{"idx":{m.idx},"from":{esc(m.sender)},"to":{esc(m.receiver)},'
-                         f'"label":{esc(m.label)},"{key}":{esc(value)},'
-                         f'"eve_visible":{"true" if m.eve_visible else "false"}}}')
+                field = f'"payload_hex":"{_json(payload).encode().hex()}"'
+            lines.append(f'{{"idx":{idx},"from":{_esc(sender)},"to":{_esc(receiver)},'
+                         f'"label":{_esc(label)},{field},'
+                         f'"eve_visible":{"true" if eve_visible else "false"}}}')
         return "\n".join(lines)
 
 
@@ -333,7 +342,7 @@ class _CosetStates:
         without elimination."""
         if self.theta is None:
             return self.subspaces[row]
-        return Gf2Subspace.register(self.n, np.flatnonzero(self.theta[row]))
+        return Gf2Subspace.register(self.n, self.theta[row].nonzero()[0].tolist())
 
 
 def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
@@ -881,8 +890,8 @@ def run_urbc(
     tr.send("bob", "alice", "position_response", Gf2Vec(b.t_hat[0]))
     g = int(b.g[0])
     tr.send("alice", "bob", "check_flag", g)
-    spot = np.flatnonzero(b.spot[0])
-    tr.send("bob", "alice", "spot_subset", IndexSubset(params.half, tuple(int(i) for i in spot)))
+    spot = b.spot[0].nonzero()[0]
+    tr.send("bob", "alice", "spot_subset", IndexSubset(params.half, spot.tolist()))
     tr.send("alice", "bob", "syndrome", Gf2Vec(b.syn_sent[0]))
     tr.send("alice", "bob", "spot_bits", Gf2Vec(b.reveal_tp[0][spot]))
     tr.send("alice", "bob", "opening", (token, seed, h, opening))
@@ -1222,8 +1231,8 @@ def run_riqkd(
 
     # error correction and information reconciliation
     tr.send("bob", "alice", "syndrome_response", Gf2Vec(b.syn_hat[0]))
-    spot = np.flatnonzero(b.spot[0])
-    tr.send("alice", "bob", "spot_subset", IndexSubset(half, tuple(int(i) for i in spot)))
+    spot = b.spot[0].nonzero()[0]
+    tr.send("alice", "bob", "spot_subset", IndexSubset(half, spot.tolist()))
     tr.send("bob", "alice", "spot_response", Gf2Vec(b.tp_hat[0][spot]))
     mismatches = int(b.mismatches[0])
     if mismatches:
@@ -1413,8 +1422,8 @@ def run_tfkw(
     tr.send("bob", "alice", "receipt", 1)
     tr.send("alice", "bob", "basis_string", Gf2Vec(b.theta[0]))
 
-    check = np.flatnonzero(b.check[0])
-    tr.send("alice", "bob", "spot_subset", IndexSubset(params.n, tuple(int(i) for i in check)))
+    check = b.check[0].nonzero()[0]
+    tr.send("alice", "bob", "spot_subset", IndexSubset(params.n, check.tolist()))
     tr.send("alice", "bob", "spot_bits", Gf2Vec(b.x[0][check]))
     est_distance = int(b.est_distance[0])
     if not b.f[0]:
