@@ -16,7 +16,8 @@ Conventions shared by every subcommand:
 * floats are printed with 12 significant digits and reports contain no
   timestamps, so identical argv + seed gives identical output bytes for any
   thread count;
-* exit codes: 0 success, 1 a bound/criterion check failed, 2 config error.
+* exit codes: 0 success, 1 a bound/criterion check failed, 2 config error;
+  a sweep exits 0 once every grid point has run, whatever its rows' pass flags.
 """
 
 from __future__ import annotations

@@ -351,6 +351,13 @@ def test_subspace_json_roundtrip():
         payload = a.to_json()
         assert payload["n"] == 8
         assert Gf2Subspace(8, [_from_hex(h, 8) for h in payload["basis"]]) == a
+    rng = np.random.default_rng(97)
+    for n in (1, 5, 8, 14, 70):
+        for _ in range(20):
+            a = Gf2Subspace.register(n, np.flatnonzero(rng.integers(0, 2, size=n)))
+            payload = a.to_json()
+            assert payload["n"] == n
+            assert Gf2Subspace(n, [_from_hex(h, n) for h in payload["basis"]]) == a
 
 
 def test_hex_is_msb_first():

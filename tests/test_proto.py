@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
 from cosetmoe.ext import ToeplitzExtractor
-from cosetmoe.gf2 import Gf2Vec, sample_subspace, solve_coset_membership
+from cosetmoe.gf2 import Gf2Vec, IndexSubset, sample_subspace, solve_coset_membership
 from cosetmoe.mc import (
     TrialReader,
     bits_from_words,
@@ -97,6 +99,70 @@ def test_transcript_rejects_unserialisable_payloads():
     tr.send("a", "b", "bad", object())
     with pytest.raises(TypeError):
         tr.to_jsonl()
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), np.uint8(1), np.bool_(True), 0.5,
+    (1, np.int64(2)), {"k": [np.int32(0)]}, IndexSubset(4, np.array([1, 2])),
+])
+def test_transcript_rejects_numpy_and_float_payloads(payload):
+    tr = Transcript()
+    tr.send("a", "b", "bad", payload)
+    with pytest.raises(TypeError):
+        tr.to_jsonl()
+
+
+def _jsonable(value):
+    """The payload as plain JSON values, by the rule in ``to_jsonl``'s
+    docstring: a Gf2Vec is its hex, an IndexSubset its index list, a tuple
+    a list, bytes their hex and dict keys strings."""
+    if isinstance(value, Gf2Vec):
+        return value.to_hex()
+    if isinstance(value, IndexSubset):
+        return list(value.indices)
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, bytes):
+        return value.hex()
+    return value
+
+
+_vecs = st.lists(st.integers(0, 1), max_size=70).map(Gf2Vec)
+_subsets = st.integers(1, 20).flatmap(
+    lambda n: st.sets(st.integers(0, n - 1)).map(lambda idx: IndexSubset(n, tuple(idx))))
+_payloads = st.recursive(
+    st.integers() | st.booleans() | st.none() | st.text() | st.binary() | _vecs | _subsets,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | st.integers(), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@given(st.lists(st.tuples(st.text(), st.text(), _payloads, st.booleans()), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_transcript_jsonl_matches_the_documented_rule(sends):
+    tr = Transcript()
+    for sender, label, payload, quantum in sends:
+        if quantum:
+            tr.send_quantum(sender, "bob", label, label)
+        else:
+            tr.send(sender, "bob", label, payload)
+    text = tr.to_jsonl()
+    want = []
+    for idx, (sender, label, payload, quantum) in enumerate(sends):
+        row = {"idx": idx, "from": sender, "to": "bob", "label": label}
+        if quantum:
+            row["qreg_id"] = label
+        elif isinstance(payload, Gf2Vec):
+            row["payload_hex"] = payload.to_hex()
+        else:
+            body = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
+            row["payload_hex"] = body.encode().hex()
+        row["eve_visible"] = not quantum
+        want.append(json.dumps(row, separators=(",", ":")))
+    assert text == "\n".join(want)
 
 
 def test_pauli_noise_flips_only_matching_basis():

@@ -113,7 +113,7 @@ def test_prepare_plus_zero_example():
 
 def test_prepare_matches_wiesner_tensor_product():
     rng = np.random.default_rng(3)
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 10, 12):
         for _ in range(10):
             d = random_descriptor(n, "register", rng)
             sv = prepare_coset_state(d).payload.amps
@@ -342,32 +342,34 @@ def test_unitary_preserves_norm():
 def test_backend_equivalence_chi_squared():
     # one state, |a_{t,t'}> with record (x, θ) written out, read two ways:
     # the statevector after the noise oracle, measured in the coset basis,
-    # and the register read x ^ PauliNoise.flips(θ, keys) on an mc window
-    n, trials, dx, dz = 4, 20_000, 0.25, 0.25
+    # and the register read x ^ PauliNoise.flips(θ, keys) on an mc window.
+    # With dx != dz a read that mixes up the θ=0 and θ=1 qubits fails.
+    n, trials = 4, 20_000
     a = span(n, e(0, n).bits, e(2, n).bits)
     d = CosetDescriptor(a, Gf2Vec([1, 0]), Gf2Vec([0, 1]))
     x = np.array([0, 1, 1, 0], dtype=np.uint8)
     theta = np.array([1, 0, 1, 0], dtype=np.uint8)
-    # exact per-qubit outcome distribution: a flip lands on a stored bit
-    # when the sampled Pauli anticommutes with its basis
     cells = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 8 - n:]
-    flip = np.where(theta == 0, dx, dz)
-    expected = np.where(cells != x, flip, 1 - flip).prod(axis=1) * trials
-    rng = np.random.default_rng(71)
     base = prepare_coset_state(d)
-    sv_counts = np.zeros(16)
-    for _ in range(trials):
-        t_hat, tp_hat = measure_coset_basis(pauli_noise(base, dx, dz, rng), a, rng)
-        # reassemble the raw outcome string for binning
-        v = coset_rep(a, t_hat) + Gf2Vec([tp_hat[0], 0, tp_hat[1], 0])
-        sv_counts[v.to_int()] += 1
-    keys = TrialReader(trial_words(71, words_for(key_fields=(n,)), 0, trials)).keys(n)
-    reads = x ^ PauliNoise(dx, dz).flips(theta, keys)
-    register_counts = np.bincount(reads @ (1 << np.arange(n - 1, -1, -1)), minlength=16)
     threshold = 37.70  # χ², 15 dof, 0.999 quantile
-    for name, counts in (("statevector", sv_counts), ("register", register_counts)):
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < threshold, f"{name} χ² = {chi2}"
+    for dx, dz in ((0.25, 0.25), (0.1, 0.3)):
+        # exact per-qubit outcome distribution: a flip lands on a stored bit
+        # when the sampled Pauli anticommutes with its basis
+        flip = np.where(theta == 0, dx, dz)
+        expected = np.where(cells != x, flip, 1 - flip).prod(axis=1) * trials
+        rng = np.random.default_rng(71)
+        sv_counts = np.zeros(16)
+        for _ in range(trials):
+            t_hat, tp_hat = measure_coset_basis(pauli_noise(base, dx, dz, rng), a, rng)
+            # reassemble the raw outcome string for binning
+            v = coset_rep(a, t_hat) + Gf2Vec([tp_hat[0], 0, tp_hat[1], 0])
+            sv_counts[v.to_int()] += 1
+        keys = TrialReader(trial_words(71, words_for(key_fields=(n,)), 0, trials)).keys(n)
+        reads = x ^ PauliNoise(dx, dz).flips(theta, keys)
+        register_counts = np.bincount(reads @ (1 << np.arange(n - 1, -1, -1)), minlength=16)
+        for name, counts in (("statevector", sv_counts), ("register", register_counts)):
+            chi2 = float(((counts - expected) ** 2 / expected).sum())
+            assert chi2 < threshold, f"{name} at (dx, dz) = ({dx}, {dz}): χ² = {chi2}"
 
 
 # ------------------------------------------------------ coset overlap
