@@ -269,7 +269,7 @@ class Gf2Subspace:
         """The register subspace spanned by e_i for i in ``positions``.  Its
         unit rows in increasing position order are the canonical basis, with
         the positions as pivots, so no elimination is needed."""
-        pivots = tuple(sorted({int(i) for i in positions}))
+        pivots = tuple(sorted(set(map(int, positions))))
         if pivots and (pivots[0] < 0 or pivots[-1] >= n):
             raise ValueError("position out of range")
         basis = bytearray(len(pivots) * n)
@@ -331,7 +331,7 @@ class Gf2Subspace:
         return {
             "n": n,
             "basis": ["%0*x" % (width, int(digits[i * n:(i + 1) * n], 2))
-                      for i in range(len(self._pivots))],
+                      for i in range(self.dim)],
         }
 
     def __eq__(self, other) -> bool:
