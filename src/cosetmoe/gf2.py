@@ -45,7 +45,10 @@ _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """The low bits of a uint8 array, flattened, as a fresh read-only array:
     it reads an immutable bytes copy, so it never shares the caller's memory."""
-    return np.frombuffer(arr.tobytes().translate(_LOW_BIT), _U8)
+    raw = arr.tobytes()
+    if raw.translate(None, b"\x00\x01"):  # an entry above 1: keep its low bit
+        raw = raw.translate(_LOW_BIT)
+    return np.frombuffer(raw, _U8)
 
 
 def _hex_width(n: int) -> int:

@@ -40,6 +40,12 @@ def test_constructors_own_their_bits():
     assert v.bits.tolist() == [1, 0, 1] and m.rows.tolist() == [[1, 0], [0, 1]]
     assert v_src.flags.writeable and m_src.flags.writeable
     assert not v.bits.flags.writeable and not m.rows.flags.writeable
+    # a source already in {0, 1} is copied as well; larger entries keep their low bit
+    w_src = np.array([1, 0, 1], dtype=np.uint8)
+    w = Gf2Vec(w_src)
+    w_src[:] = 0
+    assert w.bits.tolist() == [1, 0, 1] and not w.bits.flags.writeable
+    assert Gf2Vec(np.array([255, 254, 2, 1], dtype=np.uint8)).bits.tolist() == [1, 0, 0, 1]
 
 
 # ---------------------------------------------------------------- rref
