@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import inspect
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +60,19 @@ def _sigma(p, trials):
     return math.sqrt(p * (1 - p) / trials)
 
 
+def _window_rng(seed, stream, words, trial):
+    """A generator positioned at the start of a trial's window."""
+    bitgen = np.random.Philox(key=stream_key(seed, stream))
+    bitgen.advance(trial * words // 4)
+    return np.random.Generator(bitgen)
+
+
+def _windows(seed, stream, words, trials):
+    """The windows of trials [0, trials) of an experiment's stream, one per
+    row, as the experiment's batch kernel reads them."""
+    return TrialReader(trial_words(stream_key(seed, stream), words, 0, trials))
+
+
 # ------------------------------------------------------------------
 # plumbing
 # ------------------------------------------------------------------
@@ -71,6 +86,16 @@ def test_trial_rng_is_deterministic_and_decorrelated():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         trial_rng(-1, 0)
+
+
+def test_only_the_key_space_tests_call_trial_rng():
+    # runs and statistics read the experiments' windows (_window_rng, or a
+    # batch kernel on _windows), so no count rests on a second key space
+    callers = {name for name, fn in globals().items()
+               if inspect.isfunction(fn) and fn.__module__ == __name__
+               and re.search(r"\btrial_rng\(", inspect.getsource(fn))}
+    assert callers == {"test_trial_rng_is_deterministic_and_decorrelated",
+                       "test_protocol_streams_do_not_alias_moe_or_trial_rng"}
 
 
 def test_transcript_labels_and_serialisation():
@@ -250,8 +275,9 @@ def test_qecm_params_validation():
 
 def test_qecm_honest_runs_always_decrypt():
     params = QecmParams(8, 2)
+    words = proto._qecm_words(params, None, None)
     for i in range(400):
-        out = run_qecm_id(params, trial_rng(11, i))
+        out = run_qecm_id(params, _window_rng(11, proto._QECM_STREAM, words, i))
         assert out.f == 1
         assert out.m_hat == out.m
         assert out.m_check is None
@@ -265,26 +291,26 @@ def test_qecm_honest_runs_always_decrypt():
 
 def test_qecm_honest_runs_statevector_family():
     params = QecmParams(4, 1, family="all")
+    words = proto._qecm_words(params, None, None)
     for i in range(60):
-        out = run_qecm_id(params, trial_rng(12, i))
+        out = run_qecm_id(params, _window_rng(12, proto._QECM_STREAM, words, i))
         assert out.f == 1 and out.m_hat == out.m
 
 
 def test_qecm_keep_all_accept_rate_is_blind_guessing():
-    params = QecmParams(8, 2)
     trials = 20_000
-    accepts = sum(
-        run_qecm_id(params, trial_rng(13, i), eve="keep_all").f for i in range(trials)
-    )
+    rep = qecm_experiment("uncloneable", QecmParams(8, 2), adversary="keep_all",
+                          trials=trials, seed=13)
     p = 2.0 ** -4
-    assert abs(accepts / trials - p) <= 3 * _sigma(p, trials)
+    assert abs(rep["accepts"] / trials - p) <= 3 * _sigma(p, trials)
 
 
 def test_qecm_keep_all_eve_decrypts_exactly_on_accept():
     params = QecmParams(8, 2)
+    words = proto._qecm_words(params, "keep_all", None)
     seen_accept = False
     for i in range(600):
-        out = run_qecm_id(params, trial_rng(14, i), eve="keep_all")
+        out = run_qecm_id(params, _window_rng(14, proto._QECM_STREAM, words, i), eve="keep_all")
         if out.f == 1:
             seen_accept = True
             assert out.m_check == out.m  # she kept the whole state
@@ -292,39 +318,38 @@ def test_qecm_keep_all_eve_decrypts_exactly_on_accept():
 
 
 def test_qecm_measure_computational_never_aborts():
-    params = QecmParams(8, 2)
-    wins = 0
     trials = 3000
-    for i in range(trials):
-        out = run_qecm_id(params, trial_rng(15, i), eve="measure_computational")
-        assert out.f == 1  # the forwarded string decodes the position exactly
-        wins += int(out.m_check == out.m)
+    rep = qecm_experiment("uncloneable", QecmParams(8, 2), adversary="measure_computational",
+                          trials=trials, seed=15)
+    assert rep["accepts"] == trials  # the forwarded string decodes the position exactly
     # Eve's phase read is a fresh coin string: the pad matches only by chance
     p = 2.0 ** -2 + 2.0 ** -4 * (1 - 2.0 ** -2)
-    assert abs(wins / trials - p) <= 4 * _sigma(p, trials)
+    assert abs(rep["wins"] / trials - p) <= 4 * _sigma(p, trials)
 
 
 def test_qecm_accept_is_message_independent():
     params = QecmParams(8, 2)
     trials = 5000
-    rates = []
+    accepts = []
     for m_int in (0, 3):
-        fixed = Gf2Vec.from_int(m_int, 2)
-        acc = sum(
-            run_qecm_id(params, trial_rng(16, i), eve="keep_all", message=fixed).f
-            for i in range(trials)
-        )
-        rates.append(acc / trials)
+        fixed = Gf2Vec.from_int(m_int, 2).bits
+        words = proto._qecm_words(params, "keep_all", fixed)
+        windows = _windows(16, proto._QECM_STREAM, words, trials)
+        accepts.append(proto._qecm_batch(params, windows, "keep_all", fixed).f)
+    # both messages run on the same windows, so Alice accepts the same rows
+    assert np.array_equal(accepts[0], accepts[1])
+    rates = [f.mean() for f in accepts]
     p = 2.0 ** -4
     assert abs(rates[0] - rates[1]) <= 3 * math.sqrt(2 * p * (1 - p) / trials)
 
 
 def test_qecm_message_length_and_eve_kind_validation():
     params = QecmParams(8, 2)
+    rng = _window_rng(0, proto._QECM_STREAM, proto._qecm_words(params, None, None), 0)
     with pytest.raises(ValueError):
-        run_qecm_id(params, trial_rng(0, 0), message=Gf2Vec([1, 0, 1]))
+        run_qecm_id(params, rng, message=Gf2Vec([1, 0, 1]))
     with pytest.raises(ValueError):
-        run_qecm_id(params, trial_rng(0, 0), eve="clone")
+        run_qecm_id(params, rng, eve="clone")
 
 
 def test_qecm_correctness_experiment():
@@ -406,8 +431,9 @@ def test_urbc_params_validation():
 
 def test_urbc_honest_roundtrip():
     params = _urbc_params()
+    words = proto._urbc_words(params)
     for i in range(300):
-        out = run_urbc(params, trial_rng(21, i))
+        out = run_urbc(params, _window_rng(21, proto._URBC_STREAM, words, i))
         assert out.g == 1 and out.f == 1
         assert out.y_hat == out.y
     labels = [m.label for m in out.transcript.messages]
@@ -420,8 +446,9 @@ def test_urbc_honest_roundtrip():
 
 def test_urbc_honest_roundtrip_hash_scheme():
     params = _urbc_params(scheme="hash_based")
+    words = proto._urbc_words(params)
     for i in range(50):
-        out = run_urbc(params, trial_rng(22, i))
+        out = run_urbc(params, _window_rng(22, proto._URBC_STREAM, words, i))
         assert out.f == 1 and out.y_hat == out.y
 
 
@@ -429,10 +456,10 @@ def test_urbc_committed_string_is_uniform():
     # y = extract(t', r) + h with h uniform, so the opened string is exactly
     # uniform; chi-square over the four two-bit values
     params = _urbc_params()
-    counts = np.zeros(4, dtype=np.int64)
     trials = 5000
-    for i in range(trials):
-        counts[run_urbc(params, trial_rng(23, i)).y.to_int()] += 1
+    windows = _windows(23, proto._URBC_STREAM, proto._urbc_words(params), trials)
+    y = proto._urbc_batch(params, windows, "honest").y
+    counts = np.bincount(2 * y[:, 0] + y[:, 1], minlength=4)
     expected = trials / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 16.27  # p ~ 1e-3 at three degrees of freedom
@@ -441,14 +468,11 @@ def test_urbc_committed_string_is_uniform():
 def test_urbc_binding_attack_rate_matches_hypergeometric():
     params = _urbc_params()
     trials = 10_000
-    accepts = 0
-    mismatched_on_accept = 0
-    for i in range(trials):
-        out = run_urbc(params, trial_rng(24, i), alice="binding_attack")
-        assert out.g == 1  # the check phase is played honestly
-        if out.f:
-            accepts += 1
-            mismatched_on_accept += int(out.y_hat != out.y)
+    windows = _windows(24, proto._URBC_STREAM, proto._urbc_words(params), trials)
+    b = proto._urbc_batch(params, windows, "binding_attack")
+    assert b.g.all()  # the check phase is played honestly
+    accepts = int(b.f.sum())
+    mismatched_on_accept = int((b.f & (b.y_hat != b.y).any(axis=1)).sum())
     rate = accepts / trials
     target = math.comb(4, 2) / math.comb(7, 2)  # spot misses the codeword
     assert abs(rate - target) <= 3 * _sigma(target, trials)
@@ -479,8 +503,9 @@ def _urbc_all_params(scheme="ideal"):
 @pytest.mark.parametrize("scheme", ["ideal", "hash_based"])
 def test_urbc_general_family_honest_runs(scheme):
     params = _urbc_all_params(scheme)
+    words = proto._urbc_words(params)
     for i in range(40):
-        out = run_urbc(params, trial_rng(28, i))
+        out = run_urbc(params, _window_rng(28, proto._URBC_STREAM, words, i))
         assert out.g == 1 and out.f == 1
         assert out.y_hat == out.y
 
@@ -491,8 +516,10 @@ def test_urbc_general_family_binding_attack_never_opens():
     params = _urbc_all_params()
     w = min_weight_codeword(params.code).weight()
     assert math.comb(params.half - w, params.spot_size) == 0
+    words = proto._urbc_words(params)
     for i in range(40):
-        out = run_urbc(params, trial_rng(29, i), alice="binding_attack")
+        out = run_urbc(params, _window_rng(29, proto._URBC_STREAM, words, i),
+                       alice="binding_attack")
         assert out.g == 1 and out.f == 0 and out.y_hat is None
 
 
@@ -518,8 +545,9 @@ def test_general_family_runs_past_the_statevector_limit():
     # both closed-form reads at n = 64, beyond any 2^n statevector
     params = UrbcParams(64, 2, 0.25, make_code("block_repeat", 8, 4), family="all")
     qecm = QecmParams(64, 2, family="all")
+    words = proto._urbc_words(params)
     for i in range(5):
-        out = run_urbc(params, trial_rng(31, i))
+        out = run_urbc(params, _window_rng(31, proto._URBC_STREAM, words, i))
         assert out.g == 1 and out.f == 1 and out.y_hat == out.y
     words = proto._qecm_words(qecm, "measure_computational", None)
     reader = TrialReader(trial_words(stream_key(31, proto._QECM_STREAM), words, 0, 5))
@@ -529,8 +557,11 @@ def test_general_family_runs_past_the_statevector_limit():
         t, _ = solve_coset_membership(b.states.subspace(i), Gf2Vec(b.states.forwarded[i]))
         assert np.array_equal(t.bits, b.t_hat[i])
     # one 53-bit uniform picks c, so it cannot cover more than 2^53 coset elements
+    over = QecmParams(108, 2, family="all")
+    rng = _window_rng(31, proto._QECM_STREAM,
+                      proto._qecm_words(over, "measure_computational", None), 0)
     with pytest.raises(ValueError, match="n <= 106"):
-        run_qecm_id(QecmParams(108, 2, family="all"), trial_rng(31, 0), eve="measure_computational")
+        run_qecm_id(over, rng, eve="measure_computational")
 
 
 def test_urbc_hiding_exact_is_zero():
@@ -570,8 +601,9 @@ def test_qkd_params_validation():
 
 def test_riqkd_honest_noiseless():
     params = _qkd_params()
+    words = proto._riqkd_words(params, None, None)
     for i in range(200):
-        out = run_riqkd(params, trial_rng(31, i))
+        out = run_riqkd(params, _window_rng(31, proto._QKD_STREAM, words, i))
         assert out.f == 1
         assert out.k == out.k_hat
         assert out.est_distance == 0 and out.recon_mismatches == 0
@@ -588,17 +620,19 @@ def test_riqkd_honest_noiseless():
 
 def test_riqkd_transcript_is_reproducible():
     params = _qkd_params()
-    a = run_riqkd(params, trial_rng(32, 5)).transcript.to_jsonl()
-    b = run_riqkd(params, trial_rng(32, 5)).transcript.to_jsonl()
+    words = proto._riqkd_words(params, None, None)
+    a = run_riqkd(params, _window_rng(32, proto._QKD_STREAM, words, 5)).transcript.to_jsonl()
+    b = run_riqkd(params, _window_rng(32, proto._QKD_STREAM, words, 5)).transcript.to_jsonl()
     assert a == b
 
 
 def test_riqkd_flags_match_transcript():
     params = _qkd_params(gamma=0.25, eta=0.25)
     noise = PauliNoise(dx=0.15, dz=0.05)
+    words = proto._riqkd_words(params, noise, None)
     saw_abort = saw_accept = False
     for i in range(300):
-        out = run_riqkd(params, trial_rng(33, i), noise=noise)
+        out = run_riqkd(params, _window_rng(33, proto._QKD_STREAM, words, i), noise=noise)
         tr = out.transcript
         est_ok = out.est_distance <= params.gamma * params.half
         assert tr.value("estimate_flag") == int(est_ok)
@@ -624,9 +658,10 @@ def test_riqkd_tolerated_noise_still_yields_matching_keys():
     # essentially always within the decoding radius at this seed
     params = _qkd_params(gamma=0.25)
     noise = PauliNoise(dx=0.0, dz=0.02)
+    words = proto._riqkd_words(params, noise, None)
     accepted = 0
     for i in range(300):
-        out = run_riqkd(params, trial_rng(34, i), noise=noise)
+        out = run_riqkd(params, _window_rng(34, proto._QKD_STREAM, words, i), noise=noise)
         if out.f:
             accepted += 1
             assert out.k == out.k_hat
@@ -636,7 +671,9 @@ def test_riqkd_tolerated_noise_still_yields_matching_keys():
 def test_riqkd_position_noise_moves_the_estimate():
     params = _qkd_params(gamma=0.5)
     noise = PauliNoise(dx=0.2, dz=0.0)
-    dists = [run_riqkd(params, trial_rng(35, i), noise=noise).est_distance
+    words = proto._riqkd_words(params, noise, None)
+    dists = [run_riqkd(params, _window_rng(35, proto._QKD_STREAM, words, i),
+                       noise=noise).est_distance
              for i in range(200)]
     mean = sum(dists) / len(dists)
     assert 0.8 < mean < 2.6  # Binomial(8, 0.2) has mean 1.6
@@ -645,13 +682,10 @@ def test_riqkd_position_noise_moves_the_estimate():
 def test_riqkd_device_fault_matches_closed_form():
     params = QkdParams(14, 2, 0.0, 2.0 / 7.0, make_code("hamming74"))
     trials = 10_000
-    accepts = wrong = 0
-    for i in range(trials):
-        out = run_riqkd(params, trial_rng(36, i), device=SyndromeFault())
-        accepts += out.f
-        wrong += int(out.f == 1 and out.k != out.k_hat)
+    rep = riqkd_experiment("device_fault", params, trials=trials, seed=36)
     # the fault codeword survives the spot check with the hypergeometric rate
-    rate = accepts / trials
+    rate = rep["accepts"] / trials
+    wrong = rep["wrong_key_accepts"]
     assert abs(rate - 6 / 21) <= 3 * _sigma(6 / 21, trials)
     # and the keys then disagree unless the extractor kills the codeword
     target = (6 / 21) * 0.75
@@ -669,28 +703,20 @@ def test_riqkd_device_fault_experiment_report():
 def test_riqkd_keep_and_substitute_is_mostly_caught():
     params = _qkd_params(n=8, eta=0.25, code=make_code("repetition", 4))
     trials = 20_000
-    accepts = 0
-    for i in range(trials):
-        out = run_riqkd(params, trial_rng(38, i), eve=KeepAndSubstitute())
-        if out.f:
-            accepts += 1
-            # on the rare accept she holds the genuine record: her corrected
-            # phase word is Alice's, so her key guess is exact
-            assert out.eve_guess == out.k
+    rep = secrecy_probe(params, eve=KeepAndSubstitute(), trials=trials, seed=38)
+    # on the rare accept she holds the genuine record: her corrected phase
+    # word is Alice's, so her key guess is exact
+    assert rep["guess_and_accept"] == rep["accepts"]
     p = 2.0 ** -4
-    assert accepts / trials <= p + 3 * _sigma(p, trials)
+    assert rep["accepts"] / trials <= p + 3 * _sigma(p, trials)
 
 
 def test_riqkd_intercept_resend_is_caught():
     params = _qkd_params(n=64, gamma=0.03, eta=0.25,
                          code=make_code("block_repeat", 8, 4))
     trials = 5000
-    joint = sum(
-        run_riqkd(params, trial_rng(39, i), eve=InterceptResend()).f
-        for i in range(trials)
-    )
-    honest = sum(run_riqkd(params, trial_rng(40, i)).f for i in range(200))
-    assert honest == 200
+    joint = secrecy_probe(params, eve=InterceptResend(), trials=trials, seed=39)["accepts"]
+    assert riqkd_experiment("correctness", params, trials=200, seed=40)["aborts"] == 0
     assert joint / trials < 1e-2
 
 
@@ -706,12 +732,13 @@ def test_riqkd_completeness_experiment():
 
 def test_riqkd_experiment_kind_and_device_validation():
     params = _qkd_params()
+    rng = _window_rng(0, proto._QKD_STREAM, proto._riqkd_words(params, None, None), 0)
     with pytest.raises(ValueError):
         riqkd_experiment("entangle", params, trials=10, seed=0)
     with pytest.raises(ValueError):
-        run_riqkd(params, trial_rng(0, 0), device="noisy")
+        run_riqkd(params, rng, device="noisy")
     with pytest.raises(ValueError):
-        run_riqkd(params, trial_rng(0, 0), eve="listen")
+        run_riqkd(params, rng, eve="listen")
 
 
 # ------------------------------------------------------------------
@@ -736,8 +763,9 @@ def test_tfkw_params_validation():
 
 def test_tfkw_honest_noiseless():
     params = _tfkw_params()
+    words = proto._tfkw_words(params, None)
     for i in range(100):
-        out = run_tfkw(params, trial_rng(51, i))
+        out = run_tfkw(params, _window_rng(51, proto._TFKW_STREAM, words, i))
         assert out.f == 1 and out.k == out.k_hat and out.est_distance == 0
 
 
@@ -753,7 +781,9 @@ def test_tfkw_substitution_attack_breaks_the_protocol():
 
 def test_tfkw_total_noise_aborts():
     params = _tfkw_params()
-    out = run_tfkw(params, trial_rng(53, 0), noise=PauliNoise(dx=1.0, dz=1.0))
+    noise = PauliNoise(dx=1.0, dz=1.0)
+    rng = _window_rng(53, proto._TFKW_STREAM, proto._tfkw_words(params, noise), 0)
+    out = run_tfkw(params, rng, noise=noise)
     assert out.f == 0 and out.k is None
     assert out.est_distance == params.check_size
 
@@ -762,8 +792,9 @@ def test_tfkw_honest_experiment_counts():
     rep = tfkw_experiment(_tfkw_params(), trials=50, seed=54)
     assert rep["aborts"] == 0 and rep["key_matches"] == 50
     assert not rep["broken"]
+    rng = _window_rng(0, proto._TFKW_STREAM, proto._tfkw_words(_tfkw_params(), None), 0)
     with pytest.raises(ValueError):
-        run_tfkw(_tfkw_params(), trial_rng(0, 0), eve="substitute_one")
+        run_tfkw(_tfkw_params(), rng, eve="substitute_one")
 
 
 # ------------------------------------------------------------------
@@ -831,13 +862,6 @@ ORACLE_TRIALS = 40  # two 16-trial blocks and a partial one (see _small_blocks)
 def _small_blocks(monkeypatch, words):
     """Make run_blocks use 16-trial blocks for a window of ``words`` words."""
     monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * words)
-
-
-def _window_rng(seed, stream, words, trial):
-    """A generator positioned at the start of a trial's window."""
-    bitgen = np.random.Philox(key=stream_key(seed, stream))
-    bitgen.advance(trial * words // 4)
-    return np.random.Generator(bitgen)
 
 
 def _prefix(rng, *bit_fields):
@@ -1241,7 +1265,7 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
     first = {name: tuple(trial_words(key, 4, 0, 1)[0]) for name, key in keys.items()}
     assert len(set(first.values())) == 5
     # nor do they meet the per-trial generators, which no experiment uses
-    # but tests and replays do
+    # (the README example and perfbench's replays do)
     per_trial = {tuple(trial_rng(seed, i).bit_generator.random_raw(4)) for i in range(64)}
     assert len(per_trial) == 64
     assert not per_trial & set(first.values())
