@@ -31,10 +31,6 @@ __all__ = [
     "make_code",
     "make_code_from_config",
     "code_to_json",
-    "syndrome",
-    "coset_leader",
-    "correct",
-    "align_correction",
     "min_weight_codeword",
     "syndrome_batch",
     "leader_batch",
@@ -288,13 +284,6 @@ def code_to_json(code: LinearCode) -> dict:
     }
 
 
-def syndrome(code: LinearCode, x: Gf2Vec) -> Gf2Vec:
-    """H·x; zero exactly on codewords."""
-    if x.n != code.length:
-        raise ValueError(f"expected length {code.length}, got {x.n}")
-    return code.parity_check.mulvec(x)
-
-
 def _block_leader(block_params: tuple[int, int], syn_bits: np.ndarray) -> np.ndarray:
     """Closed-form per-block leaders for repetition-structured codes.
 
@@ -316,40 +305,6 @@ def _block_leader(block_params: tuple[int, int], syn_bits: np.ndarray) -> np.nda
     return out.reshape(*syn_bits.shape[:-1], k * b)
 
 
-def coset_leader(code: LinearCode, syn: Gf2Vec) -> Gf2Vec:
-    """Minimum-weight vector with the given syndrome (lexicographic tie-break)."""
-    if syn.n != code.syndrome_length:
-        raise ValueError(
-            f"expected syndrome length {code.syndrome_length}, got {syn.n}"
-        )
-    bp = code.block_params
-    if bp is not None:
-        return Gf2Vec(_block_leader(bp, syn.bits))
-    if not code.has_decoder():
-        raise ValueError("no coset-leader decoder for this code")
-    return Gf2Vec(code._dense_leaders[syn.to_int()])
-
-
-def correct(code: LinearCode, x: Gf2Vec) -> Gf2Vec:
-    """Nearest codeword to x (syndrome decoding through the coset leader)."""
-    return x + coset_leader(code, syndrome(code, x))
-
-
-def align_correction(code: LinearCode, t_prime: Gf2Vec, target_syndrome: Gf2Vec) -> Gf2Vec:
-    """Move t' onto the target syndrome by adding the leader of the syndrome gap.
-
-    Returns tbar = t' + leader(syndrome(t') + target).  Always satisfies
-    syndrome(tbar) = target, so tbar and any other string with that syndrome
-    differ by a codeword; and whenever the target is the syndrome of a string
-    within the packing radius of t', tbar recovers that string exactly.
-    """
-    if target_syndrome.n != code.syndrome_length:
-        raise ValueError(
-            f"expected syndrome length {code.syndrome_length}, got {target_syndrome.n}"
-        )
-    return t_prime + coset_leader(code, syndrome(code, t_prime) + target_syndrome)
-
-
 def min_weight_codeword(code: LinearCode) -> Gf2Vec:
     """A nonzero codeword of minimum weight, built once per code; see
     ``LinearCode.min_weight_codeword``."""
@@ -357,8 +312,7 @@ def min_weight_codeword(code: LinearCode) -> Gf2Vec:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised forms used by the Monte Carlo protocol kernels.  Rows of `words`
-# / `syns` / `targets` are independent trials.
+# The coding operations, one trial per row of `words` / `syns` / `targets`.
 
 def syndrome_batch(code: LinearCode, words: np.ndarray) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint8)
@@ -390,6 +344,16 @@ def leader_batch(code: LinearCode, syns: np.ndarray) -> np.ndarray:
 
 
 def align_batch(code: LinearCode, t_primes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise align_correction."""
-    gaps = syndrome_batch(code, t_primes) ^ np.asarray(targets, dtype=np.uint8)
+    """Move each row t' onto its target syndrome by adding the leader of the
+    syndrome gap: tbar = t' + leader(syndrome(t') + target).
+
+    Always satisfies syndrome(tbar) = target, so tbar and any other string
+    with that syndrome differ by a codeword; and whenever the target is the
+    syndrome of a string within the packing radius of t', tbar recovers that
+    string exactly.  A target row must hold ``syndrome_length`` bits.
+    """
+    targets = np.asarray(targets, dtype=np.uint8)
+    if targets.shape[-1:] != (code.syndrome_length,):
+        raise ValueError(f"expected target row length {code.syndrome_length}")
+    gaps = syndrome_batch(code, t_primes) ^ targets
     return np.asarray(t_primes, dtype=np.uint8) ^ leader_batch(code, gaps)

@@ -8,18 +8,14 @@ import pytest
 from cosetmoe.ecc import (
     LinearCode,
     align_batch,
-    align_correction,
     code_to_json,
-    correct,
-    coset_leader,
     leader_batch,
     make_code,
     make_code_from_config,
     min_weight_codeword,
-    syndrome,
     syndrome_batch,
 )
-from cosetmoe.gf2 import Gf2Vec, hamming
+from cosetmoe.gf2 import Gf2Vec
 
 
 def codewords(code):
@@ -29,12 +25,6 @@ def codewords(code):
         row = code.generator.row(i)
         words = words + [w + row for w in words]
     return words
-
-
-def unit(n, i):
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[i] = 1
-    return Gf2Vec(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -118,33 +108,34 @@ def test_config_returns_the_code_already_built():
 # ---------------------------------------------------------------------------
 # syndromes
 
+def _syndromes(code, words):
+    """Reference syndromes: one H·x product per row."""
+    return np.array([code.parity_check.mulvec(Gf2Vec(w)).bits for w in words], dtype=np.uint8)
+
+
 def test_syndrome_of_codewords_is_zero():
     for c in (make_code("hamming74"), make_code("block_repeat", 3, 2)):
-        for w in codewords(c):
-            assert syndrome(c, w) == Gf2Vec.zeros(c.syndrome_length)
+        words = np.array([w.bits for w in codewords(c)])
+        assert not syndrome_batch(c, words).any()
 
 
 def test_syndrome_of_single_flip_reads_parity_check_column():
     c = make_code("hamming74")
-    base = codewords(c)[5]
-    seen = set()
-    for i in range(7):
-        s = syndrome(c, base + unit(7, i))
-        assert s.bits.tolist() == c.parity_check.rows[:, i].tolist()
-        assert s.to_int() != 0
-        seen.add(s.to_int())
-    assert len(seen) == 7
+    base = codewords(c)[5].bits
+    syns = syndrome_batch(c, base ^ np.eye(7, dtype=np.uint8))
+    assert np.array_equal(syns.T, c.parity_check.rows)
+    assert syns.any(axis=1).all()
+    assert len({tuple(s) for s in syns.tolist()}) == 7
 
 
 def test_syndrome_linearity_and_length_check():
     c = make_code("hamming74")
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = Gf2Vec(rng.integers(0, 2, 7, dtype=np.uint8))
-        y = Gf2Vec(rng.integers(0, 2, 7, dtype=np.uint8))
-        assert syndrome(c, x + y) == syndrome(c, x) + syndrome(c, y)
+    x = rng.integers(0, 2, (50, 7), dtype=np.uint8)
+    y = rng.integers(0, 2, (50, 7), dtype=np.uint8)
+    assert np.array_equal(syndrome_batch(c, x ^ y), syndrome_batch(c, x) ^ syndrome_batch(c, y))
     with pytest.raises(ValueError):
-        syndrome(c, Gf2Vec.zeros(6))
+        syndrome_batch(c, np.zeros(6, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +147,19 @@ def _leader_table(code):
     return {Gf2Vec.from_int(key, s): Gf2Vec(row) for key, row in enumerate(code._dense_leaders)}
 
 
+def _decode(code, words):
+    """Nearest codewords: each row aligned onto the zero syndrome."""
+    words = np.asarray(words, dtype=np.uint8)
+    return align_batch(code, words, np.zeros((len(words), code.syndrome_length), dtype=np.uint8))
+
+
 def test_leader_table_exhaustively_minimal_hamming74():
     c = make_code("hamming74")
     table = _leader_table(c)
     assert len(table) == 8
     words = codewords(c)
     for syn, leader in table.items():
-        assert syndrome(c, leader) == syn
+        assert c.parity_check.mulvec(leader) == syn
         coset_weights = [(leader + w).weight() for w in words]
         assert leader.weight() == min(coset_weights)
 
@@ -176,18 +173,15 @@ def test_leader_closed_form_matches_table():
         make_code("block_repeat", 3, 3),
         make_code("block_repeat", 4, 2),
     ):
-        table = _leader_table(c)
-        every = np.array([syn.bits for syn in table], dtype=np.uint8)
+        every = np.array([syn.bits for syn in _leader_table(c)], dtype=np.uint8)
         assert np.array_equal(leader_batch(c, every), c._dense_leaders), c.kind
-        for syn, leader in table.items():
-            assert coset_leader(c, syn) == leader, (c.kind, syn)
 
 
 def test_leader_tie_break_is_lexicographic():
     c = make_code("repetition", 4)
-    for s_int in range(1 << 3):
-        syn = Gf2Vec.from_int(s_int, 3)
-        leader = coset_leader(c, syn)
+    every = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.uint8)
+    for row in leader_batch(c, every):
+        leader = Gf2Vec(row)
         coset = [leader + w for w in codewords(c)]
         ties = [v for v in coset if v.weight() == leader.weight()]
         assert min(tuple(v.bits) for v in ties) == tuple(leader.bits)
@@ -226,22 +220,22 @@ def test_leader_lookup_matches_the_word_by_word_scan(args):
 
 def test_correct_examples():
     c = make_code("hamming74")
-    for w in codewords(c):
-        assert correct(c, w) == w
-        for i in range(7):
-            assert correct(c, w + unit(7, i)) == w
+    words = np.array([w.bits for w in codewords(c)])
+    assert np.array_equal(_decode(c, words), words)
+    # every single flip of every codeword decodes back to it
+    flipped = (words[:, None, :] ^ np.eye(7, dtype=np.uint8)).reshape(-1, 7)
+    assert np.array_equal(_decode(c, flipped), np.repeat(words, 7, axis=0))
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = Gf2Vec(rng.integers(0, 2, 7, dtype=np.uint8))
-        w = codewords(c)[rng.integers(16)]
-        assert correct(c, x + w) == correct(c, x) + w
+    x = rng.integers(0, 2, (50, 7), dtype=np.uint8)
+    w = words[rng.integers(16, size=50)]
+    assert np.array_equal(_decode(c, x ^ w), _decode(c, x) ^ w)
 
 
 def test_correct_needs_a_decoder():
     c = make_code("random_linear", 30, 4, 2)
     assert c.syndrome_length == 26 and not c.has_decoder()
     with pytest.raises(ValueError):
-        correct(c, Gf2Vec.zeros(30))
+        _decode(c, np.zeros((1, 30)))
     with pytest.raises(ValueError):
         c._dense_leaders
 
@@ -252,7 +246,7 @@ def test_one_decoder_limit_at_twenty_syndrome_bits():
     with pytest.raises(ValueError):
         leader_batch(over, np.zeros((1, 21), dtype=np.uint8))
     with pytest.raises(ValueError):
-        coset_leader(over, Gf2Vec.zeros(21))
+        align_batch(over, np.zeros((1, 23)), np.zeros((1, 21)))
     with pytest.raises(ValueError):
         over._dense_leaders
     at = make_code("random_linear", 22, 2, 0)
@@ -264,75 +258,78 @@ def test_one_decoder_limit_at_twenty_syndrome_bits():
 
 
 # ---------------------------------------------------------------------------
-# align_correction
+# align_batch
+
+_ALL_SEVEN_BIT = np.array(list(itertools.product((0, 1), repeat=7)), dtype=np.uint8)
+
 
 def test_align_fixed_point():
     c = make_code("hamming74")
-    for x_int in range(1 << 7):
-        x = Gf2Vec.from_int(x_int, 7)
-        assert align_correction(c, x, syndrome(c, x)) == x
+    x = _ALL_SEVEN_BIT
+    assert np.array_equal(align_batch(c, x, _syndromes(c, x)), x)
 
 
 def test_align_from_codeword_adds_the_leader():
     c = make_code("hamming74")
-    for w in codewords(c):
-        for i in range(7):
-            target = syndrome(c, unit(7, i))
-            assert align_correction(c, w, target) == w + unit(7, i)
+    units = np.eye(7, dtype=np.uint8)
+    words = np.array([w.bits for w in codewords(c)])
+    starts = np.repeat(words, 7, axis=0)
+    targets = np.tile(_syndromes(c, units), (len(words), 1))
+    assert np.array_equal(align_batch(c, starts, targets), starts ^ np.tile(units, (len(words), 1)))
 
 
 def test_align_syndrome_postcondition_random():
     c = make_code("hamming74")
     rng = np.random.default_rng(5)
-    for _ in range(1000):
-        tp = Gf2Vec(rng.integers(0, 2, 7, dtype=np.uint8))
-        target = Gf2Vec(rng.integers(0, 2, 3, dtype=np.uint8))
-        tbar = align_correction(c, tp, target)
-        assert syndrome(c, tbar) == target
+    tp = rng.integers(0, 2, (1000, 7), dtype=np.uint8)
+    target = rng.integers(0, 2, (1000, 3), dtype=np.uint8)
+    assert np.array_equal(_syndromes(c, align_batch(c, tp, target)), target)
 
 
 def test_align_recovers_within_packing_radius_exhaustive():
     # radius floor((d-1)/2) = 1 for hamming74: every single-bit perturbation of
     # any t' is reconstructed exactly from its syndrome
     c = make_code("hamming74")
-    for x_int in range(1 << 7):
-        tp = Gf2Vec.from_int(x_int, 7)
-        for err in [Gf2Vec.zeros(7)] + [unit(7, i) for i in range(7)]:
-            that = tp + err
-            assert align_correction(c, tp, syndrome(c, that)) == that
+    errors = np.vstack([np.zeros((1, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8)])
+    tp = np.repeat(_ALL_SEVEN_BIT, len(errors), axis=0)
+    that = tp ^ np.tile(errors, (len(_ALL_SEVEN_BIT), 1))
+    assert np.array_equal(align_batch(c, tp, _syndromes(c, that)), that)
 
 
 def test_align_recovers_within_packing_radius_sampled_block_repeat():
     c = make_code("block_repeat", 7, 3)
     radius = (c.distance - 1) // 2
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        tp = Gf2Vec(rng.integers(0, 2, c.length, dtype=np.uint8))
+    tp = np.empty((200, c.length), dtype=np.uint8)
+    err = np.zeros((200, c.length), dtype=np.uint8)
+    for i in range(200):
+        tp[i] = rng.integers(0, 2, c.length, dtype=np.uint8)
         nflips = int(rng.integers(0, radius + 1))
-        err = np.zeros(c.length, dtype=np.uint8)
-        err[rng.choice(c.length, size=nflips, replace=False)] = 1
-        that = tp + Gf2Vec(err)
-        assert align_correction(c, tp, syndrome(c, that)) == that
+        err[i, rng.choice(c.length, size=nflips, replace=False)] = 1
+    that = tp ^ err
+    assert np.array_equal(align_batch(c, tp, _syndromes(c, that)), that)
 
 
 def test_equal_syndromes_differ_by_at_least_the_distance():
     for c in (make_code("hamming74"), make_code("block_repeat", 3, 2)):
-        words = codewords(c)
+        words = np.array([w.bits for w in codewords(c)])
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            that = Gf2Vec(rng.integers(0, 2, c.length, dtype=np.uint8))
-            w = words[rng.integers(1, len(words))]
-            tbar = that + w
-            assert syndrome(c, tbar) == syndrome(c, that)
-            assert hamming(tbar, that) >= c.distance
+        that = rng.integers(0, 2, (100, c.length), dtype=np.uint8)
+        tbar = that ^ words[rng.integers(1, len(words), size=100)]
+        assert np.array_equal(_syndromes(c, tbar), _syndromes(c, that))
+        assert ((tbar ^ that).sum(axis=1) >= c.distance).all()
 
 
 def test_align_length_validation():
     c = make_code("hamming74")
     with pytest.raises(ValueError):
-        align_correction(c, Gf2Vec.zeros(7), Gf2Vec.zeros(4))
+        align_batch(c, np.zeros((1, 7)), np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        coset_leader(c, Gf2Vec.zeros(2))
+        leader_batch(c, np.zeros((1, 2)))
+    # a target row shorter than the syndrome is refused, not broadcast
+    for short in ([1], 1, np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="target row length 3"):
+            align_batch(c, np.zeros((2, 7)), short)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +338,12 @@ def test_align_length_validation():
 def test_min_weight_codeword():
     c = make_code("hamming74")
     w = min_weight_codeword(c)
-    assert w.weight() == 3 and syndrome(c, w) == Gf2Vec.zeros(3)
+    assert w.weight() == 3 and c.parity_check.mulvec(w) == Gf2Vec.zeros(3)
     assert min_weight_codeword(make_code("repetition", 4)) == Gf2Vec((1, 1, 1, 1))
     assert min_weight_codeword(make_code("block_repeat", 3, 2)) == Gf2Vec((0, 0, 0, 1, 1, 1))
     c = make_code("random_linear", 10, 4, 7)
     w = min_weight_codeword(c)
-    assert w.weight() == c.distance and syndrome(c, w) == Gf2Vec.zeros(6)
+    assert w.weight() == c.distance and c.parity_check.mulvec(w) == Gf2Vec.zeros(6)
     smallest = min(tuple(v.bits) for v in codewords(c) if v.weight() == c.distance)
     assert tuple(w.bits) == smallest
     assert min_weight_codeword(c) is w  # built once per code
@@ -363,38 +360,42 @@ def _block_rule_leader(code, syn):
     return out
 
 
-def test_batch_operations_match_scalar():
+def test_batch_operations_match_references():
     rng = np.random.default_rng(21)
     # block_repeat(63, 30) is criterion 12's code; block_repeat(4, 5) has even
     # blocks, where 3/8 of the random block syndromes are ties
     for c in (make_code("hamming74"), make_code("block_repeat", 5, 3),
               make_code("block_repeat", 63, 30), make_code("block_repeat", 4, 5)):
+        table = _leader_table(c) if c.block_params is None else None
+
+        def leader_of(syn):
+            if table is None:
+                return _block_rule_leader(c, syn)
+            return table[Gf2Vec(syn)].bits.tolist()
+
         words = rng.integers(0, 2, size=(40, c.length), dtype=np.uint8)
         syns = syndrome_batch(c, words)
         targets = rng.integers(0, 2, size=(40, c.syndrome_length), dtype=np.uint8)
         leaders = leader_batch(c, targets)
         aligned = align_batch(c, words, targets)
+        want_syns = _syndromes(c, words)
+        assert np.array_equal(syns, want_syns)
         for i in range(40):
-            assert syns[i].tolist() == syndrome(c, Gf2Vec(words[i])).bits.tolist()
-            assert leaders[i].tolist() == coset_leader(c, Gf2Vec(targets[i])).bits.tolist()
-            if c.block_params is not None:
-                assert leaders[i].tolist() == _block_rule_leader(c, targets[i])
-            expect = align_correction(c, Gf2Vec(words[i]), Gf2Vec(targets[i]))
-            assert aligned[i].tolist() == expect.bits.tolist()
+            assert leaders[i].tolist() == leader_of(targets[i])
+            gap_leader = np.array(leader_of(want_syns[i] ^ targets[i]), dtype=np.uint8)
+            assert aligned[i].tolist() == (words[i] ^ gap_leader).tolist()
 
 
 def test_syndrome_batch_matches_per_word_syndrome():
     # hamming74 and random_linear have no block structure: both take the
     # floating-point product and its integer parity
     rng = np.random.default_rng(29)
-    every = np.array(list(itertools.product((0, 1), repeat=7)), dtype=np.uint8)
     random = rng.integers(0, 2, size=(500, 40), dtype=np.uint8)
-    for c, words in ((make_code("hamming74"), every),
+    for c, words in ((make_code("hamming74"), _ALL_SEVEN_BIT),
                      (make_code("random_linear", 40, 20, 1), random)):
         syns = syndrome_batch(c, words)
         assert syns.dtype == np.uint8
-        for word, syn in zip(words, syns):
-            assert syn.tolist() == syndrome(c, Gf2Vec(word)).bits.tolist()
+        assert np.array_equal(syns, _syndromes(c, words))
 
 
 def test_batch_shape_validation():
