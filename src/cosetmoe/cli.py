@@ -48,7 +48,7 @@ from .info import (
     verify_combinatorial_bound,
 )
 from .mc import binomial_sigma
-from .moe import MoeParams, alternating_basis, analytic_win, builtin_strategy, play_leaky
+from .moe import MoeParams, alternating_basis, builtin_strategy, play_leaky
 from .proto import (
     InterceptResend,
     KeepAndSubstitute,
@@ -353,8 +353,7 @@ def _run_moe(config: dict, threads: int) -> dict:
     result = play_leaky(params, strategy, leak=config["leak"],
                         threads=threads, backend=config["backend"])
     bound = moe_bound(params.n, params.m, params.m_prime)
-    analytic = analytic_win(kind, params, q=config["q"], theta_hat=theta_hat,
-                            substitute=substitute, leak=config["leak"])
+    analytic = strategy.analytic(params, config["leak"])
     sigma = binomial_sigma(bound, params.trials)
     report = {
         "experiment": "moe", "kind": kind, "n": params.n, "family": params.family,
@@ -520,7 +519,7 @@ def _sweep_row(param: str, value, report: dict) -> dict:
     else:
         row["wilson_low"] = row["wilson_high"] = None
     row["bound"] = next((report[f] for f in _BOUND_FIELDS if f in report), None)
-    row["pass"] = report.get("pass", report.get("broken"))
+    row["pass"] = report["pass"]
     return row
 
 
@@ -657,7 +656,7 @@ def _check_moe_kernel(kind: str, trials, seed, threads) -> tuple[bool, float]:
     kwargs = {"theta_hat": alternating_basis(params.n)} if kind == "measure_wiesner" else {}
     strategy = builtin_strategy(kind, **kwargs)
     result = play_leaky(params, strategy, threads=threads)
-    target = analytic_win(kind, params, **kwargs)
+    target = strategy.analytic(params)
     sigma = binomial_sigma(target, params.trials)
     return abs(result.estimate - target) <= 4 * sigma, result.estimate
 

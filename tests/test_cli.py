@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cosetmoe import mc
-from cosetmoe.cli import CHECKS, SWEEP_COLUMNS, _json_text, dispatch, emit_report
+from cosetmoe.cli import CHECKS, SWEEP_COLUMNS, _EXPERIMENTS, _json_text, dispatch, emit_report
 
 
 def _run(capsys, *argv):
@@ -403,8 +403,12 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_ARGVS))
 def test_report_bytes_are_pinned(capsys, name):
-    code, out, _ = _run(capsys, *GOLDEN_ARGVS[name])
+    argv = GOLDEN_ARGVS[name]
+    code, out, _ = _run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_DIGESTS[name]
+    if argv[0] in _EXPERIMENTS and "--format" not in argv:
+        # every experiment's verdict, which sweep rows and the exit code read
+        assert type(json.loads(out)["pass"]) is bool
 
 
 # Every subcommand that takes --threads.  The -blocks argvs span two kernel
