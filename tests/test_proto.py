@@ -550,8 +550,8 @@ def test_general_family_runs_past_the_statevector_limit():
         out = run_urbc(params, _window_rng(31, proto._URBC_STREAM, words, i))
         assert out.g == 1 and out.f == 1 and out.y_hat == out.y
     words = proto._qecm_words(qecm, "measure_computational", None)
-    reader = TrialReader(trial_words(stream_key(31, proto._QECM_STREAM), words, 0, 5))
-    b = proto._qecm_batch(qecm, reader, "measure_computational", None)
+    b = proto._qecm_batch(qecm, _windows(31, proto._QECM_STREAM, words, 5),
+                          "measure_computational", None)
     assert b.f.all() and np.array_equal(b.m_check, b.m_hat)
     for i in range(5):  # each forwarded string lies in the coset of its t
         t, _ = solve_coset_membership(b.states.subspace(i), Gf2Vec(b.states.forwarded[i]))
