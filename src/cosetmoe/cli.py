@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -59,24 +58,14 @@ from .proto import (
     UrbcParams,
     qecm_experiment,
     riqkd_experiment,
+    secrecy_exact,
     secrecy_probe,
     tfkw_experiment,
     urbc_experiment,
 )
 from .qsim import CosetDescriptor, WiesnerRecord, prepare_coset_state
 
-__all__ = ["CHECKS", "RunSpec", "dispatch", "emit_report", "main", "selftest_checks"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """What one invocation asked for, before config resolution."""
-
-    subcommand: str
-    config_path: Optional[str]
-    overrides: tuple[str, ...]
-    out: Optional[str]
-    seed: Optional[int]
+__all__ = ["CHECKS", "dispatch", "emit_report", "main", "selftest_checks"]
 
 
 # ------------------------------------------------------------------
@@ -95,12 +84,13 @@ def _parse_override(item: str) -> tuple[str, object]:
     return key, value
 
 
-def _resolve_config(spec: RunSpec, defaults: dict, trials: Optional[int]) -> dict:
+def _resolve_config(defaults: dict, config_path: Optional[str], overrides,
+                    trials: Optional[int], seed: Optional[int]) -> dict:
     """defaults <- config file <- --set overrides <- --trials and --seed."""
     config = dict(defaults)
-    if spec.config_path is not None:
+    if config_path is not None:
         try:
-            with open(spec.config_path) as fh:
+            with open(config_path) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read config: {exc}")
@@ -108,14 +98,14 @@ def _resolve_config(spec: RunSpec, defaults: dict, trials: Optional[int]) -> dic
             raise click.UsageError("config file must hold a JSON object")
         _reject_unknown(loaded, defaults, "config file")
         config.update(loaded)
-    for item in spec.overrides:
+    for item in overrides:
         key, value = _parse_override(item)
         _reject_unknown({key: value}, defaults, "--set")
         config[key] = value
     if trials is not None:
         config["trials"] = trials
-    if spec.seed is not None:
-        config["seed"] = spec.seed
+    if seed is not None:
+        config["seed"] = seed
     return config
 
 
@@ -261,10 +251,6 @@ def _common_options(fn):
     return fn
 
 
-def _spec(subcommand, config_path, overrides, out, seed) -> RunSpec:
-    return RunSpec(subcommand, config_path, tuple(overrides), out, seed)
-
-
 @click.group()
 @click.version_option(__version__, prog_name="cosetmoe")
 def cli():
@@ -319,7 +305,7 @@ def bounds_cmd(n, m, m_prime, d, s, eta, gamma, delta, kappa, ell, epsilon, out,
 _MOE_DEFAULTS = {
     "n": 8, "family": "register", "m": 0, "m_prime": 0, "kind": "bob_all",
     "q": 0.5, "theta_hat": None, "substitute_x": None, "substitute_theta": None,
-    "leak": True, "backend": "auto", "trials": 10_000, "seed": 0,
+    "leak": True, "trials": 10_000, "seed": 0,
 }
 
 
@@ -350,8 +336,7 @@ def _run_moe(config: dict, threads: int) -> dict:
         )
     strategy = builtin_strategy(kind, q=config["q"], theta_hat=theta_hat,
                                 substitute=substitute)
-    result = play_leaky(params, strategy, leak=config["leak"],
-                        threads=threads, backend=config["backend"])
+    result = play_leaky(params, strategy, leak=config["leak"], threads=threads)
     bound = moe_bound(params.n, params.m, params.m_prime)
     analytic = strategy.analytic(params, config["leak"])
     sigma = binomial_sigma(bound, params.trials)
@@ -473,8 +458,7 @@ def _experiment_command(name: str, help_text: str):
     @_common_options
     def _cmd(config_path, overrides, seed, trials, threads, out, fmt):
         defaults, runner = _EXPERIMENTS[name]
-        spec = _spec(name, config_path, overrides, out, seed)
-        config = _resolve_config(spec, defaults, trials)
+        config = _resolve_config(defaults, config_path, overrides, trials, seed)
         try:
             result = runner(config, threads or 1)
         except ValueError as exc:
@@ -499,25 +483,23 @@ _experiment_command("tfkw", "Reference one-sided protocol, honest or under attac
 # ------------------------------------------------------------------
 
 
-_ESTIMATE_FIELDS = ("estimate", "abort_estimate", "accept_rate", "disagreement_rate",
-                    "max_trace_distance", "trace_distance", "guess_estimate")
+_WILSON_PREFIXES = ("", "abort_", "guess_")
+_RATE_FIELDS = ("disagreement_rate", "max_trace_distance", "trace_distance")
 _BOUND_FIELDS = ("bound", "binding_bound", "completeness_bound", "correctness_bound",
                  "epsilon_bound", "secrecy_bound")
-_WILSON_PREFIXES = ("", "abort_", "guess_")
 
 
 def _sweep_row(param: str, value, report: dict) -> dict:
+    """One CSV row.  The estimate and its Wilson interval come from the same
+    prefix; a report with no interval gives its rate, or no estimate."""
     row = {"param": param, "value": value}
-    row["estimate"] = next(
-        (report[f] for f in _ESTIMATE_FIELDS if f in report), None
-    )
-    for prefix in _WILSON_PREFIXES:
-        if prefix + "wilson_low" in report:
-            row["wilson_low"] = report[prefix + "wilson_low"]
-            row["wilson_high"] = report[prefix + "wilson_high"]
-            break
-    else:
+    prefix = next((p for p in _WILSON_PREFIXES if p + "estimate" in report), None)
+    if prefix is None:
+        row["estimate"] = next((report[f] for f in _RATE_FIELDS if f in report), None)
         row["wilson_low"] = row["wilson_high"] = None
+    else:
+        for col in ("estimate", "wilson_low", "wilson_high"):
+            row[col] = report[prefix + col]
     row["bound"] = next((report[f] for f in _BOUND_FIELDS if f in report), None)
     row["pass"] = report["pass"]
     return row
@@ -538,8 +520,7 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
     defaults, runner = _EXPERIMENTS[experiment]
     if param not in defaults:
         raise click.UsageError(f"unknown sweep parameter {param!r}")
-    spec = _spec("sweep", config_path, overrides, out, seed)
-    config = _resolve_config(spec, defaults, trials)
+    config = _resolve_config(defaults, config_path, overrides, trials, seed)
     grid = np.linspace(start, stop, steps) if steps else np.array([])
     integral = isinstance(defaults[param], int) and not isinstance(defaults[param], bool)
     rows = []
@@ -673,7 +654,7 @@ def _check_urbc_binding(size, seed, threads) -> tuple[bool, float]:
     rep = urbc_experiment("binding", params, trials=trials, seed=seed, threads=threads)
     rate, target = rep["estimate"], rep["analytic_rate"]  # target = 6/21
     sigma = binomial_sigma(target, trials)
-    return abs(rate - target) <= band * sigma and rate <= 16.0 / 49.0, rate
+    return abs(rate - target) <= band * sigma and rate <= rep["binding_bound"], rate
 
 
 def _check_riqkd_honest(trials, seed, threads) -> tuple[bool, float]:
@@ -700,7 +681,7 @@ def _check_tfkw_attack(trials, seed, threads) -> tuple[bool, float]:
 
 def _check_secrecy_exact(size, seed, threads) -> tuple[bool, float]:
     params = QkdParams(6, 1, 0.0, 1.0 / 3.0, make_code("repetition", 3))
-    rep = secrecy_probe(params, mode="exact")
+    rep = secrecy_exact(params)
     return abs(rep["trace_distance"] - 0.5) <= 1e-12, rep["trace_distance"]
 
 

@@ -49,6 +49,11 @@ __all__ = [
 
 _ATOL = 1e-10
 _DIM_CAP = 1 << 12
+# mpmath digits for the exact side of the combinatorial bound; the margin
+# dwarfs the rounding error at this precision
+_DPS = 60
+# bisection width at which gamma_star stops
+_GAMMA_TOL = 1e-9
 
 #: −lg cos(π/8), the per-qubit rate every security statement is built from.
 NEG_LG_COS_PI_8 = -math.log2(math.cos(math.pi / 8))
@@ -108,8 +113,8 @@ class HalfRootPair:
     def scale(self, c: Fraction) -> "HalfRootPair":
         return HalfRootPair(self.p * c, self.q * c)
 
-    def to_mpf(self, dps: int = 50) -> mpmath.mpf:
-        with mpmath.workdps(dps):
+    def to_mpf(self) -> mpmath.mpf:
+        with mpmath.workdps(_DPS):
             return mpmath.mpf(self.p.numerator) / self.p.denominator + (
                 mpmath.mpf(self.q.numerator) / self.q.denominator
             ) * mpmath.sqrt(mpmath.mpf(1) / 2)
@@ -135,21 +140,21 @@ def combinatorial_sum(n: int) -> HalfRootPair:
     return total.scale(Fraction(1, math.comb(n, half)))
 
 
-def verify_combinatorial_bound(n: int, dps: int = 60) -> bool:
+def verify_combinatorial_bound(n: int) -> bool:
     """Exact-side check that combinatorial_sum(n) ≤ √e·(cos π/8)^n, with the
-    transcendental side evaluated at ``dps`` digits (margin dwarfs error)."""
-    lhs = combinatorial_sum(n).to_mpf(dps)
-    with mpmath.workdps(dps):
+    transcendental side evaluated at ``_DPS`` digits."""
+    lhs = combinatorial_sum(n).to_mpf()
+    with mpmath.workdps(_DPS):
         rhs = mpmath.sqrt(mpmath.e) * mpmath.cos(mpmath.pi / 8) ** n
         return bool(lhs <= rhs)
 
 
-def gamma_star(tol: float = 1e-9) -> float:
+def gamma_star() -> float:
     """Root of h(γ) = −lg cos(π/8) on (0, 1/2): the largest tolerated error
     rate before the key-secrecy exponent goes nonnegative."""
     target = NEG_LG_COS_PI_8
     lo, hi = 1e-15, 0.5
-    while hi - lo > tol:
+    while hi - lo > _GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < target:
             lo = mid
@@ -204,7 +209,6 @@ def protocol_bounds(
     kappa: float | None = None,
     ell: int | None = None,
     epsilon: float | None = None,
-    require: Sequence[str] = (),
 ) -> BoundsReport:
     """Assemble every bound the supplied parameters allow.
 
@@ -215,11 +219,11 @@ def protocol_bounds(
     min-entropy at the extractor input; ell: extracted key length; epsilon:
     extractor error (derived from kappa/ell when absent).
 
-    Raises when a name listed in ``require`` cannot be computed, and on
-    parameters no code, source or probability can have: n must be even and
-    positive, 1 <= d <= n/2 (so the binding base 1 - 2d/n is not negative),
-    s and kappa must lie in [0, n/2] (a syndrome of, and the min-entropy of,
-    an n/2-bit string), and eta, gamma, delta and epsilon must lie in [0, 1].
+    Raises on parameters no code, source or probability can have: n must be
+    even and positive, 1 <= d <= n/2 (so the binding base 1 - 2d/n is not
+    negative), s and kappa must lie in [0, n/2] (a syndrome of, and the
+    min-entropy of, an n/2-bit string), and eta, gamma, delta and epsilon
+    must lie in [0, 1].
     """
     if n <= 0 or n % 2:
         raise ValueError("ambient dimension must be even and positive")
@@ -288,9 +292,6 @@ def protocol_bounds(
         vals["kappa_max_key_distribution"] = rate * n / 2.0
         vals["kappa_max_key_distribution_ambient"] = rate * n
     vals["gamma_star"] = gamma_star()
-    missing = [name for name in require if name not in vals]
-    if missing:
-        raise ValueError(f"missing parameters for requested bounds: {missing}")
     return rep
 
 

@@ -291,16 +291,17 @@ def run_blocks(
     return total
 
 
-def wilson_interval(wins: int, trials: int, z: float = _Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(wins: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= wins <= trials:
         raise ValueError("wins must lie in [0, trials]")
     p = wins / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2.0 * trials)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + _Z_95 * _Z_95 / trials
+    center = (p + _Z_95 * _Z_95 / (2.0 * trials)) / denom
+    half = _Z_95 * np.sqrt(
+        p * (1.0 - p) / trials + _Z_95 * _Z_95 / (4.0 * trials * trials)) / denom
     low = 0.0 if wins == 0 else max(0.0, float(center - half))
     high = 1.0 if wins == trials else min(1.0, float(center + half))
     return low, high

@@ -791,34 +791,20 @@ def play_leaky(
     *,
     leak: bool = True,
     threads: int = 1,
-    backend: str = "auto",
 ) -> GameResult:
     """Run the game ``params.trials`` times and tally wins.
 
-    backend="wiesner" uses the strategy's vectorised register kernel
-    (register family only).  backend="statevector" prepares and measures
-    actual states, one trial at a time (``_statevector_kernel``).  "auto"
-    picks the register kernel when it exists.  Both run as ``mc.run_blocks``
-    kernels over ``threads`` threads on the counter stream
+    On the register family a strategy with a vectorised register kernel runs
+    it; every other game prepares and measures actual states, one trial at a
+    time (``_statevector_kernel``).  Both run as ``mc.run_blocks`` kernels
+    over ``threads`` threads on the counter stream
     ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
     thread count.
     """
-    if backend == "auto":
-        backend = (
-            "wiesner"
-            if params.family == "register" and strategy.register_kernel is not None
-            else "statevector"
-        )
-    if backend == "wiesner":
-        if params.family != "register":
-            raise ValueError("the vectorised path only covers the register family")
-        if strategy.register_kernel is None:
-            raise ValueError(f"strategy {strategy.name!r} has no register kernel")
+    if params.family == "register" and strategy.register_kernel is not None:
         wpt, kernel = strategy.register_kernel(params, leak)
-    elif backend == "statevector":
-        wpt, kernel = _statevector_kernel(params, strategy, leak)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        wpt, kernel = _statevector_kernel(params, strategy, leak)
     wins, bob_ok = (int(c) for c in run_blocks(
         params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
     ))

@@ -42,7 +42,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -91,6 +91,7 @@ __all__ = [
     "run_tfkw",
     "tfkw_experiment",
     "secrecy_probe",
+    "secrecy_exact",
     "trial_rng",
 ]
 
@@ -356,17 +357,14 @@ def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
 
 class _CosetParams:
     """The shape the coset-state protocols share: n ambient qubits, n even,
-    and an extractor from the n/2 phase bits to ell bits, Toeplitz unless
-    given.  A frozen dataclass with fields n, ell and extractor runs this
-    check first in its ``__post_init__``."""
+    and the Toeplitz extractor from the n/2 phase bits to ell bits.  A frozen
+    dataclass with fields n and ell, and an ``extractor`` field that is not
+    an init argument, runs this check first in its ``__post_init__``."""
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
             raise ValueError("ambient dimension must be even and >= 2")
-        if self.extractor is None:
-            object.__setattr__(self, "extractor", ToeplitzExtractor(self.half, self.ell))
-        if self.extractor.n_in != self.half or self.extractor.ell != self.ell:
-            raise ValueError("extractor shape must be (n/2 -> ell)")
+        object.__setattr__(self, "extractor", ToeplitzExtractor(self.half, self.ell))
 
     @property
     def half(self) -> int:
@@ -402,7 +400,7 @@ def _uncloneable_eps(n: int, ell: int) -> float:
     """The slack term in the uncloneability bound: the larger of the
     extractor error at the minimum tolerable source entropy and the
     game-bound term carried by the half-dimension register."""
-    kappa_min = NEG_LG_COS_PI_8 / 2.0 * n - 1.0 / (4.0 * math.log(2))
+    kappa_min = protocol_bounds(n).values["kappa_min_interactive_encryption"]
     eps_ext = lhl_epsilon(kappa_min, ell)
     return max(eps_ext, math.exp(0.25) * math.cos(math.pi / 8) ** (n / 2))
 
@@ -427,7 +425,7 @@ class QecmParams(_CosetParams):
     n: int
     ell: int
     family: str = "register"
-    extractor: Optional[ToeplitzExtractor] = None
+    extractor: ToeplitzExtractor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()  # the extractor rejects ell < 1
@@ -786,9 +784,9 @@ class UrbcParams(_SpotParams):
     ell: int
     eta: float
     code: LinearCode
-    extractor: Optional[ToeplitzExtractor] = None
     scheme: str = "ideal"
     family: str = "register"
+    extractor: ToeplitzExtractor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -977,7 +975,8 @@ def urbc_experiment(
     report["accepts"] = accepts
     _report_interval(report, accepts, trials)
     report["analytic_rate"] = math.comb(half - w, js) / math.comb(half, js)
-    report["binding_bound"] = (1.0 - 2.0 * params.code.distance / params.n) ** js
+    report["binding_bound"] = protocol_bounds(
+        params.n, d=params.code.distance, eta=params.eta).values["binding_bound"]
     sigma = binomial_sigma(report["analytic_rate"], trials)
     report["pass"] = (
         abs(accepts / trials - report["analytic_rate"]) <= 3 * sigma
@@ -1002,7 +1001,7 @@ class QkdParams(_SpotParams):
     gamma: float
     eta: float
     code: LinearCode
-    extractor: Optional[ToeplitzExtractor] = None
+    extractor: ToeplitzExtractor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -1308,7 +1307,8 @@ def riqkd_experiment(
     report["accepts"] = accepts
     report["wrong_key_accepts"] = wrong_key
     _report_interval(report, wrong_key, trials)
-    bound = (1.0 - 2.0 * params.code.distance / params.n) ** params.spot_size
+    bound = protocol_bounds(
+        params.n, d=params.code.distance, eta=params.eta).values["binding_bound"]
     report["correctness_bound"] = bound
     sigma = binomial_sigma(bound, trials)
     report["pass"] = wrong_key / trials <= bound + 3 * sigma
@@ -1329,8 +1329,8 @@ class TfkwParams:
     n: int
     gamma: float
     code: LinearCode
-    extractor: Optional[ToeplitzExtractor] = None
     check_size: Optional[int] = None
+    extractor: ToeplitzExtractor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -1346,10 +1346,7 @@ class TfkwParams:
             raise ValueError("code length must match the kept bits")
         if not self.code.has_decoder():
             raise ValueError("the code must support coset-leader decoding")
-        if self.extractor is None:
-            object.__setattr__(self, "extractor", ToeplitzExtractor(keep, 2))
-        if self.extractor.n_in != keep:
-            raise ValueError("extractor input must match the kept bits")
+        object.__setattr__(self, "extractor", ToeplitzExtractor(keep, 2))
 
 
 def _tfkw_words(params: TfkwParams, noise: Optional[PauliNoise]) -> int:
@@ -1484,31 +1481,19 @@ def secrecy_probe(
     trials: int = 1000,
     seed: int = 0,
     noise: Optional[PauliNoise] = None,
-    mode: str = "monte_carlo",
     kappa: Optional[float] = None,
     threads: int = 1,
 ) -> dict:
     """Estimate how well an eavesdropper guesses the final key.
 
-    mode="monte_carlo": runs the protocol and reports Pr[guess and F=1]
-    against the trivial term 2^-ell * Pr[F=1] plus the closed-form secrecy
-    bound (computed at min-entropy ``kappa``, defaulting to the
-    half-dimension uncertainty rate).  Without an eavesdropper the guess is
-    a uniform baseline.  A trial's window starts with that baseline guess
-    (ell bits) and the run's own fields follow, the whole rounded up to a
-    Philox block once; the trials run as batch kernels over ``threads``
-    threads.
-
-    mode="exact": noiseless, eavesdropper-free enumeration of the classical
-    leakage (n <= 6, ell = 1): returns the exact trace distance between
-    (key, Eve's view) and (uniform key) ⊗ (view).  At toy sizes the syndrome
-    and spot bits can determine the key outright, so this reports a real and
-    possibly large leak.
+    Runs the protocol and reports Pr[guess and F=1] against the trivial term
+    2^-ell * Pr[F=1] plus the closed-form secrecy bound (computed at
+    min-entropy ``kappa``, defaulting to the half-dimension uncertainty
+    rate).  Without an eavesdropper the guess is a uniform baseline.  A
+    trial's window starts with that baseline guess (ell bits) and the run's
+    own fields follow, the whole rounded up to a Philox block once; the
+    trials run as batch kernels over ``threads`` threads.
     """
-    if mode == "exact":
-        return _secrecy_exact(params)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown probe mode {mode!r}")
     report: dict = {
         "experiment": "secrecy_probe",
         "n": params.n,
@@ -1554,9 +1539,14 @@ def secrecy_probe(
     return report
 
 
-def _secrecy_exact(params: QkdParams) -> dict:
+def secrecy_exact(params: QkdParams) -> dict:
+    """Noiseless, eavesdropper-free enumeration of the classical leakage
+    (n <= 6, ell = 1): the exact trace distance between (key, Eve's view)
+    and (uniform key) ⊗ (view).  At toy sizes the syndrome and spot bits can
+    determine the key outright, so this reports a real and possibly large
+    leak."""
     if params.n > 6 or params.ell != 1:
-        raise ValueError("enumeration too large for exact mode")
+        raise ValueError("enumeration too large for the exact secrecy probe")
     ext = params.extractor
     half = params.half
     js = params.spot_size

@@ -56,6 +56,16 @@ def test_unknown_config_key_exits_2(capsys):
     assert "warp" in err
 
 
+def test_moe_backend_key_is_unknown(capsys, tmp_path):
+    # moe picks its kernel from the family and the strategy; no key selects it
+    code, _, err = _run(capsys, "moe", "--set", "backend=statevector")
+    assert code == 2
+    assert "backend" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"backend": "auto"}))
+    assert _run(capsys, "moe", "--config", str(path))[0] == 2
+
+
 def test_unknown_file_key_exits_2(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 8, "mystery": 1}))
@@ -211,6 +221,19 @@ def test_sweep_seven_rows_fixed_header(capsys):
     assert rates[0] > rates[-1]
 
 
+def test_sweep_secrecy_row_reads_one_interval(capsys):
+    # the row's estimate is the guess rate that its Wilson interval brackets
+    argv = ("--set", "kind=secrecy", "--trials", "4000", "--seed", "3")
+    _, out, _ = _run(capsys, "sweep", "--experiment", "qkd", "--param", "n",
+                     "--from", "16", "--to", "16", "--steps", "1", *argv)
+    row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+    _, out, _ = _run(capsys, "qkd", "--set", "n=16", *argv)
+    report = json.loads(out)
+    estimate = float(row["estimate"])
+    assert float(row["wilson_low"]) <= estimate <= float(row["wilson_high"])
+    assert estimate == report["guess_estimate"]
+
+
 def test_empty_sweep_is_header_only(capsys):
     code, out, _ = _run(
         capsys, "sweep", "--experiment", "moe", "--param", "n",
@@ -360,23 +383,23 @@ GOLDEN_DIGESTS = {
     "sweep-moe": (0, "fe6a98e98841480f836eedd05ecd0b871d8529bd7a5121f4dcaf91ef643e02cb"),
     "selftest": (0, "2b249924fece392561374425472b2cf18062655b232cab40af3b402bd4d009cf"),
     "qkd-csv": (0, "4818d74a79f3b344592e0abedca9e9c9f31cfc867d612dc8e550a8a61ad0dea1"),
-    "moe-bob_all": (0, "5652382783d0bfff5fdf42a30a24fe4505998886de44e74f9aefbe49c5bbb5cb"),
-    "moe-charlie_all": (0, "ff6a9e27279ad4a9b5b61b32e1da06cf0832a857a3c36dfbbd89dca0256dd493"),
-    "moe-mix": (0, "bb54e1899247d36dffa8e2bcf8f6d2da4962f9f7293d2a596c712a111ab98643"),
-    "moe-measure_computational": (0, "ae2ee0cf8ffe496d9adcd6de9c19b85e57c35001cc68f41e5dd276d0b1cb9514"),
-    "moe-measure_wiesner": (0, "d983ec45dac6d56675211e0486ad3a1896dc74c290a1680b1cb1b0f4b84c2f6f"),
-    "moe-keep_and_substitute": (0, "9a58e87e23bfed662ab1654c50947cb9883dabbef263823652e72860cced894b"),
-    "moe-leak_smuggle": (0, "c84404babf31106b32ee176f0fec663db2f4aadc51d0bea36598f16faec4ecc9"),
-    "moe-all-bob_all": (0, "b2039b6631c17c09f2d52ba58550fb61fbc741fe31ef5bc8ae34caf0cdcf5a7d"),
-    "moe-all-charlie_all": (0, "8999fb0bb6037e693bb8307ade50293a576b954ffecbf5b9d97ffc7cc9e033d7"),
-    "moe-all-mix": (0, "445794ed5363cbef1a7a5e7650e04af33321b3a4d5ad7ebe5aec20826ba23015"),
-    "moe-all-measure_computational": (0, "8fb9d4e21fd01b7b3097844e320db2abe8502276013aa4309ae8e2e2084b69a0"),
-    "moe-all-measure_wiesner": (0, "52618b859e3dd98cc517ed3d97382e9f1d04805fe5238c6c78e631992376bb86"),
-    "moe-all-keep_and_substitute": (0, "dfc1cb0b851ee8a878108848f9b14c1a1c5af6683d96737279a3d3e84d2f01b9"),
-    "moe-all-leak_smuggle": (0, "8711119e1e9826a6dcc17e6b53a7982d99247a7e9e8429fe43c773b777b97023"),
-    "moe64-bob_all": (0, "069c51cd69f09c6a66c33ead802e88e0f57f6d4b9576f4072ba08ee42e211805"),
-    "moe64-measure_wiesner": (0, "881a6eedef22dffc52c2effa54214803a5701474c251a68ea621df547820ee69"),
-    "moe64-keep_and_substitute": (0, "03d3e985c3fe3ed12208c78363343c59c7cfa0909041049a682699350baa1baf"),
+    "moe-bob_all": (0, "cc0420161f392f4301e056ee517962ae3905004724a13e0b4ad79c5ff3531393"),
+    "moe-charlie_all": (0, "545c908202edab96fd7817cc0a31be9787aac9cae0c972ffd06430aca26c416f"),
+    "moe-mix": (0, "09b29efada46e5bef2c901873fa186721425da37b580dc8f889d7619dc41ff0b"),
+    "moe-measure_computational": (0, "b8fffb1f19e3d33262a5845d2ed34e9b5c5ca7f7fce631d5acacee0503b333bd"),
+    "moe-measure_wiesner": (0, "b9ad4d2971f8c91b0f0c2f3de6d01113cee054ac33d5b28ded226325e9e95c00"),
+    "moe-keep_and_substitute": (0, "e6a932a4ed1ac76e53237cdd3f1fa40f23f8a7759d00d108468740979e2dc3ed"),
+    "moe-leak_smuggle": (0, "5d22dc6b87a27620dc7146c893c5f6256e731d16657a7d77f5a95485287257ea"),
+    "moe-all-bob_all": (0, "9832d136f7caf3236f742d8261a04294074559dd7e53fb1c3f9042bdf1c195aa"),
+    "moe-all-charlie_all": (0, "3dd19b0591cf05305d60d07c942d6c873a5820b149c730cd7270b91be8204061"),
+    "moe-all-mix": (0, "27bc5ef191ff21d7b506c53ebda1b22a0781a0a1208fd067719d37901296d42f"),
+    "moe-all-measure_computational": (0, "a2fff28d52df6cbeff57d00a2df8a3d98fe790d053ba9ea7fcb36fc0d4c6c43b"),
+    "moe-all-measure_wiesner": (0, "22a6600b400aac55057ab0f19d9ace5e59eeb2546c3daa04a17b95eb25835209"),
+    "moe-all-keep_and_substitute": (0, "082135bf306b46db1a002542c5a5d9e4c3a0e612b52f7e75271cc982fa87bbac"),
+    "moe-all-leak_smuggle": (0, "6a1db348832ba6479420c9b6e4082c6cf8fdce665ad5240a80196b64ac6e98ee"),
+    "moe64-bob_all": (0, "9cbaed01a2b5f169e83d593d5aff19f76bc1a9a1bf31a5ee6867f45f477d1ba1"),
+    "moe64-measure_wiesner": (0, "eb639c850b246d7b27efbb3caa574c09c4c0ba1bfd1c8003941706471f82171e"),
+    "moe64-keep_and_substitute": (0, "229b38a5609e23a2d915cc725524767bea0a8581f99316a4e5c07bb4a9582dff"),
     "qecm-correctness": (0, "4d1887726dfc61989fdf2a68f6f8aca3e0c3bfec69992ddede2c8c36d3399961"),
     "qecm-correctness-all": (0, "3f1338b335123e9dd62d254a05e966e96562206ca519a935e295e58b6f560c2f"),
     "qecm-indistinguishable": (0, "b834b3f584d67e4d3ed207f7d4bc1dac574053e1afc1d811692608197a084392"),

@@ -167,8 +167,6 @@ def test_bounds_report_shape():
     assert js["moe_bound_clamped"] == js["moe_bound"]
     assert js["params"]["n"] == 8
     with pytest.raises(ValueError):
-        protocol_bounds(n=8, require=("binding_bound",))
-    with pytest.raises(ValueError):
         protocol_bounds(n=7)
 
 

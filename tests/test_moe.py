@@ -1,6 +1,8 @@
-"""Monogamy-game harness tests: closed forms vs Monte Carlo on both backends,
-leak behaviour, determinism, and the counter-stream plumbing underneath."""
+"""Monogamy-game harness tests: closed forms vs Monte Carlo on the register
+kernels and the statevector, leak behaviour, determinism, and the
+counter-stream plumbing underneath."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -40,6 +42,12 @@ from cosetmoe.qsim import AdversaryChannel, WiesnerRecord, assign_ownership
 
 def three_sigma(p, trials):
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+
+
+def _statevector(strategy):
+    """The strategy without its register kernel: ``play_leaky`` then runs it
+    on the statevector, the oracle for the register kernels."""
+    return dataclasses.replace(strategy, register_kernel=None)
 
 
 # ------------------------------------------------------------------
@@ -340,14 +348,6 @@ def test_measure_wiesner_needs_basis():
         play_leaky(MoeParams(n=4, trials=10), bad)
 
 
-def test_backend_selection_errors():
-    p_all = MoeParams(n=4, family="all", trials=10)
-    with pytest.raises(ValueError):
-        play_leaky(p_all, builtin_strategy("bob_all"), backend="wiesner")
-    with pytest.raises(ValueError):
-        play_leaky(MoeParams(n=4, trials=10), builtin_strategy("bob_all"), backend="tensor")
-
-
 # ------------------------------------------------------------------
 # closed forms vs the vectorised path
 # ------------------------------------------------------------------
@@ -467,11 +467,8 @@ def test_same_seed_same_result_kernel_and_statevector():
     s = builtin_strategy("measure_wiesner", theta_hat=Gf2Vec.from_int(0b10101010, 8))
     assert play_leaky(p, s) == play_leaky(p, s)
     p_sv = MoeParams(n=4, trials=300, seed=99)
-    sv = builtin_strategy("bob_all")
-    assert (
-        play_leaky(p_sv, sv, backend="statevector")
-        == play_leaky(p_sv, sv, backend="statevector")
-    )
+    sv = _statevector(builtin_strategy("bob_all"))
+    assert play_leaky(p_sv, sv) == play_leaky(p_sv, sv)
 
 
 def test_thread_count_does_not_change_counts(monkeypatch):
@@ -512,15 +509,15 @@ def test_different_seeds_decorrelate():
 )
 def test_statevector_matches_closed_forms(kind, trials):
     p = MoeParams(n=4, trials=trials, seed=31)
-    s = _canonical(kind, p.n)
+    s = _statevector(_canonical(kind, p.n))
     expected = s.analytic(p)
-    est = play_leaky(p, s, backend="statevector").estimate
+    est = play_leaky(p, s).estimate
     assert abs(est - expected) <= three_sigma(expected, trials)
 
 
 def test_statevector_smuggle_blind():
     p = MoeParams(n=4, trials=1500, seed=17)
-    est = play_leaky(p, builtin_strategy("leak_smuggle"), backend="statevector", leak=False).estimate
+    est = play_leaky(p, _statevector(builtin_strategy("leak_smuggle")), leak=False).estimate
     assert abs(est - 1 / 16) <= three_sigma(1 / 16, p.trials)
 
 
@@ -540,8 +537,6 @@ def test_custom_split_strategy_runs_and_is_uniform():
     p = MoeParams(n=4, trials=2000, seed=23)
     est = play_leaky(p, s).estimate
     assert abs(est - 1 / 16) <= three_sigma(1 / 16, p.trials)
-    with pytest.raises(ValueError):
-        play_leaky(p, s, backend="wiesner")  # no vectorised path for it
 
 
 def test_party_view_size_mismatch_raises():

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -10,3 +12,42 @@ def test_every_exported_name_resolves(name):
     # perfbench's span tracer reads every name in __all__ with getattr
     mod = importlib.import_module(name)
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
+
+
+# Every parameter of each public entry point and every init field of the
+# params classes.  Adding an option means editing this table.
+_OPTION_SURFACE = {
+    "moe.play_leaky": ("params", "strategy", "leak", "threads"),
+    "moe.builtin_strategy": ("kind", "q", "theta_hat", "substitute"),
+    "moe.MoeParams": ("n", "family", "m", "m_prime", "trials", "seed"),
+    "proto.qecm_experiment": ("kind", "params", "adversary", "trials", "seed",
+                              "message_probs", "threads"),
+    "proto.urbc_experiment": ("kind", "params", "trials", "seed", "threads"),
+    "proto.riqkd_experiment": ("kind", "params", "trials", "seed", "noise", "fault", "threads"),
+    "proto.tfkw_experiment": ("params", "eve", "trials", "seed", "noise", "threads"),
+    "proto.secrecy_probe": ("params", "eve", "trials", "seed", "noise", "kappa", "threads"),
+    "proto.secrecy_exact": ("params",),
+    "proto.run_qecm_id": ("params", "rng", "eve", "message"),
+    "proto.run_urbc": ("params", "rng", "alice"),
+    "proto.run_riqkd": ("params", "rng", "noise", "device", "eve"),
+    "proto.run_tfkw": ("params", "rng", "eve", "noise"),
+    "proto.QecmParams": ("n", "ell", "family"),
+    "proto.UrbcParams": ("n", "ell", "eta", "code", "scheme", "family"),
+    "proto.QkdParams": ("n", "ell", "gamma", "eta", "code"),
+    "proto.TfkwParams": ("n", "gamma", "code", "check_size"),
+    "info.protocol_bounds": ("n", "m", "m_prime", "d", "s", "eta", "gamma", "delta",
+                             "kappa", "ell", "epsilon"),
+    "qsim.prepare_coset_state": ("d",),
+    "qsim.coset_overlap": ("d", "b", "u"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPTION_SURFACE))
+def test_option_surface_is_pinned(name):
+    module, _, attr = name.partition(".")
+    obj = getattr(importlib.import_module(f"cosetmoe.{module}"), attr)
+    if dataclasses.is_dataclass(obj):
+        names = tuple(f.name for f in dataclasses.fields(obj) if f.init)
+    else:
+        names = tuple(inspect.signature(obj).parameters)
+    assert names == _OPTION_SURFACE[name]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
-from cosetmoe.ext import ToeplitzExtractor
 from cosetmoe.gf2 import Gf2Vec, IndexSubset, sample_subspace, solve_coset_membership
 from cosetmoe.mc import (
     TrialReader,
@@ -42,6 +41,7 @@ from cosetmoe.proto import (
     run_riqkd,
     run_tfkw,
     run_urbc,
+    secrecy_exact,
     secrecy_probe,
     tfkw_experiment,
     trial_rng,
@@ -269,8 +269,6 @@ def test_qecm_params_validation():
         QecmParams(8, 0)
     with pytest.raises(ValueError):
         QecmParams(8, 2, family="diagonal")
-    with pytest.raises(ValueError):
-        QecmParams(8, 2, extractor=ToeplitzExtractor(3, 2))
 
 
 def test_qecm_honest_runs_always_decrypt():
@@ -658,24 +656,17 @@ def test_riqkd_tolerated_noise_still_yields_matching_keys():
     # essentially always within the decoding radius at this seed
     params = _qkd_params(gamma=0.25)
     noise = PauliNoise(dx=0.0, dz=0.02)
-    words = proto._riqkd_words(params, noise, None)
-    accepted = 0
-    for i in range(300):
-        out = run_riqkd(params, _window_rng(34, proto._QKD_STREAM, words, i), noise=noise)
-        if out.f:
-            accepted += 1
-            assert out.k == out.k_hat
-    assert accepted > 250
+    windows = _windows(34, proto._QKD_STREAM, proto._riqkd_words(params, noise, None), 300)
+    b = proto._riqkd_batch(params, windows, noise, "honest", None)
+    assert (b.k == b.k_hat)[b.f].all()
+    assert b.f.sum() > 250
 
 
 def test_riqkd_position_noise_moves_the_estimate():
     params = _qkd_params(gamma=0.5)
     noise = PauliNoise(dx=0.2, dz=0.0)
-    words = proto._riqkd_words(params, noise, None)
-    dists = [run_riqkd(params, _window_rng(35, proto._QKD_STREAM, words, i),
-                       noise=noise).est_distance
-             for i in range(200)]
-    mean = sum(dists) / len(dists)
+    windows = _windows(35, proto._QKD_STREAM, proto._riqkd_words(params, noise, None), 200)
+    mean = proto._riqkd_batch(params, windows, noise, "honest", None).est_distance.mean()
     assert 0.8 < mean < 2.6  # Binomial(8, 0.2) has mean 1.6
 
 
@@ -705,8 +696,9 @@ def test_riqkd_keep_and_substitute_is_mostly_caught():
     trials = 20_000
     rep = secrecy_probe(params, eve=KeepAndSubstitute(), trials=trials, seed=38)
     # on the rare accept she holds the genuine record: her corrected phase
-    # word is Alice's, so her key guess is exact
+    # word is Alice's, so her key guess is exact, and both sit under the bound
     assert rep["guess_and_accept"] == rep["accepts"]
+    assert rep["pass"], rep
     p = 2.0 ** -4
     assert rep["accepts"] / trials <= p + 3 * _sigma(p, trials)
 
@@ -806,16 +798,14 @@ def test_secrecy_exact_toy_leak_is_half():
     # at this size the syndrome and the single spot bit pin the phase word
     # exactly, so the one-bit key is a deterministic function of Eve's view
     params = QkdParams(6, 1, 0.0, 1.0 / 3.0, make_code("repetition", 3))
-    rep = secrecy_probe(params, mode="exact")
+    rep = secrecy_exact(params)
     assert rep["trace_distance"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_secrecy_exact_size_guard():
     params = QkdParams(8, 1, 0.0, 0.25, make_code("repetition", 4))
     with pytest.raises(ValueError):
-        secrecy_probe(params, mode="exact")
-    with pytest.raises(ValueError):
-        secrecy_probe(_qkd_params(), mode="telepathy")
+        secrecy_exact(params)
 
 
 def test_secrecy_probe_monte_carlo_honest_baseline():
@@ -841,14 +831,6 @@ def test_secrecy_probe_window_is_rounded_once(monkeypatch):
     params = _qkd_params()
     secrecy_probe(params, trials=10, seed=0)
     assert sizes == [16] == [proto._riqkd_words(params, None, None)]
-
-
-def test_secrecy_probe_keep_and_substitute():
-    params = _qkd_params(n=8, eta=0.25, code=make_code("repetition", 4))
-    rep = secrecy_probe(params, eve=KeepAndSubstitute(), trials=8000, seed=56)
-    # her hits are exactly the accepts, and both sit under the bound
-    assert rep["guess_and_accept"] == rep["accepts"]
-    assert rep["pass"], rep
 
 
 # ------------------------------------------------------------------

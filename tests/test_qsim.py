@@ -383,6 +383,13 @@ def test_coset_overlap_same_subspace():
     assert coset_overlap(d, d.a, other) == 0.0
 
 
+def _projector_mass(d, b, u):
+    """⟨a_{t,t'}| Π_{b+u_b} |a_{t,t'}⟩ read off the prepared statevector."""
+    amps = prepare_coset_state(d).payload.amps
+    u_b = coset_rep(b, u)
+    return sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in b.vectors())
+
+
 def test_coset_overlap_bound_and_cross_check():
     rng = np.random.default_rng(79)
     for _ in range(50):
@@ -396,7 +403,7 @@ def test_coset_overlap_bound_and_cross_check():
         d = random_descriptor(4, "all", rng)
         b = sample_subspace(4, "all", rng)
         u = Gf2Vec(rng.integers(0, 2, size=2, dtype=np.uint8))
-        coset_overlap(d, b, u, cross_check=True)  # raises on mismatch
+        assert abs(_projector_mass(d, b, u) - coset_overlap(d, b, u)) <= 1e-10
 
 
 def test_coset_overlap_dimension_check():
