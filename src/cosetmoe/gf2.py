@@ -30,6 +30,7 @@ __all__ = [
     "complement",
     "intersect",
     "coset_rep",
+    "coset_elements",
     "solve_coset_membership",
     "sample_subspace",
     "hamming",
@@ -394,6 +395,15 @@ def coset_rep(a: Gf2Subspace, t: Gf2Vec) -> Gf2Vec:
     v = np.zeros(a.n, dtype=np.uint8)
     v[list(free)] = t.bits
     return Gf2Vec(v)
+
+
+def coset_elements(subspaces: Sequence[Gf2Subspace], t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row i is the coset element coset_rep(a_i, t_i) + c_i·A_i of the i-th
+    subspace, A_i its canonical basis: (T, n - dim) labels and (T, dim)
+    coefficients to (T, n) uint8.  The subspaces share n and dim."""
+    reps = np.stack([coset_rep(a, Gf2Vec(row)).bits for a, row in zip(subspaces, t)])
+    bases = np.stack([a.basis.rows for a in subspaces])
+    return reps ^ (np.einsum("ti,tij->tj", c, bases) & 1)
 
 
 def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:

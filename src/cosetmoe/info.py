@@ -16,6 +16,7 @@ mpmath at high precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,9 +150,11 @@ def verify_combinatorial_bound(n: int) -> bool:
         return bool(lhs <= rhs)
 
 
+@functools.cache
 def gamma_star() -> float:
     """Root of h(γ) = −lg cos(π/8) on (0, 1/2): the largest tolerated error
-    rate before the key-secrecy exponent goes nonnegative."""
+    rate before the key-secrecy exponent goes nonnegative.  A constant, so
+    the bisection runs once per process."""
     target = NEG_LG_COS_PI_8
     lo, hi = 1e-15, 0.5
     while hi - lo > _GAMMA_TOL:

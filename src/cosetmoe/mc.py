@@ -17,9 +17,9 @@ threads.
 makes over the block reads cache, not L3 or memory, whatever the window
 width W.  The block size changes speed, never a count.
 
-A trial whose number of draws is not fixed (the statevector backend samples
-a general subspace by rejection, then Born outcomes) reads two words of its
-window as the 128-bit key of its own Philox generator
+A trial whose number of draws is not fixed (a general-family subspace,
+sampled by rejection, in the games and the protocols alike) reads two words
+of its window as the 128-bit key of its own Philox generator
 (``TrialReader.generators``).  Philox keys may be drawn freely from a
 counter stream (Salmon et al., SC 2011), and such a key meets a
 ``stream_key`` or a [seed, trial] key only with probability 2^-128.

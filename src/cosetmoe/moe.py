@@ -7,50 +7,51 @@ t_B, and — after the referee forwards t_B to Charlie when the leak is on —
 Charlie answers a phase guess t'_C.  The round is won iff d(t_B, t) <= m AND
 d(t'_C, t') <= m' (m = m' = 0 is the exact game).
 
-Two execution paths produce the same distribution for the built-in
-strategies:
+Every built-in channel is a Clifford circuit, and a Pauli-basis read of a
+coset state is uniform on an affine set (Aaronson and Gottesman, PRA 70,
+052328, 2004), so each built-in strategy has one kernel builder,
+``(params, leak) -> (words_per_trial, kernel)``, that reads its game in
+closed form on both subspace families:
 
-* a vectorised classical path for the register family, where every built-in
-  reduces to bookkeeping over Wiesner records (basis bits, data bits, coins).
-  Its kernels work on whole 64-bit words: every bit field is read as packed
-  uint64 words (``TrialReader.packed``), and every row over the n
-  coordinates (basis, coins, fixed masks) is a coordinate row
-  (``mc.coordinate_rows``), its ``np.packbits`` bytes zero-padded to
-  8 * ceil(n/64) and held as uint64 words.  Zero padding adds no weight
-  and takes no deposit.  Bitwise operations and popcounts do not depend on
-  the byte order of a word, so
+* five strategies (``bob_all``, ``charlie_all``, ``mix``,
+  ``measure_computational``, ``leak_smuggle``) win by a law that does not
+  depend on a: whoever holds the state reads (t, t') exactly, and every
+  other answer is uniform.  Their kernels read no subspace and serve both
+  families as they are;
+* ``measure_wiesner`` and ``keep_and_substitute`` read the subspace.  On the
+  register family every coset state is a conjugate-coding (Wiesner) record
+  (basis bits, data bits, coins).  There the kernels work on whole 64-bit
+  words: every bit field is read as packed uint64 words
+  (``TrialReader.packed``), and every row over the n coordinates (basis,
+  coins, fixed masks) is a coordinate row (``mc.coordinate_rows``), its
+  ``np.packbits`` bytes zero-padded to 8 * ceil(n/64) and held as uint64
+  words.  Zero padding adds no weight and takes no deposit.  Bitwise
+  operations and popcounts do not depend on the byte order of a word, so
   every Hamming distance is the popcount of an XOR of words; the one piece of
   arithmetic, the byte prefix sums of ``_coset_offsets``, reads the bytes
   through ``'<u8'`` views, which give the same words on either host byte
   order.  Where the labels (t, t') must be laid onto the coordinates, a
   256 x 256 byte table deposits them onto the free and pivot masks of the
-  basis row, so no per-trial sort or gather over coordinates runs;
-* a statevector path that actually prepares the state, runs the channel
-  dilation and Born-rule measures party registers, for any family up to the
-  simulator's qubit limit.  A round reads its labels and the key of its own
-  Philox generator from its window.
+  basis row, so no per-trial sort or gather over coordinates runs.  On the
+  general family (``_general_kernel``) a window holds the 2-word key of the
+  row's own generator, which samples a as the protocols do, and the reads
+  are the batched coset maps of ``gf2.coset_elements``.
 
-Both run as ``mc.run_blocks`` kernels on one counter stream,
-``mc.stream_key(seed, _MOE_STREAM)``, so their counts do not depend on the
+Every kernel runs under ``mc.run_blocks`` on one counter stream,
+``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
 block size or the thread count.
-
-Strategies whose split is not a product across the Bob/Charlie cut must do
-all their measuring inside the channel (the party registers are measured
-independently, which samples the correct marginals only for product states
-or for rules that read the channel log).  Every built-in obeys this.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .gf2 import Gf2Subspace, Gf2Vec, sample_subspace, solve_coset_membership
+from .gf2 import Gf2Vec, complement, coset_elements, sample_subspace, solve_coset_membership
 from .info import ball_volume
 from .mc import (
     TrialReader,
@@ -62,24 +63,11 @@ from .mc import (
     words_for,
     words_to_bytes,
 )
-from .qsim import (
-    AdversaryChannel,
-    CosetDescriptor,
-    QuantumReg,
-    WiesnerRecord,
-    append_ancilla,
-    apply_adversary,
-    apply_unitary,
-    assign_ownership,
-    measure_coset_basis,
-    measure_qubits,
-    prepare_coset_state,
-)
+from .qsim import WiesnerRecord
 
 __all__ = [
     "MoeParams",
     "GameResult",
-    "PartyView",
     "Strategy",
     "builtin_strategy",
     "all_builtin_strategies",
@@ -99,11 +87,8 @@ BUILTIN_KINDS = (
     "leak_smuggle",
 )
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 _MAX_SEED = 1 << 64
-# The games' counter stream, ``stream_key(seed, _MOE_STREAM)``, for both backends;
+# The games' counter stream, ``stream_key(seed, _MOE_STREAM)``, for every kernel;
 # the protocol experiments use ids 1-3 and 5 (``proto._QECM_STREAM`` and on).
 _MOE_STREAM = 4
 
@@ -162,72 +147,31 @@ class GameResult:
         low, high = wilson_interval(wins, trials)
         return cls(wins, trials, bob_correct, wins / trials, low, high)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "wins": self.wins,
-                "trials": self.trials,
-                "bob_correct": self.bob_correct,
-                "estimate": self.estimate,
-                "wilson_low": self.wilson_low,
-                "wilson_high": self.wilson_high,
-            }
-        )
 
-
-@dataclass(frozen=True, eq=False)
-class PartyView:
-    """What one party holds when asked to answer: its qubits of the
-    post-channel register and the channel's measurement log."""
-
-    reg: QuantumReg
-    qubits: tuple[int, ...]
-    log: tuple
-
-    def measure_coset(self, a: Gf2Subspace, rng: np.random.Generator) -> tuple[Gf2Vec, Gf2Vec]:
-        """Measure this party's qubits in the coset basis of ``a``."""
-        if len(self.qubits) != a.n:
-            raise ValueError("party register size does not match the subspace")
-        return measure_coset_basis(self.reg, a, rng, qubits=self.qubits)
-
-
-# A register kernel builder maps (params, leak) to (words_per_trial, kernel);
-# the kernel turns a (T, words) block into int64 [wins, bob_correct].
+# A kernel builder maps (params, leak) to (words_per_trial, kernel); the
+# kernel turns a (T, words) block into int64 [wins, bob_correct].
 KernelBuilder = Callable[[MoeParams, bool], tuple[int, Callable[[np.ndarray], np.ndarray]]]
 
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A splitting channel plus the two answering rules.
-
-    ``split(n, rng)`` builds the channel for one round; ``bob(a, view, rng)``
-    returns the position guess; ``charlie(a, t_b, view, rng)`` returns the
-    phase guess (t_b is None when the leak is off).  ``register_kernel``, when
-    present, is the equivalent vectorised path for the register family."""
+    """A built-in strategy: the builder of its kernel, which serves both
+    subspace families, and the kind and options its closed form reads."""
 
     name: str
-    split: Callable[[int, np.random.Generator], AdversaryChannel]
-    bob: Callable[[Gf2Subspace, "PartyView", np.random.Generator], Gf2Vec]
-    charlie: Callable[[Gf2Subspace, Optional[Gf2Vec], "PartyView", np.random.Generator], Gf2Vec]
-    register_kernel: Optional[KernelBuilder] = None
-    kind: Optional[str] = None
+    kernel: KernelBuilder
+    kind: str
     options: Optional[dict] = None
 
     def analytic(self, params: MoeParams, leak: bool = True) -> Optional[float]:
         """Closed-form win probability with the position leak on or off, when
         one is known for this strategy."""
-        if self.kind is None:
-            return None
         return analytic_win(self.kind, params, leak=leak, **(self.options or {}))
 
 
 # ------------------------------------------------------------------
 # shared helpers
 # ------------------------------------------------------------------
-
-
-def _uniform_guess(rng: np.random.Generator, k: int) -> Gf2Vec:
-    return Gf2Vec(rng.integers(0, 2, size=k, dtype=np.uint8))
 
 
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
@@ -345,27 +289,58 @@ def _counters(win: np.ndarray, bob_ok: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------
 
 
-def _assign_all(n: int, party: str) -> AdversaryChannel:
-    return AdversaryChannel([assign_ownership(range(n), party)])
+def _general_kernel(params: MoeParams, fields: tuple[int, ...], reads):
+    """The ``family=all`` kernel of a strategy whose read depends on a.  A
+    window holds the 2-word key of the row's own generator, which samples a
+    as the protocols do (``TrialReader.generators``, then
+    ``sample_subspace``), the labels (t, t'), then ``fields`` bits;
+    ``reads(subspaces, t, t', *fields)`` gives the guesses (t_B, t'_C)."""
+    n, half = params.n, params.half
+    wpt = words_for(bit_fields=(128, half, half, *fields))
+
+    def kernel(words):
+        r = TrialReader(words)
+        subspaces = [sample_subspace(n, "all", rng) for rng in r.generators()]
+        t, tp = r.bits(half), r.bits(half)
+        t_b, t_c = reads(subspaces, t, tp, *(r.bits(b) for b in fields))
+        bob_ok = (t_b != t).sum(axis=1) <= params.m
+        win = bob_ok & ((t_c != tp).sum(axis=1) <= params.m_prime)
+        return _counters(win, bob_ok)
+
+    return wpt, kernel
 
 
-def _measure_coset_bob(a, view, rng):
-    t_hat, _ = view.measure_coset(a, rng)
-    return t_hat
+def _wiesner_reads(theta_hat: Gf2Vec):
+    """``measure_wiesner``'s guesses on any subspaces: each qubit read in its
+    guessed basis.  A computational read of the whole state is the coset
+    element s ⊕ c·A, s = coset_rep(a, t), and a Hadamard one the element
+    σ ⊕ d·A⊥ of the phase coset, σ = coset_rep(a⊥, t'); a product-basis read
+    takes each coordinate from the read of its basis, with c and d
+    independent.  Bob answers the free coordinates of a, Charlie its
+    pivots."""
+    hat = theta_hat.bits.astype(bool)
+
+    def reads(subspaces, t, tp, c, d):
+        w = np.where(hat, coset_elements([complement(a) for a in subspaces], tp, d),
+                     coset_elements(subspaces, t, c))
+        free = np.array([a.free_coords for a in subspaces])
+        pivots = np.array([a.pivots for a in subspaces])
+        return np.take_along_axis(w, free, axis=1), np.take_along_axis(w, pivots, axis=1)
+
+    return reads
 
 
-def _uniform_bob(a, view, rng):
-    return _uniform_guess(rng, a.dim)
+def _substitute_reads(rec: WiesnerRecord):
+    """``keep_and_substitute``'s guesses on any subspaces: Bob's coset-basis
+    read of the fake gives the coset label in a of its computational read v
+    (the record's data bit, or a coin where it is a Hadamard qubit), and
+    Charlie, who kept the state, reads t' exactly."""
+    def reads(subspaces, t, tp, coins):
+        v = np.where(rec.theta.bits.astype(bool), coins, rec.x.bits)
+        t_hat = [solve_coset_membership(a, Gf2Vec(row))[0].bits for a, row in zip(subspaces, v)]
+        return np.stack(t_hat), tp
 
-
-def _uniform_charlie(a, t_b, view, rng):
-    return _uniform_guess(rng, a.dim)
-
-
-def _logged_outcome(view: PartyView) -> Gf2Vec:
-    if not view.log:
-        raise ValueError("strategy expected a measurement in the channel log")
-    return view.log[0][1]
+    return reads
 
 
 def _build_bob_all(params: MoeParams, leak: bool):
@@ -437,6 +412,8 @@ def _build_measure_wiesner(theta_hat: Gf2Vec):
         n, half, m, mp = params.n, params.half, params.m, params.m_prime
         if theta_hat.n != n:
             raise ValueError("basis-choice length must match the game")
+        if params.family == "all":
+            return _general_kernel(params, (half, half), _wiesner_reads(theta_hat))
         hat = coordinate_rows(theta_hat.bits)
         coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
         wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
@@ -468,6 +445,8 @@ def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
         rec = record if record is not None else _zero_record(n)
         if rec.n != n:
             raise ValueError("substitute record length must match the game")
+        if params.family == "all":
+            return _general_kernel(params, (n,), _substitute_reads(rec))
         rx = coordinate_rows(rec.x.bits)
         rtheta = coordinate_rows(rec.theta.bits)
         coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
@@ -515,41 +494,6 @@ def _zero_record(n: int) -> WiesnerRecord:
     return WiesnerRecord(x=Gf2Vec.zeros(n), theta=Gf2Vec.zeros(n))
 
 
-def _wiesner_split(theta_hat: Gf2Vec) -> Callable[[int, np.random.Generator], AdversaryChannel]:
-    def split(n, rng):
-        if theta_hat.n != n:
-            raise ValueError("basis-choice length must match the game")
-        actions = [
-            apply_unitary(_HADAMARD, (i,))
-            for i in range(n)
-            if theta_hat.bits[i]
-        ]
-        actions.append(measure_qubits(range(n)))
-        actions.append(assign_ownership(range(n), "bob"))
-        return AdversaryChannel(actions)
-
-    return split
-
-
-def _substitute_split(record: Optional[WiesnerRecord]):
-    def split(n, rng):
-        rec = record if record is not None else _zero_record(n)
-        if rec.n != n:
-            raise ValueError("substitute record length must match the game")
-        actions = [append_ancilla(n)]
-        for i in range(n):
-            if rec.x.bits[i]:
-                actions.append(apply_unitary(_PAULI_X, (n + i,)))
-        for i in range(n):
-            if rec.theta.bits[i]:
-                actions.append(apply_unitary(_HADAMARD, (n + i,)))
-        actions.append(assign_ownership(range(n, 2 * n), "bob"))
-        actions.append(assign_ownership(range(n), "charlie"))
-        return AdversaryChannel(actions)
-
-    return split
-
-
 def builtin_strategy(
     kind: str,
     *,
@@ -568,137 +512,27 @@ def builtin_strategy(
     everything and smuggles the phase word through his position answer for
     Charlie to echo).
     """
-    if kind == "bob_all":
-        return Strategy(
-            name="bob_all",
-            split=lambda n, rng: _assign_all(n, "bob"),
-            bob=_measure_coset_bob,
-            charlie=_uniform_charlie,
-            register_kernel=_build_bob_all,
-            kind=kind,
-        )
-    if kind == "charlie_all":
-        def charlie_rule(a, t_b, view, rng):
-            _, tp_hat = view.measure_coset(a, rng)
-            return tp_hat
-
-        return Strategy(
-            name="charlie_all",
-            split=lambda n, rng: _assign_all(n, "charlie"),
-            bob=_uniform_bob,
-            charlie=charlie_rule,
-            register_kernel=_build_charlie_all,
-            kind=kind,
-        )
     if kind == "mix":
         if not 0.0 <= q <= 1.0:
             raise ValueError("mixing weight q must lie in [0, 1]")
-
-        def split(n, rng):
-            party = "bob" if rng.random() < q else "charlie"
-            return _assign_all(n, party)
-
-        def bob_rule(a, view, rng):
-            if view.qubits:
-                return _measure_coset_bob(a, view, rng)
-            return _uniform_guess(rng, a.dim)
-
-        def charlie_rule(a, t_b, view, rng):
-            if view.qubits:
-                _, tp_hat = view.measure_coset(a, rng)
-                return tp_hat
-            return _uniform_guess(rng, a.dim)
-
-        return Strategy(
-            name=f"mix(q={q:g})",
-            split=split,
-            bob=bob_rule,
-            charlie=charlie_rule,
-            register_kernel=_build_mix(q),
-            kind=kind,
-            options={"q": q},
-        )
-    if kind == "measure_computational":
-        def split(n, rng):
-            return AdversaryChannel(
-                [measure_qubits(range(n)), assign_ownership(range(n), "bob")]
-            )
-
-        def bob_rule(a, view, rng):
-            # the outcome is a coset element, so decoding recovers t exactly
-            t_hat, _ = solve_coset_membership(a, _logged_outcome(view))
-            return t_hat
-
-        def charlie_rule(a, t_b, view, rng):
-            _, u = solve_coset_membership(a, _logged_outcome(view))
-            return Gf2Vec(u.bits[list(a.pivots)])
-
-        return Strategy(
-            name="measure_computational",
-            split=split,
-            bob=bob_rule,
-            charlie=charlie_rule,
-            register_kernel=_build_measure_computational,
-            kind=kind,
-        )
+        return Strategy(f"mix(q={q:g})", _build_mix(q), kind, {"q": q})
     if kind == "measure_wiesner":
         if theta_hat is None:
             raise ValueError("measure_wiesner needs a basis choice theta_hat")
-
-        def bob_rule(a, view, rng):
-            v = _logged_outcome(view)
-            return Gf2Vec(v.bits[list(a.free_coords)])
-
-        def charlie_rule(a, t_b, view, rng):
-            v = _logged_outcome(view)
-            return Gf2Vec(v.bits[list(a.pivots)])
-
-        return Strategy(
-            name=f"measure_wiesner(w={theta_hat.weight()})",
-            split=_wiesner_split(theta_hat),
-            bob=bob_rule,
-            charlie=charlie_rule,
-            register_kernel=_build_measure_wiesner(theta_hat),
-            kind=kind,
-            options={"theta_hat": theta_hat},
-        )
+        return Strategy(f"measure_wiesner(w={theta_hat.weight()})",
+                        _build_measure_wiesner(theta_hat), kind, {"theta_hat": theta_hat})
     if kind == "keep_and_substitute":
-        def bob_rule(a, view, rng):
-            t_hat, _ = view.measure_coset(a, rng)
-            return t_hat
-
-        def charlie_rule(a, t_b, view, rng):
-            _, tp_hat = view.measure_coset(a, rng)
-            return tp_hat
-
-        return Strategy(
-            name="keep_and_substitute",
-            split=_substitute_split(substitute),
-            bob=bob_rule,
-            charlie=charlie_rule,
-            register_kernel=_build_keep_and_substitute(substitute),
-            kind=kind,
-            options={"substitute": substitute},
-        )
-    if kind == "leak_smuggle":
-        def bob_rule(a, view, rng):
-            _, tp_hat = view.measure_coset(a, rng)
-            return tp_hat  # position answer doubles as a covert channel
-
-        def charlie_rule(a, t_b, view, rng):
-            if t_b is not None:
-                return t_b
-            return _uniform_guess(rng, a.dim)
-
-        return Strategy(
-            name="leak_smuggle",
-            split=lambda n, rng: _assign_all(n, "bob"),
-            bob=bob_rule,
-            charlie=charlie_rule,
-            register_kernel=_build_leak_smuggle,
-            kind=kind,
-        )
-    raise ValueError(f"unknown built-in strategy {kind!r}")
+        return Strategy(kind, _build_keep_and_substitute(substitute), kind,
+                        {"substitute": substitute})
+    builders = {
+        "bob_all": _build_bob_all,
+        "charlie_all": _build_charlie_all,
+        "measure_computational": _build_measure_computational,
+        "leak_smuggle": _build_leak_smuggle,
+    }
+    if kind not in builders:
+        raise ValueError(f"unknown built-in strategy {kind!r}")
+    return Strategy(kind, builders[kind], kind)
 
 
 def alternating_basis(n: int) -> Gf2Vec:
@@ -792,50 +626,12 @@ def play_leaky(
     leak: bool = True,
     threads: int = 1,
 ) -> GameResult:
-    """Run the game ``params.trials`` times and tally wins.
-
-    On the register family a strategy with a vectorised register kernel runs
-    it; every other game prepares and measures actual states, one trial at a
-    time (``_statevector_kernel``).  Both run as ``mc.run_blocks`` kernels
-    over ``threads`` threads on the counter stream
-    ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
-    thread count.
-    """
-    if params.family == "register" and strategy.register_kernel is not None:
-        wpt, kernel = strategy.register_kernel(params, leak)
-    else:
-        wpt, kernel = _statevector_kernel(params, strategy, leak)
+    """Run the game ``params.trials`` times and tally wins: the strategy's
+    kernel runs under ``mc.run_blocks`` over ``threads`` threads on the
+    counter stream ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not
+    depend on the thread count."""
+    wpt, kernel = strategy.kernel(params, leak)
     wins, bob_ok = (int(c) for c in run_blocks(
         params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
     ))
     return GameResult.from_counts(wins, bob_ok, params.trials)
-
-
-def _statevector_kernel(params: MoeParams, strategy: Strategy, leak: bool):
-    """The statevector backend as a (words_per_trial, kernel) pair.  A
-    round's window holds the key of its own generator
-    (``TrialReader.generators``) and the labels (t, t'); the generator
-    samples a, then drives the channel and the parties' answers."""
-    half = params.half
-    wpt = words_for(bit_fields=(128, half, half))
-
-    def kernel(words):
-        r = TrialReader(words)
-        rngs = r.generators()
-        t, tp = r.bits(half), r.bits(half)
-        t_b, t_c = np.empty_like(t), np.empty_like(tp)
-        for i, rng in enumerate(rngs):
-            a = sample_subspace(params.n, params.family, rng)
-            reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
-            channel = strategy.split(params.n, rng)
-            reg = apply_adversary(reg, channel, rng)
-            log = tuple(channel.log)
-            bob = strategy.bob(a, PartyView(reg, reg.qubits_of("bob"), log), rng)
-            charlie_view = PartyView(reg, reg.qubits_of("charlie"), log)
-            t_b[i] = bob.bits
-            t_c[i] = strategy.charlie(a, bob if leak else None, charlie_view, rng).bits
-        bob_ok = (t_b != t).sum(axis=1) <= params.m
-        win = bob_ok & ((t_c != tp).sum(axis=1) <= params.m_prime)
-        return _counters(win, bob_ok)
-
-    return wpt, kernel

@@ -50,7 +50,7 @@ import numpy as np
 
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
-from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_rep, sample_subspace
+from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_elements, sample_subspace
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
@@ -330,9 +330,7 @@ class _CosetStates:
         # uniform u picks c = ⌊u·2^{n/2}⌋, as inverting the outcome CDF would.
         k = (np.array([rng.random() for rng in self.rngs]) * (1 << half)).astype(np.int64)
         c = ((k[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
-        reps = np.stack([coset_rep(a, Gf2Vec(row)).bits for a, row in zip(self.subspaces, t)])
-        bases = np.stack([a.basis.rows for a in self.subspaces])
-        self.forwarded = reps ^ (np.einsum("ti,tij->tj", c, bases) & 1)
+        self.forwarded = coset_elements(self.subspaces, t, c)
         return t, c
 
     def subspace(self, row: int) -> Gf2Subspace:

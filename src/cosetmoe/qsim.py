@@ -1,12 +1,11 @@
 """Dense statevector simulation of coset states, for any half-dimension
 subspace up to 20 qubits.
 
-It runs the game's statevector backend (``moe``) and the exact
-enumerations, and it is the oracle for the closed-form reads of the
-protocols (``proto``) and for the register family's kernels.  A register
-subspace's coset state is a conjugate-coding (Wiesner) state, a product of
-computational and Hadamard qubits, so the register family runs on classical
-records (x, θ) in the ``moe`` and ``proto`` kernels instead;
+It runs the exact enumerations, and it is the oracle for the closed-form
+reads of the protocols (``proto``) and the games (``moe``), which simulate
+both subspace families without it.  A register subspace's coset state is a
+conjugate-coding (Wiesner) state, a product of computational and Hadamard
+qubits, and the register kernels run on classical records (x, θ);
 ``WiesnerRecord`` is the type of such a record.
 
 Basis-vector indexing is most-significant-bit first: qubit 0 corresponds to
@@ -24,7 +23,7 @@ phase labels into ambient space, so t̂' = S⁻¹ŝ.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,15 +42,8 @@ __all__ = [
     "StateVec",
     "WiesnerRecord",
     "QuantumReg",
-    "AdversaryChannel",
-    "append_ancilla",
-    "apply_unitary",
-    "measure_qubits",
-    "assign_ownership",
     "prepare_coset_state",
     "measure_coset_basis",
-    "measure_computational",
-    "apply_adversary",
     "coset_overlap",
 ]
 
@@ -90,7 +82,7 @@ class StateVec:
 
     def __init__(self, n: int, amps: np.ndarray):
         if n > STATEVECTOR_QUBIT_LIMIT:
-            raise ValueError(f"statevector backend limited to {STATEVECTOR_QUBIT_LIMIT} qubits")
+            raise ValueError(f"statevector limited to {STATEVECTOR_QUBIT_LIMIT} qubits")
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (1 << n,):
             raise ValueError("amplitude count must be 2^n")
@@ -132,50 +124,6 @@ class QuantumReg:
 
     def qubits_of(self, party: str) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.owner) if p == party)
-
-
-# ------------------------------------------------------------------
-# adversary channel primitives
-# ------------------------------------------------------------------
-
-
-def append_ancilla(k: int) -> tuple:
-    return ("append", int(k))
-
-
-def apply_unitary(matrix: np.ndarray, qubits: Sequence[int]) -> tuple:
-    return ("unitary", np.asarray(matrix, dtype=np.complex128), tuple(qubits))
-
-
-def measure_qubits(qubits: Sequence[int]) -> tuple:
-    return ("measure", tuple(qubits))
-
-
-def assign_ownership(qubits: Sequence[int], party: str) -> tuple:
-    return ("assign", tuple(qubits), str(party))
-
-
-@dataclass
-class AdversaryChannel:
-    """An ordered dilation: append ancillas, act unitarily, optionally
-    measure, then hand every qubit to some party exactly once.
-
-    Measurement outcomes land in ``log`` (reset on each application)."""
-
-    actions: list
-    log: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for act in self.actions:
-            if act[0] == "unitary":
-                u = act[1]
-                dim = u.shape[0]
-                if u.shape != (dim, dim) or dim != (1 << len(act[2])):
-                    raise ValueError("unitary dimension does not match qubit count")
-                if not np.allclose(u @ u.conj().T, np.eye(dim), atol=_ATOL):
-                    raise ValueError("matrix is not unitary within tolerance")
-            elif act[0] not in ("append", "measure", "assign"):
-                raise ValueError(f"unknown adversary action {act[0]!r}")
 
 
 # ------------------------------------------------------------------
@@ -320,94 +268,6 @@ def measure_coset_basis(
     s_hat = Gf2Vec.from_int(pick & ((1 << k) - 1), k)
     t_prime_hat = s_inv.mulvec(s_hat)
     return t_hat, t_prime_hat
-
-
-def measure_computational(
-    reg: QuantumReg, rng: np.random.Generator, qubits: Sequence[int] | None = None
-) -> tuple[Gf2Vec, QuantumReg]:
-    """Computational-basis measurement of a qubit subset; returns the
-    outcome and the collapsed register (measured qubits left in place)."""
-    sv: StateVec = reg.payload
-    n_total = sv.n
-    targets = tuple(qubits) if qubits is not None else tuple(range(n_total))
-    block = _moveaxis_front(sv.amps, n_total, targets)
-    probs = (np.abs(block) ** 2).sum(axis=1)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    pick = int(rng.choice(probs.size, p=probs))
-    out = Gf2Vec.from_int(pick, len(targets))
-    # collapse: zero all other outcome slices, renormalize
-    tensor = sv.amps.reshape((2,) * n_total).copy()
-    idx = [slice(None)] * n_total
-    for q, b in zip(targets, out.bits):
-        idx[q] = 1 - int(b)
-        tensor[tuple(idx)] = 0.0
-        idx[q] = slice(None)
-    flat = tensor.reshape(-1)
-    flat = flat / np.sqrt(float(np.vdot(flat, flat).real))
-    return out, QuantumReg(StateVec(n_total, flat), reg.owner)
-
-
-# ------------------------------------------------------------------
-# adversary channels
-# ------------------------------------------------------------------
-
-
-def _apply_unitary_statevec(amps: np.ndarray, n_total: int, u: np.ndarray,
-                            targets: Sequence[int]) -> np.ndarray:
-    q = len(targets)
-    tensor = amps.reshape((2,) * n_total)
-    rest = [i for i in range(n_total) if i not in targets]
-    tensor = np.moveaxis(tensor, list(targets) + rest, range(n_total))
-    mat = tensor.reshape(1 << q, -1)
-    mat = u @ mat
-    tensor = mat.reshape((2,) * n_total)
-    tensor = np.moveaxis(tensor, range(n_total), list(targets) + rest)
-    return tensor.reshape(-1)
-
-
-def apply_adversary(
-    reg: QuantumReg, ch: AdversaryChannel, rng: np.random.Generator
-) -> QuantumReg:
-    """Run the channel's dilation. Every qubit must be assigned to a party
-    exactly once across the channel's assign actions."""
-    sv: StateVec = reg.payload
-    amps = sv.amps
-    n_total = sv.n
-    ch.log = []
-    assigned: dict[int, str] = {}
-    for act in ch.actions:
-        kind = act[0]
-        if kind == "append":
-            k = act[1]
-            if n_total + k > STATEVECTOR_QUBIT_LIMIT:
-                raise ValueError("ancillas exceed statevector qubit limit")
-            grown = np.zeros(amps.size << k, dtype=np.complex128)
-            # new qubits are appended at the bottom (least significant bits)
-            grown[np.arange(amps.size) << k] = amps
-            amps = grown
-            n_total += k
-        elif kind == "unitary":
-            _, u, targets = act
-            if any(t >= n_total for t in targets):
-                raise ValueError("unitary target out of range")
-            amps = _apply_unitary_statevec(amps, n_total, u, targets)
-        elif kind == "measure":
-            targets = act[1]
-            tmp = QuantumReg(StateVec(n_total, amps), ("tmp",) * n_total)
-            outcome, collapsed = measure_computational(tmp, rng, targets)
-            ch.log.append((targets, outcome))
-            amps = collapsed.payload.amps
-        elif kind == "assign":
-            _, targets, party = act
-            for t in targets:
-                if t in assigned:
-                    raise ValueError(f"qubit {t} assigned twice")
-                assigned[t] = party
-    if set(assigned) != set(range(n_total)):
-        raise ValueError("every qubit must be assigned exactly once")
-    owner = tuple(assigned[i] for i in range(n_total))
-    return QuantumReg(StateVec(n_total, amps), owner)
 
 
 # ------------------------------------------------------------------

@@ -120,14 +120,6 @@ def test_bounds_domain_edges_run(capsys):
         assert code == 0 and "binding_bound" in json.loads(out)
 
 
-@pytest.mark.parametrize("subcommand", ["moe"])
-def test_statevector_size_limit_exits_2(capsys, subcommand):
-    code, _, err = _run(capsys, subcommand, "--set", "family=all", "--set", "n=22",
-                        "--threads", "2")
-    assert code == 2
-    assert "ambient dimension exceeds statevector limit" in err
-
-
 @pytest.mark.parametrize("trials", ["0", "-1"])
 @pytest.mark.parametrize("subcommand", ["moe", "qecm", "urbc", "qkd", "tfkw"])
 def test_nonpositive_trials_exit_2(capsys, subcommand, trials):
@@ -390,13 +382,13 @@ GOLDEN_DIGESTS = {
     "moe-measure_wiesner": (0, "b9ad4d2971f8c91b0f0c2f3de6d01113cee054ac33d5b28ded226325e9e95c00"),
     "moe-keep_and_substitute": (0, "e6a932a4ed1ac76e53237cdd3f1fa40f23f8a7759d00d108468740979e2dc3ed"),
     "moe-leak_smuggle": (0, "5d22dc6b87a27620dc7146c893c5f6256e731d16657a7d77f5a95485287257ea"),
-    "moe-all-bob_all": (0, "9832d136f7caf3236f742d8261a04294074559dd7e53fb1c3f9042bdf1c195aa"),
-    "moe-all-charlie_all": (0, "3dd19b0591cf05305d60d07c942d6c873a5820b149c730cd7270b91be8204061"),
-    "moe-all-mix": (0, "27bc5ef191ff21d7b506c53ebda1b22a0781a0a1208fd067719d37901296d42f"),
-    "moe-all-measure_computational": (0, "a2fff28d52df6cbeff57d00a2df8a3d98fe790d053ba9ea7fcb36fc0d4c6c43b"),
-    "moe-all-measure_wiesner": (0, "22a6600b400aac55057ab0f19d9ace5e59eeb2546c3daa04a17b95eb25835209"),
-    "moe-all-keep_and_substitute": (0, "082135bf306b46db1a002542c5a5d9e4c3a0e612b52f7e75271cc982fa87bbac"),
-    "moe-all-leak_smuggle": (0, "6a1db348832ba6479420c9b6e4082c6cf8fdce665ad5240a80196b64ac6e98ee"),
+    "moe-all-bob_all": (0, "2b68a36cb83f8b8168eea89295744f47e536d57587952a59bba01f0d712be2e9"),
+    "moe-all-charlie_all": (0, "59e43151f6ace26d070cf02ee7025058d74cccd21a462108ab68956300328c3e"),
+    "moe-all-mix": (0, "c7dfce41663423368230993d13466fe9eecab9ea610ef5a5000a429c5247a0af"),
+    "moe-all-measure_computational": (0, "04c19c01b28d867a9ebe3335576701ce751f9a5b9965b0a39326e34082069db4"),
+    "moe-all-measure_wiesner": (0, "c740ad660fe0571ed1a0b2ebf090e2692ba3c6d5e982b2c6086716295ad5f8cd"),
+    "moe-all-keep_and_substitute": (0, "e98f59b2b1e5f1619020ad24fcaa485bf211b089e6bb77939570c4ce06cbb904"),
+    "moe-all-leak_smuggle": (0, "86a79f2683679c1bc39d738b1761b0ff2cca552e7338fbfaf8ebf6c5aa49928a"),
     "moe64-bob_all": (0, "9cbaed01a2b5f169e83d593d5aff19f76bc1a9a1bf31a5ee6867f45f477d1ba1"),
     "moe64-measure_wiesner": (0, "eb639c850b246d7b27efbb3caa574c09c4c0ba1bfd1c8003941706471f82171e"),
     "moe64-keep_and_substitute": (0, "229b38a5609e23a2d915cc725524767bea0a8581f99316a4e5c07bb4a9582dff"),
@@ -453,6 +445,9 @@ THREAD_ARGVS = {
                    "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
                    "--trials", "11500", "--seed", "3"),
     "moe-all-measure_wiesner": GOLDEN_ARGVS["moe-all-measure_wiesner"],
+    **{f"moe-all64-{k}": ("moe", "--set", f"kind={k}", "--set", "n=64", "--set", "family=all",
+                          "--trials", "40", "--seed", "3")
+       for k in ("measure_wiesner", "keep_and_substitute")},
     "tfkw": GOLDEN_ARGVS["tfkw-attack"],
     "tfkw-blocks": ("tfkw", "--set", "dx=0.15", "--set", "dz=0.15", "--set", "gamma=0.25",
                     "--trials", "15000", "--seed", "3"),

@@ -1,10 +1,10 @@
-"""Monogamy-game harness tests: closed forms vs Monte Carlo on the register
-kernels and the statevector, leak behaviour, determinism, and the
-counter-stream plumbing underneath."""
+"""Monogamy-game harness tests: closed forms vs Monte Carlo on the kernels
+and the statevector referee, the general-family reads against the
+referee's exact law, leak behaviour, determinism, and the counter-stream
+plumbing underneath."""
 
-import dataclasses
+import functools
 import itertools
-import json
 import math
 import sys
 
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetmoe import mc, moe
-from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, solve_coset_membership
+from cosetmoe.cli import _half_subspaces
+from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, sample_subspace, solve_coset_membership
 from cosetmoe.info import ball_volume, moe_bound
 from cosetmoe.mc import (
     TrialReader,
@@ -31,23 +32,18 @@ from cosetmoe.moe import (
     BUILTIN_KINDS,
     GameResult,
     MoeParams,
-    Strategy,
     all_builtin_strategies,
+    alternating_basis,
     analytic_win,
     builtin_strategy,
     play_leaky,
 )
-from cosetmoe.qsim import AdversaryChannel, WiesnerRecord, assign_ownership
+from cosetmoe.qsim import CosetDescriptor, WiesnerRecord, prepare_coset_state
+import statevector_referee as referee
 
 
 def three_sigma(p, trials):
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-
-
-def _statevector(strategy):
-    """The strategy without its register kernel: ``play_leaky`` then runs it
-    on the statevector, the oracle for the register kernels."""
-    return dataclasses.replace(strategy, register_kernel=None)
 
 
 # ------------------------------------------------------------------
@@ -320,8 +316,7 @@ def test_game_result_fields_and_json():
     r = GameResult.from_counts(30, 70, 200)
     assert r.estimate == 30 / 200
     assert 0.0 <= r.wilson_low <= r.estimate <= r.wilson_high <= 1.0
-    blob = json.loads(r.to_json())
-    assert blob["wins"] == 30 and blob["bob_correct"] == 70
+    assert (r.wins, r.trials, r.bob_correct) == (30, 200, 70)
     with pytest.raises(ValueError):
         GameResult.from_counts(10, 5, 200)  # wins cannot exceed bob_correct
 
@@ -467,8 +462,8 @@ def test_same_seed_same_result_kernel_and_statevector():
     s = builtin_strategy("measure_wiesner", theta_hat=Gf2Vec.from_int(0b10101010, 8))
     assert play_leaky(p, s) == play_leaky(p, s)
     p_sv = MoeParams(n=4, trials=300, seed=99)
-    sv = _statevector(builtin_strategy("bob_all"))
-    assert play_leaky(p_sv, sv) == play_leaky(p_sv, sv)
+    sv = builtin_strategy("bob_all")
+    assert referee.play(p_sv, sv) == referee.play(p_sv, sv)
 
 
 def test_thread_count_does_not_change_counts(monkeypatch):
@@ -477,12 +472,12 @@ def test_thread_count_does_not_change_counts(monkeypatch):
         r1 = play_leaky(p, s, threads=1)
         r8 = play_leaky(p, s, threads=8)
         assert r1 == r8
-    # the statevector backend, in 16-trial blocks so that the threads split it
+    # the general-family kernels, in 16-trial blocks so that the threads split them
     p_all = MoeParams(n=4, family="all", trials=40, seed=42)
-    s = builtin_strategy("mix", q=0.3)
-    one = play_leaky(p_all, s, threads=1)
-    monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * moe._statevector_kernel(p_all, s, True)[0])
-    assert play_leaky(p_all, s, threads=2) == one
+    for s in all_builtin_strategies(4)[4:6]:
+        one = play_leaky(p_all, s, threads=1)
+        monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * s.kernel(p_all, True)[0])
+        assert play_leaky(p_all, s, threads=2) == one
 
 
 def test_different_seeds_decorrelate():
@@ -493,7 +488,7 @@ def test_different_seeds_decorrelate():
 
 
 # ------------------------------------------------------------------
-# statevector backend against the same closed forms
+# the statevector referee against the same closed forms
 # ------------------------------------------------------------------
 
 
@@ -509,50 +504,46 @@ def test_different_seeds_decorrelate():
 )
 def test_statevector_matches_closed_forms(kind, trials):
     p = MoeParams(n=4, trials=trials, seed=31)
-    s = _statevector(_canonical(kind, p.n))
+    s = _canonical(kind, p.n)
     expected = s.analytic(p)
-    est = play_leaky(p, s).estimate
+    est = referee.play(p, s).estimate
     assert abs(est - expected) <= three_sigma(expected, trials)
 
 
 def test_statevector_smuggle_blind():
     p = MoeParams(n=4, trials=1500, seed=17)
-    est = play_leaky(p, _statevector(builtin_strategy("leak_smuggle")), leak=False).estimate
+    est = referee.play(p, builtin_strategy("leak_smuggle"), leak=False).estimate
     assert abs(est - 1 / 16) <= three_sigma(1 / 16, p.trials)
 
 
 def test_custom_split_strategy_runs_and_is_uniform():
     # hold two qubits each, answer uniformly: the two guesses are independent
     def split(n, rng):
-        return AdversaryChannel(
-            [assign_ownership(range(n // 2), "bob"), assign_ownership(range(n // 2, n), "charlie")]
-        )
+        return referee.AdversaryChannel([referee.assign_ownership(range(n // 2), "bob"),
+                                         referee.assign_ownership(range(n // 2, n), "charlie")])
 
-    s = Strategy(
-        name="split_uniform",
+    s = referee.Rules(
         split=split,
         bob=lambda a, view, rng: Gf2Vec(rng.integers(0, 2, a.dim, dtype=np.uint8)),
         charlie=lambda a, t_b, view, rng: Gf2Vec(rng.integers(0, 2, a.dim, dtype=np.uint8)),
     )
     p = MoeParams(n=4, trials=2000, seed=23)
-    est = play_leaky(p, s).estimate
+    est = referee.play(p, s).estimate
     assert abs(est - 1 / 16) <= three_sigma(1 / 16, p.trials)
 
 
 def test_party_view_size_mismatch_raises():
     def split(n, rng):
-        return AdversaryChannel(
-            [assign_ownership(range(n - 1), "bob"), assign_ownership([n - 1], "charlie")]
-        )
+        return referee.AdversaryChannel([referee.assign_ownership(range(n - 1), "bob"),
+                                         referee.assign_ownership([n - 1], "charlie")])
 
-    s = Strategy(
-        name="short_bob",
+    s = referee.Rules(
         split=split,
         bob=lambda a, view, rng: view.measure_coset(a, rng)[0],
         charlie=lambda a, t_b, view, rng: Gf2Vec.zeros(a.dim),
     )
     with pytest.raises(ValueError):
-        play_leaky(MoeParams(n=4, trials=2), s)
+        referee.play(MoeParams(n=4, trials=2), s)
 
 
 # ------------------------------------------------------------------
@@ -596,6 +587,150 @@ def test_measure_computational_all_family_monte_carlo():
     p = MoeParams(n=4, family="all", trials=4000, seed=5)
     est = play_leaky(p, builtin_strategy("measure_computational")).estimate
     assert abs(est - 0.25) <= three_sigma(0.25, p.trials)
+
+
+# ------------------------------------------------------------------
+# general-family kernels against the statevector referee
+# ------------------------------------------------------------------
+
+
+def _outcome_bits(n):
+    """Row v of the 2^n x n table is the bits of amplitude index v."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+@functools.cache
+def _fake_label_law(a, rec):
+    """P(t̂) of a coset-basis read of the fake |x>_θ, as
+    Σ_t'' |<a_{t̂,t''}|fake>|²: one entry per label t̂ in index order."""
+    n, half = a.n, a.n // 2
+    fake = np.eye(1, 1 << n, dtype=np.complex128).ravel()
+    for gate, bits in ((referee.PAULI_X, rec.x.bits), (referee.HADAMARD, rec.theta.bits)):
+        for i in np.flatnonzero(bits):
+            fake = referee.apply_unitary_statevec(fake, n, gate, (i,))
+    return [sum(abs(np.vdot(prepare_coset_state(CosetDescriptor(
+        a, Gf2Vec.from_int(t_hat, half), Gf2Vec.from_int(t_pp, half))).payload.amps, fake)) ** 2
+                for t_pp in range(1 << half)) for t_hat in range(1 << half)]
+
+
+def _statevector_law(kind, a, t, tp, option):
+    """The exact law of a round's guesses (t_B, t'_C) as bytes, read off the
+    statevector.  ``measure_wiesner``: Hadamards on the guessed qubits of
+    |a_{t,t'}>, then a computational read, answered at a's free coordinates
+    and its pivots.  ``keep_and_substitute``: Bob's coset-basis read of the
+    fake and Charlie's exact t'."""
+    n, half = a.n, a.n // 2
+    law = {}
+    if kind == "measure_wiesner":
+        amps = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t), Gf2Vec(tp))).payload.amps
+        for i in np.flatnonzero(option.bits):
+            amps = referee.apply_unitary_statevec(amps, n, referee.HADAMARD, (i,))
+        w = _outcome_bits(n).astype(np.uint8)
+        free, pivots = w[:, list(a.free_coords)], w[:, list(a.pivots)]
+        for f, c, p in zip(free, pivots, np.abs(amps) ** 2):
+            law[f.tobytes(), c.tobytes()] = law.get((f.tobytes(), c.tobytes()), 0.0) + p
+    else:
+        labels = _outcome_bits(half).astype(np.uint8)
+        law = {(label.tobytes(), tp.tobytes()): p
+               for label, p in zip(labels, _fake_label_law(a, option))}
+    return {key: p for key, p in law.items() if p > 1e-12}
+
+
+def _general_reads(kind, option):
+    """A kind's read rule and the window fields it reads after (t, t')."""
+    if kind == "measure_wiesner":
+        return moe._wiesner_reads(option), lambda n: (n // 2, n // 2)
+    return moe._substitute_reads(option), lambda n: (n,)
+
+
+@pytest.mark.parametrize("kind", ["measure_wiesner", "keep_and_substitute"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_general_reads_equal_the_statevector_law(kind, n):
+    # every subspace at n = 2 and 4, four at n = 6, each with its own random
+    # basis guess or fake record, over every label (t, t'); the kernel's law
+    # enumerates every value of the window bits it reads after (t, t')
+    half, rng = n // 2, np.random.default_rng(n)
+    subspaces = (list(_half_subspaces(n, "all")) if n < 6
+                 else [sample_subspace(n, "all", rng) for _ in range(4)])
+    for a in subspaces:
+        bits = rng.integers(0, 2, (2, n), dtype=np.uint8)
+        option = (Gf2Vec(bits[0]) if kind == "measure_wiesner"
+                  else WiesnerRecord(x=Gf2Vec(bits[0]), theta=Gf2Vec(bits[1])))
+        reads, layout = _general_reads(kind, option)
+        widths = layout(n)
+        values = (np.arange(1 << sum(widths))[:, None] >> np.arange(sum(widths))) & 1
+        fields = np.split(values.astype(np.uint8), np.cumsum(widths)[:-1], axis=1)
+        rows = len(values)
+        for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
+            t, tp = Gf2Vec.from_int(t_int, half).bits, Gf2Vec.from_int(tp_int, half).bits
+            t_b, t_c = reads([a] * rows, np.tile(t, (rows, 1)), np.tile(tp, (rows, 1)), *fields)
+            law = {}
+            for key in zip(map(bytes, t_b), map(bytes, t_c)):
+                law[key] = law.get(key, 0) + 1 / rows
+            expected = _statevector_law(kind, a, t, tp, option)
+            assert law.keys() == expected.keys()
+            assert all(abs(law[key] - p) < 1e-9 for key, p in expected.items())
+
+
+@pytest.mark.parametrize("kind", ["measure_wiesner", "keep_and_substitute"])
+def test_general_kernel_rows_chi_squared(monkeypatch, kind):
+    # 10^4 rows of the kernel play_leaky runs at n = 4, recorded as its read
+    # rule returns them; a cell expects the sum over rows of its statevector
+    # probability
+    n, rows = 4, []
+    name = "_wiesner_reads" if kind == "measure_wiesner" else "_substitute_reads"
+    make_reads = getattr(moe, name)
+
+    def recording(option):
+        reads = make_reads(option)
+
+        def record(subspaces, t, tp, *fields):
+            guesses = reads(subspaces, t, tp, *fields)
+            rows.extend(zip(subspaces, t, tp, *guesses))
+            return guesses
+
+        return record
+
+    monkeypatch.setattr(moe, name, recording)
+    if kind == "measure_wiesner":
+        option = alternating_basis(n)
+        s = builtin_strategy(kind, theta_hat=option)
+    else:
+        option = WiesnerRecord(x=Gf2Vec([0, 1, 1, 0]), theta=Gf2Vec([0, 0, 1, 1]))
+        s = builtin_strategy(kind, substitute=option)
+    play_leaky(MoeParams(n=n, family="all", trials=10_000, seed=61), s)
+    assert len(rows) == 10_000
+
+    # two binnings by the subspace and a 4-bit pattern: the guesses
+    # (t_B, t'_C), and their errors (t_B ^ t, t'_C ^ t'); each catches
+    # misreads the other does not
+    ids, laws = {}, {}
+    weights = 1 << np.arange(n)
+
+    def patterns(t, tp, t_b, t_c):
+        return np.array([np.concatenate([t_b, t_c]) @ weights,
+                         np.concatenate([t_b ^ t, t_c ^ tp]) @ weights])
+
+    observed, expected = np.zeros((2, 35 * 16)), np.zeros((2, 35 * 16))
+    for a, t, tp, t_b, t_c in rows:
+        base = 16 * ids.setdefault(a, len(ids))
+        observed[[0, 1], base + patterns(t, tp, t_b, t_c)] += 1
+        key = (a, t.tobytes(), tp.tobytes())
+        if key not in laws:
+            laws[key] = np.zeros((2, 16))
+            for (b, c), p in _statevector_law(kind, a, t, tp, option).items():
+                cells = patterns(t, tp, np.frombuffer(b, np.uint8), np.frombuffer(c, np.uint8))
+                laws[key][[0, 1], cells] += p
+        expected[:, base : base + 16] += laws[key]
+    assert len(ids) == 35  # every subspace drawn
+    for obs, exp in zip(observed, expected):
+        support = exp > 1e-9
+        assert not obs[~support].any()
+        chi2 = float(((obs - exp)[support] ** 2 / exp[support]).sum())
+        # the 0.999 quantile of χ² at the support's degrees of freedom, by
+        # the Wilson-Hilferty cube: within 1% of it from 10 degrees up
+        dof = int(support.sum()) - 1
+        assert chi2 < dof * (1 - 2 / (9 * dof) + 3.0902 * math.sqrt(2 / (9 * dof))) ** 3
 
 
 # ------------------------------------------------------------------
@@ -731,7 +866,7 @@ def test_register_kernels_equal_uint8_reference(kind, leak, n, m_at, mp_at, seed
         substitute = WiesnerRecord(x=_fixed_bits(fills[0], n, data),
                                    theta=_fixed_bits(fills[1], n, data + 1))
     strategy = builtin_strategy(kind, q=q, theta_hat=theta_hat, substitute=substitute)
-    wpt, kernel = strategy.register_kernel(params, leak)
+    wpt, kernel = strategy.kernel(params, leak)
     reference = _reference_kernel(kind, params, leak, q, theta_hat, substitute)
     # 45 trials in blocks of 16: two whole blocks and a partial one
     with pytest.MonkeyPatch.context() as mp:

@@ -20,6 +20,7 @@ _OPTION_SURFACE = {
     "moe.play_leaky": ("params", "strategy", "leak", "threads"),
     "moe.builtin_strategy": ("kind", "q", "theta_hat", "substitute"),
     "moe.MoeParams": ("n", "family", "m", "m_prime", "trials", "seed"),
+    "moe.Strategy": ("name", "kernel", "kind", "options"),
     "proto.qecm_experiment": ("kind", "params", "adversary", "trials", "seed",
                               "message_probs", "threads"),
     "proto.urbc_experiment": ("kind", "params", "trials", "seed", "threads"),

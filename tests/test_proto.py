@@ -48,12 +48,8 @@ from cosetmoe.proto import (
     urbc_experiment,
     urbc_hiding_exact,
 )
-from cosetmoe.qsim import (
-    CosetDescriptor,
-    measure_computational,
-    measure_coset_basis,
-    prepare_coset_state,
-)
+from cosetmoe.qsim import CosetDescriptor, measure_coset_basis, prepare_coset_state
+from statevector_referee import measure_computational
 
 
 def _sigma(p, trials):
@@ -1266,7 +1262,7 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
     monkeypatch.setattr(moe, "sample_subspace", sampling(moe.sample_subspace))
     qecm_experiment("correctness", _QECM_ALL, trials=8, seed=seed)
     moe.play_leaky(moe.MoeParams(n=4, family="all", trials=8, seed=seed),
-                   moe.builtin_strategy("bob_all"))
+                   moe.builtin_strategy("keep_and_substitute"))  # a kind that samples a
     assert len(statevector) == 16
     assert len(set(statevector)) == 16
     assert not set(statevector) & (per_trial | set(first.values()))

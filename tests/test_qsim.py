@@ -16,20 +16,22 @@ from cosetmoe.mc import TrialReader, coordinate_rows, trial_words, words_for
 from cosetmoe.proto import PauliNoise
 from cosetmoe.qsim import (
     STATEVECTOR_QUBIT_LIMIT,
-    AdversaryChannel,
     CosetDescriptor,
     QuantumReg,
     StateVec,
     _coset_change_of_basis,
+    coset_overlap,
+    measure_coset_basis,
+    prepare_coset_state,
+)
+from statevector_referee import (
+    AdversaryChannel,
     append_ancilla,
     apply_adversary,
     apply_unitary,
     assign_ownership,
-    coset_overlap,
     measure_computational,
-    measure_coset_basis,
     measure_qubits,
-    prepare_coset_state,
 )
 
 
