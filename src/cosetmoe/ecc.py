@@ -7,7 +7,7 @@ Four code families cover everything the protocol stack needs:
 * ``block_repeat(b,k)``  -- k independent repetition blocks, a [bk,k,b] code whose
                             decoding stays per-block and therefore scales to the
                             key-distribution completeness experiment
-* ``random_linear(N,K,seed)`` -- a random [N,K] code with enumerated distance
+* ``random_linear(N,K,seed)`` -- a uniform random [N,K] code with enumerated distance
 
 Coset-leader decoding uses the minimum-weight representative of each syndrome's
 coset, ties broken toward the lexicographically smallest vector.  The explicit
@@ -24,7 +24,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vec, complement
+from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vec, complement, sample_subspaces, subspace_fields
+from .mc import TrialReader, words_for
 
 __all__ = [
     "LinearCode",
@@ -231,16 +232,12 @@ def make_code(kind: str, *params: int) -> LinearCode:
         return code
     if kind == "random_linear":
         n, k, seed = params
-        if not 1 <= k < n:
-            raise ValueError("random_linear needs 1 <= K < N")
+        if not (1 <= k < n and type(seed) is int and 0 <= seed < 1 << 128):
+            raise ValueError("random_linear needs 1 <= K < N and an integer seed below 2^128")
         if k > _ENUM_MAX_DIMENSION:
             raise ValueError("random_linear dimension must be <= 20 (distance enumeration)")
-        rng = np.random.default_rng(seed)
-        while True:
-            raw = Gf2Matrix(rng.integers(0, 2, size=(k, n), dtype=np.uint8))
-            if raw.rank() == k:
-                break
-        span = Gf2Subspace(n, raw)
+        words = np.random.Philox(key=seed).random_raw(words_for(*subspace_fields(n, k)))
+        span = sample_subspaces(TrialReader(words[None, :]), n, k)[0]
         g = span.basis
         h = complement(span).basis
         return LinearCode(

@@ -12,14 +12,20 @@ distinct cosets of ``a``, and the map is linear.  For a register subspace
 (one spanned by standard basis vectors) the non-pivot coordinates are exactly
 the complementary coordinate positions in increasing order, so the label bits
 are simply scattered into those slots.
+
+Random subspaces are drawn in canonical form (``sample_subspaces``): pivot
+columns from one 32-bit key each, then free entries from a k x n bit field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .mc import TrialReader, top_k_mask, words_for
 
 __all__ = [
     "Gf2Vec",
@@ -32,6 +38,8 @@ __all__ = [
     "coset_rep",
     "coset_elements",
     "solve_coset_membership",
+    "subspace_fields",
+    "sample_subspaces",
     "sample_subspace",
     "hamming",
 ]
@@ -200,24 +208,19 @@ def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...]]:
     work = m.rows.copy()
     nrows, ncols = work.shape
     pivots: list[int] = []
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
         if row == nrows:
             break
-        piv = None
-        for i in range(row, nrows):
-            if work[i, col]:
-                piv = i
-                break
-        if piv is None:
+        below = np.flatnonzero(work[row:, col])
+        if not below.size:
             continue
-        if piv != row:
-            work[[row, piv]] = work[[piv, row]]
-        for i in range(nrows):
-            if i != row and work[i, col]:
-                work[i] ^= work[row]
+        if below[0]:
+            work[[row, row + below[0]]] = work[[row + below[0], row]]
+        hit = work[:, col].astype(bool)  # every other row with a 1 here
+        hit[row] = False
+        work[hit] ^= work[row]
         pivots.append(col)
-        row += 1
     return Gf2Matrix(work), tuple(pivots)
 
 
@@ -360,19 +363,12 @@ def complement(a: Gf2Subspace) -> Gf2Subspace:
     ``complement(complement(a)) == a`` exactly.
     """
     n = a.n
-    if a.dim == 0:
-        return Gf2Subspace.register(n, range(n))
-    basis = a.basis.rows
-    pivots = a.pivots
-    free = a.free_coords
-    gens = []
-    for f in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        for r_idx, p in enumerate(pivots):
-            v[p] = basis[r_idx, f]
-        gens.append(Gf2Vec(v))
-    return Gf2Subspace(n, gens)
+    # row f is e_f plus, at each pivot p_i, a's basis entry (i, f)
+    free = list(a.free_coords)
+    gens = np.zeros((len(free), n), dtype=np.uint8)
+    gens[np.arange(len(free)), free] = 1
+    gens[:, list(a.pivots)] = a.basis.rows[:, free].T
+    return Gf2Subspace(n, Gf2Matrix(gens))
 
 
 def intersect(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:
@@ -420,28 +416,55 @@ def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:
     return t, Gf2Vec(u)
 
 
-def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspace:
-    """Sample a dimension-n/2 subspace.
+def subspace_fields(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(bit_fields, key_fields) of a subspace draw: n pivot keys, then a k x n fill field."""
+    return (k * n,), (n,)
 
-    family="register": uniform over subspaces spanned by n/2 standard basis
-    vectors (uniform half-weight indicator).
-    family="all": uniform over all dimension-n/2 subspaces, by drawing random
-    n/2 x n matrices until one has full rank and taking its row space.  Each
-    subspace has the same number of full-rank generator matrices, so the row
-    space is uniform.  One reduction per draw both tests the rank and gives
-    the canonical basis.
-    """
+
+def _random_rref(keys: np.ndarray, fill: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n) uint32 keys and (T, k*n) fill bits to (T, k, n) RREF bases and
+    (T, k) pivots.  With m columns and r pivots left, a column is a pivot with
+    the share 2^(m-r) [m-1 choose r-1]_2 / [m choose r]_2 = (1 - 2^-r) / (1 - 2^-m)
+    of the canonical forms, when its key is below ``mc.key_threshold`` of that.
+    Entry (i, j), j a non-pivot column right of pivot i, is fill bit i*n + j."""
+    t, n = keys.shape
+    left = np.full(t, k, dtype=np.int32)
+    is_pivot = np.empty((t, n), dtype=bool)
+    for j in range(n):
+        p = (1 - np.ldexp(1.0, -left)) / (1 - math.ldexp(1.0, j - n))
+        is_pivot[:, j] = keys[:, j] < np.ceil(p * 2.0**32)
+        left -= is_pivot[:, j]
+    pivots = np.nonzero(is_pivot)[1].reshape(t, k)
+    free = (np.arange(n) > pivots[:, :, None]) & ~is_pivot[:, None, :]
+    basis = fill.reshape(t, k, n) & free
+    basis[np.arange(t)[:, None], np.arange(k), pivots] = 1
+    return basis, pivots
+
+
+def sample_subspaces(r: TrialReader, n: int, k: int) -> list[Gf2Subspace]:
+    """A uniform k-dimensional subspace of GF(2)^n per row of a block, from
+    the fields ``subspace_fields`` lays out, within total variation n * 2^-32
+    of uniform (each pivot decision is off by < 2^-32); no elimination runs."""
+    basis, pivots = _random_rref(r.keys(n), r.bits(k * n), k)
+    return [Gf2Subspace.__new__(Gf2Subspace)._store(n, b, tuple(p))
+            for b, p in zip(basis, pivots.tolist())]
+
+
+def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspace:
+    """A uniform dimension-n/2 subspace from the next raw words of ``rng``'s
+    bit generator: on family "register" spanned by the unit vectors at the
+    n/2 largest of n keys (``mc.top_k_mask``), on "all" by
+    ``sample_subspaces``."""
     if n % 2:
         raise ValueError("ambient dimension must be even")
+    if family not in ("register", "all"):
+        raise ValueError(f"unknown subspace family {family!r}")
     half = n // 2
+    fields = subspace_fields(n, half) if family == "all" else ((), (n,))
+    r = TrialReader(rng.bit_generator.random_raw(words_for(*fields))[None, :])
     if family == "register":
-        return Gf2Subspace.register(n, rng.permutation(n)[:half])
-    if family == "all":
-        while True:
-            reduced, pivots = rref(Gf2Matrix(rng.integers(0, 2, size=(half, n), dtype=np.uint8)))
-            if len(pivots) == half:
-                return Gf2Subspace.__new__(Gf2Subspace)._store(n, reduced.rows, pivots)
-    raise ValueError(f"unknown subspace family {family!r}")
+        return Gf2Subspace.register(n, np.flatnonzero(top_k_mask(r.keys(n), half)[0]))
+    return sample_subspaces(r, n, half)[0]
 
 
 def hamming(x: Gf2Vec, y: Gf2Vec) -> int:

@@ -17,12 +17,12 @@ threads.
 makes over the block reads cache, not L3 or memory, whatever the window
 width W.  The block size changes speed, never a count.
 
-A trial whose number of draws is not fixed (a general-family subspace,
-sampled by rejection, in the games and the protocols alike) reads two words
-of its window as the 128-bit key of its own Philox generator
-(``TrialReader.generators``).  Philox keys may be drawn freely from a
-counter stream (Salmon et al., SC 2011), and such a key meets a
-``stream_key`` or a [seed, trial] key only with probability 2^-128.
+Every trial, on either subspace family, reads a fixed number of words.  A
+general-family subspace of dimension k in GF(2)^n takes n draw keys, each
+deciding whether its column is a pivot of the canonical basis, then a k x n
+bit field that fills the free entries (``gf2.subspace_fields``).  Each
+decision is off by less than 2^-32, so the subspace is within total
+variation n * 2^-32 of uniform.
 
 A bit field is read packed: whole uint64 words, bit 0 of the field in the
 most significant bit of the first word, with the bits past the field's
@@ -51,7 +51,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,9 +172,9 @@ def key_threshold(p: float) -> int:
 class TrialReader:
     """Carves a block of trial words into named fields, in declaration order.
 
-    The same sequence of ``packed``/``bits``/``keys``/``floats``/``generators``
-    calls must be made every time a kernel runs, so a field's position in the
-    stream is a function of the layout alone.
+    The same sequence of ``packed``/``bits``/``keys``/``floats`` calls must
+    be made every time a kernel runs, so a field's position in the stream is
+    a function of the layout alone.
     """
 
     def __init__(self, words: np.ndarray):
@@ -213,12 +213,6 @@ class TrialReader:
     def floats(self, count: int) -> np.ndarray:
         """The next ``count`` draws as (T, count) float64 uniforms in [0, 1)."""
         return floats_from_words(self._take(count))
-
-    def generators(self) -> Iterator[np.random.Generator]:
-        """The next two words of each row as the 128-bit key (key words
-        [w0, w1]) of that row's own Philox generator, made row by row as the
-        caller iterates.  The words are taken when this is called."""
-        return (np.random.Generator(np.random.Philox(key=key)) for key in self._take(2))
 
 
 def top_k_mask(keys: np.ndarray, k: int) -> np.ndarray:

@@ -33,8 +33,8 @@ closed form on both subspace families:
   order.  Where the labels (t, t') must be laid onto the coordinates, a
   256 x 256 byte table deposits them onto the free and pivot masks of the
   basis row, so no per-trial sort or gather over coordinates runs.  On the
-  general family (``_general_kernel``) a window holds the 2-word key of the
-  row's own generator, which samples a as the protocols do, and the reads
+  general family (``_general_kernel``) a window holds a's draw in canonical
+  form, as the protocols read it (``gf2.sample_subspaces``), and the reads
   are the batched coset maps of ``gf2.coset_elements``.
 
 Every kernel runs under ``mc.run_blocks`` on one counter stream,
@@ -51,7 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gf2 import Gf2Vec, complement, coset_elements, sample_subspace, solve_coset_membership
+from .gf2 import (Gf2Vec, complement, coset_elements, sample_subspaces, solve_coset_membership,
+                  subspace_fields)
 from .info import ball_volume
 from .mc import (
     TrialReader,
@@ -291,16 +292,16 @@ def _counters(win: np.ndarray, bob_ok: np.ndarray) -> np.ndarray:
 
 def _general_kernel(params: MoeParams, fields: tuple[int, ...], reads):
     """The ``family=all`` kernel of a strategy whose read depends on a.  A
-    window holds the 2-word key of the row's own generator, which samples a
-    as the protocols do (``TrialReader.generators``, then
-    ``sample_subspace``), the labels (t, t'), then ``fields`` bits;
-    ``reads(subspaces, t, t', *fields)`` gives the guesses (t_B, t'_C)."""
+    window holds a's draw, as the protocols read it (``gf2.sample_subspaces``),
+    the labels (t, t'), then ``fields`` bits; ``reads(subspaces, t, t',
+    *fields)`` gives the guesses (t_B, t'_C)."""
     n, half = params.n, params.half
-    wpt = words_for(bit_fields=(128, half, half, *fields))
+    sub_bits, sub_keys = subspace_fields(n, half)
+    wpt = words_for(bit_fields=(*sub_bits, half, half, *fields), key_fields=sub_keys)
 
     def kernel(words):
         r = TrialReader(words)
-        subspaces = [sample_subspace(n, "all", rng) for rng in r.generators()]
+        subspaces = sample_subspaces(r, n, half)
         t, tp = r.bits(half), r.bits(half)
         t_b, t_c = reads(subspaces, t, tp, *(r.bits(b) for b in fields))
         bob_ok = (t_b != t).sum(axis=1) <= params.m

@@ -31,8 +31,8 @@ coset-basis measurement returns the labels (t, t'), and a computational one
 a uniform element of the coset.  The register (conjugate-coding) family runs
 on classical Wiesner records, read through θ masks, and scales to thousands
 of qubits.  The general family (interactive encryption and commitment)
-samples each row's subspace, and the uniform of a computational read, from
-the row's own generator keyed from its window.  Abort semantics: downstream
+draws each row's subspace, in canonical form, and coefficients from window
+keys and bits (``gf2.sample_subspaces``).  Abort semantics: downstream
 fields of an aborted run are ``None``, never zero-filled.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
-from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_elements, sample_subspace
+from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_elements, sample_subspaces, subspace_fields
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
@@ -278,9 +278,8 @@ class PauliNoise:
 
 def _coset_fields(family: str, n: int, computational: bool = False):
     """(bit_fields, key_fields) that ``_CosetStates`` reads from a window."""
-    if family != "register":
-        return (128,), ()
-    return ((n // 2,) if computational else ()), (n,)
+    bits, keys = subspace_fields(n, n // 2) if family != "register" else ((), (n,))
+    return (*bits, *((n // 2,) if computational else ())), keys
 
 
 class _CosetStates:
@@ -293,20 +292,18 @@ class _CosetStates:
     the coset, for A the canonical basis of a and c uniform on n/2 bits.
 
     The subspace draw comes first in a window.  On the register family it is
-    the Hadamard positions θ, from n draw keys, and c is n/2 window bits.  On
-    the general family it is a 2-word key for the row's own generator
-    (``TrialReader.generators``), which samples a and then, for a
-    computational read, the one uniform that picks c.
+    the Hadamard positions θ, from n draw keys.  On the general family it is
+    a's canonical basis, from n pivot keys and an n/2 x n fill field
+    (``gf2.sample_subspaces``).  On both, c is n/2 window bits.
     """
 
     def __init__(self, family: str, n: int, r: TrialReader):
         self.n = n
-        self.theta = self.rngs = self.subspaces = self.forwarded = None
+        self.theta = self.subspaces = self.forwarded = None
         if family == "register":
             self.theta = top_k_mask(r.keys(n), n // 2)
         else:
-            self.rngs = list(r.generators())
-            self.subspaces = [sample_subspace(n, family, rng) for rng in self.rngs]
+            self.subspaces = sample_subspaces(r, n, n // 2)
 
     def read(self, t: np.ndarray, tp: np.ndarray, r: TrialReader,
              computational: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -315,30 +312,19 @@ class _CosetStates:
         v = coset_rep(a, t) ⊕ c·A kept in ``forwarded``."""
         if not computational:
             return t, tp
-        half = self.n // 2
-        if self.theta is not None:
-            # the free positions read t, the Hadamard ones read coins
-            coins = r.bits(half)
+        c = r.bits(self.n // 2)
+        if self.theta is None:
+            self.forwarded = coset_elements(self.subspaces, t, c)
+        else:  # the free positions read t, the Hadamard ones read c
             self.forwarded = np.empty(self.theta.shape, dtype=np.uint8)
             self.forwarded[self.theta == 0] = t.ravel()
-            self.forwarded[self.theta == 1] = coins.ravel()
-            return t, coins
-        if half > 53:
-            raise ValueError("a computational read of the general family needs n <= 106")
-        # The Born weights are uniform on the coset, and its k-th element in
-        # index order has the bits of k at a's pivots (A is in RREF).  So one
-        # uniform u picks c = ⌊u·2^{n/2}⌋, as inverting the outcome CDF would.
-        k = (np.array([rng.random() for rng in self.rngs]) * (1 << half)).astype(np.int64)
-        c = ((k[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
-        self.forwarded = coset_elements(self.subspaces, t, c)
+            self.forwarded[self.theta == 1] = c.ravel()
         return t, c
 
     def subspace(self, row: int) -> Gf2Subspace:
-        """The subspace a of one row, for its transcript.  On the general
-        family it is the subspace sampled from the row's generator, already
-        canonical.  On the register family it is spanned by e_i at the
-        Hadamard positions θ_i = 1, built by ``Gf2Subspace.register``
-        without elimination."""
+        """The subspace a of one row, for its transcript: on the general
+        family the canonical draw, on the register family the span of e_i at
+        the Hadamard positions θ_i = 1 (``Gf2Subspace.register``)."""
         if self.theta is None:
             return self.subspaces[row]
         return Gf2Subspace.register(self.n, self.theta[row].nonzero()[0].tolist())
@@ -869,8 +855,7 @@ def run_urbc(
     is the string she tried to open to.
 
     The run reads one window of raw words from ``rng`` (see
-    ``_urbc_batch``); on params.family="all" the window keys the generator
-    that samples the subspace.
+    ``_urbc_batch``).
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")

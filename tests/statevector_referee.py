@@ -6,8 +6,8 @@ runs a strategy's channel as an ordered dilation (append ancillas, act
 unitarily, measure, hand every qubit to a party), and Born-samples each
 party's answer, one trial at a time, for n <= ``qsim.STATEVECTOR_QUBIT_LIMIT``.
 ``rules_for`` gives each built-in kind its per-trial rules; ``play`` runs any
-rules on ``moe``'s counter stream, a window holding the key of the round's
-own generator (``TrialReader.generators``) and the labels (t, t').
+rules on ``moe``'s counter stream, a window holding the 128-bit key of the
+round's own generator (``TrialReader.packed(128)``) and the labels (t, t').
 
 Strategies whose split is not a product across the Bob/Charlie cut must do
 all their measuring inside the channel (the party registers are measured
@@ -334,7 +334,7 @@ def kernel(params: moe.MoeParams, rules: Rules, leak: bool):
 
     def run(words):
         r = TrialReader(words)
-        rngs = r.generators()
+        rngs = [np.random.Generator(np.random.Philox(key=key)) for key in r.packed(128)]
         t, tp = r.bits(half), r.bits(half)
         t_b, t_c = np.empty_like(t), np.empty_like(tp)
         for i, rng in enumerate(rngs):

@@ -386,8 +386,8 @@ GOLDEN_DIGESTS = {
     "moe-all-charlie_all": (0, "59e43151f6ace26d070cf02ee7025058d74cccd21a462108ab68956300328c3e"),
     "moe-all-mix": (0, "c7dfce41663423368230993d13466fe9eecab9ea610ef5a5000a429c5247a0af"),
     "moe-all-measure_computational": (0, "04c19c01b28d867a9ebe3335576701ce751f9a5b9965b0a39326e34082069db4"),
-    "moe-all-measure_wiesner": (0, "c740ad660fe0571ed1a0b2ebf090e2692ba3c6d5e982b2c6086716295ad5f8cd"),
-    "moe-all-keep_and_substitute": (0, "e98f59b2b1e5f1619020ad24fcaa485bf211b089e6bb77939570c4ce06cbb904"),
+    "moe-all-measure_wiesner": (0, "df4eec834696f8147bd1ad1d08cfc6efa8d7c1086d41f87cf1970e1c9ac73ce7"),
+    "moe-all-keep_and_substitute": (0, "580449f840fffb49a9cfd4df8ab60ef8a81fc9ba6c127ab9722f8187749014dd"),
     "moe-all-leak_smuggle": (0, "86a79f2683679c1bc39d738b1761b0ff2cca552e7338fbfaf8ebf6c5aa49928a"),
     "moe64-bob_all": (0, "9cbaed01a2b5f169e83d593d5aff19f76bc1a9a1bf31a5ee6867f45f477d1ba1"),
     "moe64-measure_wiesner": (0, "eb639c850b246d7b27efbb3caa574c09c4c0ba1bfd1c8003941706471f82171e"),
@@ -398,7 +398,7 @@ GOLDEN_DIGESTS = {
     "qecm-uncloneable": (0, "3358d71ffc934abe6a3d143d52205c526d800e9c69bc4bc975b7c233ea178fdd"),
     "qecm-uncloneable-mc": (0, "1fd7d64b799e49b87fd77db99eb101d50bc0a10f6612cd931c1de5954be0ea7e"),
     "qecm-uncloneable-ind": (0, "2c66f4e0063b787a2947ec6adfc6eb2faaad0b9a8c42805da6216a9a0d461a17"),
-    "qecm-uncloneable-all": (0, "d333c66003a345e412d8199d3ebc502e916edd11281261e1056435f6d6c8fd33"),
+    "qecm-uncloneable-all": (0, "085a260fa196b165d6e9b73d11fe974c57b4227a4c96cbd48312da80e5a9c7f1"),
     "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
     "urbc-binding": (0, "d2218ac29424312b0a7fa22bc581af171fde3417c5c8bce02457952ffa703013"),
     "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),

@@ -79,6 +79,9 @@ def test_make_code_errors():
         make_code("random_linear", 5, 5, 0)
     with pytest.raises(ValueError):
         make_code("random_linear", 40, 21, 0)
+    for seed in (-1, 3.0, "3", 1 << 128):  # the seed is a Philox key
+        with pytest.raises(ValueError):
+            make_code("random_linear", 10, 4, seed)
     with pytest.raises(ValueError):
         make_code("golay", 23)
 

@@ -1,10 +1,13 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetmoe import gf2
 from cosetmoe.gf2 import (
     Gf2Matrix,
     Gf2Subspace,
@@ -16,7 +19,18 @@ from cosetmoe.gf2 import (
     intersect,
     rref,
     sample_subspace,
+    sample_subspaces,
     solve_coset_membership,
+    subspace_fields,
+)
+from cosetmoe.mc import (
+    TrialReader,
+    bits_from_words,
+    key_threshold,
+    keys_from_words,
+    stream_key,
+    top_k_mask,
+    words_for,
 )
 
 
@@ -78,6 +92,46 @@ def test_rref_preserves_span():
         assert a == b
         for row in m.rows:
             assert a.contains(Gf2Vec(row))
+
+
+def _loop_rref(rows):
+    """Elimination one row at a time: the reference for ``rref``."""
+    work = rows.copy()
+    pivots = []
+    for col in range(work.shape[1]):
+        row = len(pivots)
+        piv = next((i for i in range(row, work.shape[0]) if work[i, col]), None)
+        if row == work.shape[0] or piv is None:
+            continue
+        work[[row, piv]] = work[[piv, row]]
+        for i in range(work.shape[0]):
+            if i != row and work[i, col]:
+                work[i] ^= work[row]
+        pivots.append(col)
+    return work, tuple(pivots)
+
+
+def test_rref_and_complement_equal_their_loop_references():
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        for rows in range(1, n + 3):
+            m = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+            red, piv = rref(Gf2Matrix(m))
+            ref, ref_piv = _loop_rref(m)
+            assert np.array_equal(red.rows, ref) and piv == ref_piv
+            # the complement's generators, e_f plus a's entries (i, f) at its
+            # pivots, one free coordinate f at a time
+            a = Gf2Subspace(n, Gf2Matrix(m))
+            gens = []
+            for f in a.free_coords:
+                v = np.zeros(n, dtype=np.uint8)
+                v[f] = 1
+                for i, p in enumerate(a.pivots):
+                    v[p] = a.basis.rows[i, f]
+                gens.append(Gf2Vec(v))
+            b = complement(a)
+            assert b.basis == Gf2Subspace(n, gens or None).basis
+            assert b.pivots == Gf2Subspace(n, gens or None).pivots
 
 
 # ---------------------------------------------------------- complement
@@ -232,18 +286,97 @@ def test_sample_subspace_deterministic():
     assert a == b
 
 
+@functools.lru_cache(maxsize=None)
+def _q_binomial(m, r):
+    """The Gaussian binomial [m choose r]_2, by the q-Pascal rule."""
+    if r in (0, m):
+        return 1
+    if not 0 < r < m:
+        return 0
+    return _q_binomial(m - 1, r) + 2 ** (m - r) * _q_binomial(m - 1, r - 1)
+
+
+def _pivot_threshold(m, r):
+    """The key threshold of a pivot with m columns and r pivots left: its
+    probability is the share 2^(m-r) [m-1 choose r-1]_2 / [m choose r]_2 of
+    the canonical forms that finish the draw."""
+    return key_threshold(float(Fraction(2 ** (m - r) * _q_binomial(m - 1, r - 1),
+                                        _q_binomial(m, r))))
+
+
 @pytest.mark.parametrize("n", [2, 8, 64])
-def test_sample_subspace_is_the_first_full_rank_draws_row_space(n):
-    # a copy of the generator replays the draws: rank test, then elimination
+def test_sample_subspace_reads_pivot_keys_then_fill_bits(n):
+    # a copy of the generator replays the raw words: n keys decide the pivot
+    # columns left to right, then a k x n bit field fills the free entries
+    k = n // 2
     for seed in range(20):
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         a = sample_subspace(n, "all", rng)
-        while True:
-            mat = Gf2Matrix(replay.integers(0, 2, size=(n // 2, n), dtype=np.uint8))
-            if mat.rank() == n // 2:
-                break
-        assert a == Gf2Subspace(n, mat) and a.pivots == Gf2Subspace(n, mat).pivots
-        assert rng.random() == replay.random()  # both took the same draws
+        words = replay.bit_generator.random_raw(words_for(*subspace_fields(n, k)))
+        keys = keys_from_words(words, n).tolist()
+        fill = bits_from_words(words[None, -(-n // 2):], k * n)[0].reshape(k, n)
+        pivots, left = [], k
+        for j in range(n):
+            if keys[j] < _pivot_threshold(n - j, left):
+                pivots.append(j)
+                left -= 1
+        basis = np.zeros((k, n), dtype=np.uint8)
+        for i, p in enumerate(pivots):
+            basis[i, p] = 1
+            free = [j for j in range(p + 1, n) if j not in pivots]
+            basis[i, free] = fill[i, free]
+        assert a.pivots == tuple(pivots) and np.array_equal(a.basis.rows, basis)
+        # the draw is already canonical: elimination leaves it as it is
+        b = Gf2Subspace(n, Gf2Matrix(a.basis.rows))
+        assert a == b and a.pivots == b.pivots
+        # both took the same raw words
+        assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+        # the register family: the n/2 largest of n keys
+        reg = sample_subspace(n, "register", rng)
+        keys = keys_from_words(replay.bit_generator.random_raw(-(-n // 2))[None, :], n)
+        assert reg.pivots == tuple(np.flatnonzero(top_k_mask(keys, k)[0]))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (4, 1), (4, 2), (4, 3)])
+def test_random_rref_exact_law(n, k):
+    # every pivot set, each with the exact probability of its key decisions
+    # (a decision at threshold th is a key below th, probability th/2^32),
+    # driven by the keys on either side of each threshold, and every fill
+    fills = ((np.arange(1 << (k * n))[:, None] >> np.arange(k * n)) & 1).astype(np.uint8)
+    law = {}
+    for support in itertools.combinations(range(n), k):
+        prob, keys, left = Fraction(1), [], k
+        for j in range(n):
+            th = _pivot_threshold(n - j, left)
+            pivot = j in support
+            prob *= Fraction(th, 1 << 32) if pivot else 1 - Fraction(th, 1 << 32)
+            keys.append(th - 1 if pivot else th)
+            left -= pivot
+        if prob == 0:
+            continue
+        block = np.tile(np.array(keys, dtype=np.uint32), (len(fills), 1))
+        basis, pivots = gf2._random_rref(block, fills, k)
+        assert (pivots == support).all()
+        for rows in basis:
+            a = Gf2Subspace(n, Gf2Matrix(rows))
+            law[a] = law.get(a, 0) + prob / len(fills)
+    assert sum(law.values()) == 1
+    assert len(law) == _q_binomial(n, k)
+    uniform = Fraction(1, _q_binomial(n, k))
+    assert all(abs(p - uniform) <= Fraction(n, 1 << 32) for p in law.values())
+
+
+def test_sample_subspaces_chi_squared_over_all_35_at_n4():
+    rows = 20_000
+    words = np.random.Philox(key=stream_key(4, 35)).random_raw(
+        (rows, words_for(*subspace_fields(4, 2))))
+    counts = {}
+    for a in sample_subspaces(TrialReader(words), 4, 2):
+        counts[a] = counts.get(a, 0) + 1
+    assert len(counts) == 35
+    observed = np.array(list(counts.values()))
+    chi2 = float(((observed - rows / 35) ** 2 / (rows / 35)).sum())
+    assert chi2 < 65.25  # the 0.999 quantile of χ² at 34 degrees of freedom
 
 
 def test_sample_subspace_odd_n():

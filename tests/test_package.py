@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -52,3 +53,45 @@ def test_option_surface_is_pinned(name):
     else:
         names = tuple(inspect.signature(obj).parameters)
     assert names == _OPTION_SURFACE[name]
+
+
+# numpy may change a Generator method's algorithm in a feature release (NEP
+# 19), never a bit generator's raw stream, so every draw reads raw words
+_GENERATOR_DRAWS = {"integers", "random", "choice", "permutation", "default_rng"}
+
+
+class _DrawFinder(ast.NodeVisitor):
+    """Records the scope of every Generator method call and of every
+    ``generators`` name (a reader's per-row generators)."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], set()
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        if node.name == "generators":
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) in _GENERATOR_DRAWS:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == "generators":
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_the_statevector_oracle_calls_generator_methods():
+    # every module under src/, the package's __init__ included
+    found = set()
+    for name in ["cosetmoe", *(f"cosetmoe.{m}" for m in _MODULES)]:
+        finder = _DrawFinder(name)
+        finder.visit(ast.parse(inspect.getsource(importlib.import_module(name))))
+        found |= finder.found
+    assert found == {"cosetmoe.qsim.measure_coset_basis"}

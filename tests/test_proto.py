@@ -1,6 +1,5 @@
 """Protocol-level tests: transcripts, commitments, and the four protocols."""
 
-import copy
 import hashlib
 import inspect
 import json
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from cosetmoe import mc, moe, proto
 from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
-from cosetmoe.gf2 import Gf2Vec, IndexSubset, sample_subspace, solve_coset_membership
+from cosetmoe.gf2 import Gf2Vec, IndexSubset, coset_elements, solve_coset_membership
 from cosetmoe.mc import (
     TrialReader,
     bits_from_words,
@@ -49,7 +48,6 @@ from cosetmoe.proto import (
     urbc_hiding_exact,
 )
 from cosetmoe.qsim import CosetDescriptor, measure_coset_basis, prepare_coset_state
-from statevector_referee import measure_computational
 
 
 def _sigma(p, trials):
@@ -550,12 +548,18 @@ def test_general_family_runs_past_the_statevector_limit():
     for i in range(5):  # each forwarded string lies in the coset of its t
         t, _ = solve_coset_membership(b.states.subspace(i), Gf2Vec(b.states.forwarded[i]))
         assert np.array_equal(t.bits, b.t_hat[i])
-    # one 53-bit uniform picks c, so it cannot cover more than 2^53 coset elements
+    # c is n/2 window bits, so the read has no size limit: n = 108 reads 54
     over = QecmParams(108, 2, family="all")
-    rng = _window_rng(31, proto._QECM_STREAM,
-                      proto._qecm_words(over, "measure_computational", None), 0)
-    with pytest.raises(ValueError, match="n <= 106"):
-        run_qecm_id(over, rng, eve="measure_computational")
+    words = proto._qecm_words(over, "measure_computational", None)
+    b = proto._qecm_batch(over, _windows(31, proto._QECM_STREAM, words, 5),
+                          "measure_computational", None)
+    assert b.f.all()
+    for i in range(5):
+        t, _ = solve_coset_membership(b.states.subspace(i), Gf2Vec(b.states.forwarded[i]))
+        assert np.array_equal(t.bits, b.t_hat[i])
+    out = run_qecm_id(over, _window_rng(31, proto._QECM_STREAM, words, 0),
+                      eve="measure_computational")
+    assert out.f == 1
 
 
 def test_urbc_hiding_exact_is_zero():
@@ -1017,25 +1021,31 @@ def test_tfkw_batch_counts_equal_per_trial_runs(monkeypatch, seed, threads, para
 @pytest.mark.parametrize("computational", [False, True], ids=["coset", "computational"])
 @pytest.mark.parametrize("n", range(2, 16, 2))
 def test_general_family_reads_equal_statevector_measurements(n, computational):
-    # each row's generator key, then t and t'; the statevector path replays a
-    # copy of every row's generator: sample a, prepare, measure, decode
+    # the coset read equals the statevector's measurement row by row; the
+    # computational read, over every value of its n/2 window bits c, has the
+    # statevector's Born law, and each row decodes to (t, c)
     half = n // 2
-    words = np.random.Philox(key=stream_key(n, computational)).random_raw((500, 4))
+    bits, keys = proto._coset_fields("all", n, computational)
+    words = np.random.Philox(key=stream_key(n, computational)).random_raw(
+        (500, words_for(bit_fields=(*bits, half, half), key_fields=keys)))
     r = TrialReader(words)
     states = proto._CosetStates("all", n, r)
     t, tp = r.bits(half), r.bits(half)
     t_hat, tp_hat = states.read(t, tp, r, computational)
-    for i, rng in enumerate(TrialReader(words).generators()):
-        a = sample_subspace(n, "all", rng)
-        assert a == states.subspace(i)
+    every_c = ((np.arange(1 << half)[:, None] >> np.arange(half)) & 1).astype(np.uint8)
+    for i in range(r.count):
+        a = states.subspace(i)
         reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
         if computational:
-            v, _ = measure_computational(reg, rng)
-            read_t, u = solve_coset_membership(a, v)
+            born = np.abs(reg.payload.amps) ** 2
+            support = np.flatnonzero(born > 1e-12)
+            assert np.allclose(born[support], 1 / len(every_c))
+            law = coset_elements([a] * len(every_c), np.tile(t[i], (len(every_c), 1)), every_c)
+            assert sorted(Gf2Vec(v).to_int() for v in law) == support.tolist()
+            read_t, u = solve_coset_membership(a, Gf2Vec(states.forwarded[i]))
             read_tp = Gf2Vec(u.bits[list(a.pivots)])
-            assert np.array_equal(states.forwarded[i], v.bits)
         else:
-            read_t, read_tp = measure_coset_basis(reg, a, rng)
+            read_t, read_tp = measure_coset_basis(reg, a, np.random.default_rng(i))
         assert np.array_equal(t_hat[i], read_t.bits)
         assert np.array_equal(tp_hat[i], read_tp.bits)
 
@@ -1248,25 +1258,6 @@ def test_protocol_streams_do_not_alias_moe_or_trial_rng(monkeypatch):
     assert len(per_trial) == 64
     assert not per_trial & set(first.values())
 
-    # the statevector trials' generators, caught at their first draw (the
-    # subspace), are distinct across trials and experiments and meet neither
-    statevector = []
-
-    def sampling(real):
-        def sample(n, family, rng):
-            statevector.append(tuple(copy.deepcopy(rng.bit_generator).random_raw(4)))
-            return real(n, family, rng)
-        return sample
-
-    monkeypatch.setattr(proto, "sample_subspace", sampling(proto.sample_subspace))
-    monkeypatch.setattr(moe, "sample_subspace", sampling(moe.sample_subspace))
-    qecm_experiment("correctness", _QECM_ALL, trials=8, seed=seed)
-    moe.play_leaky(moe.MoeParams(n=4, family="all", trials=8, seed=seed),
-                   moe.builtin_strategy("keep_and_substitute"))  # a kind that samples a
-    assert len(statevector) == 16
-    assert len(set(statevector)) == 16
-    assert not set(statevector) & (per_trial | set(first.values()))
-
 
 # ------------------------------------------------------------------
 # replay transcripts
@@ -1315,16 +1306,16 @@ _REPLAYS = {
     "qecm-all": (
         proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, None, None),
         lambda rng: run_qecm_id(_QECM_ALL8, rng),
-        "2162b5e06fadc1ac880ab024f425a832906024889ac0d4d2d294ef81c00ae39d"),
+        "bf521df5603fa88650f09a85239632c0afbad5365079ab8c02178c88f03aef1e"),
     # the general family's computational read and Eve's kept state
     "qecm-all-keep_all": (
         proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, "keep_all", None),
         lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="keep_all")),
-        "459bf0b191eca4950d1859f1617df39115501d4ddbad6820e3064f2540ea797b"),
+        "bd1e69bcb4c06d685ea61cb19e8baea8e82eab14ca18b2ccabecb3727ce47308"),
     "qecm-all-measure_computational": (
         proto._QECM_STREAM, proto._qecm_words(_QECM_ALL8, "measure_computational", None),
         lambda rng: _with_eve_guess(run_qecm_id(_QECM_ALL8, rng, eve="measure_computational")),
-        "4a0978616ceba9a708132bfd7062aa9ff18dd5739fc3e59a96180cc7b393ffb9"),
+        "56533a97102a942bb4359b13a6c2d96f629149b8234c1905faa32657ad06eade"),
     # the register family's computational read and Eve's forwarded string
     "qecm-measure_computational": (
         proto._QECM_STREAM, proto._qecm_words(_QECM, "measure_computational", None),
@@ -1333,11 +1324,11 @@ _REPLAYS = {
     "urbc-all": (
         proto._URBC_STREAM, proto._urbc_words(_URBC_ALL),
         lambda rng: run_urbc(_URBC_ALL, rng),
-        "72ec819c60a575457aa62888bfd4b51d461a85670b547b8cde0eea5b8a1cd907"),
+        "7c117d5666a7817b6edc4d3d769b19b1c77b13fe3650f54b28056fc91a2d167d"),
     "urbc-all-binding": (
         proto._URBC_STREAM, proto._urbc_words(_URBC_ALL),
         lambda rng: run_urbc(_URBC_ALL, rng, alice="binding_attack"),
-        "4afff8e556b2b816ea9bc61cecfdb2811df7d69a2831c053ca6a137ea1ebe049"),
+        "c44799661050e53baabd301b953ed8adf90922a92cbf23d7ce81d8eff385a14c"),
     # the sha256 base commitment's token and nonce bytes
     "urbc-hash": (
         proto._URBC_STREAM, proto._urbc_words(_URBC_HASH),
