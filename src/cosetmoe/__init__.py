@@ -34,7 +34,7 @@ from .proto import (
     tfkw_experiment,
     urbc_experiment,
 )
-from .qsim import CosetDescriptor, measure_coset_basis, prepare_coset_state
+from .qsim import CosetDescriptor, prepare_coset_state
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "all_builtin_strategies",
     "builtin_strategy",
     "gamma_star",
-    "measure_coset_basis",
     "moe_bound",
     "play_leaky",
     "prepare_coset_state",

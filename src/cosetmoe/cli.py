@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .ecc import make_code, make_code_from_config
 from .ext import ToeplitzExtractor
-from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vec
+from .gf2 import Gf2Subspace, Gf2Vec
 from .info import (
     combinatorial_sum,
     gamma_star,
@@ -594,7 +594,7 @@ def _half_subspaces(n: int, family: str):
             basis[np.arange(half), pivots] = 1
             for (i, j), bit in zip(free, filling):
                 basis[i, j] = bit
-            yield Gf2Subspace(n, Gf2Matrix(basis))
+            yield Gf2Subspace.from_rref(basis, pivots)
 
 
 def _check_orthonormality(size, seed, threads) -> tuple[bool, float]:
@@ -606,7 +606,7 @@ def _check_orthonormality(size, seed, threads) -> tuple[bool, float]:
             states = [
                 prepare_coset_state(CosetDescriptor(
                     a, Gf2Vec.from_int(t_int, half), Gf2Vec.from_int(tp_int, half)
-                )).payload.amps
+                )).amps
                 for t_int in range(1 << half) for tp_int in range(1 << half)
             ]
             gram = np.array([[np.vdot(u, v) for v in states] for u in states])

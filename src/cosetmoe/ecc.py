@@ -24,7 +24,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf2 import Gf2Matrix, Gf2Subspace, Gf2Vec, complement, sample_subspaces, subspace_fields
+from .gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, complement, complements, sample_subspaces,
+                  subspace_fields)
 from .mc import TrialReader, words_for
 
 __all__ = [
@@ -237,9 +238,9 @@ def make_code(kind: str, *params: int) -> LinearCode:
         if k > _ENUM_MAX_DIMENSION:
             raise ValueError("random_linear dimension must be <= 20 (distance enumeration)")
         words = np.random.Philox(key=seed).random_raw(words_for(*subspace_fields(n, k)))
-        span = sample_subspaces(TrialReader(words[None, :]), n, k)[0]
-        g = span.basis
-        h = complement(span).basis
+        basis, pivots = sample_subspaces(TrialReader(words[None, :]), n, k)
+        g = Gf2Matrix(basis[0])
+        h = Gf2Matrix(complements(basis, pivots)[0][0])
         return LinearCode(
             ("random_linear", n, k, seed), n, k, h, g, _min_nonzero_weight(g.rows)
         )
@@ -254,14 +255,17 @@ def make_code_from_config(cfg: dict) -> LinearCode:
     in one process (sweeps, the benchmark) skip rebuilding, for example,
     the 3.5 MB parity check of block_repeat(63, 30).
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"code config must be a mapping, not {cfg!r}")
     extra = set(cfg) - {"kind", "params"}
     if extra:
         raise ValueError(f"unknown code config keys: {sorted(extra)}")
-    kind, params = cfg["kind"], tuple(cfg.get("params", ()))
-    # only exact ints are cache keys: 63.0 == 63 must not find block_repeat(63, ..)
-    if isinstance(kind, str) and all(type(p) is int for p in params):
-        return _cached_code(kind, params)
-    return make_code(kind, *params)
+    kind, params = cfg.get("kind"), cfg.get("params", [])
+    if not isinstance(kind, str):
+        raise ValueError(f"code kind must be a string, not {kind!r}")
+    if not isinstance(params, (list, tuple)) or any(type(p) is not int for p in params):
+        raise ValueError(f"code params must be a list of integers, not {params!r}")
+    return _cached_code(kind, tuple(params))
 
 
 @lru_cache(maxsize=2)

@@ -13,8 +13,19 @@ distinct cosets of ``a``, and the map is linear.  For a register subspace
 the complementary coordinate positions in increasing order, so the label bits
 are simply scattered into those slots.
 
-Random subspaces are drawn in canonical form (``sample_subspaces``): pivot
-columns from one 32-bit key each, then free entries from a k x n bit field.
+Every operation on subspaces has one batched form, over a block of T
+subspaces held as arrays: (T, k, n) canonical bases and (T, k) pivots.
+``eliminate`` reduces a block of matrices, ``complements`` gives the
+orthogonal complements, ``coset_elements`` the coset elements
+coset_rep(a, t) ⊕ c·A and ``coset_labels`` their inverse (c is v at the
+pivots, t is v ⊕ c·A at the free coordinates).  The one-subspace API
+(``rref``, ``complement``, ``coset_rep``, ``solve_coset_membership`` and
+``Gf2Subspace.free_coords``) is each form's one-row case.
+
+Random subspaces are drawn in canonical form, as such a block
+(``sample_subspaces``): pivot columns from one 32-bit key each, then free
+entries from a k x n bit field.  ``Gf2Subspace.from_rref`` wraps one row of
+a block where a single subspace object is needed.
 """
 
 from __future__ import annotations
@@ -25,21 +36,26 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .mc import TrialReader, top_k_mask, words_for
+from .mc import TrialReader, bits_from_words, coordinate_rows, top_k_mask, words_for
 
 __all__ = [
     "Gf2Vec",
     "Gf2Matrix",
     "Gf2Subspace",
     "IndexSubset",
+    "eliminate",
     "rref",
+    "free_mask",
+    "complements",
     "complement",
     "intersect",
-    "coset_rep",
     "coset_elements",
+    "coset_labels",
+    "coset_rep",
     "solve_coset_membership",
     "subspace_fields",
     "sample_subspaces",
+    "check_family",
     "sample_subspace",
     "hamming",
 ]
@@ -203,25 +219,48 @@ class Gf2Matrix:
         return f"Gf2Matrix({body})"
 
 
-def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    work = m.rows.copy()
-    nrows, ncols = work.shape
-    pivots: list[int] = []
+def eliminate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a block of (T, r, c) 0/1 uint8 matrices,
+    and the (T, c) mask of their pivot columns; the matrices may differ in
+    rank and pivot set.  Each row is held as coordinate-row words
+    (``mc.coordinate_rows``: column j is bit 63 - j % 64 of word j // 64), so
+    a row operation XORs ceil(c/64) words.  One column at a time over the
+    whole block, every matrix with a 1 at or below its next pivot row swaps
+    the first such row up and clears the column everywhere else; the loop
+    stops once every matrix's pivots fill its rows."""
+    t, nrows, ncols = m.shape
+    work = coordinate_rows(m).view(">u8").astype(np.uint64)
+    is_pivot = np.zeros((t, ncols), dtype=bool)
+    row = np.zeros(t, dtype=np.intp)  # each matrix's next pivot row
+    below = np.arange(nrows)
     for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
+        if (row == nrows).all():
             break
-        below = np.flatnonzero(work[row:, col])
-        if not below.size:
+        hits = (work[:, :, col // 64] & np.uint64(1 << (63 - col % 64))) != 0
+        candidates = hits & (below >= row[:, None])
+        sel = np.flatnonzero(candidates.any(axis=1))
+        if not sel.size:
             continue
-        if below[0]:
-            work[[row, row + below[0]]] = work[[row + below[0], row]]
-        hit = work[:, col].astype(bool)  # every other row with a 1 here
-        hit[row] = False
-        work[hit] ^= work[row]
-        pivots.append(col)
-    return Gf2Matrix(work), tuple(pivots)
+        top, first = row[sel], candidates[sel].argmax(axis=1)
+        pivot = work[sel, first]
+        work[sel, first] = work[sel, top]
+        work[sel, top] = pivot
+        # every other row with a 1 here: the hits less the pivot row, which
+        # the swap moved from ``first`` to ``top``, where the column held 0
+        clear = hits[sel]
+        clear[np.arange(sel.size), first] = False
+        work[sel] ^= clear[:, :, None] * pivot[:, None, :]
+        is_pivot[sel, col] = True
+        row[sel] += 1
+    reduced = bits_from_words(work.reshape(t * nrows, work.shape[2]), ncols)
+    return reduced.reshape(t, nrows, ncols), is_pivot
+
+
+def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices: ``eliminate``
+    on a block of one matrix."""
+    reduced, is_pivot = eliminate(m.rows[None])
+    return Gf2Matrix(reduced[0]), tuple(np.flatnonzero(is_pivot[0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -284,6 +323,13 @@ class Gf2Subspace:
             basis[row * n + col] = 1
         return cls.__new__(cls)._store(n, np.frombuffer(basis, _U8), pivots)
 
+    @classmethod
+    def from_rref(cls, basis: np.ndarray, pivots: Iterable[int]) -> "Gf2Subspace":
+        """The span of a (k, n) basis already in RREF with these k pivot
+        columns, such as one row of a ``sample_subspaces`` or ``complements``
+        block, stored as it is: no elimination runs."""
+        return cls.__new__(cls)._store(basis.shape[1], basis, tuple(map(int, pivots)))
+
     # -- structure ----------------------------------------------------
 
     @property
@@ -304,8 +350,11 @@ class Gf2Subspace:
 
     @property
     def free_coords(self) -> tuple[int, ...]:
-        piv = set(self._pivots)
-        return tuple(i for i in range(self._n) if i not in piv)
+        return tuple(np.flatnonzero(free_mask(self._n, self._pivot_row())[0]).tolist())
+
+    def _pivot_row(self) -> np.ndarray:
+        """The pivots as a (1, dim) block."""
+        return np.array(self._pivots, dtype=np.intp).reshape(1, -1)
 
     def contains(self, v: Gf2Vec) -> bool:
         if v.n != self._n:
@@ -356,19 +405,38 @@ class Gf2Subspace:
         return f"Gf2Subspace(n={self._n}, basis=[{', '.join(rows)}])"
 
 
-def complement(a: Gf2Subspace) -> Gf2Subspace:
-    """The orthogonal complement under the standard bilinear form.
+def free_mask(n: int, pivots: np.ndarray) -> np.ndarray:
+    """The (T, n) mask of the non-pivot coordinates of a block of (T, k)
+    pivot columns in GF(2)^n.  Read in row-major order, its set entries are
+    each row's free coordinates in ascending order, the slots of its label."""
+    free = np.ones((len(pivots), n), dtype=bool)
+    free[np.arange(len(pivots))[:, None], pivots] = False
+    return free
 
-    Computed as the null space of the basis matrix, so
-    ``complement(complement(a)) == a`` exactly.
-    """
-    n = a.n
-    # row f is e_f plus, at each pivot p_i, a's basis entry (i, f)
-    free = list(a.free_coords)
-    gens = np.zeros((len(free), n), dtype=np.uint8)
-    gens[np.arange(len(free)), free] = 1
-    gens[:, list(a.pivots)] = a.basis.rows[:, free].T
-    return Gf2Subspace(n, Gf2Matrix(gens))
+
+def complements(basis: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal complements, under the standard bilinear form, of a
+    block of (T, k, n) canonical bases with (T, k) pivots, as the (T, n - k,
+    n) canonical bases and (T, n - k) pivots of a⊥.  a⊥ is the null space of
+    the basis A: its generator for free coordinate f is e_f plus A's entry
+    (i, f) at each pivot p_i, so ``complements`` of its output gives a back."""
+    t, k, n = basis.shape
+    free = np.nonzero(free_mask(n, pivots))[1].reshape(t, n - k)
+    rows, gen = np.arange(t)[:, None], np.arange(n - k)
+    gens = np.zeros((t, n - k, n), dtype=np.uint8)
+    gens[rows, gen, free] = 1
+    # entry (j, p_i) of generator j is A's entry (i, f_j)
+    gens[rows[:, :, None], gen[:, None], pivots[:, None, :]] = np.take_along_axis(
+        basis, free[:, None, :], axis=2).transpose(0, 2, 1)
+    reduced, is_pivot = eliminate(gens)
+    return reduced, np.nonzero(is_pivot)[1].reshape(t, n - k)
+
+
+def complement(a: Gf2Subspace) -> Gf2Subspace:
+    """The orthogonal complement, ``complements`` of a block of one, so
+    ``complement(complement(a)) == a`` exactly."""
+    basis, pivots = complements(a.basis.rows[None], a._pivot_row())
+    return Gf2Subspace.from_rref(basis[0], pivots[0])
 
 
 def intersect(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:
@@ -381,39 +449,44 @@ def intersect(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:
     return complement(Gf2Subspace(a.n, joined))
 
 
+def coset_elements(basis: np.ndarray, pivots: np.ndarray, t: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """Row i is the coset element s_i ⊕ c_i·A_i, for A_i the i-th of a block
+    of (T, k, n) canonical bases with (T, k) pivots and s_i = coset_rep(a_i,
+    t_i): (T, n - k) labels and (T, k) coefficients to (T, n) uint8."""
+    v = np.einsum("ti,tij->tj", c, basis) & 1
+    v[free_mask(basis.shape[2], pivots)] ^= t.ravel()
+    return v
+
+
+def coset_labels(basis: np.ndarray, pivots: np.ndarray,
+                 v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of ``coset_elements``: (T, n) strings v to their labels t
+    and coefficients c, where c is v at the pivots and t is v ⊕ c·A at the
+    free coordinates (A is the identity at its pivots)."""
+    t_rows, k, n = basis.shape
+    c = np.take_along_axis(v, pivots, axis=1)
+    u = np.einsum("ti,tij->tj", c, basis) & 1
+    return (v ^ u)[free_mask(n, pivots)].reshape(t_rows, n - k), c
+
+
 def coset_rep(a: Gf2Subspace, t: Gf2Vec) -> Gf2Vec:
     """Canonical representative of the coset labelled t, for t of length
     ``n - dim(a)``: label bits go to the non-pivot coordinates of a's
-    canonical basis, zeros elsewhere."""
-    free = a.free_coords
-    if t.n != len(free):
-        raise ValueError(f"label length {t.n} != {len(free)} free coordinates")
-    v = np.zeros(a.n, dtype=np.uint8)
-    v[list(free)] = t.bits
-    return Gf2Vec(v)
-
-
-def coset_elements(subspaces: Sequence[Gf2Subspace], t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row i is the coset element coset_rep(a_i, t_i) + c_i·A_i of the i-th
-    subspace, A_i its canonical basis: (T, n - dim) labels and (T, dim)
-    coefficients to (T, n) uint8.  The subspaces share n and dim."""
-    reps = np.stack([coset_rep(a, Gf2Vec(row)).bits for a, row in zip(subspaces, t)])
-    bases = np.stack([a.basis.rows for a in subspaces])
-    return reps ^ (np.einsum("ti,tij->tj", c, bases) & 1)
+    canonical basis, zeros elsewhere (``coset_elements`` with c = 0)."""
+    if t.n != a.n - a.dim:
+        raise ValueError(f"label length {t.n} != {a.n - a.dim} free coordinates")
+    c = np.zeros((1, a.dim), dtype=np.uint8)
+    return Gf2Vec(coset_elements(a.basis.rows[None], a._pivot_row(), t.bits[None], c)[0])
 
 
 def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:
-    """Decompose v = coset_rep(a, t) + u with u in a; returns (t, u)."""
+    """Decompose v = coset_rep(a, t) + u with u in a; returns (t, u):
+    ``coset_labels`` of one string, with u = c·A."""
     if v.n != a.n:
         raise ValueError("ambient dimension mismatch")
-    coeffs = v.bits[list(a.pivots)]
-    u = np.zeros(a.n, dtype=np.uint8)
-    for c, row in zip(coeffs, a.basis.rows):
-        if c:
-            u ^= row
-    rep = v.bits ^ u
-    t = Gf2Vec(rep[list(a.free_coords)])
-    return t, Gf2Vec(u)
+    t, c = coset_labels(a.basis.rows[None], a._pivot_row(), v.bits[None])
+    return Gf2Vec(t[0]), Gf2Vec((c[0] @ a.basis.rows) & 1)
 
 
 def subspace_fields(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -441,30 +514,36 @@ def _random_rref(keys: np.ndarray, fill: np.ndarray, k: int) -> tuple[np.ndarray
     return basis, pivots
 
 
-def sample_subspaces(r: TrialReader, n: int, k: int) -> list[Gf2Subspace]:
+def sample_subspaces(r: TrialReader, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """A uniform k-dimensional subspace of GF(2)^n per row of a block, from
-    the fields ``subspace_fields`` lays out, within total variation n * 2^-32
-    of uniform (each pivot decision is off by < 2^-32); no elimination runs."""
-    basis, pivots = _random_rref(r.keys(n), r.bits(k * n), k)
-    return [Gf2Subspace.__new__(Gf2Subspace)._store(n, b, tuple(p))
-            for b, p in zip(basis, pivots.tolist())]
+    the fields ``subspace_fields`` lays out, as (T, k, n) canonical bases and
+    (T, k) pivots, within total variation n * 2^-32 of uniform (each pivot
+    decision is off by < 2^-32); no elimination runs."""
+    return _random_rref(r.keys(n), r.bits(k * n), k)
+
+
+def check_family(family: str) -> None:
+    """Raise unless ``family`` names a subspace family: "register" (spanned
+    by unit vectors) or "all"."""
+    if family not in ("register", "all"):
+        raise ValueError(f"unknown subspace family {family!r}")
 
 
 def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspace:
     """A uniform dimension-n/2 subspace from the next raw words of ``rng``'s
     bit generator: on family "register" spanned by the unit vectors at the
-    n/2 largest of n keys (``mc.top_k_mask``), on "all" by
-    ``sample_subspaces``."""
+    n/2 largest of n keys (``mc.top_k_mask``), on "all" the one row of a
+    ``sample_subspaces`` block."""
     if n % 2:
         raise ValueError("ambient dimension must be even")
-    if family not in ("register", "all"):
-        raise ValueError(f"unknown subspace family {family!r}")
+    check_family(family)
     half = n // 2
     fields = subspace_fields(n, half) if family == "all" else ((), (n,))
     r = TrialReader(rng.bit_generator.random_raw(words_for(*fields))[None, :])
     if family == "register":
         return Gf2Subspace.register(n, np.flatnonzero(top_k_mask(r.keys(n), half)[0]))
-    return sample_subspaces(r, n, half)[0]
+    basis, pivots = sample_subspaces(r, n, half)
+    return Gf2Subspace.from_rref(basis[0], pivots[0])
 
 
 def hamming(x: Gf2Vec, y: Gf2Vec) -> int:

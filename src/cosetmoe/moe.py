@@ -34,8 +34,10 @@ closed form on both subspace families:
   256 x 256 byte table deposits them onto the free and pivot masks of the
   basis row, so no per-trial sort or gather over coordinates runs.  On the
   general family (``_general_kernel``) a window holds a's draw in canonical
-  form, as the protocols read it (``gf2.sample_subspaces``), and the reads
-  are the batched coset maps of ``gf2.coset_elements``.
+  form, as the protocols read it: ``gf2.sample_subspaces`` gives the block's
+  bases and pivots as arrays, and the reads are gf2's batched coset maps
+  (``complements``, ``coset_elements``, ``coset_labels``) over the whole
+  block, with no Python loop over its rows.
 
 Every kernel runs under ``mc.run_blocks`` on one counter stream,
 ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
@@ -51,8 +53,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gf2 import (Gf2Vec, complement, coset_elements, sample_subspaces, solve_coset_membership,
-                  subspace_fields)
+from .gf2 import (Gf2Vec, check_family, complements, coset_elements, coset_labels, free_mask,
+                  sample_subspaces, subspace_fields)
 from .info import ball_volume
 from .mc import (
     TrialReader,
@@ -110,8 +112,7 @@ class MoeParams:
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
             raise ValueError("ambient dimension must be even and >= 2")
-        if self.family not in ("register", "all"):
-            raise ValueError(f"unknown subspace family {self.family!r}")
+        check_family(self.family)
         half = self.n // 2
         if not 0 <= self.m <= half:
             raise ValueError("position radius m must lie in [0, n/2]")
@@ -293,17 +294,18 @@ def _counters(win: np.ndarray, bob_ok: np.ndarray) -> np.ndarray:
 def _general_kernel(params: MoeParams, fields: tuple[int, ...], reads):
     """The ``family=all`` kernel of a strategy whose read depends on a.  A
     window holds a's draw, as the protocols read it (``gf2.sample_subspaces``),
-    the labels (t, t'), then ``fields`` bits; ``reads(subspaces, t, t',
-    *fields)`` gives the guesses (t_B, t'_C)."""
+    the labels (t, t'), then ``fields`` bits; ``reads(basis, pivots, t, t',
+    *fields)`` gives the guesses (t_B, t'_C) from the block's canonical bases
+    and pivots."""
     n, half = params.n, params.half
     sub_bits, sub_keys = subspace_fields(n, half)
     wpt = words_for(bit_fields=(*sub_bits, half, half, *fields), key_fields=sub_keys)
 
     def kernel(words):
         r = TrialReader(words)
-        subspaces = sample_subspaces(r, n, half)
+        basis, pivots = sample_subspaces(r, n, half)
         t, tp = r.bits(half), r.bits(half)
-        t_b, t_c = reads(subspaces, t, tp, *(r.bits(b) for b in fields))
+        t_b, t_c = reads(basis, pivots, t, tp, *(r.bits(b) for b in fields))
         bob_ok = (t_b != t).sum(axis=1) <= params.m
         win = bob_ok & ((t_c != tp).sum(axis=1) <= params.m_prime)
         return _counters(win, bob_ok)
@@ -321,12 +323,11 @@ def _wiesner_reads(theta_hat: Gf2Vec):
     pivots."""
     hat = theta_hat.bits.astype(bool)
 
-    def reads(subspaces, t, tp, c, d):
-        w = np.where(hat, coset_elements([complement(a) for a in subspaces], tp, d),
-                     coset_elements(subspaces, t, c))
-        free = np.array([a.free_coords for a in subspaces])
-        pivots = np.array([a.pivots for a in subspaces])
-        return np.take_along_axis(w, free, axis=1), np.take_along_axis(w, pivots, axis=1)
+    def reads(basis, pivots, t, tp, c, d):
+        w = np.where(hat, coset_elements(*complements(basis, pivots), tp, d),
+                     coset_elements(basis, pivots, t, c))
+        free = free_mask(basis.shape[2], pivots)
+        return w[free].reshape(t.shape), np.take_along_axis(w, pivots, axis=1)
 
     return reads
 
@@ -336,10 +337,9 @@ def _substitute_reads(rec: WiesnerRecord):
     read of the fake gives the coset label in a of its computational read v
     (the record's data bit, or a coin where it is a Hadamard qubit), and
     Charlie, who kept the state, reads t' exactly."""
-    def reads(subspaces, t, tp, coins):
+    def reads(basis, pivots, t, tp, coins):
         v = np.where(rec.theta.bits.astype(bool), coins, rec.x.bits)
-        t_hat = [solve_coset_membership(a, Gf2Vec(row))[0].bits for a, row in zip(subspaces, v)]
-        return np.stack(t_hat), tp
+        return coset_labels(basis, pivots, v)[0], tp
 
     return reads
 

@@ -32,8 +32,10 @@ a uniform element of the coset.  The register (conjugate-coding) family runs
 on classical Wiesner records, read through θ masks, and scales to thousands
 of qubits.  The general family (interactive encryption and commitment)
 draws each row's subspace, in canonical form, and coefficients from window
-keys and bits (``gf2.sample_subspaces``).  Abort semantics: downstream
-fields of an aborted run are ``None``, never zero-filled.
+keys and bits, and keeps the block's bases and pivots as arrays
+(``gf2.sample_subspaces``) for gf2's batched coset maps; a ``Gf2Subspace``
+is built only for a transcript's row.  Abort semantics: downstream fields
+of an aborted run are ``None``, never zero-filled.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import numpy as np
 
 from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
-from .gf2 import Gf2Subspace, Gf2Vec, IndexSubset, coset_elements, sample_subspaces, subspace_fields
+from .gf2 import (Gf2Subspace, Gf2Vec, IndexSubset, check_family, coset_elements,
+                  sample_subspaces, subspace_fields)
 from .info import NEG_LG_COS_PI_8, DensityOp, protocol_bounds, trace_distance
 from .mc import (
     TrialReader,
@@ -293,17 +296,18 @@ class _CosetStates:
 
     The subspace draw comes first in a window.  On the register family it is
     the Hadamard positions θ, from n draw keys.  On the general family it is
-    a's canonical basis, from n pivot keys and an n/2 x n fill field
+    a's canonical basis, from n pivot keys and an n/2 x n fill field, kept
+    as the block's (T, n/2, n) bases and (T, n/2) pivots
     (``gf2.sample_subspaces``).  On both, c is n/2 window bits.
     """
 
     def __init__(self, family: str, n: int, r: TrialReader):
         self.n = n
-        self.theta = self.subspaces = self.forwarded = None
+        self.theta = self.basis = self.pivots = self.forwarded = None
         if family == "register":
             self.theta = top_k_mask(r.keys(n), n // 2)
         else:
-            self.subspaces = sample_subspaces(r, n, n // 2)
+            self.basis, self.pivots = sample_subspaces(r, n, n // 2)
 
     def read(self, t: np.ndarray, tp: np.ndarray, r: TrialReader,
              computational: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +318,7 @@ class _CosetStates:
             return t, tp
         c = r.bits(self.n // 2)
         if self.theta is None:
-            self.forwarded = coset_elements(self.subspaces, t, c)
+            self.forwarded = coset_elements(self.basis, self.pivots, t, c)
         else:  # the free positions read t, the Hadamard ones read c
             self.forwarded = np.empty(self.theta.shape, dtype=np.uint8)
             self.forwarded[self.theta == 0] = t.ravel()
@@ -323,10 +327,10 @@ class _CosetStates:
 
     def subspace(self, row: int) -> Gf2Subspace:
         """The subspace a of one row, for its transcript: on the general
-        family the canonical draw, on the register family the span of e_i at
-        the Hadamard positions θ_i = 1 (``Gf2Subspace.register``)."""
+        family the row's canonical draw, on the register family the span of
+        e_i at the Hadamard positions θ_i = 1 (``Gf2Subspace.register``)."""
         if self.theta is None:
-            return self.subspaces[row]
+            return Gf2Subspace.from_rref(self.basis[row], self.pivots[row])
         return Gf2Subspace.register(self.n, self.theta[row].nonzero()[0].tolist())
 
 
@@ -375,11 +379,6 @@ class _SpotParams(_CosetParams):
         return size
 
 
-def _check_family(family: str) -> None:
-    if family not in ("register", "all"):
-        raise ValueError(f"unknown subspace family {family!r}")
-
-
 def _uncloneable_eps(n: int, ell: int) -> float:
     """The slack term in the uncloneability bound: the larger of the
     extractor error at the minimum tolerable source entropy and the
@@ -413,7 +412,7 @@ class QecmParams(_CosetParams):
 
     def __post_init__(self):
         super().__post_init__()  # the extractor rejects ell < 1
-        _check_family(self.family)
+        check_family(self.family)
 
 
 @dataclass(frozen=True)
@@ -587,7 +586,7 @@ def _pad_blocks(params: Union[QecmParams, "UrbcParams"]):
         for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
             t = Gf2Vec.from_int(t_int, half)
             tp = Gf2Vec.from_int(tp_int, half)
-            psi = prepare_coset_state(CosetDescriptor(a, t, tp)).payload.amps
+            psi = prepare_coset_state(CosetDescriptor(a, t, tp)).amps
             block = np.outer(psi, psi.conj())
             for r_int in range(1 << ext.seed_len):
                 pad = ext.extract(tp, Gf2Vec.from_int(r_int, ext.seed_len))
@@ -778,7 +777,7 @@ class UrbcParams(_SpotParams):
             raise ValueError("code length must be n/2")
         if self.scheme not in ("ideal", "hash_based"):
             raise ValueError(f"unknown commitment kind {self.scheme!r}")
-        _check_family(self.family)
+        check_family(self.family)
 
 
 @dataclass(frozen=True)

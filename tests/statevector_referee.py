@@ -1,5 +1,15 @@
 """The statevector referee of the monogamy game: the oracle for ``moe``'s
-closed-form kernels.
+closed-form kernels, with the statevector tools that only tests read: the
+register with its per-qubit ownership map (``QuantumReg``), the coset-basis
+measurement and the coset overlap.
+
+Measuring in the coset basis of a subspace ``a`` is done in three steps:
+relabel amplitude indices by the inverse of the invertible map
+(t, w) ↦ coset_rep(a,t) + w·basis(a) (a pure index permutation), apply
+Hadamards to the w block (a Walsh–Hadamard transform), and sample.  The
+sampled high bits are t̂ directly; the low bits ŝ relate to the phase label
+through the invertible matrix S = basis(a) · inj(a⊥), where inj(a⊥) injects
+phase labels into ambient space, so t̂' = S⁻¹ŝ.
 
 A round prepares the coset state |a_{t,t'}> on ``qsim``'s dense statevector,
 runs a strategy's channel as an ordered dilation (append ancillas, act
@@ -17,6 +27,7 @@ or for rules that read the channel log).  Every built-in obeys this.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -24,22 +35,163 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from cosetmoe import moe
-from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, sample_subspace, solve_coset_membership
+from cosetmoe.gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, coset_rep, intersect, sample_subspace,
+                          solve_coset_membership)
 from cosetmoe.mc import TrialReader, run_blocks, stream_key, words_for
 from cosetmoe.qsim import (
     _ATOL,
     STATEVECTOR_QUBIT_LIMIT,
     CosetDescriptor,
-    QuantumReg,
     StateVec,
     WiesnerRecord,
-    _moveaxis_front,
-    measure_coset_basis,
+    _phase_inject,
     prepare_coset_state,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+class QuantumReg:
+    """A register: a statevector plus a per-qubit ownership map."""
+
+    __slots__ = ("payload", "owner")
+
+    def __init__(self, payload: StateVec, owner: Sequence[str]):
+        owner = tuple(owner)
+        if len(owner) != payload.n:
+            raise ValueError("ownership map must assign every qubit")
+        self.payload = payload
+        self.owner = owner
+
+    def qubits_of(self, party: str) -> tuple[int, ...]:
+        return tuple(i for i, p in enumerate(self.owner) if p == party)
+
+
+def prepare(d: CosetDescriptor) -> QuantumReg:
+    """The coset state of ``d`` (``qsim.prepare_coset_state``), every qubit
+    owned by Alice."""
+    return QuantumReg(prepare_coset_state(d), ("alice",) * d.n)
+
+
+# ------------------------------------------------------------------
+# the coset-basis measurement and the coset overlap
+# ------------------------------------------------------------------
+
+
+def _xor_dp(generators_low_to_high: list[int], nbits: int) -> np.ndarray:
+    """perm[v] = XOR of generators chosen by the bits of v (int bit p of v
+    selects generators_low_to_high[p])."""
+    perm = np.zeros(1, dtype=np.int64)
+    for p in range(nbits):
+        perm = np.concatenate([perm, perm ^ generators_low_to_high[p]])
+    return perm
+
+
+def _fwht_axis0(mat: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh–Hadamard transform along axis 0:
+    out[s] = Σ_w (−1)^{popcount(s & w)} mat[w]."""
+    m = mat.shape[0]
+    out = mat.copy()
+    h = 1
+    while h < m:
+        out = out.reshape(m // (2 * h), 2, h, -1)
+        top = out[:, 0, :, :] + out[:, 1, :, :]
+        bot = out[:, 0, :, :] - out[:, 1, :, :]
+        out = np.stack([top, bot], axis=1).reshape(m, -1)
+        h *= 2
+    return out.reshape(mat.shape)
+
+
+# A perm holds 2^n int64 entries: 32 of them take at most 256 MiB, at n = 20.
+@functools.lru_cache(maxsize=32)
+def _coset_change_of_basis(a: Gf2Subspace):
+    """Returns (perm, s_inv) for the coset-basis measurement of ``a``:
+    perm relabels every amplitude index v to (t, w) packed high/low, and
+    s_inv maps sampled Hadamard-block labels back to phase labels.  Cached
+    per subspace; perm is read-only, as the cache shares it."""
+    n, k = a.n, a.dim
+    free = a.free_coords
+    # columns of M: first the label injection e_{free_j}, then the basis rows
+    m_cols = np.zeros((n, n), dtype=np.uint8)
+    for j, f in enumerate(free):
+        m_cols[f, j] = 1
+    m_cols[:, n - k:] = a.basis.rows.T
+    m_inv = Gf2Matrix(m_cols).inverse()
+    # generator for int bit position p: image of basis vector of qubit n−1−p
+    gens = []
+    for p in range(n):
+        col = m_inv.rows[:, n - 1 - p]
+        gens.append(Gf2Vec(col).to_int())
+    perm = _xor_dp(gens, n)
+    perm.setflags(write=False)
+    s_mat = a.basis.mulmat(_phase_inject(a))
+    return perm, s_mat.inverse()
+
+
+def _moveaxis_front(amps: np.ndarray, n_total: int, targets: Sequence[int]) -> np.ndarray:
+    """View of the state tensor with target qubit axes first, flattened to
+    (2^|targets|, 2^rest)."""
+    tensor = amps.reshape((2,) * n_total)
+    rest = [i for i in range(n_total) if i not in targets]
+    tensor = np.moveaxis(tensor, list(targets) + rest, range(n_total))
+    return tensor.reshape(1 << len(targets), -1)
+
+
+def measure_coset_basis(
+    reg: QuantumReg, a: Gf2Subspace, rng: np.random.Generator,
+    qubits: Sequence[int] | None = None,
+) -> tuple[Gf2Vec, Gf2Vec]:
+    """Measure n qubits in the coset basis of ``a``; Born-rule sampled.
+
+    The measured register is consumed: no post-measurement state is exposed.
+    When the register holds extra qubits (adversary ancillas), ``qubits``
+    selects the n measured ones and the rest are traced out.
+    """
+    n, k = a.n, a.dim
+    if k * 2 != n:
+        raise ValueError("subspace dimension must be half the ambient dimension")
+    sv: StateVec = reg.payload
+    targets = tuple(qubits) if qubits is not None else tuple(range(sv.n))
+    if len(targets) != n:
+        raise ValueError("measured qubit count must equal the ambient dimension")
+    perm, s_inv = _coset_change_of_basis(a)
+    block = _moveaxis_front(sv.amps, sv.n, targets)
+    relabeled = np.empty_like(block)
+    relabeled[perm] = block
+    cube = relabeled.reshape(1 << (n - k), 1 << k, -1)  # [t, w, env]
+    transformed = _fwht_axis0(
+        np.ascontiguousarray(cube.transpose(1, 0, 2)).reshape(1 << k, -1)
+    ).reshape(1 << k, 1 << (n - k), -1)  # [s, t, env], unnormalized
+    joint = (np.abs(transformed) ** 2).sum(axis=2) / float(1 << k)
+    flat = joint.T.reshape(-1)  # index = t·2^k + s
+    if abs(float(flat.sum()) - 1.0) > 1e-8:
+        raise AssertionError("probability mass of a unit state differs from 1")
+    flat = np.clip(flat, 0.0, None)
+    flat = flat / flat.sum()
+    pick = int(rng.choice(flat.size, p=flat))
+    t_hat = Gf2Vec.from_int(pick >> k, n - k)
+    s_hat = Gf2Vec.from_int(pick & ((1 << k) - 1), k)
+    t_prime_hat = s_inv.mulvec(s_hat)
+    return t_hat, t_prime_hat
+
+
+def coset_overlap(d: CosetDescriptor, b: Gf2Subspace, u: Gf2Vec) -> float:
+    """⟨a_{t,t'}| Π_{b+u_b} |a_{t,t'}⟩ = |(a + t_a) ∩ (b + u_b)| / 2^{n/2}.
+
+    The two cosets either miss each other or meet in a coset of a∩b, so the
+    value is |a∩b|/2^{n/2} when t_a + u_b ∈ a + b and 0 otherwise.
+    """
+    a = d.a
+    n = a.n
+    if b.n != n or b.dim * 2 != n:
+        raise ValueError("subspace dimension mismatch")
+    t_a = coset_rep(a, d.t)
+    u_b = coset_rep(b, u)
+    joined = Gf2Subspace(n, [Gf2Vec(r) for r in a.basis.rows] + [Gf2Vec(r) for r in b.basis.rows])
+    if joined.contains(t_a + u_b):
+        return float(1 << intersect(a, b).dim) / float(1 << (n // 2))
+    return 0.0
 
 
 # ------------------------------------------------------------------
@@ -339,7 +491,7 @@ def kernel(params: moe.MoeParams, rules: Rules, leak: bool):
         t_b, t_c = np.empty_like(t), np.empty_like(tp)
         for i, rng in enumerate(rngs):
             a = sample_subspace(params.n, params.family, rng)
-            reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
+            reg = prepare(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
             channel = rules.split(params.n, rng)
             reg = apply_adversary(reg, channel, rng)
             log = tuple(channel.log)

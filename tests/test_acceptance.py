@@ -9,9 +9,11 @@ per-criterion verdicts from the test names as well.  A criterion that
 import inspect
 import itertools
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from cosetmoe.proto import (
     riqkd_experiment,
     urbc_hiding_exact,
 )
-from cosetmoe.qsim import CosetDescriptor, coset_overlap, prepare_coset_state
+from cosetmoe.qsim import CosetDescriptor, prepare_coset_state
+from statevector_referee import coset_overlap
 
 SEED = 20260817
 
@@ -93,7 +96,7 @@ def test_criterion_02_wiesner_equivalence():
         records = _register_records(np.tile(theta, (64, 1)), labels[:, :3], labels[:, 3:])
         for x, label in zip(records, labels):
             d = CosetDescriptor(a, Gf2Vec(label[:3]), Gf2Vec(label[3:]))
-            sv = prepare_coset_state(d).payload.amps
+            sv = prepare_coset_state(d).amps
             worst = min(worst, abs(np.vdot(_wiesner_product(x, theta), sv)))
     _verdict(2, abs(worst - 1.0) <= 1e-10,
              f"min |overlap| {worst:.12f} over 50 subspaces x 64 labels at n=6")
@@ -119,7 +122,7 @@ def test_criterion_04_overlap_lemma():
             u = Gf2Vec(rng.integers(0, 2, half, dtype=np.uint8))
             value = coset_overlap(d, b, u)
             if n == 4:  # the statevector's projector expectation agrees
-                amps = prepare_coset_state(d).payload.amps
+                amps = prepare_coset_state(d).amps
                 u_b = coset_rep(b, u)
                 mass = sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in b.vectors())
                 assert abs(mass - value) <= 1e-10
@@ -305,12 +308,16 @@ def test_criterion_17_entropy_identities():
 
 
 def test_criterion_18_selftest_determinism():
+    # the child imports the package this process imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     outputs = []
     for threads in (1, 8):
         proc = subprocess.run(
             [sys.executable, "-m", "cosetmoe.cli", "selftest",
              "--seed", "202608", "--threads", str(threads)],
-            capture_output=True, timeout=600,
+            capture_output=True, timeout=600, env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)

@@ -109,6 +109,19 @@ def test_bounds_outside_their_domain_exit_2(capsys, argv, message):
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("code_config,message", [
+    ('{"kind":"random_linear","params":[12.0,4,3]}', "code params must be a list of integers"),
+    ('{"kind":"repetition","params":[true]}', "code params must be a list of integers"),
+    ('{"kind":7,"params":[3]}', "code kind must be a string"),
+])
+def test_code_config_that_is_not_exact_ints_exits_2(capsys, code_config, message):
+    code, out, err = _run(capsys, "urbc", "--set", f"code={code_config}", "--set", "n=24",
+                          "--trials", "10")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0]
+
+
 def test_bounds_domain_edges_run(capsys):
     # d = s = n/2, kappa = 0, and eta, gamma, delta, epsilon at 0 and 1 are
     # codes, entropies and probabilities
@@ -335,6 +348,16 @@ GOLDEN_ARGVS = {
                              "--trials", "200", "--seed", "7"),
     "qecm-uncloneable-all": ("qecm", "--set", "kind=uncloneable", "--set", "family=all",
                              "--set", "n=4", "--set", "ell=1", "--trials", "200", "--seed", "7"),
+    # the general family over several blocks: 2 x 10922 + 3156 rows of qecm's
+    # 12-word window and 2 x 16384 + 7232 of moe's 8-word one, the qecm run
+    # through the computational read
+    "qecm-all8-measure_computational": ("qecm", "--set", "kind=uncloneable",
+                                        "--set", "adversary=measure_computational",
+                                        "--set", "family=all", "--set", "n=8",
+                                        "--trials", "25000", "--seed", "3"),
+    "moe-all8-keep_and_substitute": ("moe", "--set", "kind=keep_and_substitute",
+                                     "--set", "family=all", "--set", "n=8",
+                                     "--trials", "40000", "--seed", "3"),
     "urbc-correctness": ("urbc", "--trials", "100", "--seed", "8"),
     "urbc-binding": ("urbc", "--set", "kind=binding", "--trials", "300", "--seed", "8"),
     "urbc-hiding": ("urbc", "--set", "kind=hiding", "--set", "n=6", "--set", "ell=1",
@@ -399,6 +422,8 @@ GOLDEN_DIGESTS = {
     "qecm-uncloneable-mc": (0, "1fd7d64b799e49b87fd77db99eb101d50bc0a10f6612cd931c1de5954be0ea7e"),
     "qecm-uncloneable-ind": (0, "2c66f4e0063b787a2947ec6adfc6eb2faaad0b9a8c42805da6216a9a0d461a17"),
     "qecm-uncloneable-all": (0, "085a260fa196b165d6e9b73d11fe974c57b4227a4c96cbd48312da80e5a9c7f1"),
+    "qecm-all8-measure_computational": (0, "ec0ca29dda0ea1f2208938237fcfe5f62d701293d0a6c53f640120ca30447530"),
+    "moe-all8-keep_and_substitute": (0, "6b325c870ae216b7fd106f7942db4a15b2fc77f1f0fab1ae3ccf1c1cd2b05351"),
     "urbc-correctness": (0, "142934913aa0847e458e89da3ba505b9e19688b35f955c582a6c928cca7c438a"),
     "urbc-binding": (0, "d2218ac29424312b0a7fa22bc581af171fde3417c5c8bce02457952ffa703013"),
     "urbc-hiding": (0, "989f53511ba30e567da664ffa99ae86de66e3c4e4987e47d568fefd8259c45cb"),
@@ -445,6 +470,8 @@ THREAD_ARGVS = {
                    "--set", f"eta={2 / 7}", "--set", f"code={_H74}",
                    "--trials", "11500", "--seed", "3"),
     "moe-all-measure_wiesner": GOLDEN_ARGVS["moe-all-measure_wiesner"],
+    "qecm-all8-measure_computational": GOLDEN_ARGVS["qecm-all8-measure_computational"],
+    "moe-all8-keep_and_substitute": GOLDEN_ARGVS["moe-all8-keep_and_substitute"],
     **{f"moe-all64-{k}": ("moe", "--set", f"kind={k}", "--set", "n=64", "--set", "family=all",
                           "--trials", "40", "--seed", "3")
        for k in ("measure_wiesner", "keep_and_substitute")},

@@ -103,9 +103,12 @@ def test_config_returns_the_code_already_built():
     assert make_code_from_config(dict(cfg)) is code
     assert make_code_from_config({"kind": "hamming74"}).kind == ("hamming74",)
     assert make_code_from_config(cfg) is code  # two codes are kept
-    # only exact ints are keys: a float parameter is built, and fails, as before
-    with pytest.raises(TypeError):
-        make_code_from_config({"kind": "block_repeat", "params": [63.0, 30]})
+    # only exact ints are parameters: 63.0 == 63 must not find block_repeat(63, ..)
+    for bad in ({"kind": "block_repeat", "params": [63.0, 30]},
+                {"kind": "repetition", "params": [True]},
+                {"kind": 7, "params": []}):
+        with pytest.raises(ValueError):
+            make_code_from_config(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,46 @@ def _loop_rref(rows):
     return work, tuple(pivots)
 
 
+def _loop_free(pivots, n):
+    return [j for j in range(n) if j not in pivots]
+
+
+def _loop_complement(basis, pivots):
+    """a⊥ one free coordinate f at a time: the generator e_f plus a's entries
+    (i, f) at its pivots, reduced by ``_loop_rref``: the reference for
+    ``complements``."""
+    n = basis.shape[1]
+    gens = np.zeros((n - len(pivots), n), dtype=np.uint8)
+    for row, f in enumerate(_loop_free(pivots, n)):
+        gens[row, f] = 1
+        for i, p in enumerate(pivots):
+            gens[row, p] = basis[i, f]
+    return _loop_rref(gens)
+
+
+def _loop_coset_element(basis, pivots, t, c):
+    """coset_rep(a, t) ⊕ c·A one coordinate and one basis row at a time: the
+    reference for ``coset_elements``."""
+    v = np.zeros(basis.shape[1], dtype=np.uint8)
+    for f, bit in zip(_loop_free(pivots, basis.shape[1]), t):
+        v[f] = bit
+    for coeff, row in zip(c, basis):
+        if coeff:
+            v ^= row
+    return v
+
+
+def _loop_coset_label(basis, pivots, v):
+    """(t, c) of v = coset_rep(a, t) ⊕ c·A, reducing v by each basis row
+    whose pivot it holds: the reference for ``coset_labels``."""
+    c = v[list(pivots)]
+    residue = v.copy()
+    for coeff, row in zip(c, basis):
+        if coeff:
+            residue ^= row
+    return residue[_loop_free(pivots, basis.shape[1])], c
+
+
 def test_rref_and_complement_equal_their_loop_references():
     rng = np.random.default_rng(11)
     for n in range(1, 13):
@@ -119,19 +159,48 @@ def test_rref_and_complement_equal_their_loop_references():
             red, piv = rref(Gf2Matrix(m))
             ref, ref_piv = _loop_rref(m)
             assert np.array_equal(red.rows, ref) and piv == ref_piv
-            # the complement's generators, e_f plus a's entries (i, f) at its
-            # pivots, one free coordinate f at a time
             a = Gf2Subspace(n, Gf2Matrix(m))
-            gens = []
-            for f in a.free_coords:
-                v = np.zeros(n, dtype=np.uint8)
-                v[f] = 1
-                for i, p in enumerate(a.pivots):
-                    v[p] = a.basis.rows[i, f]
-                gens.append(Gf2Vec(v))
             b = complement(a)
-            assert b.basis == Gf2Subspace(n, gens or None).basis
-            assert b.pivots == Gf2Subspace(n, gens or None).pivots
+            ref, ref_piv = _loop_complement(a.basis.rows, a.pivots)
+            assert np.array_equal(b.basis.rows, ref) and b.pivots == ref_piv
+    # blocks whose matrices differ in rank and pivot set: densities from 0
+    # (an all-zero matrix) to 1, and rows both fewer and more than columns
+    for shape in [(40, 5, 9), (40, 7, 4)]:
+        m = (rng.random(shape) < rng.random((shape[0], 1, 1))).astype(np.uint8)
+        m[0] = 0
+        reduced, is_pivot = gf2.eliminate(m)
+        ranks = set()
+        for i in range(shape[0]):
+            ref, ref_piv = _loop_rref(m[i])
+            assert np.array_equal(reduced[i], ref)
+            assert tuple(np.flatnonzero(is_pivot[i])) == ref_piv
+            ranks.add(len(ref_piv))
+        assert 0 in ranks and len(ranks) >= 3
+
+
+@pytest.mark.parametrize("n,rows", [(8, 300), (64, 60)])
+def test_batched_coset_maps_equal_their_loop_references(n, rows):
+    # sample_subspaces blocks: complements, coset elements and labels row by
+    # row against the one-row loops, and each label decode inverts its element
+    k = n // 2
+    words = np.random.Philox(key=stream_key(n, 26)).random_raw(
+        (rows, words_for(bit_fields=(*subspace_fields(n, k)[0], n - k, k),
+                         key_fields=subspace_fields(n, k)[1])))
+    r = TrialReader(words)
+    basis, pivots = sample_subspaces(r, n, k)
+    t, c = r.bits(n - k), r.bits(k)
+    perp_basis, perp_pivots = gf2.complements(basis, pivots)
+    v = gf2.coset_elements(basis, pivots, t, c)
+    t_hat, c_hat = gf2.coset_labels(basis, pivots, v)
+    free = gf2.free_mask(n, pivots)
+    for i in range(rows):
+        ref, ref_piv = _loop_complement(basis[i], tuple(pivots[i]))
+        assert np.array_equal(perp_basis[i], ref) and tuple(perp_pivots[i]) == ref_piv
+        assert np.array_equal(v[i], _loop_coset_element(basis[i], pivots[i], t[i], c[i]))
+        ref_t, ref_c = _loop_coset_label(basis[i], pivots[i], v[i])
+        assert np.array_equal(t_hat[i], ref_t) and np.array_equal(c_hat[i], ref_c)
+        assert np.array_equal(t_hat[i], t[i]) and np.array_equal(c_hat[i], c[i])
+        assert np.flatnonzero(free[i]).tolist() == _loop_free(tuple(pivots[i]), n)
 
 
 # ---------------------------------------------------------- complement
@@ -357,9 +426,8 @@ def test_random_rref_exact_law(n, k):
         block = np.tile(np.array(keys, dtype=np.uint32), (len(fills), 1))
         basis, pivots = gf2._random_rref(block, fills, k)
         assert (pivots == support).all()
-        for rows in basis:
-            a = Gf2Subspace(n, Gf2Matrix(rows))
-            law[a] = law.get(a, 0) + prob / len(fills)
+        for rows in gf2.eliminate(basis)[0]:  # each subspace's canonical basis
+            law[rows.tobytes()] = law.get(rows.tobytes(), 0) + prob / len(fills)
     assert sum(law.values()) == 1
     assert len(law) == _q_binomial(n, k)
     uniform = Fraction(1, _q_binomial(n, k))
@@ -371,8 +439,9 @@ def test_sample_subspaces_chi_squared_over_all_35_at_n4():
     words = np.random.Philox(key=stream_key(4, 35)).random_raw(
         (rows, words_for(*subspace_fields(4, 2))))
     counts = {}
-    for a in sample_subspaces(TrialReader(words), 4, 2):
-        counts[a] = counts.get(a, 0) + 1
+    basis, _ = sample_subspaces(TrialReader(words), 4, 2)
+    for a in basis:  # a canonical basis names its subspace
+        counts[a.tobytes()] = counts.get(a.tobytes(), 0) + 1
     assert len(counts) == 35
     observed = np.array(list(counts.values()))
     chi2 = float(((observed - rows / 35) ** 2 / (rows / 35)).sum())

@@ -609,7 +609,7 @@ def _fake_label_law(a, rec):
         for i in np.flatnonzero(bits):
             fake = referee.apply_unitary_statevec(fake, n, gate, (i,))
     return [sum(abs(np.vdot(prepare_coset_state(CosetDescriptor(
-        a, Gf2Vec.from_int(t_hat, half), Gf2Vec.from_int(t_pp, half))).payload.amps, fake)) ** 2
+        a, Gf2Vec.from_int(t_hat, half), Gf2Vec.from_int(t_pp, half))).amps, fake)) ** 2
                 for t_pp in range(1 << half)) for t_hat in range(1 << half)]
 
 
@@ -622,7 +622,7 @@ def _statevector_law(kind, a, t, tp, option):
     n, half = a.n, a.n // 2
     law = {}
     if kind == "measure_wiesner":
-        amps = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t), Gf2Vec(tp))).payload.amps
+        amps = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t), Gf2Vec(tp))).amps
         for i in np.flatnonzero(option.bits):
             amps = referee.apply_unitary_statevec(amps, n, referee.HADAMARD, (i,))
         w = _outcome_bits(n).astype(np.uint8)
@@ -661,9 +661,10 @@ def test_general_reads_equal_the_statevector_law(kind, n):
         values = (np.arange(1 << sum(widths))[:, None] >> np.arange(sum(widths))) & 1
         fields = np.split(values.astype(np.uint8), np.cumsum(widths)[:-1], axis=1)
         rows = len(values)
+        basis, pivots = np.tile(a.basis.rows, (rows, 1, 1)), np.tile(a.pivots, (rows, 1))
         for t_int, tp_int in itertools.product(range(1 << half), repeat=2):
             t, tp = Gf2Vec.from_int(t_int, half).bits, Gf2Vec.from_int(tp_int, half).bits
-            t_b, t_c = reads([a] * rows, np.tile(t, (rows, 1)), np.tile(tp, (rows, 1)), *fields)
+            t_b, t_c = reads(basis, pivots, np.tile(t, (rows, 1)), np.tile(tp, (rows, 1)), *fields)
             law = {}
             for key in zip(map(bytes, t_b), map(bytes, t_c)):
                 law[key] = law.get(key, 0) + 1 / rows
@@ -684,9 +685,9 @@ def test_general_kernel_rows_chi_squared(monkeypatch, kind):
     def recording(option):
         reads = make_reads(option)
 
-        def record(subspaces, t, tp, *fields):
-            guesses = reads(subspaces, t, tp, *fields)
-            rows.extend(zip(subspaces, t, tp, *guesses))
+        def record(basis, pivots, t, tp, *fields):
+            guesses = reads(basis, pivots, t, tp, *fields)
+            rows.extend(zip(map(Gf2Subspace.from_rref, basis, pivots), t, tp, *guesses))
             return guesses
 
         return record

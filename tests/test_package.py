@@ -40,7 +40,6 @@ _OPTION_SURFACE = {
     "info.protocol_bounds": ("n", "m", "m_prime", "d", "s", "eta", "gamma", "delta",
                              "kappa", "ell", "epsilon"),
     "qsim.prepare_coset_state": ("d",),
-    "qsim.coset_overlap": ("d", "b", "u"),
 }
 
 
@@ -94,4 +93,4 @@ def test_only_the_statevector_oracle_calls_generator_methods():
         finder = _DrawFinder(name)
         finder.visit(ast.parse(inspect.getsource(importlib.import_module(name))))
         found |= finder.found
-    assert found == {"cosetmoe.qsim.measure_coset_basis"}
+    assert found == set()

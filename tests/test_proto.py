@@ -47,7 +47,8 @@ from cosetmoe.proto import (
     urbc_experiment,
     urbc_hiding_exact,
 )
-from cosetmoe.qsim import CosetDescriptor, measure_coset_basis, prepare_coset_state
+from cosetmoe.qsim import CosetDescriptor
+import statevector_referee as referee
 
 
 def _sigma(p, trials):
@@ -1035,17 +1036,19 @@ def test_general_family_reads_equal_statevector_measurements(n, computational):
     every_c = ((np.arange(1 << half)[:, None] >> np.arange(half)) & 1).astype(np.uint8)
     for i in range(r.count):
         a = states.subspace(i)
-        reg = prepare_coset_state(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
+        reg = referee.prepare(CosetDescriptor(a, Gf2Vec(t[i]), Gf2Vec(tp[i])))
         if computational:
             born = np.abs(reg.payload.amps) ** 2
             support = np.flatnonzero(born > 1e-12)
             assert np.allclose(born[support], 1 / len(every_c))
-            law = coset_elements([a] * len(every_c), np.tile(t[i], (len(every_c), 1)), every_c)
+            law = coset_elements(np.tile(a.basis.rows, (len(every_c), 1, 1)),
+                                 np.tile(a.pivots, (len(every_c), 1)),
+                                 np.tile(t[i], (len(every_c), 1)), every_c)
             assert sorted(Gf2Vec(v).to_int() for v in law) == support.tolist()
             read_t, u = solve_coset_membership(a, Gf2Vec(states.forwarded[i]))
             read_tp = Gf2Vec(u.bits[list(a.pivots)])
         else:
-            read_t, read_tp = measure_coset_basis(reg, a, np.random.default_rng(i))
+            read_t, read_tp = referee.measure_coset_basis(reg, a, np.random.default_rng(i))
         assert np.array_equal(t_hat[i], read_t.bits)
         assert np.array_equal(tp_hat[i], read_tp.bits)
 

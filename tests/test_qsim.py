@@ -14,24 +14,20 @@ from cosetmoe.gf2 import (
 )
 from cosetmoe.mc import TrialReader, coordinate_rows, trial_words, words_for
 from cosetmoe.proto import PauliNoise
-from cosetmoe.qsim import (
-    STATEVECTOR_QUBIT_LIMIT,
-    CosetDescriptor,
-    QuantumReg,
-    StateVec,
-    _coset_change_of_basis,
-    coset_overlap,
-    measure_coset_basis,
-    prepare_coset_state,
-)
+from cosetmoe.qsim import STATEVECTOR_QUBIT_LIMIT, CosetDescriptor, StateVec, prepare_coset_state
 from statevector_referee import (
     AdversaryChannel,
+    QuantumReg,
+    _coset_change_of_basis,
     append_ancilla,
     apply_adversary,
     apply_unitary,
     assign_ownership,
+    coset_overlap,
     measure_computational,
+    measure_coset_basis,
     measure_qubits,
+    prepare,
 )
 
 
@@ -109,8 +105,7 @@ def raw_coset_statevector(a, v, vp):
 
 def test_prepare_plus_zero_example():
     d = CosetDescriptor(span(2, [1, 0]), Gf2Vec([0]), Gf2Vec([0]))
-    reg = prepare_coset_state(d)
-    assert np.allclose(reg.payload.amps, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
+    assert np.allclose(prepare_coset_state(d).amps, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
 
 
 def test_prepare_matches_wiesner_tensor_product():
@@ -118,7 +113,7 @@ def test_prepare_matches_wiesner_tensor_product():
     for n in (2, 4, 6, 10, 12):
         for _ in range(10):
             d = random_descriptor(n, "register", rng)
-            sv = prepare_coset_state(d).payload.amps
+            sv = prepare_coset_state(d).amps
             theta = np.zeros(n, dtype=np.uint8)
             theta[list(d.a.pivots)] = 1
             x, = register_records(theta[None], d.t.bits[None], d.t_prime.bits[None])
@@ -144,14 +139,14 @@ def test_orthonormal_basis_small():
         for t in range(2):
             for tp in range(2):
                 d = CosetDescriptor(a, Gf2Vec([t]), Gf2Vec([tp]))
-                states.append(prepare_coset_state(d).payload.amps)
+                states.append(prepare_coset_state(d).amps)
         gram = np.array([[np.vdot(u, v) for v in states] for u in states])
         assert np.allclose(gram, np.eye(4), atol=1e-10)
     a = sample_subspace(4, "all", rng)
     states = [
         prepare_coset_state(
             CosetDescriptor(a, Gf2Vec.from_int(t, 2), Gf2Vec.from_int(tp, 2))
-        ).payload.amps
+        ).amps
         for t in range(4)
         for tp in range(4)
     ]
@@ -168,7 +163,7 @@ def test_global_phase_insensitivity():
             vp = Gf2Vec(rng.integers(0, 2, size=n, dtype=np.uint8))
             t, _ = solve_coset_membership(a, v)
             tp, _ = solve_coset_membership(complement(a), vp)
-            canonical = prepare_coset_state(CosetDescriptor(a, t, tp)).payload.amps
+            canonical = prepare_coset_state(CosetDescriptor(a, t, tp)).amps
             raw = raw_coset_statevector(a, v, vp)
             assert abs(abs(np.vdot(raw, canonical)) - 1.0) < 1e-10
 
@@ -181,7 +176,7 @@ def test_measure_roundtrip_statevector():
     for n, family in [(2, "all"), (4, "all"), (6, "register"), (6, "all")]:
         for _ in range(5):
             d = random_descriptor(n, family, rng)
-            reg = prepare_coset_state(d)
+            reg = prepare(d)
             t_hat, tp_hat = measure_coset_basis(reg, d.a, rng)
             assert t_hat == d.t
             assert tp_hat == d.t_prime
@@ -230,7 +225,7 @@ def test_measure_computational_collapse():
 def test_noise_identity():
     rng = np.random.default_rng(29)
     d = random_descriptor(4, "register", rng)
-    reg = prepare_coset_state(d)
+    reg = prepare(d)
     out = pauli_noise(reg, 0.0, 0.0, rng)
     assert np.allclose(out.payload.amps, reg.payload.amps)
 
@@ -251,7 +246,7 @@ def test_noise_statevector_paulis():
 def test_adversary_assign_all():
     rng = np.random.default_rng(47)
     d = random_descriptor(4, "register", rng)
-    reg = prepare_coset_state(d)
+    reg = prepare(d)
     ch = AdversaryChannel([assign_ownership(range(4), "bob")])
     out = apply_adversary(reg, ch, rng)
     assert out.owner == ("bob",) * 4
@@ -261,7 +256,7 @@ def test_adversary_assign_all():
 def test_adversary_measure_all():
     rng = np.random.default_rng(53)
     d = random_descriptor(4, "register", rng)
-    reg = prepare_coset_state(d)
+    reg = prepare(d)
     ch = AdversaryChannel(
         [measure_qubits(range(4)), assign_ownership(range(4), "bob")]
     )
@@ -309,7 +304,7 @@ def test_adversary_validation():
     d = random_descriptor(4, "register", rng)
     with pytest.raises(ValueError):
         AdversaryChannel([apply_unitary(np.array([[1, 1], [0, 1]]), (0,))])
-    reg = prepare_coset_state(d)
+    reg = prepare(d)
     with pytest.raises(ValueError):
         apply_adversary(reg, AdversaryChannel([assign_ownership((0, 1), "bob")]), rng)
     with pytest.raises(ValueError):
@@ -328,7 +323,7 @@ def test_adversary_validation():
 def test_unitary_preserves_norm():
     rng = np.random.default_rng(67)
     d = random_descriptor(6, "all", rng)
-    reg = prepare_coset_state(d)
+    reg = prepare(d)
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(mat)
     ch = AdversaryChannel(
@@ -352,7 +347,7 @@ def test_backend_equivalence_chi_squared():
     x = np.array([0, 1, 1, 0], dtype=np.uint8)
     theta = np.array([1, 0, 1, 0], dtype=np.uint8)
     cells = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 8 - n:]
-    base = prepare_coset_state(d)
+    base = prepare(d)
     threshold = 37.70  # χ², 15 dof, 0.999 quantile
     for dx, dz in ((0.25, 0.25), (0.1, 0.3)):
         # exact per-qubit outcome distribution: a flip lands on a stored bit
@@ -387,7 +382,7 @@ def test_coset_overlap_same_subspace():
 
 def _projector_mass(d, b, u):
     """⟨a_{t,t'}| Π_{b+u_b} |a_{t,t'}⟩ read off the prepared statevector."""
-    amps = prepare_coset_state(d).payload.amps
+    amps = prepare_coset_state(d).amps
     u_b = coset_rep(b, u)
     return sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in b.vectors())
 
