@@ -73,14 +73,22 @@ __all__ = ["CHECKS", "dispatch", "emit_report", "main", "selftest_checks"]
 # ------------------------------------------------------------------
 
 
+# the characters a JSON value can start with, after JSON whitespace
+_JSON_VALUE_STARTS = frozenset('{["-0123456789tfnNI')
+
+
 def _parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise click.UsageError(f"override {item!r} is not of the form key=value")
     key, _, raw = item.partition("=")
+    # bare words are strings; a word that cannot start a JSON value is one
+    # without a parse attempt
+    if raw.lstrip(" \t\n\r")[:1] not in _JSON_VALUE_STARTS:
+        return key, raw
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
-        value = raw  # bare words are strings
+        value = raw
     return key, value
 
 
@@ -110,9 +118,9 @@ def _resolve_config(defaults: dict, config_path: Optional[str], overrides,
 
 
 def _reject_unknown(given: dict, defaults: dict, source: str) -> None:
-    unknown = sorted(set(given) - set(defaults))
+    unknown = [key for key in given if key not in defaults]
     if unknown:
-        raise click.UsageError(f"unknown {source} keys: {', '.join(unknown)}")
+        raise click.UsageError(f"unknown {source} keys: {', '.join(sorted(unknown))}")
 
 
 def _sorted_keys(value):
@@ -149,10 +157,34 @@ def _run_config_error(exc: Exception) -> click.UsageError:
 # ------------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _json_text(value) -> str:
-    """Deterministic JSON with floats at 12 significant digits."""
+    """Deterministic JSON: keys in insertion order, no spaces, strings
+    ASCII-escaped, floats at 12 significant digits and non-finite floats as
+    null.  Exact builtin types are dispatched on ``type(value)``; any other
+    value (a numpy scalar, a subclass) goes to ``_json_text_other``."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        return format(value, ".12g") if math.isfinite(value) else "null"
+    if kind is int:
+        return str(value)
+    if kind is dict:
+        return "{" + ",".join([_encode_str(k if type(k) is str else str(k)) + ":" + _json_text(v)
+                               for k, v in value.items()]) + "}"
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_json_text(v) for v in value]) + "]"
+    return _json_text_other(value)
+
+
+def _json_text_other(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -162,12 +194,12 @@ def _json_text(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _encode_str(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_text(v) for v in value) + "]"
+        return "[" + ",".join([_json_text(v) for v in value]) + "]"
     if isinstance(value, dict):
-        parts = (json.dumps(str(k)) + ":" + _json_text(v) for k, v in value.items())
-        return "{" + ",".join(parts) + "}"
+        return "{" + ",".join([_encode_str(str(k)) + ":" + _json_text(v)
+                               for k, v in value.items()]) + "}"
     raise TypeError(f"cannot serialize report value of type {type(value).__name__}")
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "free_mask",
     "complements",
     "complement",
-    "intersect",
     "coset_elements",
     "coset_labels",
     "coset_rep",
@@ -356,27 +355,6 @@ class Gf2Subspace:
         """The pivots as a (1, dim) block."""
         return np.array(self._pivots, dtype=np.intp).reshape(1, -1)
 
-    def contains(self, v: Gf2Vec) -> bool:
-        if v.n != self._n:
-            raise ValueError("ambient dimension mismatch")
-        # Reduce v against the basis; membership iff it cancels to zero.
-        residue = v.bits.copy()
-        for r, col in zip(self._basis.rows, self._pivots):
-            if residue[col]:
-                residue ^= r
-        return not residue.any()
-
-    def vectors(self) -> Iterator[Gf2Vec]:
-        """All 2^dim elements, ordered by coefficient integer."""
-        rows = self._basis.rows
-        k = self.dim
-        for coeff in range(1 << k):
-            v = np.zeros(self._n, dtype=np.uint8)
-            for i in range(k):
-                if (coeff >> (k - 1 - i)) & 1:
-                    v ^= rows[i]
-            yield Gf2Vec(v)
-
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
@@ -437,16 +415,6 @@ def complement(a: Gf2Subspace) -> Gf2Subspace:
     ``complement(complement(a)) == a`` exactly."""
     basis, pivots = complements(a.basis.rows[None], a._pivot_row())
     return Gf2Subspace.from_rref(basis[0], pivots[0])
-
-
-def intersect(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:
-    """Intersection of two subspaces; raises on ambient mismatch."""
-    if a.n != b.n:
-        raise ValueError("ambient dimension mismatch")
-    # a ∩ b = (a⊥ + b⊥)⊥, exact over GF(2).
-    joined = list(Gf2Vec(r) for r in complement(a).basis.rows if r.any())
-    joined += list(Gf2Vec(r) for r in complement(b).basis.rows if r.any())
-    return complement(Gf2Subspace(a.n, joined))
 
 
 def coset_elements(basis: np.ndarray, pivots: np.ndarray, t: np.ndarray,

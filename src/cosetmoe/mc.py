@@ -51,6 +51,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import sys
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +83,8 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 _Z_95 = 1.959963984540054
 # Words per run_blocks block: 1 MiB, which fits in a core's L2 cache.
 _BLOCK_WORDS = 1 << 17
+# one Philox bit generator per thread, re-keyed for each window (_philox)
+_THREAD_PHILOX = threading.local()
 
 
 def round_up_words(words: int) -> int:
@@ -106,17 +109,40 @@ def stream_key(seed: int, stream: int) -> int:
 def trial_words(seed: int, words_per_trial: int, start: int, count: int) -> np.ndarray:
     """Raw 64-bit words for trials [start, start+count); row i is trial start+i.
 
-    ``Philox.advance`` steps the counter in 4-word blocks, hence the budget
-    must be a block multiple for windows to be seekable.
+    Philox's counter steps in 4-word blocks, hence the budget must be a block
+    multiple for windows to be seekable.
     """
     if words_per_trial <= 0 or words_per_trial % PHILOX_BLOCK_WORDS:
         raise ValueError("words_per_trial must be a positive multiple of 4")
     if start < 0 or count <= 0:
         raise ValueError("trial window must be non-empty and non-negative")
-    gen = np.random.Philox(key=seed & _KEY_MASK)
-    gen.advance(start * words_per_trial // PHILOX_BLOCK_WORDS)
-    raw = gen.random_raw(count * words_per_trial)
-    return raw.reshape(count, words_per_trial)
+    gen = _philox(seed & _KEY_MASK, start * words_per_trial // PHILOX_BLOCK_WORDS)
+    return gen.random_raw(count * words_per_trial).reshape(count, words_per_trial)
+
+
+def _philox(key: int, counter: int) -> np.random.Philox:
+    """This thread's Philox bit generator, set to ``key`` and ``counter``:
+    the state of ``Philox(key=key)`` advanced by ``counter`` blocks.  A
+    counter-based stream is fixed by its key and counter alone, so one
+    generator a thread serves every window and none is built per block.
+    Each call sets the whole state: nothing carries over between windows."""
+    gen = getattr(_THREAD_PHILOX, "gen", None)
+    if gen is None:
+        gen = _THREAD_PHILOX.gen = np.random.Philox(key=0)
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _words_of(counter, 4), "key": _words_of(key, 2)},
+        "buffer": np.zeros(PHILOX_BLOCK_WORDS, dtype=np.uint64),
+        "buffer_pos": PHILOX_BLOCK_WORDS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def _words_of(value: int, count: int) -> np.ndarray:
+    """The ``count`` 64-bit words of a non-negative int, least significant first."""
+    return np.array([(value >> (64 * i)) & _WORD_MASK for i in range(count)], dtype=np.uint64)
 
 
 def words_to_bytes(words: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -353,10 +353,21 @@ class _CosetParams:
         if self.n < 2 or self.n % 2:
             raise ValueError("ambient dimension must be even and >= 2")
         object.__setattr__(self, "extractor", ToeplitzExtractor(self.half, self.ell))
+        object.__setattr__(self, "_window_sizes", {})
 
     @property
     def half(self) -> int:
         return self.n // 2
+
+    def _window_size(self, mode: Hashable, words: Callable[[], int]) -> int:
+        """``words()``, the window size of one run in ``mode``, computed once
+        per params object and mode; ``mode`` must fix the size.  The sizes
+        are kept on the object: a cache keyed on the params would hash their
+        code's matrices on every run."""
+        size = self._window_sizes.get(mode)
+        if size is None:
+            size = self._window_sizes[mode] = words()
+        return size
 
 
 class _SpotParams(_CosetParams):
@@ -549,7 +560,8 @@ def run_qecm_id(
     """
     if eve not in _QECM_EVE_KINDS:
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
-    reader = _window(rng, _qecm_words(params, eve, message))
+    mode = (eve, message is None, isinstance(message, MessageSource))
+    reader = _window(rng, params._window_size(mode, lambda: _qecm_words(params, eve, message)))
     if isinstance(message, Gf2Vec):
         if message.n != params.ell:
             raise ValueError("message length mismatch")
@@ -858,7 +870,8 @@ def run_urbc(
     """
     if alice not in ("honest", "binding_attack"):
         raise ValueError(f"unknown Alice role {alice!r}")
-    b = _urbc_batch(params, _window(rng, _urbc_words(params)), alice)
+    words = params._window_size((), lambda: _urbc_words(params))
+    b = _urbc_batch(params, _window(rng, words), alice)
     seed, h = Gf2Vec(b.seed[0]), Gf2Vec(b.h[0])
     opening = b"" if b.nonces is None else b.nonces[0].tobytes()
     token = "ideal:0" if b.nonces is None else _hash_token(seed, h, opening)
@@ -1196,7 +1209,11 @@ def run_riqkd(
     challenge.  The run reads one window of raw words from ``rng`` (see
     ``_riqkd_batch``), making it replayable from the generator.
     """
-    b = _riqkd_batch(params, _window(rng, _riqkd_words(params, noise, eve)), noise, device, eve)
+    # the layout reads the noise's presence, Eve's kind and whether she
+    # guesses her bases
+    mode = (noise is None, type(eve), getattr(eve, "theta_hat", None) is None)
+    words = params._window_size(mode, lambda: _riqkd_words(params, noise, eve))
+    b = _riqkd_batch(params, _window(rng, words), noise, device, eve)
     half = params.half
     tr = Transcript()
     tr.send_quantum("alice", "bob", "coset_state", "qreg:0")

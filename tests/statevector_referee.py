@@ -1,7 +1,8 @@
 """The statevector referee of the monogamy game: the oracle for ``moe``'s
 closed-form kernels, with the statevector tools that only tests read: the
-register with its per-qubit ownership map (``QuantumReg``), the coset-basis
-measurement and the coset overlap.
+register with its per-qubit ownership map (``QuantumReg``), subspace
+membership, enumeration and intersection, the coset-basis measurement and
+the coset overlap.
 
 Measuring in the coset basis of a subspace ``a`` is done in three steps:
 relabel amplitude indices by the inverse of the invertible map
@@ -30,12 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from cosetmoe import moe
-from cosetmoe.gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, coset_rep, intersect, sample_subspace,
+from cosetmoe.gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, complement, coset_rep, sample_subspace,
                           solve_coset_membership)
 from cosetmoe.mc import TrialReader, run_blocks, stream_key, words_for
 from cosetmoe.qsim import (
@@ -72,6 +73,45 @@ def prepare(d: CosetDescriptor) -> QuantumReg:
     """The coset state of ``d`` (``qsim.prepare_coset_state``), every qubit
     owned by Alice."""
     return QuantumReg(prepare_coset_state(d), ("alice",) * d.n)
+
+
+# ------------------------------------------------------------------
+# subspace membership, enumeration and intersection
+# ------------------------------------------------------------------
+
+
+def contains(a: Gf2Subspace, v: Gf2Vec) -> bool:
+    """Whether v lies in a; raises on ambient mismatch."""
+    if v.n != a.n:
+        raise ValueError("ambient dimension mismatch")
+    # Reduce v against the basis; membership iff it cancels to zero.
+    residue = v.bits.copy()
+    for r, col in zip(a.basis.rows, a.pivots):
+        if residue[col]:
+            residue ^= r
+    return not residue.any()
+
+
+def vectors(a: Gf2Subspace) -> Iterator[Gf2Vec]:
+    """All 2^dim elements of a, ordered by coefficient integer."""
+    rows = a.basis.rows
+    k = a.dim
+    for coeff in range(1 << k):
+        v = np.zeros(a.n, dtype=np.uint8)
+        for i in range(k):
+            if (coeff >> (k - 1 - i)) & 1:
+                v ^= rows[i]
+        yield Gf2Vec(v)
+
+
+def intersect(a: Gf2Subspace, b: Gf2Subspace) -> Gf2Subspace:
+    """Intersection of two subspaces; raises on ambient mismatch."""
+    if a.n != b.n:
+        raise ValueError("ambient dimension mismatch")
+    # a ∩ b = (a⊥ + b⊥)⊥, exact over GF(2).
+    joined = list(Gf2Vec(r) for r in complement(a).basis.rows if r.any())
+    joined += list(Gf2Vec(r) for r in complement(b).basis.rows if r.any())
+    return complement(Gf2Subspace(a.n, joined))
 
 
 # ------------------------------------------------------------------
@@ -189,7 +229,7 @@ def coset_overlap(d: CosetDescriptor, b: Gf2Subspace, u: Gf2Vec) -> float:
     t_a = coset_rep(a, d.t)
     u_b = coset_rep(b, u)
     joined = Gf2Subspace(n, [Gf2Vec(r) for r in a.basis.rows] + [Gf2Vec(r) for r in b.basis.rows])
-    if joined.contains(t_a + u_b):
+    if contains(joined, t_a + u_b):
         return float(1 << intersect(a, b).dim) / float(1 << (n // 2))
     return 0.0
 

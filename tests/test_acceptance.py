@@ -20,7 +20,7 @@ import numpy as np
 from cosetmoe import cli, moe
 from cosetmoe.ecc import make_code
 from cosetmoe.ext import ToeplitzExtractor, lhl_epsilon
-from cosetmoe.gf2 import Gf2Vec, coset_rep, intersect, sample_subspace
+from cosetmoe.gf2 import Gf2Vec, coset_rep, sample_subspace
 from cosetmoe.info import DensityOp, moe_bound, sequential_min_entropy_fixed
 from cosetmoe.mc import coordinate_rows
 from cosetmoe.moe import MoeParams, all_builtin_strategies, play_leaky
@@ -34,7 +34,7 @@ from cosetmoe.proto import (
     urbc_hiding_exact,
 )
 from cosetmoe.qsim import CosetDescriptor, prepare_coset_state
-from statevector_referee import coset_overlap
+from statevector_referee import coset_overlap, intersect, vectors
 
 SEED = 20260817
 
@@ -124,7 +124,7 @@ def test_criterion_04_overlap_lemma():
             if n == 4:  # the statevector's projector expectation agrees
                 amps = prepare_coset_state(d).amps
                 u_b = coset_rep(b, u)
-                mass = sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in b.vectors())
+                mass = sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in vectors(b))
                 assert abs(mass - value) <= 1e-10
             cap = float(1 << intersect(a, b).dim) / float(1 << half)
             assert value <= cap + 1e-12

@@ -2,11 +2,25 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetmoe import mc
-from cosetmoe.cli import CHECKS, SWEEP_COLUMNS, _EXPERIMENTS, _json_text, dispatch, emit_report
+from cosetmoe.cli import (
+    CHECKS,
+    SWEEP_COLUMNS,
+    _EXPERIMENTS,
+    _config_hash,
+    _json_text,
+    _parse_override,
+    _sorted_keys,
+    dispatch,
+    emit_report,
+)
 
 
 def _run(capsys, *argv):
@@ -261,6 +275,112 @@ def test_json_report_round_trips(capsys):
     _, out, _ = _run(capsys, "qkd", "--seed", "3", "--trials", "50")
     text = out.strip()
     assert _json_text(json.loads(text)) == text
+
+
+def _reference_json_text(value) -> str:
+    """The serializer before its type dispatch: the oracle for ``_json_text``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return "null"
+        return format(value, ".12g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_reference_json_text(v) for v in value) + "]"
+    if isinstance(value, dict):
+        parts = (json.dumps(str(k)) + ":" + _reference_json_text(v) for k, v in value.items())
+        return "{" + ",".join(parts) + "}"
+    raise TypeError(f"cannot serialize report value of type {type(value).__name__}")
+
+
+def _reference_config_hash(config: dict) -> str:
+    return hashlib.sha256(_reference_json_text(_sorted_keys(config)).encode()).hexdigest()
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1.0, 1e16, 5e-324]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),
+    st.builds(np.int64, st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)),
+    st.builds(np.uint8, st.integers(min_value=0, max_value=255)),
+    _FLOATS,
+    st.builds(np.float64, _FLOATS),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028é\U0001f600", "ünï\tcødé\n"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none())
+
+
+def _values(keys):
+    return st.recursive(_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+    ), max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values(_KEYS))
+def test_json_text_equals_the_reference_serializer(value):
+    assert _json_text(value) == _reference_json_text(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), _values(st.text()), max_size=6))
+def test_config_hash_equals_the_reference_canon(config):
+    assert _config_hash(config) == _reference_config_hash(config)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, frozenset(), b"bytes", bytearray(b"x"), np.zeros(3), np.bool_(True),
+    {"nested": [1, {"deeper": {0.5}}]}, (np.arange(2),),
+])
+def test_unserializable_values_raise_the_same_type_error(value):
+    with pytest.raises(TypeError) as want:
+        _reference_json_text(value)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+def _json_loads_or_word(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+_OVERRIDE_VALUES = st.one_of(
+    st.text(),
+    st.text(alphabet='{["-0123456789tfnNIruealsIy =x,:]}\t\n\r ', max_size=8),
+    st.tuples(st.text(alphabet=" \t\n\r", max_size=3),
+              _values(st.text()).map(lambda v: json.dumps(v, default=str)),
+              st.text(alphabet=" \t\n\r", max_size=3)).map("".join),
+    st.sampled_from(["", " ", " \t\n\r", "NaN", "-Infinity", "Infinity", " \n-Infinity",
+                     "tru", "nul", "-", "-x", "01", "a=b", "1=2", '"a=b"', "k=v=w",
+                     "binding", "keep_all", "\ufeff1", "\x0b1", '"quoted"']),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_OVERRIDE_VALUES)
+def test_parse_override_equals_json_loads_or_the_bare_word(text):
+    key, value = _parse_override("k=" + text)
+    want = _json_loads_or_word(text)
+    assert key == "k"
+    assert type(value) is type(want)
+    assert json.dumps(value) == json.dumps(want)
 
 
 def test_emit_report_csv_single_report(tmp_path):

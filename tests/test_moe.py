@@ -23,6 +23,7 @@ from cosetmoe.mc import (
     floats_from_words,
     keys_from_words,
     run_blocks,
+    stream_key,
     top_k_mask,
     trial_words,
     wilson_interval,
@@ -62,6 +63,81 @@ def test_trial_words_rejects_ragged_budget():
         trial_words(1, 6, 0, 4)
     with pytest.raises(ValueError):
         trial_words(1, 8, -1, 4)
+
+
+def _fresh_philox_words(key, words_per_trial, start, count):
+    """``trial_words``' reference: a new Philox, advanced to the window and drawn."""
+    gen = np.random.Philox(key=key & ((1 << 128) - 1))
+    gen.advance(start * words_per_trial // 4)
+    return gen.random_raw(count * words_per_trial).reshape(count, words_per_trial)
+
+
+# (key, words per trial, start, count): keys interleaved, counters that span
+# more than one 64-bit word, a negative seed read as its low 128 bits
+_WINDOWS = [
+    (123, 8, 0, 10),
+    (stream_key(5, 3), 36, 3640, 7),
+    (123, 8, 3, 4),
+    ((1 << 128) - 1, 4, 1 << 40, 2),
+    (stream_key(5, 3), 36, 0, 1),
+    (9, 8, (1 << 65) - 1, 3),
+    (-7, 12, 5, 3),
+    (1 << 64, 4816, 27, 2),
+]
+
+
+def test_trial_words_equal_a_fresh_philox_advanced_and_drawn():
+    for key, words, start, count in _WINDOWS * 2:
+        assert np.array_equal(trial_words(key, words, start, count),
+                              _fresh_philox_words(key, words, start, count))
+
+
+def test_run_blocks_windows_equal_fresh_philox_draws_on_two_threads(monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * 8)  # 16-trial blocks of 8 words
+    blocks = []
+
+    def kernel(words):
+        # a draw of another key between blocks re-keys this thread's generator
+        key, width, start, count = _WINDOWS[len(blocks) % len(_WINDOWS)]
+        other = trial_words(key, width, start, count)
+        assert np.array_equal(other, _fresh_philox_words(key, width, start, count))
+        blocks.append(words.copy())
+        return np.zeros(1, dtype=np.int64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so their draws interleave
+    try:
+        run_blocks(16 * 9 + 5, 8, 77, kernel, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = _fresh_philox_words(77, 8, 0, 16 * 9 + 5)
+    row_of = {int(row[0]): i for i, row in enumerate(fresh)}
+    starts = sorted(row_of[int(block[0, 0])] for block in blocks)
+    assert starts == list(range(0, 16 * 9 + 5, 16))
+    for block in blocks:
+        start = row_of[int(block[0, 0])]
+        assert np.array_equal(block, fresh[start:start + len(block)])
+
+
+def test_run_blocks_builds_at_most_one_philox_on_one_thread(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(mc, "_BLOCK_WORDS", 16 * 8)
+    rows = []
+
+    def kernel(words):
+        rows.append(words.shape[0])
+        return np.zeros(1, dtype=np.int64)
+
+    run_blocks(5 * 16, 8, 7, kernel, threads=1)
+    assert rows == [16] * 5
+    assert len(built) <= 1
 
 
 def test_bits_unpack_msb_first():
@@ -572,7 +648,7 @@ def test_measure_computational_enumerated_over_all_subspaces():
             t = Gf2Vec.from_int(t_int, 2)
             tp = Gf2Vec.from_int(tp_int, 2)
             base = coset_rep(a, t)
-            for u in a.vectors():
+            for u in referee.vectors(a):
                 v = base + u
                 t_hat, u_hat = solve_coset_membership(a, v)
                 assert t_hat == t and u_hat == u

@@ -1379,3 +1379,36 @@ def test_replay_transcripts_are_pinned(name):
     text = "\n".join(run(_window_rng(9, stream, words, i)).transcript.to_jsonl()
                      for i in range(200))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _words_read(run) -> int:
+    """How many words a single run draws from its generator."""
+    bitgen = np.random.Philox(key=5)
+    run(np.random.Generator(bitgen))
+    return int(bitgen.state["state"]["counter"][0]) * 4
+
+
+def test_window_sizes_are_kept_per_mode():
+    # one params object serves every mode, in an order that would reuse a
+    # stale size, and each run reads what its mode's layout computes on
+    # params built afresh
+    qecm = QecmParams(8, 2, family="all")
+    messages = [None, Gf2Vec([1, 0]), MessageSource((0.1, 0.2, 0.3, 0.4))]
+    for eve in [None, "keep_all", "measure_computational"] * 2:
+        for message in messages:
+            got = _words_read(lambda rng: run_qecm_id(qecm, rng, eve=eve, message=message))
+            assert got == proto._qecm_words(QecmParams(8, 2, family="all"), eve, message)
+    qkd = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
+    eves = [None, KeepAndSubstitute(), InterceptResend(),
+            InterceptResend(theta_hat=Gf2Vec([1, 0] * 7))]
+    for noise in [None, _NOISE] * 2:
+        for eve in eves:
+            got = _words_read(lambda rng: run_riqkd(qkd, rng, noise=noise, eve=eve))
+            fresh = QkdParams(14, 2, 0.3, 2 / 7, _HAMMING)
+            assert got == proto._riqkd_words(fresh, noise, eve)
+    for params in (_URBC_HASH, _URBC_ALL):
+        for alice in ("honest", "binding_attack"):
+            got = _words_read(lambda rng: run_urbc(params, rng, alice=alice))
+            assert got == proto._urbc_words(UrbcParams(14, 2, 2 / 7, _HAMMING,
+                                                       scheme=params.scheme,
+                                                       family=params.family))

@@ -8,7 +8,6 @@ from cosetmoe.gf2 import (
     Gf2Vec,
     complement,
     coset_rep,
-    intersect,
     sample_subspace,
     solve_coset_membership,
 )
@@ -24,10 +23,12 @@ from statevector_referee import (
     apply_unitary,
     assign_ownership,
     coset_overlap,
+    intersect,
     measure_computational,
     measure_coset_basis,
     measure_qubits,
     prepare,
+    vectors,
 )
 
 
@@ -95,7 +96,7 @@ def raw_coset_statevector(a, v, vp):
     """Independent oracle: 2^{-n/4} Σ_{u∈a} (−1)^{u·v'} |u+v⟩ for ambient
     labels v, v' (not reduced to canonical form)."""
     amps = np.zeros(1 << a.n, dtype=np.complex128)
-    for u in a.vectors():
+    for u in vectors(a):
         amps[(u + v).to_int()] += (-1) ** int((u.bits & vp.bits).sum()) / np.sqrt(float(1 << a.dim))
     return amps
 
@@ -384,7 +385,7 @@ def _projector_mass(d, b, u):
     """⟨a_{t,t'}| Π_{b+u_b} |a_{t,t'}⟩ read off the prepared statevector."""
     amps = prepare_coset_state(d).amps
     u_b = coset_rep(b, u)
-    return sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in b.vectors())
+    return sum(float(abs(amps[(w + u_b).to_int()]) ** 2) for w in vectors(b))
 
 
 def test_coset_overlap_bound_and_cross_check():
