@@ -3,7 +3,7 @@
 Subpackages
 -----------
 ``gf2``    linear algebra over Z_2: vectors, matrices, subspaces, cosets
-``qsim``   statevector simulator of coset states: the oracle of the closed-form reads
+``qsim``   coset-state preparation (statevector measurement lives in the tests)
 ``info``   closed-form bounds, entropy tools, density-operator utilities
 ``ext``    Toeplitz two-universal extractor and leftover-hash error
 ``ecc``    linear codes with syndrome decoding for reconciliation

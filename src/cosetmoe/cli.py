@@ -47,7 +47,7 @@ from .info import (
     verify_combinatorial_bound,
 )
 from .mc import binomial_sigma
-from .moe import MoeParams, alternating_basis, builtin_strategy, play_leaky
+from .moe import MoeParams, alternating_basis, builtin_strategy, moe_experiment, play_leaky
 from .proto import (
     InterceptResend,
     KeepAndSubstitute,
@@ -368,24 +368,7 @@ def _run_moe(config: dict, threads: int) -> dict:
         )
     strategy = builtin_strategy(kind, q=config["q"], theta_hat=theta_hat,
                                 substitute=substitute)
-    result = play_leaky(params, strategy, leak=config["leak"], threads=threads)
-    bound = moe_bound(params.n, params.m, params.m_prime)
-    analytic = strategy.analytic(params, config["leak"])
-    sigma = binomial_sigma(bound, params.trials)
-    report = {
-        "experiment": "moe", "kind": kind, "n": params.n, "family": params.family,
-        "m": params.m, "m_prime": params.m_prime, "leak": config["leak"],
-        "trials": params.trials,
-        "wins": result.wins,
-        "bob_correct": result.bob_correct,
-        "estimate": result.estimate,
-        "wilson_low": result.wilson_low,
-        "wilson_high": result.wilson_high,
-        "analytic": analytic,
-    }
-    report["bound"] = bound
-    report["pass"] = result.estimate <= bound + 3 * sigma
-    return report
+    return moe_experiment(params, strategy, leak=config["leak"], threads=threads)
 
 
 _QECM_DEFAULTS = {
@@ -465,13 +448,8 @@ def _run_tfkw(config: dict, threads: int) -> dict:
     noise = None
     if config["dx"] or config["dz"]:
         noise = PauliNoise(dx=config["dx"], dz=config["dz"])
-    rep = tfkw_experiment(params, eve=config["eve"], trials=config["trials"],
-                          seed=config["seed"], noise=noise, threads=threads)
-    if config["eve"] is None:
-        rep["pass"] = rep["aborts"] == 0 and rep["key_matches"] == rep["trials"]
-    else:
-        rep["pass"] = rep["broken"]  # the attack is expected to succeed
-    return rep
+    return tfkw_experiment(params, eve=config["eve"], trials=config["trials"],
+                           seed=config["seed"], noise=noise, threads=threads)
 
 
 # Each runner takes (config, threads).  The thread count is not part of the

@@ -33,7 +33,6 @@ __all__ = [
     "make_code",
     "make_code_from_config",
     "code_to_json",
-    "min_weight_codeword",
     "syndrome_batch",
     "leader_batch",
     "align_batch",
@@ -149,9 +148,6 @@ class LinearCode:
         candidates = words[words.sum(axis=1) == self.distance]
         order = np.lexsort(candidates.T[::-1])
         return Gf2Vec(candidates[order[0]])
-
-    def to_json(self) -> dict:
-        return code_to_json(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = ",".join(str(p) for p in self.kind[1:])
@@ -304,12 +300,6 @@ def _block_leader(block_params: tuple[int, int], syn_bits: np.ndarray) -> np.nda
     np.bitwise_xor(sig, flip[..., None], out=out[..., : b - 1])
     out[..., b - 1] = flip
     return out.reshape(*syn_bits.shape[:-1], k * b)
-
-
-def min_weight_codeword(code: LinearCode) -> Gf2Vec:
-    """A nonzero codeword of minimum weight, built once per code; see
-    ``LinearCode.min_weight_codeword``."""
-    return code.min_weight_codeword
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ d(t'_C, t') <= m' (m = m' = 0 is the exact game).
 
 Every built-in channel is a Clifford circuit, and a Pauli-basis read of a
 coset state is uniform on an affine set (Aaronson and Gottesman, PRA 70,
-052328, 2004), so each built-in strategy has one kernel builder,
-``(params, leak) -> (words_per_trial, kernel)``, that reads its game in
-closed form on both subspace families:
+052328, 2004), so each built-in kind has one entry in ``_KINDS``: its
+closed-form win probability, where one is known, and one kernel builder,
+``(params, leak, **options) -> (words_per_trial, kernel)``, that reads its
+game in closed form on both subspace families:
 
 * five strategies (``bob_all``, ``charlie_all``, ``mix``,
   ``measure_computational``, ``leak_smuggle``) win by a law that does not
@@ -41,7 +42,8 @@ closed form on both subspace families:
 
 Every kernel runs under ``mc.run_blocks`` on one counter stream,
 ``mc.stream_key(seed, _MOE_STREAM)``, so the counts do not depend on the
-block size or the thread count.
+block size or the thread count.  ``moe_experiment`` turns a run into its
+report, verdict included.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .gf2 import (Gf2Vec, check_family, complements, coset_elements, coset_labels, free_mask,
                   sample_subspaces, subspace_fields)
-from .info import ball_volume
+from .info import ball_volume, moe_bound
 from .mc import (
     TrialReader,
+    binomial_sigma,
     coordinate_rows,
     run_blocks,
     stream_key,
@@ -77,18 +80,9 @@ __all__ = [
     "alternating_basis",
     "analytic_win",
     "play_leaky",
+    "moe_experiment",
     "BUILTIN_KINDS",
 ]
-
-BUILTIN_KINDS = (
-    "bob_all",
-    "charlie_all",
-    "mix",
-    "measure_computational",
-    "measure_wiesner",
-    "keep_and_substitute",
-    "leak_smuggle",
-)
 
 _MAX_SEED = 1 << 64
 # The games' counter stream, ``stream_key(seed, _MOE_STREAM)``, for every kernel;
@@ -160,7 +154,6 @@ class Strategy:
     """A built-in strategy: the builder of its kernel, which serves both
     subspace families, and the kind and options its closed form reads."""
 
-    name: str
     kernel: KernelBuilder
     kind: str
     options: Optional[dict] = None
@@ -168,7 +161,7 @@ class Strategy:
     def analytic(self, params: MoeParams, leak: bool = True) -> Optional[float]:
         """Closed-form win probability with the position leak on or off, when
         one is known for this strategy."""
-        return analytic_win(self.kind, params, leak=leak, **(self.options or {}))
+        return _KINDS[self.kind].win(params, leak, **(self.options or {}))
 
 
 # ------------------------------------------------------------------
@@ -274,14 +267,6 @@ def _deposit(src: np.ndarray, mask: np.ndarray, offset: np.ndarray) -> np.ndarra
     return _deposit_table().take(index).view(np.uint64)
 
 
-def _binom_tail_half(f: int, m: int) -> float:
-    """Pr[Binomial(f, 1/2) <= m], exact rational arithmetic before division."""
-    if m >= f:
-        return 1.0
-    total = sum(math.comb(f, k) for k in range(0, m + 1))
-    return total / float(1 << f)
-
-
 def _counters(win: np.ndarray, bob_ok: np.ndarray) -> np.ndarray:
     return np.array([int(win.sum()), int(bob_ok.sum())], dtype=np.int64)
 
@@ -373,24 +358,21 @@ def _build_charlie_all(params: MoeParams, leak: bool):
     return wpt, kernel
 
 
-def _build_mix(q: float):
-    def build(params: MoeParams, leak: bool):
-        half, m, mp = params.half, params.m, params.m_prime
-        wpt = words_for(bit_fields=(half, half, half), float_fields=(1,))
+def _build_mix(params: MoeParams, leak: bool, q: float):
+    half, m, mp = params.half, params.m, params.m_prime
+    wpt = words_for(bit_fields=(half, half, half), float_fields=(1,))
 
-        def kernel(words):
-            r = TrialReader(words)
-            coin = r.floats(1)[:, 0] < q
-            t = r.packed(half)
-            tp = r.packed(half)
-            guess = r.packed(half)
-            bob_ok = np.where(coin, True, _weight(guess ^ t) <= m)
-            win = np.where(coin, _weight(guess ^ tp) <= mp, bob_ok)
-            return _counters(win, bob_ok)
+    def kernel(words):
+        r = TrialReader(words)
+        coin = r.floats(1)[:, 0] < q
+        t = r.packed(half)
+        tp = r.packed(half)
+        guess = r.packed(half)
+        bob_ok = np.where(coin, True, _weight(guess ^ t) <= m)
+        win = np.where(coin, _weight(guess ^ tp) <= mp, bob_ok)
+        return _counters(win, bob_ok)
 
-        return wpt, kernel
-
-    return build
+    return wpt, kernel
 
 
 def _build_measure_computational(params: MoeParams, leak: bool):
@@ -408,68 +390,63 @@ def _build_measure_computational(params: MoeParams, leak: bool):
     return wpt, kernel
 
 
-def _build_measure_wiesner(theta_hat: Gf2Vec):
-    def build(params: MoeParams, leak: bool):
-        n, half, m, mp = params.n, params.half, params.m, params.m_prime
-        if theta_hat.n != n:
-            raise ValueError("basis-choice length must match the game")
-        if params.family == "all":
-            return _general_kernel(params, (half, half), _wiesner_reads(theta_hat))
-        hat = coordinate_rows(theta_hat.bits)
-        coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
-        wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
+def _build_measure_wiesner(params: MoeParams, leak: bool, theta_hat: Gf2Vec):
+    n, half, m, mp = params.n, params.half, params.m, params.m_prime
+    if theta_hat.n != n:
+        raise ValueError("basis-choice length must match the game")
+    if params.family == "all":
+        return _general_kernel(params, (half, half), _wiesner_reads(theta_hat))
+    hat = coordinate_rows(theta_hat.bits)
+    coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
+    wpt = words_for(bit_fields=(half, half, n), key_fields=(n,))
 
-        def kernel(words):
-            r = TrialReader(words)
-            t = r.packed(half)
-            tp = r.packed(half)
-            coins = words_to_bytes(r.packed(n)).view(np.uint64)
-            pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
-            free = coords ^ pivots
-            free_off, pivot_off = _coset_offsets(pivots)
-            x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
-            # a wrong-basis read is a coin; Bob answers the free coordinates,
-            # Charlie the pivots, so each distance counts the wrong coins there
-            miss = (pivots ^ hat) & (coins ^ x)
-            bob_ok = _weight(miss & free) <= m
-            win = bob_ok & (_weight(miss & pivots) <= mp)
-            return _counters(win, bob_ok)
+    def kernel(words):
+        r = TrialReader(words)
+        t = r.packed(half)
+        tp = r.packed(half)
+        coins = words_to_bytes(r.packed(n)).view(np.uint64)
+        pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
+        free = coords ^ pivots
+        free_off, pivot_off = _coset_offsets(pivots)
+        x = _deposit(t, free, free_off) | _deposit(tp, pivots, pivot_off)
+        # a wrong-basis read is a coin; Bob answers the free coordinates,
+        # Charlie the pivots, so each distance counts the wrong coins there
+        miss = (pivots ^ hat) & (coins ^ x)
+        bob_ok = _weight(miss & free) <= m
+        win = bob_ok & (_weight(miss & pivots) <= mp)
+        return _counters(win, bob_ok)
 
-        return wpt, kernel
-
-    return build
+    return wpt, kernel
 
 
-def _build_keep_and_substitute(record: Optional[WiesnerRecord]):
-    def build(params: MoeParams, leak: bool):
-        n, half, m = params.n, params.half, params.m
-        rec = record if record is not None else _zero_record(n)
-        if rec.n != n:
-            raise ValueError("substitute record length must match the game")
-        if params.family == "all":
-            return _general_kernel(params, (n,), _substitute_reads(rec))
-        rx = coordinate_rows(rec.x.bits)
-        rtheta = coordinate_rows(rec.theta.bits)
-        coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
-        wpt = words_for(bit_fields=(half, n), key_fields=(n,))
+def _build_keep_and_substitute(params: MoeParams, leak: bool,
+                               substitute: Optional[WiesnerRecord]):
+    n, half, m = params.n, params.half, params.m
+    rec = substitute if substitute is not None else _zero_record(n)
+    if rec.n != n:
+        raise ValueError("substitute record length must match the game")
+    if params.family == "all":
+        return _general_kernel(params, (n,), _substitute_reads(rec))
+    rx = coordinate_rows(rec.x.bits)
+    rtheta = coordinate_rows(rec.theta.bits)
+    coords = coordinate_rows(np.ones(n, dtype=np.uint8))  # the n real coordinates
+    wpt = words_for(bit_fields=(half, n), key_fields=(n,))
 
-        def kernel(words):
-            r = TrialReader(words)
-            t = r.packed(half)
-            coins = words_to_bytes(r.packed(n)).view(np.uint64)
-            pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
-            free = coords ^ pivots
-            free_off, _ = _coset_offsets(pivots)
-            # Bob coset-measures the substitute: at each free coordinate he
-            # sees the record's data bit when bases agree, a coin otherwise.
-            agree = ~(rtheta ^ pivots)
-            v = coins ^ ((coins ^ rx) & agree)
-            bob_ok = _weight((v ^ _deposit(t, free, free_off)) & free) <= m
-            return _counters(bob_ok, bob_ok)  # Charlie kept the state: exact
+    def kernel(words):
+        r = TrialReader(words)
+        t = r.packed(half)
+        coins = words_to_bytes(r.packed(n)).view(np.uint64)
+        pivots = coordinate_rows(top_k_mask(r.keys(n), half))  # the n/2 largest keys: θ = 1
+        free = coords ^ pivots
+        free_off, _ = _coset_offsets(pivots)
+        # Bob coset-measures the substitute: at each free coordinate he
+        # sees the record's data bit when bases agree, a coin otherwise.
+        agree = ~(rtheta ^ pivots)
+        v = coins ^ ((coins ^ rx) & agree)
+        bob_ok = _weight((v ^ _deposit(t, free, free_off)) & free) <= m
+        return _counters(bob_ok, bob_ok)  # Charlie kept the state: exact
 
-        return wpt, kernel
-
-    return build
+    return wpt, kernel
 
 
 def _build_leak_smuggle(params: MoeParams, leak: bool):
@@ -495,6 +472,59 @@ def _zero_record(n: int) -> WiesnerRecord:
     return WiesnerRecord(x=Gf2Vec.zeros(n), theta=Gf2Vec.zeros(n))
 
 
+# ------------------------------------------------------------------
+# closed forms and the table of kinds
+# ------------------------------------------------------------------
+
+
+def _ball_fraction(half: int, radius: int) -> float:
+    """Pr[d(u, v) <= radius] for a uniform u over ``half`` bits and a fixed v."""
+    return ball_volume(half, min(radius, half)) / float(1 << half)
+
+
+def _wiesner_win(params: MoeParams, leak: bool, theta_hat: Gf2Vec) -> Optional[float]:
+    """``measure_wiesner``'s win probability on the register family; None on
+    the general family, where no closed form is known."""
+    if params.family != "register":
+        return None
+    n, half, m, mp = params.n, params.half, params.m, params.m_prime
+    w = theta_hat.weight()
+    total = 0.0
+    denom = math.comb(n, half)
+    for j in range(max(0, half - (n - w)), min(w, half) + 1):
+        weight = math.comb(w, j) * math.comb(n - w, half - j) / denom
+        # j pivots read in the right basis; the rest are coin flips
+        total += weight * _ball_fraction(w - j, m) * _ball_fraction(half - j, mp)
+    return total
+
+
+class _Kind(NamedTuple):
+    """A built-in kind: its kernel builder and its closed-form win
+    probability, both called as ``(params, leak, **options)``."""
+
+    build: Callable
+    win: Callable[..., Optional[float]]
+
+
+_KINDS = {
+    "bob_all": _Kind(_build_bob_all, lambda p, leak: _ball_fraction(p.half, p.m_prime)),
+    "charlie_all": _Kind(_build_charlie_all, lambda p, leak: _ball_fraction(p.half, p.m)),
+    "mix": _Kind(_build_mix, lambda p, leak, q: (q * _ball_fraction(p.half, p.m_prime)
+                                                 + (1.0 - q) * _ball_fraction(p.half, p.m))),
+    "measure_computational": _Kind(_build_measure_computational,
+                                   lambda p, leak: _ball_fraction(p.half, p.m_prime)),
+    "measure_wiesner": _Kind(_build_measure_wiesner, _wiesner_win),
+    # the substitute's value never helps beyond chance: for every basis
+    # overlap pattern Bob's extracted word is uniform against t
+    "keep_and_substitute": _Kind(_build_keep_and_substitute,
+                                 lambda p, leak, substitute: _ball_fraction(p.half, p.m)),
+    "leak_smuggle": _Kind(_build_leak_smuggle, lambda p, leak: _ball_fraction(p.half, p.m) * (
+        1.0 if leak else _ball_fraction(p.half, p.m_prime))),
+}
+
+BUILTIN_KINDS = tuple(_KINDS)
+
+
 def builtin_strategy(
     kind: str,
     *,
@@ -513,27 +543,15 @@ def builtin_strategy(
     everything and smuggles the phase word through his position answer for
     Charlie to echo).
     """
-    if kind == "mix":
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("mixing weight q must lie in [0, 1]")
-        return Strategy(f"mix(q={q:g})", _build_mix(q), kind, {"q": q})
-    if kind == "measure_wiesner":
-        if theta_hat is None:
-            raise ValueError("measure_wiesner needs a basis choice theta_hat")
-        return Strategy(f"measure_wiesner(w={theta_hat.weight()})",
-                        _build_measure_wiesner(theta_hat), kind, {"theta_hat": theta_hat})
-    if kind == "keep_and_substitute":
-        return Strategy(kind, _build_keep_and_substitute(substitute), kind,
-                        {"substitute": substitute})
-    builders = {
-        "bob_all": _build_bob_all,
-        "charlie_all": _build_charlie_all,
-        "measure_computational": _build_measure_computational,
-        "leak_smuggle": _build_leak_smuggle,
-    }
-    if kind not in builders:
+    if kind not in _KINDS:
         raise ValueError(f"unknown built-in strategy {kind!r}")
-    return Strategy(kind, builders[kind], kind)
+    if kind == "mix" and not 0.0 <= q <= 1.0:
+        raise ValueError("mixing weight q must lie in [0, 1]")
+    if kind == "measure_wiesner" and theta_hat is None:
+        raise ValueError("measure_wiesner needs a basis choice theta_hat")
+    options = {"mix": {"q": q}, "measure_wiesner": {"theta_hat": theta_hat},
+               "keep_and_substitute": {"substitute": substitute}}.get(kind)
+    return Strategy(functools.partial(_KINDS[kind].build, **(options or {})), kind, options)
 
 
 def alternating_basis(n: int) -> Gf2Vec:
@@ -555,15 +573,6 @@ def all_builtin_strategies(n: int) -> list[Strategy]:
     ]
 
 
-# ------------------------------------------------------------------
-# closed forms
-# ------------------------------------------------------------------
-
-
-def _ball_fraction(half: int, radius: int) -> float:
-    return ball_volume(half, radius) / float(1 << half)
-
-
 def analytic_win(
     kind: str,
     params: MoeParams,
@@ -573,46 +582,12 @@ def analytic_win(
     substitute: Optional[WiesnerRecord] = None,
     leak: bool = True,
 ) -> Optional[float]:
-    """Exact win probability of a built-in strategy, where known.
+    """Exact win probability of ``builtin_strategy(kind, ...)``, where known.
 
     Returns None when no closed form applies (currently only
     ``measure_wiesner`` outside the register family)."""
-    half, m, mp = params.half, params.m, params.m_prime
-    if kind == "bob_all":
-        return _ball_fraction(half, mp)
-    if kind == "charlie_all":
-        return _ball_fraction(half, m)
-    if kind == "mix":
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("mixing weight q must lie in [0, 1]")
-        return q * _ball_fraction(half, mp) + (1.0 - q) * _ball_fraction(half, m)
-    if kind == "measure_computational":
-        return _ball_fraction(half, mp)
-    if kind == "keep_and_substitute":
-        # the substitute's value never helps beyond chance: for every basis
-        # overlap pattern Bob's extracted word is uniform against t
-        return _ball_fraction(half, m)
-    if kind == "leak_smuggle":
-        if leak:
-            return _ball_fraction(half, m)
-        return _ball_fraction(half, m) * _ball_fraction(half, mp)
-    if kind == "measure_wiesner":
-        if params.family != "register":
-            return None
-        if theta_hat is None:
-            raise ValueError("measure_wiesner needs a basis choice theta_hat")
-        n = params.n
-        if theta_hat.n != n:
-            raise ValueError("basis-choice length must match the game")
-        w = theta_hat.weight()
-        total = 0.0
-        denom = math.comb(n, half)
-        for j in range(max(0, half - (n - w)), min(w, half) + 1):
-            weight = math.comb(w, j) * math.comb(n - w, half - j) / denom
-            # j pivots read in the right basis; the rest are coin flips
-            total += weight * _binom_tail_half(w - j, m) * _binom_tail_half(half - j, mp)
-        return total
-    raise ValueError(f"unknown built-in strategy {kind!r}")
+    strategy = builtin_strategy(kind, q=q, theta_hat=theta_hat, substitute=substitute)
+    return strategy.analytic(params, leak)
 
 
 # ------------------------------------------------------------------
@@ -636,3 +611,31 @@ def play_leaky(
         params.trials, wpt, stream_key(params.seed, _MOE_STREAM), kernel, threads=threads
     ))
     return GameResult.from_counts(wins, bob_ok, params.trials)
+
+
+def moe_experiment(
+    params: MoeParams,
+    strategy: Strategy,
+    *,
+    leak: bool = True,
+    threads: int = 1,
+) -> dict:
+    """The game's report: the counts of ``play_leaky``, the strategy's closed
+    form, and the verdict against the register-family bound
+    ``info.moe_bound``, which the estimate must not pass by more than three
+    binomial standard deviations at the bound.  The bound is computed first,
+    so radii outside its domain raise before any trial runs."""
+    bound = moe_bound(params.n, params.m, params.m_prime)
+    result = play_leaky(params, strategy, leak=leak, threads=threads)
+    return {
+        "experiment": "moe", "kind": strategy.kind, "n": params.n, "family": params.family,
+        "m": params.m, "m_prime": params.m_prime, "leak": leak, "trials": params.trials,
+        "wins": result.wins,
+        "bob_correct": result.bob_correct,
+        "estimate": result.estimate,
+        "wilson_low": result.wilson_low,
+        "wilson_high": result.wilson_high,
+        "analytic": strategy.analytic(params, leak),
+        "bound": bound,
+        "pass": result.estimate <= bound + 3 * binomial_sigma(bound, params.trials),
+    }

@@ -50,7 +50,7 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .ecc import LinearCode, align_batch, min_weight_codeword, syndrome_batch
+from .ecc import LinearCode, align_batch, syndrome_batch
 from .ext import ToeplitzExtractor, lhl_epsilon
 from .gf2 import (Gf2Subspace, Gf2Vec, IndexSubset, check_family, coset_elements,
                   sample_subspaces, subspace_fields)
@@ -439,9 +439,6 @@ class QecmOutcome:
     transcript: Transcript
 
 
-_QECM_EVE_KINDS = (None, "keep_all", "measure_computational")
-
-
 @dataclass(frozen=True)
 class MessageSource:
     """A biased message source: the message with integer value j (as an
@@ -482,9 +479,11 @@ def _qecm_words(
     fields ``lead_bits`` that a caller reads first (the distinguishing
     game's referee fields)."""
     half, ell = params.half, params.ell
+    eve_bits = {None: (), "keep_all": (half, half, ell), "measure_computational": (ell,)}
+    if eve not in eve_bits:
+        raise ValueError(f"unknown eavesdropper kind {eve!r}")
     state_bits, state_keys = _coset_fields(params.family, params.n,
                                            eve == "measure_computational")
-    eve_bits = {None: (), "keep_all": (half, half, ell), "measure_computational": (ell,)}
     return words_for(
         bit_fields=(*lead_bits, *state_bits, half, half, params.extractor.seed_len, ell,
                     *((ell,) if message is None else ()), *eve_bits[eve]),
@@ -558,8 +557,6 @@ def run_qecm_id(
     ``_qecm_batch``).  ``message`` is None (uniform), a fixed Gf2Vec, or a
     MessageSource; either random message is drawn from that window.
     """
-    if eve not in _QECM_EVE_KINDS:
-        raise ValueError(f"unknown eavesdropper kind {eve!r}")
     mode = (eve, message is None, isinstance(message, MessageSource))
     reader = _window(rng, params._window_size(mode, lambda: _qecm_words(params, eve, message)))
     if isinstance(message, Gf2Vec):
@@ -666,8 +663,6 @@ def qecm_experiment(
     report["trials"] = trials
     report["seed"] = seed
     eve = None if kind == "correctness" else adversary
-    if eve not in _QECM_EVE_KINDS:
-        raise ValueError(f"unknown eavesdropper kind {eve!r}")
     source = None
     h_min = float(params.ell)
     if kind == "uncloneable" and message_probs is not None:
@@ -966,7 +961,7 @@ def urbc_experiment(
         return report
 
     half, js = params.half, params.spot_size
-    w = int(min_weight_codeword(params.code).weight())
+    w = int(params.code.min_weight_codeword.weight())
     report["accepts"] = accepts
     _report_interval(report, accepts, trials)
     report["analytic_rate"] = math.comb(half - w, js) / math.comb(half, js)
@@ -1112,7 +1107,7 @@ def _riqkd_batch(
     if eve is not None and not isinstance(eve, (KeepAndSubstitute, InterceptResend)):
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
     if fault:
-        c = device.codeword if device.codeword is not None else min_weight_codeword(code)
+        c = device.codeword if device.codeword is not None else code.min_weight_codeword
         if c.n != half:
             raise ValueError("fault codeword length must be n/2")
 
@@ -1443,8 +1438,8 @@ def tfkw_experiment(
     threads: int = 1,
 ) -> dict:
     """Counts aborts, Alice/device key agreement, and (under the attack)
-    how often Eve's computed key equals the device's.  The trials run as
-    batch kernels over ``threads`` threads."""
+    how often Eve's computed key equals the device's, with the verdict
+    ``pass``.  The trials run as batch kernels over ``threads`` threads."""
     report: dict = {
         "experiment": "tfkw",
         "n": params.n,
@@ -1465,6 +1460,9 @@ def tfkw_experiment(
     report["key_matches"] = key_match
     report["eve_matches_device"] = eve_match
     report["broken"] = aborts == 0 and eve_match == trials
+    # an honest run passes with no abort and every key matched, with noise
+    # set too; an attack passes when it breaks the protocol, as it should
+    report["pass"] = (aborts == 0 and key_match == trials) if eve is None else report["broken"]
     return report
 
 
@@ -1512,15 +1510,10 @@ def secrecy_probe(
         guess = baseline if b.eve_guess is None else b.eve_guess
         return _counters(b.f, b.f & (guess == b.k).all(axis=1))
 
-    accepts, hits = _run_trials(trials, words, seed, _QKD_STREAM, kernel, threads)
-    report["accepts"] = accepts
-    report["accept_rate"] = accepts / trials
-    report["guess_and_accept"] = hits
-    _report_interval(report, hits, trials, prefix="guess_")
-    report["guess_rate_conditional"] = hits / accepts if accepts else None
     if kappa is None:
         kappa = NEG_LG_COS_PI_8 * params.n / 2.0
-    bounds = protocol_bounds(
+    # the bound first: a kappa outside its domain raises before any trial runs
+    eps = protocol_bounds(
         params.n,
         d=params.code.distance,
         s=params.code.syndrome_length,
@@ -1528,8 +1521,13 @@ def secrecy_probe(
         gamma=params.gamma,
         kappa=kappa,
         ell=params.ell,
-    )
-    eps = bounds.values["secrecy_bound"]
+    ).values["secrecy_bound"]
+    accepts, hits = _run_trials(trials, words, seed, _QKD_STREAM, kernel, threads)
+    report["accepts"] = accepts
+    report["accept_rate"] = accepts / trials
+    report["guess_and_accept"] = hits
+    _report_interval(report, hits, trials, prefix="guess_")
+    report["guess_rate_conditional"] = hits / accepts if accepts else None
     report["secrecy_bound"] = eps
     trivial = 2.0 ** (-params.ell) * (accepts / trials)
     report["trivial_term"] = trivial

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetmoe import mc
+from cosetmoe import mc, moe, proto
 from cosetmoe.cli import (
     CHECKS,
     SWEEP_COLUMNS,
@@ -224,6 +224,25 @@ def test_failed_criterion_exits_1(capsys):
     assert code == 1
     assert json.loads(out)["pass"] is False
 
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("moe", "--set", "n=64", "--set", "m=20", "--set", "family=all",
+      "--set", "kind=measure_wiesner", "--trials", "200000"), "robust radii must not exceed n/4"),
+    (("moe", "--set", "n=8", "--set", "m_prime=3"), "robust radii must not exceed n/4"),
+    (("qkd", "--set", "kind=secrecy", "--set", "kappa=-3"), "kappa must lie in [0, n/2]"),
+    (("qkd", "--set", "kind=secrecy", "--set", "kappa=9"), "kappa must lie in [0, n/2]"),
+])
+def test_a_bound_outside_its_domain_exits_2_before_any_trial(capsys, monkeypatch, argv, message):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block of trials ran")
+
+    monkeypatch.setattr(moe, "run_blocks", no_block)
+    monkeypatch.setattr(proto, "run_blocks", no_block)
+    code, out, err = _run(capsys, *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0]
 
 def test_sweep_seven_rows_fixed_header(capsys):
     code, out, _ = _run(

@@ -12,7 +12,6 @@ from cosetmoe.ecc import (
     leader_batch,
     make_code,
     make_code_from_config,
-    min_weight_codeword,
     syndrome_batch,
 )
 from cosetmoe.gf2 import Gf2Vec
@@ -343,16 +342,16 @@ def test_align_length_validation():
 
 def test_min_weight_codeword():
     c = make_code("hamming74")
-    w = min_weight_codeword(c)
+    w = c.min_weight_codeword
     assert w.weight() == 3 and c.parity_check.mulvec(w) == Gf2Vec.zeros(3)
-    assert min_weight_codeword(make_code("repetition", 4)) == Gf2Vec((1, 1, 1, 1))
-    assert min_weight_codeword(make_code("block_repeat", 3, 2)) == Gf2Vec((0, 0, 0, 1, 1, 1))
+    assert make_code("repetition", 4).min_weight_codeword == Gf2Vec((1, 1, 1, 1))
+    assert make_code("block_repeat", 3, 2).min_weight_codeword == Gf2Vec((0, 0, 0, 1, 1, 1))
     c = make_code("random_linear", 10, 4, 7)
-    w = min_weight_codeword(c)
+    w = c.min_weight_codeword
     assert w.weight() == c.distance and c.parity_check.mulvec(w) == Gf2Vec.zeros(6)
     smallest = min(tuple(v.bits) for v in codewords(c) if v.weight() == c.distance)
     assert tuple(w.bits) == smallest
-    assert min_weight_codeword(c) is w  # built once per code
+    assert c.min_weight_codeword is w  # built once per code
 
 
 def _block_rule_leader(code, syn):

@@ -21,7 +21,8 @@ _OPTION_SURFACE = {
     "moe.play_leaky": ("params", "strategy", "leak", "threads"),
     "moe.builtin_strategy": ("kind", "q", "theta_hat", "substitute"),
     "moe.MoeParams": ("n", "family", "m", "m_prime", "trials", "seed"),
-    "moe.Strategy": ("name", "kernel", "kind", "options"),
+    "moe.Strategy": ("kernel", "kind", "options"),
+    "moe.moe_experiment": ("params", "strategy", "leak", "threads"),
     "proto.qecm_experiment": ("kind", "params", "adversary", "trials", "seed",
                               "message_probs", "threads"),
     "proto.urbc_experiment": ("kind", "params", "trials", "seed", "threads"),
@@ -94,3 +95,33 @@ def test_only_the_statevector_oracle_calls_generator_methods():
         finder.visit(ast.parse(inspect.getsource(importlib.import_module(name))))
         found |= finder.found
     assert found == set()
+
+
+
+def _is_pass(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "pass"
+
+
+def test_cli_makes_no_verdict():
+    # each experiment's module sets its report's "pass" and cli adds only
+    # the envelope; cli's own verdicts are the selftest's (each row's and
+    # all_pass), and a sweep row copies its report's "pass"
+    import cosetmoe.cli
+
+    made = set()
+    for fn in ast.walk(ast.parse(inspect.getsource(cosetmoe.cli))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                pairs = zip(node.keys, node.values)
+            elif isinstance(node, ast.Assign):
+                pairs = [(t.slice, node.value) for t in node.targets
+                         if isinstance(t, ast.Subscript)]
+            else:
+                continue
+            for key, value in pairs:
+                copied = isinstance(value, ast.Subscript) and _is_pass(value.slice)
+                if _is_pass(key) and not copied:
+                    made.add(fn.name)
+    assert made == {"selftest_checks"}

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetmoe import mc, moe, proto
-from cosetmoe.ecc import align_batch, make_code, min_weight_codeword, syndrome_batch
+from cosetmoe.ecc import align_batch, make_code, syndrome_batch
 from cosetmoe.gf2 import Gf2Vec, IndexSubset, coset_elements, solve_coset_membership
 from cosetmoe.mc import (
     TrialReader,
@@ -507,7 +507,7 @@ def test_urbc_general_family_binding_attack_never_opens():
     # the spot (one of three positions) always meets the weight-3 codeword's
     # support: the hypergeometric acceptance C(3-3, 1) / C(3, 1) is 0
     params = _urbc_all_params()
-    w = min_weight_codeword(params.code).weight()
+    w = params.code.min_weight_codeword.weight()
     assert math.comb(params.half - w, params.spot_size) == 0
     words = proto._urbc_words(params)
     for i in range(40):
@@ -1100,7 +1100,7 @@ def _reference_riqkd_batch(params, words, noise, device, eve):
 
     fault = isinstance(device, SyndromeFault)
     if fault:
-        c = device.codeword if device.codeword is not None else min_weight_codeword(code)
+        c = device.codeword if device.codeword is not None else code.min_weight_codeword
     theta = top_k(keys(n), half)
     free, pivots = theta == 0, theta == 1
     t, tp = bits(half), bits(half)
