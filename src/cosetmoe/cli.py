@@ -4,35 +4,47 @@ Subcommands: ``bounds`` (closed-form bound report), ``moe`` / ``qecm`` /
 ``urbc`` / ``qkd`` / ``tfkw`` (seeded experiments), ``sweep`` (grid over one
 config key, CSV rows), ``selftest`` (fast determinism-friendly battery).
 
+One ``argparse`` parser tree, built at import, parses every argv: one
+subparser per subcommand, the seven experiment options from one table.
+Options take ``--opt value`` or ``--opt=value``, are never matched by a
+prefix, and a value may be negative (``--seed -1`` reaches the seed check).
+
 Conventions shared by every subcommand:
 
 * config comes from defaults, then an optional ``--config`` JSON file, then
   repeated ``--set key=value`` overrides, then the dedicated flags
-  (``--seed``/``--trials``); unknown keys are rejected;
+  (``--seed``/``--trials``); unknown keys are rejected, and a key whose
+  default is a bool, int, float, str or object takes only a value of that
+  JSON type (an int may stand for a float, a bool for neither);
 * ``--threads`` is not config: it only sets how many threads the batch
-  kernels of the experiments use;
+  kernels of the experiments use.  Without the flag it is read from the
+  ``COSETMOE_THREADS`` environment variable, else 1; below 1 is an error;
 * every report embeds {version, config, config_sha256, seed} so a run can be
   replayed byte-for-byte;
 * floats are printed with 12 significant digits and reports contain no
   timestamps, so identical argv + seed gives identical output bytes for any
   thread count;
-* exit codes: 0 success, 1 a bound/criterion check failed, 2 config error;
-  a sweep exits 0 once every grid point has run, whatever its rows' pass flags.
+* exit codes: 0 success, 1 a bound/criterion check failed, 2 a usage or
+  config error (printed as a ``Usage:`` line and one ``Error:`` line on
+  stderr); a sweep exits 0 once every grid point has run, whatever its rows'
+  pass flags.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
+import difflib
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import sys
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-import click
 import numpy as np
 
 from . import __version__
@@ -65,12 +77,17 @@ from .proto import (
 )
 from .qsim import CosetDescriptor, WiesnerRecord, prepare_coset_state
 
-__all__ = ["CHECKS", "dispatch", "emit_report", "main", "selftest_checks"]
+__all__ = ["CHECKS", "UsageError", "dispatch", "emit_report", "main", "selftest_checks"]
 
 
 # ------------------------------------------------------------------
 # config plumbing
 # ------------------------------------------------------------------
+
+
+class UsageError(Exception):
+    """A bad command line, config or output path: ``dispatch`` prints it under
+    the subcommand's usage line and exits 2."""
 
 
 # the characters a JSON value can start with, after JSON whitespace
@@ -79,7 +96,7 @@ _JSON_VALUE_STARTS = frozenset('{["-0123456789tfnNI')
 
 def _parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
-        raise click.UsageError(f"override {item!r} is not of the form key=value")
+        raise UsageError(f"override {item!r} is not of the form key=value")
     key, _, raw = item.partition("=")
     # bare words are strings; a word that cannot start a JSON value is one
     # without a parse attempt
@@ -101,9 +118,9 @@ def _resolve_config(defaults: dict, config_path: Optional[str], overrides,
             with open(config_path) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config: {exc}")
+            raise UsageError(f"cannot read config: {exc}")
         if not isinstance(loaded, dict):
-            raise click.UsageError("config file must hold a JSON object")
+            raise UsageError("config file must hold a JSON object")
         _reject_unknown(loaded, defaults, "config file")
         config.update(loaded)
     for item in overrides:
@@ -114,13 +131,28 @@ def _resolve_config(defaults: dict, config_path: Optional[str], overrides,
         config["trials"] = trials
     if seed is not None:
         config["seed"] = seed
+    _check_types(config, defaults)
     return config
 
 
 def _reject_unknown(given: dict, defaults: dict, source: str) -> None:
     unknown = [key for key in given if key not in defaults]
     if unknown:
-        raise click.UsageError(f"unknown {source} keys: {', '.join(sorted(unknown))}")
+        raise UsageError(f"unknown {source} keys: {', '.join(sorted(unknown))}")
+
+
+# the JSON type a value must have, by the type of its key's default; a key
+# whose default is None is checked by its runner
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
+
+
+def _check_types(config: dict, defaults: dict) -> None:
+    for key, default in defaults.items():
+        want, got = type(default), type(config[key])
+        if want in _JSON_TYPES and got is not want and not (want is float and got is int):
+            raise UsageError(f"config key {key!r} must be {_JSON_TYPES[want]}, "
+                             f"got {json.dumps(config[key])}")
 
 
 def _sorted_keys(value):
@@ -146,10 +178,6 @@ def _envelope(subcommand: str, config: dict) -> dict:
         "config_sha256": _config_hash(config),
         "seed": config.get("seed"),
     }
-
-
-def _run_config_error(exc: Exception) -> click.UsageError:
-    return click.UsageError(str(exc))
 
 
 # ------------------------------------------------------------------
@@ -242,18 +270,15 @@ def emit_report(report: dict, fmt: str = "json", out: Optional[str] = None) -> s
             writer.writerow([_cell(v) for v in report.values()])
         text = buf.getvalue()
     else:
-        raise click.UsageError(f"unknown format {fmt!r}")
+        raise UsageError(f"unknown format {fmt!r}")
     if out is None:
-        # an explicit file: click's default-stream lookup caches a wrapper
-        # per stream object that keeps the stream alive, so every in-process
-        # call with redirected stdout would leak its buffer
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
     else:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.ClickException(f"cannot write report: {exc}")
+            raise UsageError(f"cannot write report: {exc}") from None
     return text
 
 
@@ -263,30 +288,54 @@ def _exit_code(report: dict) -> int:
 
 
 # ------------------------------------------------------------------
-# shared option sets
+# command-line options
 # ------------------------------------------------------------------
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="JSON config file.")(fn)
-    fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                      help="Config override, applied after the file.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Base RNG seed.")(fn)
-    fn = click.option("--trials", type=int, default=None, help="Trial count.")(fn)
-    fn = click.option("--threads", type=int, default=None, envvar="COSETMOE_THREADS",
-                      help="Worker threads (results never depend on this).")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="Write the report here instead of stdout.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default=None, help="Report format.")(fn)
-    return fn
+def _typed(kind, flag: str) -> Callable[[str], object]:
+    """An argparse ``type`` for ``flag``: ``kind`` is int, float or a tuple of
+    the allowed strings.  A bad value raises UsageError, which argparse lets
+    through, so the error names the flag and the value as written here."""
+    if isinstance(kind, tuple):
+        def convert(text):
+            if text not in kind:
+                raise UsageError(f"Invalid value for '{flag}': {text!r} is not one of "
+                                 f"{', '.join(map(repr, kind))}.")
+            return text
+    else:
+        def convert(text):
+            try:
+                return kind(text)
+            except ValueError:
+                raise UsageError(f"Invalid value for '{flag}': {text!r} is not a valid "
+                                 f"{'integer' if kind is int else 'float'}.") from None
+    return convert
 
 
-@click.group()
-@click.version_option(__version__, prog_name="cosetmoe")
-def cli():
-    """Simulators and bound calculators for coset-state cryptography."""
+def _threads(flag: Optional[int]) -> int:
+    """``--threads``, else ``$COSETMOE_THREADS``, else 1; at least 1."""
+    if flag is None:
+        env = os.environ.get("COSETMOE_THREADS")
+        flag = _typed(int, "--threads")(env) if env else 1
+    if flag < 1:
+        raise UsageError("--threads must be >= 1")
+    return flag
+
+
+# The options of the experiment subcommands and sweep, by flag; bounds and
+# selftest take some of them.  ``type`` is a ``_typed`` kind.
+_OPTIONS = {
+    "--config": {"dest": "config_path", "metavar": "PATH", "help": "JSON config file."},
+    "--set": {"dest": "overrides", "action": "append", "default": [], "metavar": "KEY=VALUE",
+              "help": "Config override, applied after the file; repeatable."},
+    "--seed": {"type": int, "help": "Base RNG seed."},
+    "--trials": {"type": int, "help": "Trial count."},
+    "--threads": {"type": int, "help": "Worker threads (results never depend on this); "
+                                       "default $COSETMOE_THREADS, else 1."},
+    "--out": {"metavar": "PATH", "help": "Write the report here instead of stdout."},
+    "--format": {"dest": "fmt", "type": ("json", "csv"), "metavar": "json|csv",
+                 "help": "Report format."},
+}
 
 
 # ------------------------------------------------------------------
@@ -294,38 +343,25 @@ def cli():
 # ------------------------------------------------------------------
 
 
-@cli.command("bounds")
-@click.option("--n", type=int, required=True, help="Ambient dimension (even).")
-@click.option("--m", type=int, default=None)
-@click.option("--m-prime", type=int, default=None)
-@click.option("--d", type=int, default=None, help="Code distance.")
-@click.option("--s", type=int, default=None, help="Syndrome length.")
-@click.option("--eta", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--ell", type=int, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def bounds_cmd(n, m, m_prime, d, s, eta, gamma, delta, kappa, ell, epsilon, out, fmt):
-    """Emit every closed-form bound the given parameters allow."""
-    config = {
-        k: v
-        for k, v in [
-            ("n", n), ("m", m), ("m_prime", m_prime), ("d", d), ("s", s),
-            ("eta", eta), ("gamma", gamma), ("delta", delta), ("kappa", kappa),
-            ("ell", ell), ("epsilon", epsilon),
-        ]
-        if v is not None
-    }
+# bounds' parameters in report order: (key, type, help); --n is required
+_BOUND_PARAMS = (
+    ("n", int, "Ambient dimension (even)."), ("m", int, None), ("m_prime", int, None),
+    ("d", int, "Code distance."), ("s", int, "Syndrome length."), ("eta", float, None),
+    ("gamma", float, None), ("delta", float, None), ("kappa", float, None),
+    ("ell", int, None), ("epsilon", float, None),
+)
+
+
+def _bounds_cmd(args) -> int:
+    config = {key: getattr(args, key) for key, _, _ in _BOUND_PARAMS
+              if getattr(args, key) is not None}
     try:
         rep = protocol_bounds(**config)
     except ValueError as exc:
-        raise _run_config_error(exc)
+        raise UsageError(str(exc)) from None
     report = _envelope("bounds", config)
     report.update(rep.to_json())
-    emit_report(report, fmt, out)
+    emit_report(report, args.fmt or "json", args.out)
     return 0
 
 
@@ -463,29 +499,18 @@ _EXPERIMENTS = {
 }
 
 
-def _experiment_command(name: str, help_text: str):
-    @cli.command(name, help=help_text)
-    @_common_options
-    def _cmd(config_path, overrides, seed, trials, threads, out, fmt):
-        defaults, runner = _EXPERIMENTS[name]
-        config = _resolve_config(defaults, config_path, overrides, trials, seed)
-        try:
-            result = runner(config, threads or 1)
-        except ValueError as exc:
-            raise _run_config_error(exc)
-        report = _envelope(name, config)
-        report.update(result)
-        emit_report(report, fmt or "json", out)
-        return _exit_code(report)
-
-    return _cmd
-
-
-_experiment_command("moe", "Play a monogamy-game strategy against the game bound.")
-_experiment_command("qecm", "Interactive-encryption experiments (correctness, games).")
-_experiment_command("urbc", "Commitment experiments (correctness, binding, hiding).")
-_experiment_command("qkd", "Receiver-independent key-distribution experiments.")
-_experiment_command("tfkw", "Reference one-sided protocol, honest or under attack.")
+def _experiment_cmd(name: str, args) -> int:
+    threads = _threads(args.threads)
+    defaults, runner = _EXPERIMENTS[name]
+    config = _resolve_config(defaults, args.config_path, args.overrides, args.trials, args.seed)
+    try:
+        result = runner(config, threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    report = _envelope(name, config)
+    report.update(result)
+    emit_report(report, args.fmt or "json", args.out)
+    return _exit_code(report)
 
 
 # ------------------------------------------------------------------
@@ -515,23 +540,17 @@ def _sweep_row(param: str, value, report: dict) -> dict:
     return row
 
 
-@cli.command("sweep")
-@click.option("--experiment", type=click.Choice(sorted(_EXPERIMENTS)), required=True)
-@click.option("--param", required=True, help="Config key to sweep.")
-@click.option("--from", "start", type=float, required=True)
-@click.option("--to", "stop", type=float, required=True)
-@click.option("--steps", type=int, required=True, help="Grid points (0 = header only).")
-@_common_options
-def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
-              seed, trials, threads, out, fmt):
-    """Run one experiment over an inclusive parameter grid; CSV by default."""
-    if steps < 0:
-        raise click.UsageError("--steps must be >= 0")
-    defaults, runner = _EXPERIMENTS[experiment]
+def _sweep_cmd(args) -> int:
+    threads = _threads(args.threads)
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
+    defaults, runner = _EXPERIMENTS[args.experiment]
+    param = args.param
     if param not in defaults:
-        raise click.UsageError(f"unknown sweep parameter {param!r}")
-    config = _resolve_config(defaults, config_path, overrides, trials, seed)
-    grid = np.linspace(start, stop, steps) if steps else np.array([])
+        raise UsageError(f"unknown sweep parameter {param!r}")
+    config = _resolve_config(defaults, args.config_path, args.overrides, args.trials,
+                             args.seed)
+    grid = np.linspace(args.start, args.stop, args.steps) if args.steps else np.array([])
     integral = isinstance(defaults[param], int) and not isinstance(defaults[param], bool)
     rows = []
     for value in grid:
@@ -540,17 +559,18 @@ def sweep_cmd(experiment, param, start, stop, steps, config_path, overrides,
             point = int(round(point))
         run_config = dict(config)
         run_config[param] = point
+        _check_types(run_config, defaults)
         try:
-            report = runner(run_config, threads or 1)
+            report = runner(run_config, threads)
         except ValueError as exc:
-            raise _run_config_error(exc)
+            raise UsageError(str(exc)) from None
         rows.append(_sweep_row(param, point, report))
     report = _envelope("sweep", config)
-    report["experiment"] = experiment
+    report["experiment"] = args.experiment
     report["param"] = param
     report["grid"] = [r["value"] for r in rows]
     report["rows"] = rows
-    emit_report(report, fmt or "csv", out)
+    emit_report(report, args.fmt or "csv", args.out)
     return 0
 
 
@@ -730,25 +750,17 @@ def selftest_checks(seed: int, threads: int) -> list[dict]:
     return checks
 
 
-@cli.command("selftest")
-@click.option("--seed", type=int, default=0, help="Base RNG seed.")
-@click.option("--threads", type=int, default=1, envvar="COSETMOE_THREADS",
-              help="Worker threads; never changes the report bytes.")
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def selftest_cmd(seed, threads, out, fmt):
-    """Fast battery of exact identities and seeded experiment checks."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
-    config = {"seed": seed}
+def _selftest_cmd(args) -> int:
+    threads = _threads(args.threads)
+    config = {"seed": args.seed}
     try:
-        checks = selftest_checks(seed, threads)
+        checks = selftest_checks(args.seed, threads)
     except ValueError as exc:
-        raise _run_config_error(exc)
+        raise UsageError(str(exc)) from None
     report = _envelope("selftest", config)
     report["checks"] = checks
     report["all_pass"] = all(c["pass"] for c in checks)
-    emit_report(report, fmt, out)
+    emit_report(report, args.fmt or "json", args.out)
     return _exit_code(report)
 
 
@@ -757,21 +769,126 @@ def selftest_cmd(seed, threads, out, fmt):
 # ------------------------------------------------------------------
 
 
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError where argparse would print
+    and exit, matches no option by a prefix of it, has ``--help`` but no
+    ``-h``, and converts each option's value with ``_typed``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_Formatter,
+                         **kwargs)
+        self.flags = []
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def add_argument(self, flag: str, type=None, **kwargs):
+        self.flags.append(flag)
+        if type is not None:
+            kwargs["type"] = _typed(type, flag)
+        return super().add_argument(flag, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The root parser and its subcommand parsers by name.  Each subcommand
+    parser sets ``run``, the function that takes the parsed arguments and
+    returns the exit code; the root parser alone leaves it None."""
+    root = _Parser(prog="cosetmoe", usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                   description="Simulators and bound calculators for coset-state "
+                               "cryptography.")
+    root.add_argument("--version", action="version", version=f"cosetmoe, version {__version__}",
+                      help="Show the version and exit.")
+    root.set_defaults(run=None)
+    commands = root.add_subparsers(title="commands", metavar="COMMAND", prog="cosetmoe")
+
+    def command(name, run, help_text, flags):
+        sub = commands.add_parser(name, help=help_text, description=help_text,
+                                  usage="%(prog)s [OPTIONS]")
+        sub.set_defaults(run=run)
+        for flag in flags:
+            sub.add_argument(flag, **_OPTIONS[flag])
+        return sub
+
+    bounds = command("bounds", _bounds_cmd,
+                     "Emit every closed-form bound the given parameters allow.", ())
+    for key, kind, help_text in _BOUND_PARAMS:
+        bounds.add_argument("--" + key.replace("_", "-"), type=kind, required=key == "n",
+                            help=help_text)
+    for flag in ("--out", "--format"):
+        bounds.add_argument(flag, **_OPTIONS[flag])
+    for name, help_text in (
+        ("moe", "Play a monogamy-game strategy against the game bound."),
+        ("qecm", "Interactive-encryption experiments (correctness, games)."),
+        ("urbc", "Commitment experiments (correctness, binding, hiding)."),
+        ("qkd", "Receiver-independent key-distribution experiments."),
+        ("tfkw", "Reference one-sided protocol, honest or under attack."),
+    ):
+        command(name, partial(_experiment_cmd, name), help_text, _OPTIONS)
+    sweep = command("sweep", _sweep_cmd,
+                    "Run one experiment over an inclusive parameter grid; CSV by default.", ())
+    sweep.add_argument("--experiment", type=tuple(sorted(_EXPERIMENTS)), required=True)
+    sweep.add_argument("--param", required=True, help="Config key to sweep.")
+    sweep.add_argument("--from", dest="start", type=float, required=True)
+    sweep.add_argument("--to", dest="stop", type=float, required=True)
+    sweep.add_argument("--steps", type=int, required=True, help="Grid points (0 = header only).")
+    for flag in _OPTIONS:
+        sweep.add_argument(flag, **_OPTIONS[flag])
+    selftest = command("selftest", _selftest_cmd,
+                       "Fast battery of exact identities and seeded experiment checks.",
+                       ("--seed", "--threads", "--out", "--format"))
+    selftest.set_defaults(seed=0)
+    return root, commands.choices
+
+
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _extras_error(parser: _Parser, extras: list[str]) -> str:
+    """What to say about the arguments no option took: the first unknown
+    option, with the long options that resemble it, else the leftovers."""
+    options = [arg.partition("=")[0] for arg in extras if arg[:1] == "-" and arg != "-"]
+    if not options:
+        plural = "s" if len(extras) > 1 else ""
+        return f"Got unexpected extra argument{plural} ({' '.join(extras)})"
+    option = options[0]
+    like = sorted(difflib.get_close_matches(option, parser.flags)) if option[:2] == "--" else []
+    if len(like) == 1:
+        return f"No such option {option!r}. Did you mean {like[0]!r}?"
+    if like:
+        return f"No such option {option!r}. (Did you mean one of: {', '.join(map(repr, like))}?)"
+    return f"No such option {option!r}."
+
+
 def dispatch(argv) -> int:
-    """Run the CLI on an argv list and return the process exit code."""
+    """Run the CLI on an argv list and return the process exit code: 0
+    success, 1 a failed check, 2 a usage or config error."""
+    argv = list(argv)
+    parser = _COMMANDS.get(argv[0], _PARSER) if argv else _PARSER
     try:
-        rv = cli.main(args=list(argv), prog_name="cosetmoe", standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
+        if parser is _PARSER and argv and argv[0][:1] != "-":
+            raise UsageError(f"No such command {argv[0]!r}.")
+        try:
+            # a subcommand's own parser reads its options; the root parser
+            # only sees an argv that starts with an option
+            args, extras = parser.parse_known_args(argv if parser is _PARSER else argv[1:])
+        except SystemExit as exc:  # --help, --version
+            return exc.code
+        if extras:
+            raise UsageError(_extras_error(parser, extras))
+        if args.run is None:
+            _PARSER.print_help(sys.stderr)
+            return 2
+        return args.run(args)
+    except UsageError as exc:
+        sys.stderr.write(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\n"
+                         f"Error: {exc}\n")
         return 2
-    except click.exceptions.Exit as exc:  # --help / --version
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return int(rv) if isinstance(rv, int) else 0
 
 
 def main(argv=None) -> None:

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +437,176 @@ def test_dispatch_help_exits_0(capsys):
     code, out, _ = _run(capsys, "--help")
     assert code == 0
     assert "selftest" in out
+
+
+# ------------------------------------------------------------------
+# the command-line parser
+# ------------------------------------------------------------------
+
+_QECM = ("--seed", "5", "--trials", "20", "--set", "n=4", "--set", "ell=1")
+_QECM_SHA = "d9c250beeae06928b43b0587f913942c2a11ded697432ee16639b7b9b200bf8a"
+_EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+_SUBCOMMANDS = ("bounds", "moe", "qecm", "urbc", "qkd", "tfkw", "sweep", "selftest")
+
+# name -> (COSETMOE_THREADS or None, argv, exit code, sha256 of stdout, the
+# one Error: line or None)
+PARSER_PINS = {
+    "eq-forms": (None, ("qecm", "--set=n=4", "--set", "ell=1", "--seed=5", "--trials=20"),
+                 0, _QECM_SHA, None),
+    "space-forms": (None, ("qecm", *_QECM), 0, _QECM_SHA, None),
+    "reordered": (None, ("qecm", "--set", "ell=1", "--trials", "20", "--set", "n=4",
+                         "--seed", "5"), 0, _QECM_SHA, None),
+    "repeated-set": (None, ("qecm", "--set", "n=6", "--set", "ell=1", "--set", "n=4",
+                            "--seed", "5", "--trials", "20"), 0, _QECM_SHA, None),
+    "repeated-seed": (None, ("qecm", "--seed", "1", "--trials", "20", "--seed=5",
+                             "--set", "n=4", "--set", "ell=1"), 0, _QECM_SHA, None),
+    "csv-first": (None, ("qecm", "--format", "csv", "--threads", "1", *_QECM), 0,
+                  "8cc4b41117e7c8252887b2bc64495a27f0963b780d9cb56370112c16ad3b1313", None),
+    "bounds-eq": (None, ("bounds", "--eta=0.25", "--m-prime=2", "--n=10", "--d", "2"), 0,
+                  "86e453d1ca5d8cef16e0d9764d7d5b0ff158911d6aa599a7f21dcc658f5cec23", None),
+    "sweep-negative-from": (None, ("sweep", "--steps", "0", "--from", "-1.5", "--to", "-1",
+                                   "--param", "n", "--experiment", "moe"), 0,
+                            "77021b7efc7b6b888b092a2f9f7b12a53413d3cf05c1c207e6a49b9880c73acf",
+                            None),
+    "trials-negative": (None, ("qecm", "--trials", "-1"), 2, _EMPTY_SHA,
+                        "Error: trials must be positive"),
+    "seed-negative": (None, ("qecm", "--seed", "-1"), 2, _EMPTY_SHA,
+                      "Error: seed must fit in 64 bits"),
+    "n-negative": (None, ("bounds", "--n", "-4"), 2, _EMPTY_SHA,
+                   "Error: ambient dimension must be even and positive"),
+    "trials-abc": (None, ("qecm", "--trials", "abc"), 2, _EMPTY_SHA,
+                   "Error: Invalid value for '--trials': 'abc' is not a valid integer."),
+    "eta-abc": (None, ("bounds", "--n", "8", "--eta", "abc"), 2, _EMPTY_SHA,
+                "Error: Invalid value for '--eta': 'abc' is not a valid float."),
+    "format-xml": (None, ("qecm", "--format", "xml"), 2, _EMPTY_SHA,
+                   "Error: Invalid value for '--format': 'xml' is not one of 'json', 'csv'."),
+    "experiment-bad": (None, ("sweep", "--experiment", "bad", "--param", "n", "--from", "1",
+                              "--to", "2", "--steps", "1"), 2, _EMPTY_SHA,
+                       "Error: Invalid value for '--experiment': 'bad' is not one of "
+                       "'moe', 'qecm', 'qkd', 'tfkw', 'urbc'."),
+    "unknown-option": (None, ("moe", "--bogus"), 2, _EMPTY_SHA,
+                       "Error: No such option '--bogus'. Did you mean '--out'?"),
+    "unknown-option-eq": (None, ("moe", "--trials", "5", "--bogus=5"), 2, _EMPTY_SHA,
+                          "Error: No such option '--bogus'. Did you mean '--out'?"),
+    "near-options": (None, ("qecm", "--seeds", "5"), 2, _EMPTY_SHA,
+                     "Error: No such option '--seeds'. "
+                     "(Did you mean one of: '--seed', '--set', '--threads'?)"),
+    "no-prefix-match": (None, ("qecm", "--tri", "5"), 2, _EMPTY_SHA,
+                        "Error: No such option '--tri'. "
+                        "(Did you mean one of: '--out', '--set', '--trials'?)"),
+    "no-short-help": (None, ("qecm", "-h"), 2, _EMPTY_SHA, "Error: No such option '-h'."),
+    "group-unknown-option": (None, ("--bogus",), 2, _EMPTY_SHA,
+                             "Error: No such option '--bogus'."),
+    "extra-argument": (None, ("qecm", "extra"), 2, _EMPTY_SHA,
+                       "Error: Got unexpected extra argument (extra)"),
+    "unknown-subcommand": (None, ("teleport",), 2, _EMPTY_SHA,
+                           "Error: No such command 'teleport'."),
+    "no-subcommand": (None, (), 2, _EMPTY_SHA, None),
+    "version": (None, ("--version",), 0,
+                hashlib.sha256(b"cosetmoe, version 0.1.0\n").hexdigest(), None),
+    "threads-env": ("2", ("qecm", *_QECM), 0, _QECM_SHA, None),
+    "threads-flag": (None, ("qecm", *_QECM, "--threads", "2"), 0, _QECM_SHA, None),
+    "threads-flag-over-env": ("0", ("qecm", *_QECM, "--threads", "2"), 0, _QECM_SHA, None),
+    "threads-env-selftest": ("0", ("selftest",), 2, _EMPTY_SHA,
+                             "Error: --threads must be >= 1"),
+    "threads-env-abc": ("abc", ("selftest",), 2, _EMPTY_SHA,
+                        "Error: Invalid value for '--threads': 'abc' is not a valid integer."),
+}
+
+
+@pytest.mark.parametrize("name", list(PARSER_PINS))
+def test_parser_behaviour_is_pinned(capsys, monkeypatch, name):
+    threads_env, argv, code, sha, error = PARSER_PINS[name]
+    if threads_env is None:
+        monkeypatch.delenv("COSETMOE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COSETMOE_THREADS", threads_env)
+    got, out, err = _run(capsys, *argv)
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), errors) == (
+        code, sha, [] if error is None else [error])
+    if code == 2:
+        usage = (f"cosetmoe {argv[0]} [OPTIONS]" if argv and argv[0] in _SUBCOMMANDS
+                 else "cosetmoe [OPTIONS] COMMAND [ARGS]...")
+        assert err.splitlines()[0] == f"Usage: {usage}"
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_every_subcommand_help_exits_0(capsys, command):
+    code, out, err = _run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"Usage: cosetmoe {command} [OPTIONS]\n")
+
+
+_SWEEP_QECM = ("sweep", "--experiment", "qecm", "--param", "n", "--from", "4", "--to", "4",
+               "--steps", "1")
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [(name,) for name in ("moe", "qecm", "urbc", "qkd", "tfkw")]
+                         + [_SWEEP_QECM])
+def test_threads_below_1_exit_2(capsys, argv, threads):
+    code, out, err = _run(capsys, *argv, "--trials", "10", "--threads", threads)
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert (code, out, errors) == (2, "", ["Error: --threads must be >= 1"])
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("moe", "--set", "n=8.0"), "config key 'n' must be an integer, got 8.0"),
+    (("qecm", "--set", "n=8.0"), "config key 'n' must be an integer, got 8.0"),
+    (("qecm", "--set", "n=true"), "config key 'n' must be an integer, got true"),
+    (("moe", "--set", "kind=mix", "--set", "q=x"), "config key 'q' must be a number, got \"x\""),
+    (("urbc", "--set", "eta=false"), "config key 'eta' must be a number, got false"),
+    (("qkd", "--set", "dx=x"), "config key 'dx' must be a number, got \"x\""),
+    (("moe", "--set", "kind=leak_smuggle", "--set", "leak=no"),
+     "config key 'leak' must be a boolean, got \"no\""),
+    (("qecm", "--set", "kind=5"), "config key 'kind' must be a string, got 5"),
+    (("urbc", "--set", "code=[7]"), "config key 'code' must be an object, got [7]"),
+    (("tfkw", "--set", "seed=1e2"), "config key 'seed' must be an integer, got 100.0"),
+])
+def test_a_config_value_of_the_wrong_json_type_exits_2(capsys, argv, error):
+    code, out, err = _run(capsys, *argv, "--trials", "10")
+    errors = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert (code, out, errors) == (2, "", [f"Error: {error}"])
+
+
+def test_a_config_file_value_of_the_wrong_json_type_exits_2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"leak": 1}))
+    code, out, err = _run(capsys, "moe", "--config", str(path), "--trials", "10")
+    assert (code, out) == (2, "")
+    assert "Error: config key 'leak' must be a boolean, got 1" in err
+
+
+def test_a_sweep_over_a_key_that_takes_no_number_exits_2(capsys):
+    code, out, err = _run(capsys, "sweep", "--experiment", "moe", "--param", "leak",
+                          "--from", "0", "--to", "1", "--steps", "2", "--trials", "10")
+    assert (code, out) == (2, "")
+    assert "Error: config key 'leak' must be a boolean, got 0.0" in err
+
+
+def test_an_int_stands_for_a_float_config_value(capsys):
+    code, out, _ = _run(capsys, "qkd", "--set", "gamma=0", "--set", "dx=0", "--trials", "10")
+    assert code == 0
+    assert json.loads(out)["config"]["gamma"] == 0
+
+
+def test_the_cli_needs_no_third_party_parser():
+    # the library's name is split so that searching the sources finds only
+    # its absence
+    gone = "cl" "ick"
+    import cosetmoe
+    root = Path(cosetmoe.__file__).resolve().parents[2]
+    script = (f"import sys\nsys.modules[{gone!r}] = None\n"
+              "from cosetmoe.cli import dispatch\n"
+              "sys.exit(10 * dispatch(['qecm', '--trials', '10']) + dispatch(['qecm', '--help']))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sources = [*root.glob("src/**/*.py"), *root.glob("tests/**/*.py"), root / "pyproject.toml"]
+    assert [str(path) for path in sources if gone in path.read_text().lower()] == []
 
 
 # ------------------------------------------------------------------
