@@ -32,7 +32,6 @@ __all__ = [
     "LinearCode",
     "make_code",
     "make_code_from_config",
-    "code_to_json",
     "syndrome_batch",
     "leader_batch",
     "align_batch",
@@ -267,18 +266,6 @@ def make_code_from_config(cfg: dict) -> LinearCode:
 @lru_cache(maxsize=2)
 def _cached_code(kind: str, params: tuple[int, ...]) -> LinearCode:
     return make_code(kind, *params)
-
-
-def code_to_json(code: LinearCode) -> dict:
-    return {
-        "kind": code.kind[0],
-        "params": list(code.kind[1:]),
-        "length": code.length,
-        "dimension": code.dimension,
-        "distance": code.distance,
-        "H": [code.parity_check.row(i).to_hex() for i in range(code.syndrome_length)],
-        "G": [code.generator.row(i).to_hex() for i in range(code.dimension)],
-    }
 
 
 def _block_leader(block_params: tuple[int, int], syn_bits: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ class ToeplitzExtractor:
         or a stack (... × trials × n_in) of inputs that share the seeds, whose
         slices are then read once.  Returns uint8 bits shaped like xs with
         ell columns.  Each input row is one uint8 matmul with its trial's
-        slices; the sums wrap mod 256 and so keep their parity."""
+        slices; the sums wrap mod 256 and so keep their parity, and every
+        byte of xs and seeds counts by its low bit, as in ``Gf2Vec``."""
         return (np.asarray(xs, dtype=np.uint8)[..., None, :] @ self._slices(seeds))[..., 0, :] & 1
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "sample_subspaces",
     "check_family",
     "sample_subspace",
-    "hamming",
 ]
 
 
@@ -512,9 +511,3 @@ def sample_subspace(n: int, family: str, rng: np.random.Generator) -> Gf2Subspac
         return Gf2Subspace.register(n, np.flatnonzero(top_k_mask(r.keys(n), half)[0]))
     basis, pivots = sample_subspaces(r, n, half)
     return Gf2Subspace.from_rref(basis[0], pivots[0])
-
-
-def hamming(x: Gf2Vec, y: Gf2Vec) -> int:
-    if x.n != y.n:
-        raise ValueError("length mismatch")
-    return int(np.count_nonzero(x.bits ^ y.bits))

@@ -1069,22 +1069,24 @@ def _place_flips(
     """The reads (t_hat, t_hat') of intact records (θ, t, t') under noise
     ``flips``, and each row's count of flips on θ=0 coordinates.
 
-    Only the set flips are placed.  With c = the number of θ=1 coordinates up
-    to coordinate j of a row, j included, a flip at j lands in t' at rank
-    c - 1 (θ_j = 1) or in t at rank j - c (θ_j = 0).  c is counted on θ's
-    coordinate rows read as big-endian words: the exclusive prefix sum of
-    the word popcounts, plus the popcount of j's word shifted down to bit j."""
-    rows, cols = np.divmod(np.flatnonzero(flips.view(bool)), theta.shape[1])
-    words = coordinate_rows(theta)
-    count = np.bitwise_count(words)
-    before = np.cumsum(count, axis=1, dtype=np.int64) - count
-    word, bit = np.divmod(cols, 64)
-    upto = words.view(">u8")[rows, word].astype(np.uint64) >> (63 - bit).astype(np.uint64)
-    ones = before[rows, word] + np.bitwise_count(upto)
-    side = (upto & np.uint64(1)).astype(np.intp)  # θ_j
-    reads = np.stack([t, tp])
-    reads[side, rows, np.where(side, ones - 1, cols - ones)] ^= 1
-    return reads[0], reads[1], np.bincount(rows[side == 0], minlength=len(t))
+    Only the set flips are placed, each XORed into a copy of t or t'.  Every
+    row holds n/2 coordinates of each basis, so ranks can be counted over
+    the whole block read as one row: a flip at flat coordinate j, with c the
+    number of θ=1 coordinates up to j, j included, lands at flat index c - 1
+    of t' (θ_j = 1) or j - c of t (θ_j = 0).  c is counted on the block's
+    coordinate row read as big-endian words: the running popcount at the end
+    of j's word, less the ones after bit j in that word."""
+    at = np.flatnonzero(flips.view(bool))
+    words = coordinate_rows(theta.reshape(-1))
+    word = at >> 6
+    later = words.view(">u8")[word] << ((at & 63) + 1).astype(np.uint64)
+    ones = np.cumsum(np.bitwise_count(words), dtype=np.intp)[word] - np.bitwise_count(later)
+    hadamard = theta.reshape(-1)[at].view(bool)  # θ_j
+    t_hat, tp_hat = t.copy(), tp.copy()
+    tp_hat.reshape(-1)[ones[hadamard] - 1] ^= 1
+    free = (at - ones)[~hadamard]
+    t_hat.reshape(-1)[free] ^= 1
+    return t_hat, tp_hat, np.bincount(free // t.shape[1], minlength=len(t))
 
 
 def _riqkd_batch(

@@ -144,6 +144,53 @@ def test_extract_batch_on_a_stack_matches_single_calls(n_in, ell):
             assert stacked[s, i].tolist() == single.bits.tolist()
 
 
+_WORD_EDGE_N_IN = (63, 64, 65, 128, 129, 200)
+_WORD_EDGE_ELL = (1, 2, 63, 64, 65, 66, 130)
+
+
+@pytest.mark.parametrize("n_in,ell", [(n_in, ell) for n_in in _WORD_EDGE_N_IN
+                                      for ell in _WORD_EDGE_ELL if ell <= n_in])
+def test_extract_batch_at_word_boundaries_matches_the_matrix(n_in, ell):
+    # rows that start 63, 64, 65 and 129 bits into e, and inputs one bit
+    # short of, on, and one bit past a 64-bit word, against the explicit
+    # Toeplitz matrix of each trial's seed
+    ext = ToeplitzExtractor(n_in, ell)
+    rng = np.random.default_rng(1000 * n_in + ell)
+    xs = rng.integers(0, 2, size=(3, 4, n_in), dtype=np.uint8)
+    seeds = rng.integers(0, 2, size=(4, ext.seed_len), dtype=np.uint8)
+    seeds[0] = 1
+    xs[:, 0] = 1
+    got = ext.extract_batch(xs, seeds)
+    assert got.shape == (3, 4, ell) and got.dtype == np.uint8
+    for i in range(4):
+        t = ext.matrix_from_seed(Gf2Vec(seeds[i]))
+        for s in range(3):
+            assert got[s, i].tolist() == t.mulvec(Gf2Vec(xs[s, i])).bits.tolist(), (s, i)
+    assert ext.extract_batch(xs[:, :0], seeds[:0]).shape == (3, 0, ell)
+
+
+def test_extract_batch_reads_each_byte_by_its_low_bit():
+    # a byte of 2 reads as 0 and a byte of 3 as 1, in the inputs and in the
+    # seed, as Gf2Vec and matrix_from_seed read them
+    ext = ToeplitzExtractor(7, 3)
+    rng = np.random.default_rng(7)
+    xs = rng.integers(0, 4, size=(3, 6, 7), dtype=np.uint8)
+    seeds = rng.integers(0, 4, size=(6, ext.seed_len), dtype=np.uint8)
+    xs[0, 0] = 2
+    seeds[1] = 2
+    got = ext.extract_batch(xs, seeds)
+    assert got[0, 0].tolist() == [0, 0, 0]
+    assert not got[:, 1].any()
+    assert np.array_equal(got, ext.extract_batch(xs & 1, seeds & 1))
+    for i in range(6):
+        t = ext.matrix_from_seed(Gf2Vec(seeds[i]))
+        assert np.array_equal(t.rows, ext.matrix_from_seed(Gf2Vec(seeds[i] & 1)).rows)
+        for s in range(3):
+            want = t.mulvec(Gf2Vec(xs[s, i])).bits
+            assert got[s, i].tolist() == want.tolist()
+            assert ext.extract(Gf2Vec(xs[s, i]), Gf2Vec(seeds[i])).bits.tolist() == want.tolist()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         ToeplitzExtractor(3, 4)

@@ -15,7 +15,6 @@ from cosetmoe.gf2 import (
     IndexSubset,
     complement,
     coset_rep,
-    hamming,
     rref,
     sample_subspace,
     sample_subspaces,
@@ -451,21 +450,6 @@ def test_sample_subspaces_chi_squared_over_all_35_at_n4():
 def test_sample_subspace_odd_n():
     with pytest.raises(ValueError):
         sample_subspace(5, "register", np.random.default_rng(1))
-
-
-# ---------------------------------------------------------------- hamming
-
-
-def test_hamming():
-    assert hamming(Gf2Vec([1, 0, 1]), Gf2Vec([1, 0, 1])) == 0
-    assert hamming(Gf2Vec([1, 0, 1]), Gf2Vec([1, 1, 1])) == 1
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        x = rng.integers(0, 2, size=10, dtype=np.uint8)
-        y = rng.integers(0, 2, size=10, dtype=np.uint8)
-        assert hamming(Gf2Vec(x), Gf2Vec(y)) == int(bin(
-            int("".join(map(str, x ^ y)), 2) if (x ^ y).any() else 0
-        ).count("1"))
 
 
 # ---------------------------------------------- solve_coset_membership
