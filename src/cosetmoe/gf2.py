@@ -19,8 +19,8 @@ subspaces held as arrays: (T, k, n) canonical bases and (T, k) pivots.
 orthogonal complements, ``coset_elements`` the coset elements
 coset_rep(a, t) ⊕ c·A and ``coset_labels`` their inverse (c is v at the
 pivots, t is v ⊕ c·A at the free coordinates).  The one-subspace API
-(``rref``, ``complement``, ``coset_rep``, ``solve_coset_membership`` and
-``Gf2Subspace.free_coords``) is each form's one-row case.
+(``rref``, ``complement``, ``coset_rep`` and ``Gf2Subspace.free_coords``) is
+each form's one-row case.
 
 Random subspaces are drawn in canonical form, as such a block
 (``sample_subspaces``): pivot columns from one 32-bit key each, then free
@@ -51,7 +51,6 @@ __all__ = [
     "coset_elements",
     "coset_labels",
     "coset_rep",
-    "solve_coset_membership",
     "subspace_fields",
     "sample_subspaces",
     "check_family",
@@ -175,9 +174,6 @@ class Gf2Matrix:
     def rows(self) -> np.ndarray:
         return self._rows
 
-    def row(self, i: int) -> Gf2Vec:
-        return Gf2Vec(self._rows[i])
-
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self._rows.T)
 
@@ -185,26 +181,6 @@ class Gf2Matrix:
         if v.n != self.shape[1]:
             raise ValueError("dimension mismatch")
         return Gf2Vec((self._rows @ v.bits) & 1)
-
-    def mulmat(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.shape[1] != other.shape[0]:
-            raise ValueError("dimension mismatch")
-        return Gf2Matrix((self._rows.astype(np.uint32) @ other._rows) & 1)
-
-    def rank(self) -> int:
-        return len(rref(self)[1])
-
-    def inverse(self) -> "Gf2Matrix":
-        """Inverse of a square invertible matrix: [M | I] reduces to
-        [I | M^-1], and M is singular unless the pivots are 0..r-1."""
-        r, c = self.shape
-        if r != c:
-            raise ValueError("matrix is not square")
-        augmented = np.concatenate([self._rows, np.eye(r, dtype=np.uint8)], axis=1)
-        reduced, pivots = rref(Gf2Matrix(augmented))
-        if pivots != tuple(range(r)):
-            raise ValueError("matrix is singular")
-        return Gf2Matrix(reduced.rows[:, r:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Gf2Matrix) and np.array_equal(self._rows, other._rows)
@@ -445,15 +421,6 @@ def coset_rep(a: Gf2Subspace, t: Gf2Vec) -> Gf2Vec:
         raise ValueError(f"label length {t.n} != {a.n - a.dim} free coordinates")
     c = np.zeros((1, a.dim), dtype=np.uint8)
     return Gf2Vec(coset_elements(a.basis.rows[None], a._pivot_row(), t.bits[None], c)[0])
-
-
-def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:
-    """Decompose v = coset_rep(a, t) + u with u in a; returns (t, u):
-    ``coset_labels`` of one string, with u = c·A."""
-    if v.n != a.n:
-        raise ValueError("ambient dimension mismatch")
-    t, c = coset_labels(a.basis.rows[None], a._pivot_row(), v.bits[None])
-    return Gf2Vec(t[0]), Gf2Vec((c[0] @ a.basis.rows) & 1)
 
 
 def subspace_fields(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -3,10 +3,9 @@
 Covers: binary entropy, Hamming-ball volumes, the monogamy-game winning
 bounds (plain and distance-robust), the exact combinatorial sum they rest
 on, binding/correctness and completeness bounds for the interactive
-protocols, the key-secrecy bound, the noise-tolerance root, min-entropy of
-classical distributions, trace distance, and the fixed-measurement
-sequential min-entropy of a state measured by one party and then, on
-success, by another.
+protocols, the key-secrecy bound, the noise-tolerance root, trace distance,
+and the fixed-measurement sequential min-entropy of a state measured by one
+party and then, on success, by another.
 
 Exact pieces (ball volumes, the combinatorial sum) use integer/rational
 arithmetic; the sum's odd terms carry √½ symbolically as pairs p + q·√½ of
@@ -18,9 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -28,7 +28,6 @@ import numpy as np
 from .ext import lhl_epsilon
 
 __all__ = [
-    "CcDistribution",
     "DensityOp",
     "BoundsReport",
     "HalfRootPair",
@@ -39,12 +38,10 @@ __all__ = [
     "verify_combinatorial_bound",
     "protocol_bounds",
     "gamma_star",
-    "min_entropy_cc",
     "trace_distance",
     "sequential_min_entropy_fixed",
     "SequentialMinEntropy",
     "psd_sqrt",
-    "nondestructive_measure",
     "NEG_LG_COS_PI_8",
 ]
 
@@ -225,13 +222,15 @@ def protocol_bounds(
     Raises on parameters no code, source or probability can have: n must be
     even and positive, 1 <= d <= n/2 (so the binding base 1 - 2d/n is not
     negative), s and kappa must lie in [0, n/2] (a syndrome of, and the
-    min-entropy of, an n/2-bit string), and eta, gamma, delta and epsilon
-    must lie in [0, 1].
+    min-entropy of, an n/2-bit string), kappa must be a real number and not
+    a bool, and eta, gamma, delta and epsilon must lie in [0, 1].
     """
     if n <= 0 or n % 2:
         raise ValueError("ambient dimension must be even and positive")
     if d is not None and not 1 <= d <= n // 2:
         raise ValueError("code distance d must lie in [1, n/2]")
+    if kappa is not None and (isinstance(kappa, bool) or not isinstance(kappa, numbers.Real)):
+        raise ValueError("kappa must be a real number")
     for name, value in (("syndrome length s", s), ("kappa", kappa)):
         if value is not None and not 0 <= value <= n // 2:
             raise ValueError(f"{name} must lie in [0, n/2]")
@@ -299,43 +298,8 @@ def protocol_bounds(
 
 
 # ------------------------------------------------------------------
-# distributions and density operators
+# density operators
 # ------------------------------------------------------------------
-
-
-class CcDistribution:
-    """A joint distribution over pairs (x, y) of classical outcomes."""
-
-    def __init__(self, table: Mapping):
-        if not table:
-            raise ValueError("empty distribution")
-        total = 0.0
-        for key, p in table.items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError("outcomes must be (x, y) pairs")
-            if p < 0:
-                raise ValueError("probabilities must be nonnegative")
-            total += p
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self.table = dict(table)
-
-    def marginal_x(self) -> dict:
-        out: dict = {}
-        for (x, _y), p in self.table.items():
-            out[x] = out.get(x, 0.0) + p
-        return out
-
-
-def min_entropy_cc(dist: CcDistribution, conditioned: bool = False) -> float:
-    """Min-entropy of X, optionally given the classical side value Y:
-    −lg max_x p(x) unconditioned, −lg Σ_y max_x p(x, y) conditioned."""
-    if conditioned:
-        best: dict = {}
-        for (x, y), p in dist.table.items():
-            best[y] = max(best.get(y, 0.0), p)
-        return -math.log2(sum(best.values()))
-    return -math.log2(max(dist.marginal_x().values()))
 
 
 class DensityOp:
@@ -378,13 +342,6 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def nondestructive_measure(rho: np.ndarray, povm: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Branches √P_s ρ √P_s of the nondestructive measurement channel,
-    in POVM order; they sum to a valid state when ρ is one."""
-    roots = [psd_sqrt(p) for p in povm]
-    return [r @ rho @ r for r in roots]
 
 
 # ------------------------------------------------------------------

@@ -78,7 +78,6 @@ __all__ = [
     "builtin_strategy",
     "all_builtin_strategies",
     "alternating_basis",
-    "analytic_win",
     "play_leaky",
     "moe_experiment",
     "BUILTIN_KINDS",
@@ -571,23 +570,6 @@ def all_builtin_strategies(n: int) -> list[Strategy]:
         builtin_strategy("keep_and_substitute", substitute=_zero_record(n)),
         builtin_strategy("leak_smuggle"),
     ]
-
-
-def analytic_win(
-    kind: str,
-    params: MoeParams,
-    *,
-    q: float = 0.5,
-    theta_hat: Optional[Gf2Vec] = None,
-    substitute: Optional[WiesnerRecord] = None,
-    leak: bool = True,
-) -> Optional[float]:
-    """Exact win probability of ``builtin_strategy(kind, ...)``, where known.
-
-    Returns None when no closed form applies (currently only
-    ``measure_wiesner`` outside the register family)."""
-    strategy = builtin_strategy(kind, q=q, theta_hat=theta_hat, substitute=substitute)
-    return strategy.analytic(params, leak)
 
 
 # ------------------------------------------------------------------

@@ -334,15 +334,6 @@ class _CosetStates:
         return Gf2Subspace.register(self.n, self.theta[row].nonzero()[0].tolist())
 
 
-def _bits_of(vec: Optional[Gf2Vec], n: int, what: str) -> np.ndarray:
-    """A fixed bit string as a one-row block (zeros when ``vec`` is None)."""
-    if vec is None:
-        return np.zeros((1, n), dtype=np.uint8)
-    if vec.n != n:
-        raise ValueError(f"{what} length must match the run")
-    return vec.bits[None, :]
-
-
 class _CosetParams:
     """The shape the coset-state protocols share: n ambient qubits, n even,
     and the Toeplitz extractor from the n/2 phase bits to ell bits.  A frozen
@@ -1022,25 +1013,21 @@ class QkdOutcome:
 
 @dataclass(frozen=True)
 class KeepAndSubstitute:
-    """Eve keeps the whole state and forwards a fixed fake record."""
-
-    x: Optional[Gf2Vec] = None  # None = all-zero data bits
-    theta: Optional[Gf2Vec] = None  # None = all computational
+    """Eve keeps the whole state and forwards the zero record: all-zero data
+    bits, every one in the computational basis."""
 
 
 @dataclass(frozen=True)
 class InterceptResend:
-    """Eve measures every qubit in a guessed basis and resends her outcome."""
-
-    theta_hat: Optional[Gf2Vec] = None  # None = fresh uniform bases per run
+    """Eve measures every qubit in fresh uniform bases, drawn per run, and
+    resends her outcome."""
 
 
 @dataclass(frozen=True)
 class SyndromeFault:
-    """Device fault: the device's phase word is corrupted by a fixed codeword
-    (so the reported syndrome is unchanged) before any of its responses."""
-
-    codeword: Optional[Gf2Vec] = None  # None = minimum-weight codeword
+    """Device fault: the device's phase word is corrupted by the code's
+    minimum-weight codeword (so the reported syndrome is unchanged) before
+    any of its responses."""
 
 
 EveKind = Union[None, KeepAndSubstitute, InterceptResend]
@@ -1054,8 +1041,8 @@ def _riqkd_words(
     n, half = params.n, params.half
     eve_bits: tuple[int, ...] = ()
     if isinstance(eve, InterceptResend):
-        # basis guesses (unless fixed), wrong-basis reads, her final coins
-        eve_bits = ((n,) if eve.theta_hat is None else ()) + (n, half)
+        # basis guesses, wrong-basis reads, her final coins
+        eve_bits = (n, n, half)
     return words_for(
         bit_fields=(lead_bits, half, half, *eve_bits, *((n,) if eve is not None else ()),
                     params.extractor.seed_len),
@@ -1108,10 +1095,6 @@ def _riqkd_batch(
         raise ValueError(f"unknown device kind {device!r}")
     if eve is not None and not isinstance(eve, (KeepAndSubstitute, InterceptResend)):
         raise ValueError(f"unknown eavesdropper kind {eve!r}")
-    if fault:
-        c = device.codeword if device.codeword is not None else code.min_weight_codeword
-        if c.n != half:
-            raise ValueError("fault codeword length must be n/2")
 
     # state preparation: basis pattern + labels, as a conjugate-coding record;
     # row by row, t fills the free (θ=0) and t' the Hadamard positions in
@@ -1139,11 +1122,9 @@ def _riqkd_batch(
         x = x.reshape(theta.shape)
         if isinstance(eve, KeepAndSubstitute):
             eve_theta, eve_x = theta, x
-            rec_theta = _bits_of(eve.theta, n, "substitute record")
-            rec_x = _bits_of(eve.x, n, "substitute record")
+            rec_theta = rec_x = np.zeros((1, n), dtype=np.uint8)
         else:
-            hat = r.bits(n) if eve.theta_hat is None else _bits_of(eve.theta_hat, n, "basis-guess")
-            eve_theta = np.broadcast_to(hat, theta.shape)
+            eve_theta = r.bits(n)
             eve_x = np.where(eve_theta == theta, x, r.bits(n))
             rec_theta, rec_x = eve_theta, eve_x
         if noise is not None:
@@ -1155,7 +1136,7 @@ def _riqkd_batch(
         # count_nonzero
         est_distance = (t_hat ^ t).sum(axis=1, dtype=np.int32)
     if fault:
-        tp_hat = tp_hat ^ c.bits  # same syndrome, different word
+        tp_hat = tp_hat ^ code.min_weight_codeword.bits  # same syndrome, different word
 
     # parameter estimation
     est_ok = est_distance <= params.gamma * half
@@ -1206,9 +1187,8 @@ def run_riqkd(
     challenge.  The run reads one window of raw words from ``rng`` (see
     ``_riqkd_batch``), making it replayable from the generator.
     """
-    # the layout reads the noise's presence, Eve's kind and whether she
-    # guesses her bases
-    mode = (noise is None, type(eve), getattr(eve, "theta_hat", None) is None)
+    # the layout reads the noise's presence and Eve's kind
+    mode = (noise is None, type(eve))
     words = params._window_size(mode, lambda: _riqkd_words(params, noise, eve))
     b = _riqkd_batch(params, _window(rng, words), noise, device, eve)
     half = params.half
@@ -1249,7 +1229,6 @@ def riqkd_experiment(
     trials: int = 1000,
     seed: int = 0,
     noise: Optional[PauliNoise] = None,
-    fault: Optional[SyndromeFault] = None,
     threads: int = 1,
 ) -> dict:
     """kind="correctness": honest (optionally noisy) runs; counts aborts and
@@ -1273,9 +1252,7 @@ def riqkd_experiment(
         raise ValueError(f"unknown experiment kind {kind!r}")
     if kind == "completeness" and noise is None:
         raise ValueError("completeness needs a noise model")
-    device = "honest"
-    if kind == "device_fault":
-        device = fault if fault is not None else SyndromeFault()
+    device = SyndromeFault() if kind == "device_fault" else "honest"
 
     def kernel(block: np.ndarray) -> np.ndarray:
         b = _riqkd_batch(params, TrialReader(block), noise, device, None)
@@ -1335,6 +1312,8 @@ class TfkwParams:
             raise ValueError("gamma must lie in [0, 1]")
         if self.check_size is None:
             object.__setattr__(self, "check_size", self.n // 2)
+        if isinstance(self.check_size, bool) or not isinstance(self.check_size, int):
+            raise ValueError("check_size must be an integer")
         if not 0 < self.check_size < self.n:
             raise ValueError("check subset must be a proper nonempty subset")
         keep = self.n - self.check_size

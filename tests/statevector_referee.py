@@ -1,8 +1,9 @@
 """The statevector referee of the monogamy game: the oracle for ``moe``'s
 closed-form kernels, with the statevector tools that only tests read: the
-register with its per-qubit ownership map (``QuantumReg``), subspace
-membership, enumeration and intersection, the coset-basis measurement and
-the coset overlap.
+register with its per-qubit ownership map (``QuantumReg``), the GF(2)
+matrix product and inverse, subspace membership, coset decomposition,
+enumeration and intersection, the coset-basis measurement and the coset
+overlap.
 
 Measuring in the coset basis of a subspace ``a`` is done in three steps:
 relabel amplitude indices by the inverse of the invertible map
@@ -36,8 +37,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from cosetmoe import moe
-from cosetmoe.gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, complement, coset_rep, sample_subspace,
-                          solve_coset_membership)
+from cosetmoe.gf2 import (Gf2Matrix, Gf2Subspace, Gf2Vec, complement, coset_labels, coset_rep,
+                          rref, sample_subspace)
 from cosetmoe.mc import TrialReader, run_blocks, stream_key, words_for
 from cosetmoe.qsim import (
     _ATOL,
@@ -76,8 +77,43 @@ def prepare(d: CosetDescriptor) -> QuantumReg:
 
 
 # ------------------------------------------------------------------
-# subspace membership, enumeration and intersection
+# matrix product and inverse
 # ------------------------------------------------------------------
+
+
+def mulmat(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """The product a·b over GF(2)."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError("dimension mismatch")
+    return Gf2Matrix((a.rows.astype(np.uint32) @ b.rows) & 1)
+
+
+def inverse(m: Gf2Matrix) -> Gf2Matrix:
+    """Inverse of a square invertible matrix: [M | I] reduces to
+    [I | M^-1], and M is singular unless the pivots are 0..r-1."""
+    r, c = m.shape
+    if r != c:
+        raise ValueError("matrix is not square")
+    augmented = np.concatenate([m.rows, np.eye(r, dtype=np.uint8)], axis=1)
+    reduced, pivots = rref(Gf2Matrix(augmented))
+    if pivots != tuple(range(r)):
+        raise ValueError("matrix is singular")
+    return Gf2Matrix(reduced.rows[:, r:])
+
+
+# ------------------------------------------------------------------
+# subspace membership, decomposition, enumeration and intersection
+# ------------------------------------------------------------------
+
+
+def solve_coset_membership(a: Gf2Subspace, v: Gf2Vec) -> tuple[Gf2Vec, Gf2Vec]:
+    """Decompose v = coset_rep(a, t) + u with u in a; returns (t, u):
+    ``gf2.coset_labels`` of one string, with u = c·A."""
+    if v.n != a.n:
+        raise ValueError("ambient dimension mismatch")
+    pivots = np.array(a.pivots, dtype=np.intp).reshape(1, -1)
+    t, c = coset_labels(a.basis.rows[None], pivots, v.bits[None])
+    return Gf2Vec(t[0]), Gf2Vec((c[0] @ a.basis.rows) & 1)
 
 
 def contains(a: Gf2Subspace, v: Gf2Vec) -> bool:
@@ -157,7 +193,7 @@ def _coset_change_of_basis(a: Gf2Subspace):
     for j, f in enumerate(free):
         m_cols[f, j] = 1
     m_cols[:, n - k:] = a.basis.rows.T
-    m_inv = Gf2Matrix(m_cols).inverse()
+    m_inv = inverse(Gf2Matrix(m_cols))
     # generator for int bit position p: image of basis vector of qubit n−1−p
     gens = []
     for p in range(n):
@@ -165,8 +201,7 @@ def _coset_change_of_basis(a: Gf2Subspace):
         gens.append(Gf2Vec(col).to_int())
     perm = _xor_dp(gens, n)
     perm.setflags(write=False)
-    s_mat = a.basis.mulmat(_phase_inject(a))
-    return perm, s_mat.inverse()
+    return perm, inverse(mulmat(a.basis, _phase_inject(a)))
 
 
 def _moveaxis_front(amps: np.ndarray, n_total: int, targets: Sequence[int]) -> np.ndarray:

@@ -563,6 +563,12 @@ def test_threads_below_1_exit_2(capsys, argv, threads):
     (("qecm", "--set", "kind=5"), "config key 'kind' must be a string, got 5"),
     (("urbc", "--set", "code=[7]"), "config key 'code' must be an object, got [7]"),
     (("tfkw", "--set", "seed=1e2"), "config key 'seed' must be an integer, got 100.0"),
+    # keys whose default is null, checked where their value is read
+    (("tfkw", "--set", "check_size=abc"), "check_size must be an integer"),
+    (("tfkw", "--set", "check_size=8.0"), "check_size must be an integer"),
+    (("qkd", "--set", "kind=secrecy", "--set", "kappa=abc"), "kappa must be a real number"),
+    (("qkd", "--set", "kind=secrecy", "--set", "kappa=[1]"), "kappa must be a real number"),
+    (("qkd", "--set", "kind=secrecy", "--set", "kappa=true"), "kappa must be a real number"),
 ])
 def test_a_config_value_of_the_wrong_json_type_exits_2(capsys, argv, error):
     code, out, err = _run(capsys, *argv, "--trials", "10")

@@ -13,14 +13,15 @@ from cosetmoe.ecc import (
     make_code_from_config,
     syndrome_batch,
 )
-from cosetmoe.gf2 import Gf2Vec
+from cosetmoe.gf2 import Gf2Vec, rref
+from statevector_referee import mulmat
 
 
 def codewords(code):
     """All 2^K codewords, via the generator span."""
     words = [Gf2Vec.zeros(code.length)]
     for i in range(code.dimension):
-        row = code.generator.row(i)
+        row = Gf2Vec(code.generator.rows[i])
         words = words + [w + row for w in words]
     return words
 
@@ -34,14 +35,14 @@ def test_hamming74_parameters():
     # parity check columns: nonzero and pairwise distinct
     cols = [tuple(c.parity_check.rows[:, j]) for j in range(7)]
     assert len(set(cols)) == 7 and (0, 0, 0) not in cols
-    assert not c.generator.mulmat(c.parity_check.transpose()).rows.any()
+    assert not mulmat(c.generator, c.parity_check.transpose()).rows.any()
 
 
 def test_repetition_parameters():
     c = make_code("repetition", 5)
     assert (c.length, c.dimension, c.distance) == (5, 1, 5)
     assert len(codewords(c)) == 2
-    assert not c.generator.mulmat(c.parity_check.transpose()).rows.any()
+    assert not mulmat(c.generator, c.parity_check.transpose()).rows.any()
 
 
 def test_block_repeat_parameters():
@@ -50,15 +51,15 @@ def test_block_repeat_parameters():
     words = codewords(c)
     assert len(words) == 4
     assert min(w.weight() for w in words if w.weight() > 0) == 3
-    assert not c.generator.mulmat(c.parity_check.transpose()).rows.any()
+    assert not mulmat(c.generator, c.parity_check.transpose()).rows.any()
 
 
 def test_random_linear_construction():
     c = make_code("random_linear", 10, 4, 7)
     assert (c.length, c.dimension, c.syndrome_length) == (10, 4, 6)
-    assert c.generator.rank() == 4
-    assert c.parity_check.rank() == 6
-    assert not c.generator.mulmat(c.parity_check.transpose()).rows.any()
+    assert len(rref(c.generator)[1]) == 4
+    assert len(rref(c.parity_check)[1]) == 6
+    assert not mulmat(c.generator, c.parity_check.transpose()).rows.any()
     assert c.distance == min(w.weight() for w in codewords(c) if w.weight() > 0)
     again = make_code("random_linear", 10, 4, 7)
     assert again.generator == c.generator and again.parity_check == c.parity_check

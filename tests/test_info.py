@@ -7,15 +7,12 @@ import pytest
 from cosetmoe.info import (
     NEG_LG_COS_PI_8,
     BoundsReport,
-    CcDistribution,
     DensityOp,
     ball_volume,
     binary_entropy,
     combinatorial_sum,
     gamma_star,
-    min_entropy_cc,
     moe_bound,
-    nondestructive_measure,
     protocol_bounds,
     psd_sqrt,
     sequential_min_entropy_fixed,
@@ -34,6 +31,13 @@ def random_onb_projectors(dim, rng):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(x)
     return [np.outer(q[:, i], q[:, i].conj()) for i in range(dim)]
+
+
+def nondestructive_measure(rho, povm):
+    """Branches √P_s ρ √P_s of the nondestructive measurement channel,
+    in POVM order; they sum to a valid state when ρ is one."""
+    roots = [psd_sqrt(p) for p in povm]
+    return [r @ rho @ r for r in roots]
 
 
 # -------------------------------------------------------------- scalars
@@ -168,30 +172,6 @@ def test_bounds_report_shape():
     assert js["params"]["n"] == 8
     with pytest.raises(ValueError):
         protocol_bounds(n=7)
-
-
-# ----------------------------------------------------- cc distributions
-
-
-def test_min_entropy_cc_examples():
-    uniform4 = CcDistribution({(x, 0): 0.25 for x in range(4)})
-    assert min_entropy_cc(uniform4) == pytest.approx(2.0)
-    correlated = CcDistribution({(x, x): 0.25 for x in range(4)})
-    assert min_entropy_cc(correlated, conditioned=True) == pytest.approx(0.0)
-    mixed = CcDistribution({(0, 0): 0.5, (1, 0): 0.25, (1, 1): 0.25})
-    assert min_entropy_cc(mixed, conditioned=True) == pytest.approx(math.log2(4 / 3))
-    assert min_entropy_cc(mixed) == pytest.approx(-math.log2(0.5))
-
-
-def test_cc_distribution_validation():
-    with pytest.raises(ValueError):
-        CcDistribution({})
-    with pytest.raises(ValueError):
-        CcDistribution({(0, 0): 0.5, (1, 0): 0.6})
-    with pytest.raises(ValueError):
-        CcDistribution({(0, 0): -0.1, (1, 0): 1.1})
-    with pytest.raises(ValueError):
-        CcDistribution({0: 1.0})
 
 
 # ------------------------------------------------------- density algebra

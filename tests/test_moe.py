@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cosetmoe import mc, moe
 from cosetmoe.cli import _half_subspaces
-from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, sample_subspace, solve_coset_membership
+from cosetmoe.gf2 import Gf2Subspace, Gf2Vec, coset_rep, sample_subspace
 from cosetmoe.info import ball_volume, moe_bound
 from cosetmoe.mc import (
     TrialReader,
@@ -35,7 +35,6 @@ from cosetmoe.moe import (
     MoeParams,
     all_builtin_strategies,
     alternating_basis,
-    analytic_win,
     builtin_strategy,
     play_leaky,
 )
@@ -400,15 +399,13 @@ def test_game_result_fields_and_json():
 def test_unknown_strategy_kind():
     with pytest.raises(ValueError):
         builtin_strategy("teleport_everything")
-    with pytest.raises(ValueError):
-        analytic_win("teleport_everything", MoeParams(n=4))
 
 
 def test_mix_weight_validated():
     with pytest.raises(ValueError):
         builtin_strategy("mix", q=1.5)
     with pytest.raises(ValueError):
-        analytic_win("mix", MoeParams(n=4), q=-0.1)
+        builtin_strategy("mix", q=-0.1)
 
 
 def test_measure_wiesner_needs_basis():
@@ -457,26 +454,28 @@ def test_robust_radii_match_closed_forms(kind, m, mp):
 def test_bob_all_robust_values():
     # spot values: Charlie guessing within radius m' of a uniform word
     p = MoeParams(n=8, m_prime=1, trials=4)
-    assert analytic_win("bob_all", p) == ball_volume(4, 1) / 16 == 5 / 16
-    assert analytic_win("bob_all", MoeParams(n=8, m=1)) == 1 / 16
+    bob_all = builtin_strategy("bob_all")
+    assert bob_all.analytic(p) == ball_volume(4, 1) / 16 == 5 / 16
+    assert bob_all.analytic(MoeParams(n=8, m=1)) == 1 / 16
 
 
 def test_measure_wiesner_analytic_spot_value():
     # n=4, alternating basis guess, exact radii: 0.34375 by direct counting
     p = MoeParams(n=4, trials=4)
-    got = analytic_win("measure_wiesner", p, theta_hat=Gf2Vec.from_int(0b1010, 4))
+    got = builtin_strategy("measure_wiesner", theta_hat=Gf2Vec.from_int(0b1010, 4)).analytic(p)
     assert abs(got - 0.34375) < 1e-15
 
 
 def test_measure_wiesner_analytic_none_outside_register():
     p = MoeParams(n=4, family="all", trials=4)
-    assert analytic_win("measure_wiesner", p, theta_hat=Gf2Vec.from_int(0b1010, 4)) is None
+    s = builtin_strategy("measure_wiesner", theta_hat=Gf2Vec.from_int(0b1010, 4))
+    assert s.analytic(p) is None
 
 
 def test_mix_endpoints_equal_single_party_strategies():
     p = MoeParams(n=6, trials=30_000, seed=8, m_prime=1)
-    assert analytic_win("mix", p, q=1.0) == analytic_win("bob_all", p)
-    assert analytic_win("mix", p, q=0.0) == analytic_win("charlie_all", p)
+    ends = [builtin_strategy("mix", q=q).analytic(p) for q in (1.0, 0.0)]
+    assert ends == [builtin_strategy(kind).analytic(p) for kind in ("bob_all", "charlie_all")]
     est_mix = play_leaky(p, builtin_strategy("mix", q=1.0)).estimate
     est_bob = play_leaky(p, builtin_strategy("bob_all")).estimate
     assert abs(est_mix - est_bob) <= 2 * three_sigma(est_bob, p.trials)
@@ -511,7 +510,6 @@ def test_smuggler_exploits_the_leak():
     off = play_leaky(p, s, leak=False).estimate
     assert abs(on - 1 / 16) <= three_sigma(1 / 16, p.trials)
     assert abs(off - 1 / 256) <= three_sigma(1 / 256, p.trials)
-    assert analytic_win("leak_smuggle", p, leak=False) == 1 / 256
     assert s.analytic(p, leak=False) == 1 / 256 and s.analytic(p) == 1 / 16
 
 
@@ -650,7 +648,7 @@ def test_measure_computational_enumerated_over_all_subspaces():
             base = coset_rep(a, t)
             for u in referee.vectors(a):
                 v = base + u
-                t_hat, u_hat = solve_coset_membership(a, v)
+                t_hat, u_hat = referee.solve_coset_membership(a, v)
                 assert t_hat == t and u_hat == u
                 guess = Gf2Vec(u.bits[list(a.pivots)])
                 wins += int(guess == tp)

@@ -9,7 +9,6 @@ from cosetmoe.gf2 import (
     complement,
     coset_rep,
     sample_subspace,
-    solve_coset_membership,
 )
 from cosetmoe.mc import TrialReader, coordinate_rows, trial_words, words_for
 from cosetmoe.proto import PauliNoise
@@ -28,6 +27,7 @@ from statevector_referee import (
     measure_coset_basis,
     measure_qubits,
     prepare,
+    solve_coset_membership,
     vectors,
 )
 
